@@ -8,8 +8,10 @@ merge-quality and needs no seed.
 
 Determinism contract: identical inputs, k, seed, and tolerance yield
 bit-identical assignments and centroids. Nearest-centroid ties go to
-the lowest cluster id; hierarchical merge ties go to the smallest
-(i, j) cluster pair.
+the lowest cluster id. Hierarchical clustering follows nearest-neighbor
+chains: a chain starts at the lowest-numbered live cluster,
+nearest-neighbor ties go to the lowest index, and equal-height merges
+replay in the order the chain found them.
 """
 
 from __future__ import annotations
@@ -21,13 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeMismatch, TooFewRows
+from .errors import InvariantViolation, ShapeMismatch, TooFewRows
 from .features import CLUSTER_FEATURES, FeatureMatrix, destandardize
 from .rng import SplitMix64
-
-# naive hierarchical keeps the full distance matrix argmin-scanned per
-# merge; beyond this row count the nearest-neighbor-chain path wins
-NAIVE_HIER_MAX_ROWS = 400
 
 
 class Algorithm(Enum):
@@ -135,7 +133,8 @@ def kmeans(
 
     Empty clusters are repaired by donating the point currently
     farthest from its own centroid. The within-cluster SSE after each
-    centroid update is asserted non-increasing.
+    centroid update must not rise; InvariantViolation is raised if it
+    does.
     """
     values, fm = _coerce(matrix)
     n = values.shape[0]
@@ -148,7 +147,7 @@ def kmeans(
     centroids = _kmeanspp_init(values, k, rng)
     assign = np.zeros(n, dtype=np.int64)
     prev_sse = np.inf
-    for _ in range(max_iter):
+    for iteration in range(1, max_iter + 1):
         d2 = _sq_dists(values, centroids)
         assign = np.argmin(d2, axis=1)
         counts = np.bincount(assign, minlength=k)
@@ -164,7 +163,11 @@ def kmeans(
         for cid in range(k):
             new_centroids[cid] = values[assign == cid].mean(axis=0)
         cur_sse = sse(values, assign, new_centroids)
-        assert cur_sse <= prev_sse + 1e-9, "SSE increased during Lloyd iteration"
+        if cur_sse > prev_sse + 1e-9:
+            raise InvariantViolation(
+                f"SSE rose from {prev_sse!r} to {cur_sse!r} "
+                f"at Lloyd iteration {iteration}"
+            )
         prev_sse = cur_sse
         shift = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
@@ -228,51 +231,17 @@ def _groups_to_model(
     )
 
 
-def _hier_naive(values: np.ndarray, k: int, linkage: Linkage) -> list[list[int]]:
-    n = values.shape[0]
-    dist = _pair_matrix(values, squared=linkage is Linkage.WARD)
-    sizes = np.ones(n, dtype=np.float64)
-    members: list[list[int] | None] = [[i] for i in range(n)]
-    remaining = n
-    while remaining > k:
-        # row-major argmin = lexicographically smallest (i, j) tie-break
-        flat = int(np.argmin(dist))
-        i, j = divmod(flat, n)
-        if i > j:
-            i, j = j, i
-        d_ij = dist[i, j]
-        others = np.array(
-            [c for c in range(n) if members[c] is not None and c not in (i, j)],
-            dtype=np.int64,
-        )
-        if others.size:
-            dist[i, others] = _lw_update(
-                linkage,
-                dist[i, others],
-                dist[j, others],
-                d_ij,
-                sizes[i],
-                sizes[j],
-                sizes[others],
-            )
-            dist[others, i] = dist[i, others]
-        dist[j, :] = np.inf
-        dist[:, j] = np.inf
-        dist[i, i] = np.inf
-        members[i].extend(members[j])  # type: ignore[union-attr]
-        members[j] = None
-        sizes[i] += sizes[j]
-        remaining -= 1
-    return [m for m in members if m is not None]
+def _nnchain_merges(
+    values: np.ndarray, linkage: Linkage
+) -> list[tuple[float, int, int]]:
+    """Full merge list (height, a, b) with a < b, in replay order.
 
-
-def _hier_nnchain(values: np.ndarray, k: int, linkage: Linkage) -> list[list[int]]:
-    """Nearest-neighbor-chain agglomeration.
-
-    Builds the full merge sequence by following reciprocal-nearest-
-    neighbor chains, then replays the merges in ascending height order
-    (stable on ties) and cuts after n - k of them. On tie-free data
-    the resulting partition matches the naive matrix scan.
+    Follows nearest-neighbor chains (Muellner 2011, arXiv:1109.2378):
+    a chain starts at the lowest-numbered live cluster, each step moves
+    to the nearest live neighbor (ties to the lowest index), and a
+    reciprocal pair merges into its lower index. The merges are then
+    sorted by ascending height; equal heights keep the order the chain
+    found them in.
     """
     n = values.shape[0]
     dist = _pair_matrix(values, squared=linkage is Linkage.WARD)
@@ -311,8 +280,28 @@ def _hier_nnchain(values: np.ndarray, k: int, linkage: Linkage) -> list[list[int
             alive[b] = False
         else:
             chain.append(y)
+    merges.sort(key=lambda m: m[0])
+    return merges
 
-    order = sorted(range(len(merges)), key=lambda m: merges[m][0])
+
+def hierarchical(
+    matrix: FeatureMatrix | np.ndarray,
+    k: int,
+    linkage: Linkage = Linkage.WARD,
+) -> ClusterModel:
+    """Agglomerative clustering cut at k clusters.
+
+    Replays the first n - k merges of the nearest-neighbor chain. Tie
+    rule: the chain starts at the lowest-numbered live cluster,
+    nearest-neighbor ties go to the lowest index, and equal-height
+    merges replay in the order the chain found them.
+    """
+    values, fm = _coerce(matrix)
+    n = values.shape[0]
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if n < k:
+        raise TooFewRows(f"{n} rows < k={k}")
     parent = list(range(n))
 
     def find(c: int) -> int:
@@ -321,87 +310,13 @@ def _hier_nnchain(values: np.ndarray, k: int, linkage: Linkage) -> list[list[int
             c = parent[c]
         return c
 
-    for m in order[: n - k]:
-        _, a, b = merges[m]
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
+    # the merge edges form a spanning tree, so each joins two components
+    for _, a, b in _nnchain_merges(values, linkage)[: n - k]:
+        parent[find(b)] = find(a)
     groups: dict[int, list[int]] = {}
     for point in range(n):
         groups.setdefault(find(point), []).append(point)
-    return list(groups.values())
-
-
-def merge_heights(
-    matrix: FeatureMatrix | np.ndarray, linkage: Linkage = Linkage.WARD
-) -> list[float]:
-    """Linkage distances of the full merge sequence, in merge order.
-
-    Ward heights are non-decreasing (monotone linkage); a decrease
-    would mean a broken Lance-Williams update.
-    """
-    values, _ = _coerce(matrix)
-    n = values.shape[0]
-    if n < 2:
-        return []
-    dist = _pair_matrix(values, squared=linkage is Linkage.WARD)
-    sizes = np.ones(n, dtype=np.float64)
-    members: list[list[int] | None] = [[i] for i in range(n)]
-    heights: list[float] = []
-    for _ in range(n - 1):
-        flat = int(np.argmin(dist))
-        i, j = divmod(flat, n)
-        if i > j:
-            i, j = j, i
-        d_ij = dist[i, j]
-        heights.append(float(d_ij))
-        others = np.array(
-            [c for c in range(n) if members[c] is not None and c not in (i, j)],
-            dtype=np.int64,
-        )
-        if others.size:
-            dist[i, others] = _lw_update(
-                linkage, dist[i, others], dist[j, others], d_ij,
-                sizes[i], sizes[j], sizes[others],
-            )
-            dist[others, i] = dist[i, others]
-        dist[j, :] = np.inf
-        dist[:, j] = np.inf
-        dist[i, i] = np.inf
-        members[i].extend(members[j])  # type: ignore[union-attr]
-        members[j] = None
-        sizes[i] += sizes[j]
-    return heights
-
-
-def hierarchical(
-    matrix: FeatureMatrix | np.ndarray,
-    k: int,
-    linkage: Linkage = Linkage.WARD,
-    method: str = "auto",
-) -> ClusterModel:
-    """Agglomerative clustering cut at k clusters.
-
-    method selects the internal engine: "naive" scans the full
-    distance matrix per merge, "nn-chain" follows nearest-neighbor
-    chains (much faster for large inputs), "auto" picks by size. Both
-    engines produce identical partitions on tie-free data.
-    """
-    values, fm = _coerce(matrix)
-    n = values.shape[0]
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < k:
-        raise TooFewRows(f"{n} rows < k={k}")
-    if method == "auto":
-        method = "naive" if n <= NAIVE_HIER_MAX_ROWS else "nn-chain"
-    if method == "naive":
-        groups = _hier_naive(values, k, linkage)
-    elif method == "nn-chain":
-        groups = _hier_nnchain(values, k, linkage)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _groups_to_model(values, fm, groups)
+    return _groups_to_model(values, fm, list(groups.values()))
 
 
 CLUSTER_REPORT_HEADER = ["cluster_id", "size"] + list(CLUSTER_FEATURES)

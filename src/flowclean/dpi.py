@@ -113,24 +113,15 @@ def parse_dns(payload: bytes, dst_port: int, transport: str) -> bool:
     return opcode <= 5 and z_bits == 0 and qdcount >= 1
 
 
-def parse_tls_client_hello(payload: bytes) -> str | None:
-    """Extract the SNI hostname from a TLS ClientHello, if present.
-
-    Returns the first host_name entry of the server_name extension,
-    lowercased, or None when the payload is not a ClientHello or
-    carries no SNI. Walks the record defensively: any truncation or
-    inconsistency yields None.
-    """
-    is_hello, sni = _client_hello(payload)
-    return sni if is_hello else None
-
-
 def _client_hello(payload: bytes) -> tuple[bool, str | None]:
     """(is_client_hello, sni). Distinguishes TLS-without-SNI from not-TLS.
 
-    Payload prefixes are capped, so a structurally valid ClientHello
-    whose extension block runs past the captured bytes still counts as
-    a ClientHello (without SNI unless the extension fit).
+    sni is the first host_name entry of the server_name extension,
+    lowercased, or None. The record is walked defensively: truncation
+    or inconsistency never raises. Payload prefixes are capped, so a
+    structurally valid ClientHello whose extension block runs past the
+    captured bytes still counts as a ClientHello (without SNI unless
+    the extension fit).
     """
     if len(payload) < 6:
         return False, None

@@ -54,3 +54,7 @@ class EmptyTest(FlowcleanError):
 
 class InvalidSpec(FlowcleanError):
     """A synthetic scenario specification is malformed or unsatisfiable."""
+
+
+class InvariantViolation(FlowcleanError):
+    """An internal invariant failed: SSE monotonicity or count conservation."""

@@ -10,13 +10,11 @@ and classification but stay out of the clustering distance.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyFlow, SchemaMismatch, TooFewRows
+from .errors import EmptyFlow, TooFewRows
 from .ingest import FlowRecord
 
 CLUSTER_FEATURES = (
@@ -168,51 +166,3 @@ def destandardize(rows: np.ndarray, matrix: FeatureMatrix) -> np.ndarray:
         raise ValueError("matrix carries no standardization stats")
     rows = np.asarray(rows, dtype=np.float64)
     return rows * matrix.stds + matrix.means
-
-
-FEATURE_TABLE_HEADER = ["flow_id", "app_label"] + list(ALL_FEATURES)
-
-
-def write_feature_table(matrix: FeatureMatrix, file: str | Path) -> None:
-    """Write the raw-scale feature table CSV."""
-    if matrix.standardized:
-        raise ValueError("feature table is written in raw scale")
-    with open(file, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURE_TABLE_HEADER)
-        for i in range(matrix.n_rows):
-            row = [matrix.flow_ids[i], matrix.app_labels[i] or ""]
-            row += [repr(float(x)) for x in matrix.values[i]]
-            row += [repr(float(x)) for x in matrix.aux[i]]
-            writer.writerow(row)
-
-
-def read_feature_table(file: str | Path) -> FeatureMatrix:
-    with open(file, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatch(f"{file}: empty file") from None
-        if header != FEATURE_TABLE_HEADER:
-            raise SchemaMismatch(f"{file}: bad feature-table header")
-        flow_ids: list[int] = []
-        app_labels: list[str | None] = []
-        values_rows: list[list[float]] = []
-        aux_rows: list[list[float]] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(FEATURE_TABLE_HEADER):
-                raise SchemaMismatch(f"{file}: row has {len(row)} columns")
-            flow_ids.append(int(row[0]))
-            app_labels.append(row[1] or None)
-            values_rows.append([float(x) for x in row[2:8]])
-            aux_rows.append([float(x) for x in row[8:10]])
-    n = len(flow_ids)
-    return FeatureMatrix(
-        values=np.array(values_rows, dtype=np.float64).reshape(n, 6),
-        aux=np.array(aux_rows, dtype=np.float64).reshape(n, 2),
-        flow_ids=flow_ids,
-        app_labels=app_labels,
-    )

@@ -408,24 +408,17 @@ class _FlowState:
         )
 
 
-def assemble_flows(
+def assemble_flows_with_meta(
     packets: list[PacketRecord], idle_timeout_s: float = 60.0
-) -> list[FlowRecord]:
+) -> tuple[list[FlowRecord], list[FlowMeta]]:
     """Group packets into bidirectional flows.
 
     A flow closes when its TCP teardown completes (both FINs plus the
     final ack, or any RST) or when the gap to the next packet of the
     same key exceeds idle_timeout_s; later packets start a new flow.
-    The client is the sender of the first observed packet.
+    The client is the sender of the first observed packet. Each flow
+    comes with its first packet's MAC/VLAN for tagging.
     """
-    flows, _ = assemble_flows_with_meta(packets, idle_timeout_s)
-    return flows
-
-
-def assemble_flows_with_meta(
-    packets: list[PacketRecord], idle_timeout_s: float = 60.0
-) -> tuple[list[FlowRecord], list[FlowMeta]]:
-    """assemble_flows plus per-flow first-packet MAC/VLAN for tagging."""
     if idle_timeout_s <= 0:
         raise ValueError("idle_timeout_s must be positive")
     order = sorted(range(len(packets)), key=lambda i: (packets[i].timestamp_us, i))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .cluster import Algorithm, ClusterModel, Linkage, hierarchical, kmeans
 from .dpi import Blocklist, DEFAULT_BLOCKLIST, filter_flows
-from .errors import AppTooSmall, ParseError
+from .errors import AppTooSmall, InvariantViolation, ParseError
 from .features import CLUSTER_FEATURES, FeatureMatrix, feature_matrix, standardize
 from .ingest import FlowRecord
 
@@ -111,41 +111,41 @@ def parse_rules(text: str) -> SelectionPolicy:
         if not line:
             continue
         if default_seen:
-            raise ParseError(lineno, "default must be the last line")
+            raise ParseError("default must be the last line", lineno)
         parts = line.split(None, 1)
         word = parts[0].lower()
         if word == "default":
             if len(parts) != 2 or parts[1].strip().lower() not in ("keep", "drop"):
-                raise ParseError(lineno, "expected 'default keep' or 'default drop'")
+                raise ParseError("expected 'default keep' or 'default drop'", lineno)
             default_action = Action(parts[1].strip().lower())
             default_seen = True
             continue
         if word not in ("keep", "drop"):
-            raise ParseError(lineno, f"unknown action {parts[0]!r}")
+            raise ParseError(f"unknown action {parts[0]!r}", lineno)
         if len(parts) != 2:
-            raise ParseError(lineno, "rule has no predicates")
+            raise ParseError("rule has no predicates", lineno)
         predicates = []
         for chunk in parts[1].split(","):
             tokens = chunk.split()
             if len(tokens) != 3:
                 raise ParseError(
-                    lineno, f"expected '<feature> <cmp> <value>', got {chunk.strip()!r}"
+                    f"expected '<feature> <cmp> <value>', got {chunk.strip()!r}", lineno
                 )
             feature, cmp_token, value_token = tokens
             if feature not in CLUSTER_FEATURES:
-                raise ParseError(lineno, f"unknown feature {feature!r}")
+                raise ParseError(f"unknown feature {feature!r}", lineno)
             if cmp_token not in _COMPARATORS:
-                raise ParseError(lineno, f"unknown comparator {cmp_token!r}")
+                raise ParseError(f"unknown comparator {cmp_token!r}", lineno)
             if value_token.lower().startswith("p") and not _is_number(value_token):
                 digits = value_token[1:]
                 try:
                     pct = float(digits)
                 except ValueError:
                     raise ParseError(
-                        lineno, f"malformed percentile {value_token!r}"
+                        f"malformed percentile {value_token!r}", lineno
                     ) from None
                 if not 0.0 <= pct <= 100.0:
-                    raise ParseError(lineno, f"percentile {value_token!r} outside 0-100")
+                    raise ParseError(f"percentile {value_token!r} outside 0-100", lineno)
                 predicates.append(
                     Predicate(feature, cmp_token, threshold=None, percentile=pct)
                 )
@@ -154,7 +154,7 @@ def parse_rules(text: str) -> SelectionPolicy:
                     literal = float(value_token)
                 except ValueError:
                     raise ParseError(
-                        lineno, f"malformed threshold {value_token!r}"
+                        f"malformed threshold {value_token!r}", lineno
                     ) from None
                 predicates.append(Predicate(feature, cmp_token, threshold=literal))
         rules.append(Rule(action=Action(word), predicates=tuple(predicates)))
@@ -220,8 +220,14 @@ class AppCounts:
     flows_dropped: int = 0
     skipped: bool = False
 
-    def check(self) -> None:
-        assert self.input == self.dpi_discarded + self.flows_kept + self.flows_dropped
+    def check(self, app: str) -> None:
+        accounted = self.dpi_discarded + self.flows_kept + self.flows_dropped
+        if self.input != accounted:
+            raise InvariantViolation(
+                f"{app}: {self.input} flows in, but {self.dpi_discarded} discarded"
+                f" + {self.flows_kept} kept + {self.flows_dropped} dropped"
+                f" = {accounted}"
+            )
 
 
 @dataclass
@@ -271,11 +277,10 @@ def _cluster_app(
     k: int,
     seed: int,
     linkage: Linkage,
-    hier_method: str,
 ) -> ClusterModel:
     if algorithm is Algorithm.KMEANS:
         return kmeans(matrix_std, k, seed)
-    return hierarchical(matrix_std, k, linkage, method=hier_method)
+    return hierarchical(matrix_std, k, linkage)
 
 
 def clean(
@@ -286,7 +291,6 @@ def clean(
     k: int = 4,
     seed: int = 42,
     linkage: Linkage = Linkage.WARD,
-    hier_method: str = "auto",
     skip_dpi: bool = False,
     threads: int = 1,
 ) -> tuple[list[FlowRecord], CleanReport]:
@@ -329,7 +333,6 @@ def clean(
                 k,
                 seed,
                 linkage,
-                hier_method,
                 skip_dpi,
             )
         except AppTooSmall as exc:
@@ -337,7 +340,7 @@ def clean(
             counts.skipped = True
             counts.flows_dropped = counts.input - counts.dpi_discarded
             kept = []
-        counts.check()
+        counts.check(label)
         return kept, counts, timings
 
     if threads > 1 and len(labels) > 1:
@@ -370,7 +373,6 @@ def _clean_app(
     k: int,
     seed: int,
     linkage: Linkage,
-    hier_method: str,
     skip_dpi: bool,
 ) -> list[FlowRecord]:
     t0 = time.perf_counter()
@@ -392,7 +394,7 @@ def _clean_app(
     t2 = time.perf_counter()
     timings_ms["features"] += (t2 - t1) * 1e3
 
-    model = _cluster_app(matrix_std, algorithm, k, seed, linkage, hier_method)
+    model = _cluster_app(matrix_std, algorithm, k, seed, linkage)
     counts.clusters_formed = model.k
     t3 = time.perf_counter()
     timings_ms["cluster"] += (t3 - t2) * 1e3

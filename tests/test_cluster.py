@@ -1,8 +1,9 @@
 """Tests for K-means and hierarchical clustering.
 
 Correctness anchors: tiny fixtures with hand-checkable partitions, a
-brute-force minimum-SSE search over all partitions for small n, and
-cross-checks between the two hierarchical engines on tie-free data.
+brute-force minimum-SSE search over all partitions for small n, and a
+naive matrix-scan oracle for the nearest-neighbor-chain engine on
+tie-free data.
 """
 
 from itertools import product
@@ -10,20 +11,20 @@ from itertools import product
 import numpy as np
 import pytest
 
+import flowclean.cluster as cluster_mod
 from flowclean.cluster import (
     Algorithm,
     CLUSTER_REPORT_HEADER,
     ClusterModel,
     Linkage,
-    NAIVE_HIER_MAX_ROWS,
+    _nnchain_merges,
     hierarchical,
     kmeans,
-    merge_heights,
     sse,
     write_assignments,
     write_cluster_report,
 )
-from flowclean.errors import ShapeMismatch, TooFewRows
+from flowclean.errors import InvariantViolation, ShapeMismatch, TooFewRows
 from flowclean.features import feature_matrix, standardize
 
 from conftest import make_flow
@@ -103,6 +104,20 @@ def test_kmeans_deterministic():
     assert np.array_equal(a.assignments, b.assignments)
     assert np.array_equal(a.centroids_std, b.centroids_std)
     assert a.sse == b.sse
+
+
+def test_kmeans_rising_sse_raises(monkeypatch):
+    values = blobs([(0, 0), (6, 6)], per=20, spread=1.5, seed=4)
+    calls = []
+
+    def rising(*args):
+        calls.append(args)
+        return float(len(calls))
+
+    monkeypatch.setattr(cluster_mod, "sse", rising)
+    with pytest.raises(InvariantViolation, match="at Lloyd iteration 2"):
+        kmeans(values, k=3, seed=0, tol=0.0)
+    assert len(calls) == 2  # one sse call per Lloyd iteration
 
 
 def test_kmeans_bad_inputs():
@@ -209,6 +224,67 @@ def test_ward_recovers_separated_blobs():
 # --- hierarchical -------------------------------------------------------
 
 
+def oracle_lance_williams(linkage, d_ik, d_jk, d_ij, s_i, s_j, s_k):
+    """Independent copy of the three Lance-Williams updates."""
+    if linkage is Linkage.WARD:
+        return ((s_i + s_k) * d_ik + (s_j + s_k) * d_jk - s_k * d_ij) / (
+            s_i + s_j + s_k
+        )
+    if linkage is Linkage.AVERAGE:
+        return (s_i * d_ik + s_j * d_jk) / (s_i + s_j)
+    return max(d_ik, d_jk)
+
+
+def oracle_merges(values, linkage) -> list[tuple[float, int, int]]:
+    """Naive agglomeration: each step merges the closest live pair.
+
+    Scans the whole distance matrix per merge, ties to the smallest
+    (i, j) pair; returns (height, i, j) with i < j in merge order.
+    Ward works on squared distances, the other linkages on plain ones.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n = len(values)
+    dist = np.full((n, n), np.inf)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                d2 = float(((values[i] - values[j]) ** 2).sum())
+                dist[i, j] = d2 if linkage is Linkage.WARD else d2 ** 0.5
+    sizes = [1.0] * n
+    live = set(range(n))
+    merges = []
+    for _ in range(n - 1):
+        i, j = divmod(int(np.argmin(dist)), n)  # row-major: smallest pair
+        i, j = min(i, j), max(i, j)
+        d_ij = float(dist[i, j])
+        merges.append((d_ij, i, j))
+        live.discard(j)
+        for c in live - {i}:
+            dist[i, c] = dist[c, i] = oracle_lance_williams(
+                linkage, dist[i, c], dist[j, c], d_ij, sizes[i], sizes[j], sizes[c]
+            )
+        dist[j, :] = np.inf
+        dist[:, j] = np.inf
+        sizes[i] += sizes[j]
+    return merges
+
+
+def oracle_partition(values, k, linkage) -> set[frozenset]:
+    groups = {i: {i} for i in range(len(values))}
+    for _, i, j in oracle_merges(values, linkage)[: len(values) - k]:
+        groups[i] |= groups.pop(j)
+    return {frozenset(g) for g in groups.values()}
+
+
+def test_oracle_merges_hand_checked():
+    # 1-D points 0, 1, 5: merge {0,1} at 1, then {0,1} with {5}
+    values = np.array([[0.0], [1.0], [5.0]])
+    assert oracle_merges(values, Linkage.COMPLETE) == [(1.0, 0, 1), (5.0, 0, 2)]
+    assert oracle_merges(values, Linkage.AVERAGE) == [(1.0, 0, 1), (4.5, 0, 2)]
+    # Ward: squared distance 1, then (2*25 + 2*16 - 1) / 3 = 27
+    assert oracle_merges(values, Linkage.WARD) == [(1.0, 0, 1), (27.0, 0, 2)]
+
+
 def test_hier_two_blob_exact():
     values = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 10.0], [10.0, 11.0]])
     for linkage in Linkage:
@@ -237,8 +313,8 @@ def test_hier_k1_single_group():
 
 def test_hier_duplicates_merge_first():
     values = np.array([[5.0, 5.0], [1.0, 1.0], [5.0, 5.0], [9.0, 0.0]])
-    heights = merge_heights(values, Linkage.WARD)
-    assert heights[0] == 0.0
+    assert oracle_merges(values, Linkage.WARD)[0] == (0.0, 0, 2)
+    assert _nnchain_merges(values, Linkage.WARD)[0] == (0.0, 0, 2)
     model = hierarchical(values, k=3)
     assert partition_of(model.assignments) == {
         frozenset({0, 2}), frozenset({1}), frozenset({3})
@@ -251,17 +327,17 @@ def test_hier_bad_inputs():
         hierarchical(values, k=4)
     with pytest.raises(ValueError):
         hierarchical(values, k=0)
-    with pytest.raises(ValueError):
-        hierarchical(values, k=2, method="quadratic")
 
 
 def test_ward_heights_non_decreasing():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         values = rng.uniform(0, 10, size=(30, 4))
-        heights = merge_heights(values, Linkage.WARD)
+        heights = [h for h, _, _ in oracle_merges(values, Linkage.WARD)]
         assert len(heights) == 29
         assert all(b >= a - 1e-9 for a, b in zip(heights, heights[1:]))
+        chain = [h for h, _, _ in _nnchain_merges(values, Linkage.WARD)]
+        assert np.allclose(chain, heights)
 
 
 @pytest.mark.parametrize("linkage", list(Linkage))
@@ -269,19 +345,22 @@ def test_ward_heights_non_decreasing():
 def test_engines_agree_on_tie_free_data(linkage, n, k, seed):
     rng = np.random.default_rng(seed)
     values = rng.normal(0, 1, size=(n, 3))
-    naive = hierarchical(values, k=k, linkage=linkage, method="naive")
-    chain = hierarchical(values, k=k, linkage=linkage, method="nn-chain")
-    assert np.array_equal(naive.assignments, chain.assignments)
-    assert np.allclose(naive.centroids_std, chain.centroids_std)
+    model = hierarchical(values, k=k, linkage=linkage)
+    assert partition_of(model.assignments) == oracle_partition(values, k, linkage)
+    oracle_heights = [h for h, _, _ in oracle_merges(values, linkage)]
+    chain_heights = [h for h, _, _ in _nnchain_merges(values, linkage)]
+    assert np.allclose(chain_heights, oracle_heights)
 
 
-def test_auto_method_threshold():
-    assert NAIVE_HIER_MAX_ROWS == 400
-    rng = np.random.default_rng(17)
-    values = rng.normal(0, 1, size=(NAIVE_HIER_MAX_ROWS + 10, 2))
-    auto = hierarchical(values, k=4)  # routes to nn-chain
-    naive = hierarchical(values, k=4, method="naive")
-    assert np.array_equal(auto.assignments, naive.assignments)
+def test_hier_tie_rule_follows_the_chain():
+    # Average linkage with many zero-height pairs. The chain starts at
+    # row 0, takes the lowest index on nearest-neighbor ties and
+    # replays equal heights in the order it found them: after {0, 6}
+    # it finds {2, 3} before {1, 4}. A greedy smallest-pair scan would
+    # merge {1, 4} second instead.
+    values = np.array([[0.0], [3.0], [2.0], [2.0], [3.0], [3.0], [0.0]])
+    model = hierarchical(values, k=5, linkage=Linkage.AVERAGE)
+    assert model.assignments.tolist() == [0, 1, 2, 2, 3, 4, 0]
 
 
 def test_hier_permutation_invariant_partition():

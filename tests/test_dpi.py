@@ -17,7 +17,6 @@ from flowclean.dpi import (
     classify_flow,
     filter_flows,
     parse_dns,
-    parse_tls_client_hello,
     read_blocklist,
 )
 
@@ -91,45 +90,56 @@ def test_parse_dns_below_header_size():
     assert parse_dns(b"\x124" + b"\x00" * 8, 53, "udp") is False
 
 
-# --- parse_tls_client_hello --------------------------------------------
+# --- TLS ClientHello, judged through classify_flow ----------------------
+
+
+def tls_verdict(payload: bytes) -> ProtocolVerdict:
+    return classify_flow(make_flow(client_payload_prefix=payload))
 
 
 def test_client_hello_with_sni():
-    assert parse_tls_client_hello(client_hello("api.google.com")) == "api.google.com"
+    verdict = tls_verdict(client_hello("api.google.com"))
+    assert verdict.kind is VerdictKind.TLS_WITH_SNI
+    assert verdict.sni == "api.google.com"
 
 
 def test_client_hello_uppercase_sni_lowered():
-    assert parse_tls_client_hello(client_hello("CDN.Example.COM")) == "cdn.example.com"
+    assert tls_verdict(client_hello("CDN.Example.COM")).sni == "cdn.example.com"
 
 
 def test_client_hello_without_sni():
-    assert parse_tls_client_hello(client_hello(None)) is None
+    assert tls_verdict(client_hello(None)).kind is VerdictKind.TLS_NO_SNI
 
 
 def test_client_hello_http_payload():
-    assert parse_tls_client_hello(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n") is None
+    verdict = tls_verdict(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+    assert verdict.kind is VerdictKind.PLAINTEXT_HTTP
 
 
 def test_client_hello_wrong_content_type():
     payload = client_hello("a.example")
-    assert parse_tls_client_hello(b"\x17" + payload[1:]) is None
+    verdict = tls_verdict(b"\x17" + payload[1:])
+    assert verdict.kind is VerdictKind.OTHER_ENCRYPTED_ASSUMED
 
 
 def test_client_hello_wrong_version_byte():
     payload = client_hello("a.example")
-    assert parse_tls_client_hello(payload[:2] + b"\x09" + payload[3:]) is None
+    verdict = tls_verdict(payload[:2] + b"\x09" + payload[3:])
+    assert verdict.kind is VerdictKind.OTHER_ENCRYPTED_ASSUMED
 
 
 def test_client_hello_not_hello_handshake_type():
     payload = bytearray(client_hello("a.example"))
     payload[5] = 2  # ServerHello
-    assert parse_tls_client_hello(bytes(payload)) is None
+    assert tls_verdict(bytes(payload)).kind is VerdictKind.OTHER_ENCRYPTED_ASSUMED
 
 
 def test_client_hello_truncation_never_crashes():
     payload = client_hello("api.google.com")
     for cut in range(len(payload)):
-        parse_tls_client_hello(payload[:cut])  # must not raise
+        verdict = tls_verdict(payload[:cut])  # must not raise
+        # a cut hostname is never reported as a shorter SNI
+        assert verdict.sni in (None, "api.google.com")
 
 
 def test_client_hello_sni_after_other_extension():
@@ -147,7 +157,7 @@ def test_client_hello_sni_after_other_extension():
     )
     hs = b"\x01" + len(body).to_bytes(3, "big") + body
     payload = b"\x16\x03\x03" + struct.pack(">H", len(hs)) + hs
-    assert parse_tls_client_hello(payload) == "late.example"
+    assert tls_verdict(payload).sni == "late.example"
 
 
 # --- classify_flow ------------------------------------------------------

@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from flowclean.errors import EmptyFlow, SchemaMismatch, TooFewRows
+from flowclean.errors import EmptyFlow, TooFewRows
 from flowclean.features import (
     ALL_FEATURES,
     AUX_FEATURES,
     CLUSTER_FEATURES,
-    FEATURE_TABLE_HEADER,
     destandardize,
     extract,
     feature_matrix,
     ratio,
-    read_feature_table,
     standardize,
-    write_feature_table,
 )
 
 from conftest import make_flow
@@ -187,50 +184,3 @@ def test_full_values_guard():
     std = standardize(mat)
     with pytest.raises(ValueError):
         std.full_values()
-
-
-# --- feature table ------------------------------------------------------
-
-
-def test_feature_table_round_trip(tmp_path):
-    flows = [make_flow(flow_id=i, app_label=f"app0{i % 2}", bytes_in=2 ** (10 + i))
-             for i in range(5)]
-    mat = feature_matrix(flows)
-    path = tmp_path / "features.csv"
-    write_feature_table(mat, path)
-    got = read_feature_table(path)
-    assert got.flow_ids == mat.flow_ids
-    assert got.app_labels == mat.app_labels
-    assert np.array_equal(got.values, mat.values)
-    assert np.array_equal(got.aux, mat.aux)
-
-
-def test_feature_table_none_label_round_trip(tmp_path):
-    mat = feature_matrix([make_flow(flow_id=0, app_label=None),
-                          make_flow(flow_id=1, app_label="a")])
-    path = tmp_path / "features.csv"
-    write_feature_table(mat, path)
-    got = read_feature_table(path)
-    assert got.app_labels == [None, "a"]
-
-
-def test_feature_table_header(tmp_path):
-    path = tmp_path / "features.csv"
-    write_feature_table(feature_matrix([]), path)
-    first = path.read_text().splitlines()[0]
-    assert first == ",".join(FEATURE_TABLE_HEADER)
-    assert first == ("flow_id,app_label,bytes_in,bytes_out,packets_in,packets_out,"
-                     "duration_s,ratio,mean_header_size,mean_payload_size")
-
-
-def test_feature_table_rejects_standardized(tmp_path):
-    mat = standardize(feature_matrix([make_flow(flow_id=i, bytes_in=i) for i in range(3)]))
-    with pytest.raises(ValueError):
-        write_feature_table(mat, tmp_path / "x.csv")
-
-
-def test_read_feature_table_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("flow_id,nope\n")
-    with pytest.raises(SchemaMismatch):
-        read_feature_table(path)

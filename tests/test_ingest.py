@@ -8,7 +8,6 @@ from flowclean.errors import MalformedCapture, SchemaMismatch
 from flowclean.ingest import (
     TagMap,
     apply_tags,
-    assemble_flows,
     assemble_flows_with_meta,
     format_mac,
     parse_mac,
@@ -143,7 +142,7 @@ def _session_frames(payloads_c2s, payloads_s2c, base_ts=10):
 def test_assemble_flows_direction_and_counters(tmp_path):
     frames = _session_frames([b"q1", b"q2"], [b"r1" * 10, b"r2" * 10])
     packets = read_packets(write_pcap(tmp_path, frames))
-    flows = assemble_flows(packets)
+    flows = assemble_flows_with_meta(packets)[0]
     assert len(flows) == 1
     f = flows[0]
     assert f.key.client_ip == "192.168.0.2"
@@ -162,7 +161,7 @@ def test_assemble_flows_direction_and_counters(tmp_path):
 def test_assemble_flows_server_initiated_direction(tmp_path):
     # first packet decides who the client is, not the port numbers
     frames = [(5, 0, tcp4_frame("10.0.0.1", "192.168.0.2", 443, 40000, b"push"))]
-    flows = assemble_flows(read_packets(write_pcap(tmp_path, frames)))
+    flows = assemble_flows_with_meta(read_packets(write_pcap(tmp_path, frames)))[0]
     assert flows[0].key.client_ip == "10.0.0.1"
     assert flows[0].key.client_port == 443
     assert flows[0].packets_out == 1
@@ -173,11 +172,11 @@ def test_idle_timeout_splits_strictly_greater(tmp_path):
     mk = lambda t: (t, 0, udp4_frame("1.1.1.1", "2.2.2.2", 5, 6, b"x"))
     # gap exactly equal to the timeout stays one flow
     packets = read_packets(write_pcap(tmp_path, [mk(0), mk(60)]))
-    assert len(assemble_flows(packets, idle_timeout_s=60)) == 1
+    assert len(assemble_flows_with_meta(packets, idle_timeout_s=60)[0]) == 1
     # one microsecond beyond the timeout splits
     frames = [mk(0), (60, 1, udp4_frame("1.1.1.1", "2.2.2.2", 5, 6, b"x"))]
     packets = read_packets(write_pcap(tmp_path, frames))
-    flows = assemble_flows(packets, idle_timeout_s=60)
+    flows = assemble_flows_with_meta(packets, idle_timeout_s=60)[0]
     assert len(flows) == 2
     assert [f.flow_id for f in flows] == [0, 1]
 
@@ -188,7 +187,7 @@ def test_rst_closes_flow(tmp_path):
         (2, 0, tcp4_frame("10.0.0.1", "192.168.0.2", 443, 40000, b"", TCP_RST)),
         (3, 0, tcp4_frame("192.168.0.2", "10.0.0.1", 40000, 443, b"b")),
     ]
-    flows = assemble_flows(read_packets(write_pcap(tmp_path, frames)))
+    flows = assemble_flows_with_meta(read_packets(write_pcap(tmp_path, frames)))[0]
     assert len(flows) == 2
     assert flows[0].packets_out + flows[0].packets_in == 2
     assert flows[1].client_payload_prefix == b"b"
@@ -204,7 +203,7 @@ def test_fin_fin_ack_closes_flow(tmp_path):
         # same 5-tuple again: must be a fresh flow despite no idle gap
         (5, 0, tcp4_frame(c, s, 40000, 443, b"again")),
     ]
-    flows = assemble_flows(read_packets(write_pcap(tmp_path, frames)))
+    flows = assemble_flows_with_meta(read_packets(write_pcap(tmp_path, frames)))[0]
     assert len(flows) == 2
     assert flows[0].packets_out + flows[0].packets_in == 4
     assert flows[1].client_payload_prefix == b"again"

@@ -7,10 +7,11 @@ import pytest
 
 from flowclean.cluster import Algorithm, ClusterModel
 from flowclean.dpi import Blocklist, DEFAULT_BLOCKLIST
-from flowclean.errors import ParseError
+from flowclean.errors import InvariantViolation, ParseError
 from flowclean.features import CLUSTER_FEATURES, feature_matrix, standardize
 from flowclean.select import (
     Action,
+    AppCounts,
     DEFAULT_POLICY,
     HEARTBEAT_DROP_POLICY,
     Predicate,
@@ -86,8 +87,9 @@ def test_parse_errors(text, fragment):
 
 def test_parse_error_reports_line_number():
     with pytest.raises(ParseError) as exc_info:
-        parse_rules("keep ratio > 0.9\nkeep ratio > oops")
-    assert "2" in str(exc_info.value)
+        parse_rules("keep ratio > 0.9\nfoo ratio > 1")
+    assert exc_info.value.line == 2
+    assert str(exc_info.value) == "line 2: unknown action 'foo'"
 
 
 def test_empty_policy_defaults_to_drop():
@@ -280,6 +282,12 @@ def test_clean_skip_dpi(small_capture):
     for counts in report.apps.values():
         assert counts.dpi_discarded == 0
         assert counts.flows_kept + counts.flows_dropped == counts.input
+
+
+def test_app_counts_check_raises_on_lost_flows():
+    AppCounts(input=3, dpi_discarded=1, flows_kept=1, flows_dropped=1).check("appx")
+    with pytest.raises(InvariantViolation, match="appx: 3 flows in"):
+        AppCounts(input=3, flows_kept=1).check("appx")
 
 
 def test_clean_empty_input():
