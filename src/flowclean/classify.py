@@ -27,11 +27,6 @@ from .ingest import FlowRecord
 from .rng import SplitMix64, derive
 
 
-def flow_features(flows: list[FlowRecord]) -> np.ndarray:
-    """n x 8 feature matrix (clustering + auxiliary columns)."""
-    return feature_matrix(flows).full_values()
-
-
 def split(
     flows: list[FlowRecord], train_frac: float = 0.75, seed: int = 42
 ) -> tuple[list[FlowRecord], list[FlowRecord]]:
@@ -123,7 +118,7 @@ class ForestModel:
         return [self.labels[w] for w in winners]
 
     def predict(self, flows: list[FlowRecord]) -> list[str]:
-        return self.predict_matrix(flow_features(flows))
+        return self.predict_matrix(feature_matrix(flows))
 
 
 class _TreeBuilder:
@@ -244,7 +239,7 @@ def train(
     if len(labels) < 2:
         raise SingleClass(f"need >= 2 classes, got {labels}")
     label_idx = {label: i for i, label in enumerate(labels)}
-    x = flow_features(flows)
+    x = feature_matrix(flows)
     y = np.array([label_idx[f.app_label] for f in flows], dtype=np.int64)
     n = x.shape[0]
     trees: list[_Tree] = []

@@ -115,7 +115,7 @@ def cmd_ingest(opts: _Options) -> int:
     pcap = opts.get("pcap", None)
     if not pcap:
         raise ValueError("ingest requires --pcap")
-    packets = read_packets(pcap)
+    packets, stats = read_packets(pcap)
     idle = opts.get("idle_timeout", 60.0, float)
     flows, metas = assemble_flows_with_meta(packets, idle_timeout_s=idle)
     tags_path = opts.get("tags", None)
@@ -126,7 +126,9 @@ def cmd_ingest(opts: _Options) -> int:
     labeled = sum(1 for f in flows if f.app_label)
     print(
         f"ingest: {len(packets)} packets -> {len(flows)} flows "
-        f"({labeled} labeled) -> {out / 'flows.csv'}"
+        f"({labeled} labeled) -> {out / 'flows.csv'}; skipped "
+        f"{stats.skipped_non_ip} non-IP frames, "
+        f"{stats.skipped_truncated} truncated entries"
     )
     return 0
 

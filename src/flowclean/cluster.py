@@ -1,9 +1,9 @@
 """Unsupervised flow grouping: K-means and agglomerative hierarchical.
 
-Both algorithms run on standardized feature matrices and report
-centroids in the raw feature scale as well, so selection rules can be
-written against literal byte counts and ratios. K-means is the fast
-path; hierarchical clustering (Ward by default) trades speed for
+Both algorithms take a plain float64 array, one row per point, and
+report centroids in the space they ran in; mapping them back to the
+raw feature scale is the caller's business. K-means is the fast path;
+hierarchical clustering (Ward by default) trades speed for
 merge-quality and needs no seed.
 
 Determinism contract: identical inputs, k, seed, and tolerance yield
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantViolation, ShapeMismatch, TooFewRows
-from .features import CLUSTER_FEATURES, FeatureMatrix, destandardize
+from .features import CLUSTER_FEATURES
 from .rng import SplitMix64
 
 
@@ -43,36 +43,25 @@ class Linkage(Enum):
 class ClusterModel:
     """Result of one clustering run.
 
-    centroids_std lives in the space the algorithm ran in;
-    centroids_raw is the same matrix mapped back to raw feature scale
-    (identical when the input was not standardized).
+    centroids row cid is the mean of cluster cid's rows, in the space
+    the algorithm ran in.
     """
 
     algorithm: Algorithm
     k: int
     assignments: np.ndarray
-    centroids_std: np.ndarray
-    centroids_raw: np.ndarray
+    centroids: np.ndarray
     sse: float
-    seed: int = 0
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignments, minlength=self.k)
 
 
-def _coerce(matrix: FeatureMatrix | np.ndarray) -> tuple[np.ndarray, FeatureMatrix | None]:
-    if isinstance(matrix, FeatureMatrix):
-        return matrix.values, matrix
+def _coerce(matrix: np.ndarray) -> np.ndarray:
     values = np.asarray(matrix, dtype=np.float64)
     if values.ndim != 2:
         raise ShapeMismatch("matrix must be 2-D")
-    return values, None
-
-
-def _to_raw(centroids: np.ndarray, fm: FeatureMatrix | None) -> np.ndarray:
-    if fm is not None and fm.standardized:
-        return destandardize(centroids, fm)
-    return centroids.copy()
+    return values
 
 
 def sse(values: np.ndarray, assignments: np.ndarray, centroids: np.ndarray) -> float:
@@ -95,11 +84,16 @@ def sse(values: np.ndarray, assignments: np.ndarray, centroids: np.ndarray) -> f
 
 
 def _sq_dists(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances, rows x centroids, clamped at 0."""
-    cross = values @ centroids.T
-    sq_v = np.einsum("ij,ij->i", values, values)[:, None]
-    sq_c = np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    return np.maximum(sq_v - 2.0 * cross + sq_c, 0.0)
+    """Pairwise squared distances, rows x centroids, clamped at 0.
+
+    Built in place in the cross-product buffer, so the peak is one
+    rows x centroids array.
+    """
+    d2 = values @ centroids.T
+    d2 *= -2.0
+    d2 += np.einsum("ij,ij->i", values, values)[:, None]
+    d2 += np.einsum("ij,ij->i", centroids, centroids)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _kmeanspp_init(values: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
@@ -123,7 +117,7 @@ def _kmeanspp_init(values: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
 
 
 def kmeans(
-    matrix: FeatureMatrix | np.ndarray,
+    matrix: np.ndarray,
     k: int,
     seed: int,
     max_iter: int = 100,
@@ -136,7 +130,7 @@ def kmeans(
     centroid update must not rise; InvariantViolation is raised if it
     does.
     """
-    values, fm = _coerce(matrix)
+    values = _coerce(matrix)
     n = values.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -177,17 +171,15 @@ def kmeans(
         algorithm=Algorithm.KMEANS,
         k=k,
         assignments=assign,
-        centroids_std=centroids,
-        centroids_raw=_to_raw(centroids, fm),
+        centroids=centroids,
         sse=prev_sse,
-        seed=seed,
     )
 
 
 def _pair_matrix(values: np.ndarray, squared: bool) -> np.ndarray:
     d2 = _sq_dists(values, values)
     np.fill_diagonal(d2, np.inf)
-    return d2 if squared else np.sqrt(d2)
+    return d2 if squared else np.sqrt(d2, out=d2)
 
 
 def _lw_update(
@@ -208,11 +200,7 @@ def _lw_update(
     return np.maximum(d_ik, d_jk)
 
 
-def _groups_to_model(
-    values: np.ndarray,
-    fm: FeatureMatrix | None,
-    groups: list[list[int]],
-) -> ClusterModel:
+def _groups_to_model(values: np.ndarray, groups: list[list[int]]) -> ClusterModel:
     # stable ids: clusters ordered by their smallest member row
     groups = sorted(groups, key=min)
     k = len(groups)
@@ -225,8 +213,7 @@ def _groups_to_model(
         algorithm=Algorithm.HIERARCHICAL,
         k=k,
         assignments=assign,
-        centroids_std=centroids,
-        centroids_raw=_to_raw(centroids, fm),
+        centroids=centroids,
         sse=sse(values, assign, centroids),
     )
 
@@ -285,7 +272,7 @@ def _nnchain_merges(
 
 
 def hierarchical(
-    matrix: FeatureMatrix | np.ndarray,
+    matrix: np.ndarray,
     k: int,
     linkage: Linkage = Linkage.WARD,
 ) -> ClusterModel:
@@ -296,7 +283,7 @@ def hierarchical(
     nearest-neighbor ties go to the lowest index, and equal-height
     merges replay in the order the chain found them.
     """
-    values, fm = _coerce(matrix)
+    values = _coerce(matrix)
     n = values.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -316,21 +303,23 @@ def hierarchical(
     groups: dict[int, list[int]] = {}
     for point in range(n):
         groups.setdefault(find(point), []).append(point)
-    return _groups_to_model(values, fm, list(groups.values()))
+    return _groups_to_model(values, list(groups.values()))
 
 
 CLUSTER_REPORT_HEADER = ["cluster_id", "size"] + list(CLUSTER_FEATURES)
 
 
-def write_cluster_report(model: ClusterModel, file: str | Path) -> None:
-    """CSV of per-cluster sizes and raw-scale centroids."""
+def write_cluster_report(
+    model: ClusterModel, centroids_raw: np.ndarray, file: str | Path
+) -> None:
+    """CSV of per-cluster sizes and the caller's raw-scale centroids."""
     sizes = model.sizes()
     with open(file, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CLUSTER_REPORT_HEADER)
         for cid in range(model.k):
             row = [cid, int(sizes[cid])]
-            row += [repr(float(x)) for x in model.centroids_raw[cid]]
+            row += [repr(float(x)) for x in centroids_raw[cid]]
             writer.writerow(row)
 
 

@@ -122,16 +122,13 @@ class CaptureStats:
     skipped_truncated: int = 0
 
 
-def read_packets(capture_file: str | Path) -> list[PacketRecord]:
-    """Read all TCP/UDP packets from a classic pcap file, in file order."""
-    packets, _ = read_packets_stats(capture_file)
-    return packets
-
-
-def read_packets_stats(
+def read_packets(
     capture_file: str | Path,
 ) -> tuple[list[PacketRecord], CaptureStats]:
-    """Like read_packets but also returns skip counters."""
+    """Read all TCP/UDP packets from a classic pcap file, in file order.
+
+    Also returns the file's record count and skip counters.
+    """
     data = Path(capture_file).read_bytes()
     if len(data) < 24:
         raise MalformedCapture(f"{capture_file}: truncated global header")

@@ -25,10 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import Algorithm, ClusterModel, Linkage, hierarchical, kmeans
+from .cluster import Algorithm, Linkage, hierarchical, kmeans
 from .dpi import Blocklist, DEFAULT_BLOCKLIST, filter_flows
 from .errors import AppTooSmall, InvariantViolation, ParseError
-from .features import CLUSTER_FEATURES, FeatureMatrix, feature_matrix, standardize
+from .features import CLUSTER_FEATURES, destandardize, feature_matrix, standardize
 from .ingest import FlowRecord
 
 logger = logging.getLogger(__name__)
@@ -176,28 +176,25 @@ def read_rules(path: str | Path) -> SelectionPolicy:
 # keep download-heavy clusters: the content traffic of data-plane apps
 DEFAULT_POLICY = parse_rules("keep ratio > 0.9")
 
-# alternative: drop long-lived minimal-upload clusters, keep the rest
-HEARTBEAT_DROP_POLICY = parse_rules(
-    "drop duration_s > p75, bytes_out < p25\ndefault keep"
-)
-
 
 def evaluate(
-    policy: SelectionPolicy, model: ClusterModel, per_flow: FeatureMatrix
+    policy: SelectionPolicy, centroids_raw: np.ndarray, per_flow: np.ndarray
 ) -> set[int]:
-    """Cluster ids the policy keeps, judged on raw-scale centroids."""
-    if per_flow.standardized:
-        raise ValueError("percentiles resolve against raw-scale features")
+    """Cluster ids (rows of centroids_raw) the policy keeps.
+
+    Both arrays are in the raw feature scale with columns in
+    CLUSTER_FEATURES order (per_flow may carry more columns after
+    them); pNN thresholds resolve against per_flow's columns.
+    """
     col = {name: i for i, name in enumerate(CLUSTER_FEATURES)}
     kept: set[int] = set()
-    for cid in range(model.k):
-        centroid = model.centroids_raw[cid]
+    for cid, centroid in enumerate(centroids_raw):
         action = policy.default_action
         for rule in policy.rules:
             matched = True
             for pred in rule.predicates:
                 c = col[pred.feature]
-                threshold = pred.resolve(per_flow.values[:, c])
+                threshold = pred.resolve(per_flow[:, c])
                 if not pred.test(float(centroid[c]), threshold):
                     matched = False
                     break
@@ -269,18 +266,6 @@ class CleanReport:
 
 
 _STAGES = ("dpi", "features", "cluster", "select")
-
-
-def _cluster_app(
-    matrix_std: FeatureMatrix,
-    algorithm: Algorithm,
-    k: int,
-    seed: int,
-    linkage: Linkage,
-) -> ClusterModel:
-    if algorithm is Algorithm.KMEANS:
-        return kmeans(matrix_std, k, seed)
-    return hierarchical(matrix_std, k, linkage)
 
 
 def clean(
@@ -390,16 +375,19 @@ def _clean_app(
         )
 
     raw = feature_matrix(survivors)
-    matrix_std = standardize(raw)
+    z, means, stds = standardize(raw[:, : len(CLUSTER_FEATURES)])
     t2 = time.perf_counter()
     timings_ms["features"] += (t2 - t1) * 1e3
 
-    model = _cluster_app(matrix_std, algorithm, k, seed, linkage)
+    if algorithm is Algorithm.KMEANS:
+        model = kmeans(z, k, seed)
+    else:
+        model = hierarchical(z, k, linkage)
     counts.clusters_formed = model.k
     t3 = time.perf_counter()
     timings_ms["cluster"] += (t3 - t2) * 1e3
 
-    kept_ids = evaluate(policy, model, raw)
+    kept_ids = evaluate(policy, destandardize(model.centroids, means, stds), raw)
     kept = [
         flow
         for flow, cid in zip(survivors, model.assignments)

@@ -15,13 +15,13 @@ import flowclean.cluster as cluster_mod
 from flowclean.cli import run_compare
 from flowclean.cluster import Algorithm, Linkage, hierarchical, kmeans, sse
 from flowclean.dpi import VerdictKind, classify_flow
-from flowclean.features import ratio
 from flowclean.rng import SplitMix64
 from flowclean.select import clean
 from flowclean.synth import Role, default_scenario, generate
 
 from conftest import make_flow
 from test_dpi import client_hello, dns_query
+from test_features import ratios
 
 ALL_ALGORITHMS = [Algorithm.KMEANS, Algorithm.HIERARCHICAL]
 
@@ -221,18 +221,15 @@ def test_criterion_5_dpi_verdicts_bit_exact():
 
 
 def test_criterion_6_ratio_property_suite():
-    assert ratio(900.0, 100.0) == 0.8
-    assert ratio(0.0, 0.0) == 0.0
+    assert ratios([(900.0, 100.0), (0.0, 0.0)]).tolist() == [0.8, 0.0]
     rng = SplitMix64(2024)
-    for trial in range(10_000):
-        a = rng.random() * 10**9
-        b = rng.random() * 10**9
-        r = ratio(a, b)
-        assert -1.0 <= r <= 1.0
-        assert abs(ratio(b, a) + r) < 1e-12
-        if trial % 100 == 0:
-            assert ratio(a, 0.0) == 1.0
-            assert ratio(0.0, b) == -1.0
+    pairs = [(rng.random() * 10**9, rng.random() * 10**9) for _ in range(10_000)]
+    r = ratios(pairs)
+    assert np.all((-1.0 <= r) & (r <= 1.0))
+    assert np.all(np.abs(ratios([(b, a) for a, b in pairs]) + r) < 1e-12)
+    edges = pairs[::100]
+    assert np.all(ratios([(a, 0.0) for a, _ in edges]) == 1.0)
+    assert np.all(ratios([(0.0, b) for _, b in edges]) == -1.0)
     print("PASS gate 6: 10000 random pairs in range, antisymmetric, boundaries exact")
 
 

@@ -9,14 +9,13 @@ from flowclean.classify import (
     ForestModel,
     compute_metrics,
     evaluate,
-    flow_features,
     read_model,
     split,
     train,
     write_model,
 )
 from flowclean.errors import EmptyTest, LabelTooSmall, SingleClass
-from flowclean.features import ALL_FEATURES
+from flowclean.features import ALL_FEATURES, feature_matrix
 
 from conftest import make_flow
 
@@ -186,9 +185,13 @@ def test_predict_tie_breaks_to_first_label():
 
 
 def test_flow_features_shape():
+    # the forest reads the 8 feature_matrix columns, in ALL_FEATURES order
     flows = separable_flows(5)
-    x = flow_features(flows)
+    x = feature_matrix(flows)
     assert x.shape == (10, len(ALL_FEATURES))
+    model = train(flows, n_trees=3, seed=0)
+    assert model.feature_names == list(ALL_FEATURES)
+    assert model.predict(flows) == model.predict_matrix(x)
 
 
 # --- metrics ------------------------------------------------------------

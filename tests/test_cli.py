@@ -1,13 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import struct
 
 import pytest
 
 from flowclean.cli import main, read_config
 from flowclean.ingest import read_flow_table
 
-from conftest import TCP_ACK, TCP_SYN, pcap_bytes, tcp4_frame
+from conftest import TCP_ACK, TCP_SYN, ethernet, pcap_bytes, tcp4_frame
 
 SCENARIO = """\
 # two small apps for CLI runs
@@ -99,6 +100,20 @@ def test_ingest_pcap_with_tags(tmp_path, capsys):
     assert len(flows) == 2
     assert all(f.app_label == "chat-app" for f in flows)
     assert "3 packets -> 2 flows (2 labeled)" in capsys.readouterr().out
+
+
+def test_ingest_prints_skip_counters(tmp_path, capsys):
+    arp = ethernet(b"\x00" * 28, 0x0806)
+    good = tcp4_frame("192.168.0.2", "10.0.0.1", 40000, 443, payload=b"x")
+    data = pcap_bytes([(0, 0, arp), (1, 0, arp), (2, 0, good)])
+    # a record header promising more bytes than the file holds
+    data += struct.pack("<IIII", 3, 0, 500, 500) + b"\x00" * 10
+    pcap = tmp_path / "capture.pcap"
+    pcap.write_bytes(data)
+    assert main(["ingest", "--pcap", str(pcap), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "1 packets -> 1 flows (0 labeled)" in out
+    assert "skipped 2 non-IP frames, 1 truncated entries" in out
 
 
 def test_ingest_requires_pcap(tmp_path):

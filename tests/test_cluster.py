@@ -6,6 +6,7 @@ naive matrix-scan oracle for the nearest-neighbor-chain engine on
 tie-free data.
 """
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -18,6 +19,7 @@ from flowclean.cluster import (
     ClusterModel,
     Linkage,
     _nnchain_merges,
+    _pair_matrix,
     hierarchical,
     kmeans,
     sse,
@@ -25,7 +27,12 @@ from flowclean.cluster import (
     write_cluster_report,
 )
 from flowclean.errors import InvariantViolation, ShapeMismatch, TooFewRows
-from flowclean.features import feature_matrix, standardize
+from flowclean.features import (
+    CLUSTER_FEATURES,
+    destandardize,
+    feature_matrix,
+    standardize,
+)
 
 from conftest import make_flow
 
@@ -77,7 +84,7 @@ def test_kmeans_two_blob_exact():
     values = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 10.0], [10.0, 11.0]])
     model = kmeans(values, k=2, seed=7)
     assert partition_of(model.assignments) == {frozenset({0, 1}), frozenset({2, 3})}
-    got = {tuple(c) for c in model.centroids_std}
+    got = {tuple(c) for c in model.centroids}
     assert got == {(0.0, 0.5), (10.0, 10.5)}
     assert model.sse == pytest.approx(1.0)  # 4 points each 0.5 from center
     assert model.algorithm is Algorithm.KMEANS
@@ -86,7 +93,7 @@ def test_kmeans_two_blob_exact():
 def test_kmeans_k1_is_global_mean():
     values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]])
     model = kmeans(values, k=1, seed=0)
-    assert np.allclose(model.centroids_std[0], values.mean(axis=0))
+    assert np.allclose(model.centroids[0], values.mean(axis=0))
     assert np.all(model.assignments == 0)
 
 
@@ -102,7 +109,7 @@ def test_kmeans_deterministic():
     a = kmeans(values, k=3, seed=42)
     b = kmeans(values, k=3, seed=42)
     assert np.array_equal(a.assignments, b.assignments)
-    assert np.array_equal(a.centroids_std, b.centroids_std)
+    assert np.array_equal(a.centroids, b.centroids)
     assert a.sse == b.sse
 
 
@@ -142,25 +149,20 @@ def test_kmeans_centroid_is_cluster_mean():
     model = kmeans(values, k=3, seed=2)
     for cid in range(3):
         members = values[model.assignments == cid]
-        assert np.allclose(model.centroids_std[cid], members.mean(axis=0))
+        assert np.allclose(model.centroids[cid], members.mean(axis=0))
 
 
 def test_kmeans_raw_centroids_from_standardized_matrix():
     flows = [make_flow(flow_id=i, bytes_in=1000 * (i + 1), bytes_out=50 * (i + 1),
                        first_ts_us=0, last_ts_us=(i + 1) * 1_000_000)
              for i in range(8)]
-    std = standardize(feature_matrix(flows))
-    model = kmeans(std, k=2, seed=0)
-    manual = std.values * std.stds + std.means
+    raw = feature_matrix(flows)[:, : len(CLUSTER_FEATURES)]
+    z, means, stds = standardize(raw)
+    model = kmeans(z, k=2, seed=0)
+    centroids_raw = destandardize(model.centroids, means, stds)
     for cid in range(2):
-        members = manual[model.assignments == cid]
-        assert np.allclose(model.centroids_raw[cid], members.mean(axis=0), atol=1e-9)
-
-
-def test_kmeans_plain_array_raw_equals_std():
-    values = blobs([(0, 0), (5, 5)], per=10, spread=0.5, seed=1)
-    model = kmeans(values, k=2, seed=0)
-    assert np.array_equal(model.centroids_raw, model.centroids_std)
+        members = raw[model.assignments == cid]
+        assert np.allclose(centroids_raw[cid], members.mean(axis=0), atol=1e-9)
 
 
 # --- brute-force optimum ------------------------------------------------
@@ -308,7 +310,7 @@ def test_hier_k1_single_group():
     values = blobs([(0, 0), (9, 9)], per=5, spread=1.0, seed=2)
     model = hierarchical(values, k=1)
     assert np.all(model.assignments == 0)
-    assert np.allclose(model.centroids_std[0], values.mean(axis=0))
+    assert np.allclose(model.centroids[0], values.mean(axis=0))
 
 
 def test_hier_duplicates_merge_first():
@@ -380,12 +382,41 @@ def test_hier_permutation_invariant_partition():
 def test_hier_raw_centroids_from_standardized_matrix():
     flows = [make_flow(flow_id=i, bytes_in=500 * (i + 1) ** 2, bytes_out=20 * (i + 3))
              for i in range(9)]
-    std = standardize(feature_matrix(flows))
-    model = hierarchical(std, k=3)
-    manual = std.values * std.stds + std.means
+    raw = feature_matrix(flows)[:, : len(CLUSTER_FEATURES)]
+    z, means, stds = standardize(raw)
+    model = hierarchical(z, k=3)
+    centroids_raw = destandardize(model.centroids, means, stds)
     for cid in range(3):
-        members = manual[model.assignments == cid]
-        assert np.allclose(model.centroids_raw[cid], members.mean(axis=0), atol=1e-9)
+        members = raw[model.assignments == cid]
+        assert np.allclose(centroids_raw[cid], members.mean(axis=0), atol=1e-9)
+
+
+# --- pairwise distances -------------------------------------------------
+
+
+def test_pair_matrix_matches_broadcast_formula():
+    rng = np.random.default_rng(3)
+    values = rng.normal(0, 2, size=(40, 6))
+    values[7] = values[3]  # duplicate rows: distance exactly 0
+    sq = np.einsum("ij,ij->i", values, values)
+    want = np.maximum(sq[:, None] - 2.0 * (values @ values.T) + sq[None, :], 0.0)
+    np.fill_diagonal(want, np.inf)
+    for squared, expected in ((True, want), (False, np.sqrt(want))):
+        got = _pair_matrix(values, squared)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_pair_matrix_peak_is_one_n_by_n_array():
+    n = 1000
+    values = np.random.default_rng(0).normal(size=(n, len(CLUSTER_FEATURES)))
+    for squared in (True, False):
+        tracemalloc.start()
+        try:
+            _pair_matrix(values, squared)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n * 8, (squared, peak)
 
 
 # --- reports ------------------------------------------------------------
@@ -396,8 +427,9 @@ def test_cluster_report_csv(tmp_path):
     # 6-column matrix expected by the report header; pad with zeros
     padded = np.hstack([values, np.zeros((4, 4))])
     model = kmeans(padded, k=2, seed=0)
+    centroids_raw = model.centroids * 100.0
     path = tmp_path / "report.csv"
-    write_cluster_report(model, path)
+    write_cluster_report(model, centroids_raw, path)
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(CLUSTER_REPORT_HEADER)
     assert lines[0] == ("cluster_id,size,bytes_in,bytes_out,packets_in,"
@@ -406,6 +438,7 @@ def test_cluster_report_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert int(first[1]) == int(model.sizes()[0])
+    assert first[2:] == [repr(float(x)) for x in centroids_raw[0]]
 
 
 def test_write_assignments(tmp_path):

@@ -13,7 +13,6 @@ from flowclean.ingest import (
     parse_mac,
     read_flow_table,
     read_packets,
-    read_packets_stats,
     read_tag_map,
     write_flow_table,
 )
@@ -42,7 +41,7 @@ def write_pcap(tmp_path, frames, **kw):
 def test_read_packets_basic_fields(tmp_path):
     frame = tcp4_frame("192.168.0.2", "10.0.0.1", 40000, 443, b"hello", TCP_SYN | TCP_ACK)
     path = write_pcap(tmp_path, [(100, 250, frame)])
-    packets = read_packets(path)
+    packets, _ = read_packets(path)
     assert len(packets) == 1
     p = packets[0]
     assert p.timestamp_us == 100_000_250
@@ -63,7 +62,7 @@ def test_read_packets_basic_fields(tmp_path):
 def test_read_packets_big_endian(tmp_path):
     frame = udp4_frame("1.2.3.4", "5.6.7.8", 1111, 53, b"x" * 20)
     path = write_pcap(tmp_path, [(7, 9, frame)], endian=">")
-    packets = read_packets(path)
+    packets, _ = read_packets(path)
     assert len(packets) == 1
     assert packets[0].transport == "udp"
     assert packets[0].timestamp_us == 7_000_009
@@ -73,7 +72,7 @@ def test_read_packets_big_endian(tmp_path):
 def test_read_packets_nanosecond_magic(tmp_path):
     frame = udp4_frame("1.2.3.4", "5.6.7.8", 1111, 2222)
     path = write_pcap(tmp_path, [(3, 123_456_789, frame)], nanosecond=True)
-    packets = read_packets(path)
+    packets, _ = read_packets(path)
     assert packets[0].timestamp_us == 3_123_456
 
 
@@ -93,14 +92,14 @@ def test_read_packets_truncated_header(tmp_path):
 
 def test_vlan_tag_parsed(tmp_path):
     frame = tcp4_frame("10.0.0.2", "10.0.0.3", 1, 2, vlan=301)
-    packets = read_packets(write_pcap(tmp_path, [(0, 0, frame)]))
+    packets, _ = read_packets(write_pcap(tmp_path, [(0, 0, frame)]))
     assert packets[0].vlan_id == 301
 
 
 def test_non_ip_frames_counted_not_returned(tmp_path):
     arp = ethernet(b"\x00" * 28, 0x0806)
     good = udp4_frame("1.1.1.1", "2.2.2.2", 5, 6)
-    packets, stats = read_packets_stats(write_pcap(tmp_path, [(0, 0, arp), (0, 1, good)]))
+    packets, stats = read_packets(write_pcap(tmp_path, [(0, 0, arp), (0, 1, good)]))
     assert len(packets) == 1
     assert stats.records == 2
     assert stats.skipped_non_ip == 1
@@ -113,7 +112,7 @@ def test_truncated_record_stops_read(tmp_path):
     data += struct.pack("<IIII", 1, 0, 500, 500) + b"\x00" * 10
     path = tmp_path / "trunc.pcap"
     path.write_bytes(data)
-    packets, stats = read_packets_stats(path)
+    packets, stats = read_packets(path)
     assert len(packets) == 1
     assert stats.skipped_truncated == 1
 
@@ -122,7 +121,7 @@ def test_ipv6_packet(tmp_path):
     src = (0x2001, 0xDB8, 0, 0, 0, 0, 0, 1)
     dst = (0x2001, 0xDB8, 0, 0, 0, 0, 0, 2)
     frame = ethernet(ipv6(src, dst, 6, tcp(10, 20, b"abc")), 0x86DD)
-    packets = read_packets(write_pcap(tmp_path, [(0, 0, frame)]))
+    packets, _ = read_packets(write_pcap(tmp_path, [(0, 0, frame)]))
     assert len(packets) == 1
     assert packets[0].src_ip == "2001:db8:0:0:0:0:0:1"
     assert packets[0].payload_len == 3
@@ -141,7 +140,7 @@ def _session_frames(payloads_c2s, payloads_s2c, base_ts=10):
 
 def test_assemble_flows_direction_and_counters(tmp_path):
     frames = _session_frames([b"q1", b"q2"], [b"r1" * 10, b"r2" * 10])
-    packets = read_packets(write_pcap(tmp_path, frames))
+    packets, _ = read_packets(write_pcap(tmp_path, frames))
     flows = assemble_flows_with_meta(packets)[0]
     assert len(flows) == 1
     f = flows[0]
@@ -161,7 +160,7 @@ def test_assemble_flows_direction_and_counters(tmp_path):
 def test_assemble_flows_server_initiated_direction(tmp_path):
     # first packet decides who the client is, not the port numbers
     frames = [(5, 0, tcp4_frame("10.0.0.1", "192.168.0.2", 443, 40000, b"push"))]
-    flows = assemble_flows_with_meta(read_packets(write_pcap(tmp_path, frames)))[0]
+    flows = assemble_flows_with_meta(read_packets(write_pcap(tmp_path, frames))[0])[0]
     assert flows[0].key.client_ip == "10.0.0.1"
     assert flows[0].key.client_port == 443
     assert flows[0].packets_out == 1
@@ -171,11 +170,11 @@ def test_assemble_flows_server_initiated_direction(tmp_path):
 def test_idle_timeout_splits_strictly_greater(tmp_path):
     mk = lambda t: (t, 0, udp4_frame("1.1.1.1", "2.2.2.2", 5, 6, b"x"))
     # gap exactly equal to the timeout stays one flow
-    packets = read_packets(write_pcap(tmp_path, [mk(0), mk(60)]))
+    packets, _ = read_packets(write_pcap(tmp_path, [mk(0), mk(60)]))
     assert len(assemble_flows_with_meta(packets, idle_timeout_s=60)[0]) == 1
     # one microsecond beyond the timeout splits
     frames = [mk(0), (60, 1, udp4_frame("1.1.1.1", "2.2.2.2", 5, 6, b"x"))]
-    packets = read_packets(write_pcap(tmp_path, frames))
+    packets, _ = read_packets(write_pcap(tmp_path, frames))
     flows = assemble_flows_with_meta(packets, idle_timeout_s=60)[0]
     assert len(flows) == 2
     assert [f.flow_id for f in flows] == [0, 1]
@@ -187,7 +186,7 @@ def test_rst_closes_flow(tmp_path):
         (2, 0, tcp4_frame("10.0.0.1", "192.168.0.2", 443, 40000, b"", TCP_RST)),
         (3, 0, tcp4_frame("192.168.0.2", "10.0.0.1", 40000, 443, b"b")),
     ]
-    flows = assemble_flows_with_meta(read_packets(write_pcap(tmp_path, frames)))[0]
+    flows = assemble_flows_with_meta(read_packets(write_pcap(tmp_path, frames))[0])[0]
     assert len(flows) == 2
     assert flows[0].packets_out + flows[0].packets_in == 2
     assert flows[1].client_payload_prefix == b"b"
@@ -203,7 +202,7 @@ def test_fin_fin_ack_closes_flow(tmp_path):
         # same 5-tuple again: must be a fresh flow despite no idle gap
         (5, 0, tcp4_frame(c, s, 40000, 443, b"again")),
     ]
-    flows = assemble_flows_with_meta(read_packets(write_pcap(tmp_path, frames)))[0]
+    flows = assemble_flows_with_meta(read_packets(write_pcap(tmp_path, frames))[0])[0]
     assert len(flows) == 2
     assert flows[0].packets_out + flows[0].packets_in == 4
     assert flows[1].client_payload_prefix == b"again"
@@ -216,7 +215,7 @@ def test_apply_tags_vlan_beats_mac(tmp_path):
         (1, 0, tcp4_frame("3.3.3.3", "4.4.4.4", 3, 4, src_mac=mac)),
         (2, 0, tcp4_frame("5.5.5.5", "6.6.6.6", 5, 6)),
     ]
-    flows, metas = assemble_flows_with_meta(read_packets(write_pcap(tmp_path, frames)))
+    flows, metas = assemble_flows_with_meta(read_packets(write_pcap(tmp_path, frames))[0])
     tags = TagMap(
         mac_entries={mac: "macapp"},
         vlan_entries={100: "vlanapp"},
@@ -303,6 +302,6 @@ def test_flow_table_rejects_empty_file(tmp_path):
 
 def test_payload_prefix_capped_at_256(tmp_path):
     frame = tcp4_frame("1.1.1.1", "2.2.2.2", 1, 2, b"z" * 600)
-    packets = read_packets(write_pcap(tmp_path, [(0, 0, frame)]))
+    packets, _ = read_packets(write_pcap(tmp_path, [(0, 0, frame)]))
     assert packets[0].payload_len == 600
     assert len(packets[0].payload_prefix) == 256

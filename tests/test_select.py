@@ -5,15 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from flowclean.cluster import Algorithm, ClusterModel
+from flowclean.cluster import Algorithm
 from flowclean.dpi import Blocklist, DEFAULT_BLOCKLIST
 from flowclean.errors import InvariantViolation, ParseError
-from flowclean.features import CLUSTER_FEATURES, feature_matrix, standardize
+from flowclean.features import CLUSTER_FEATURES, feature_matrix
 from flowclean.select import (
     Action,
     AppCounts,
     DEFAULT_POLICY,
-    HEARTBEAT_DROP_POLICY,
     Predicate,
     Rule,
     SelectionPolicy,
@@ -114,7 +113,8 @@ def test_read_rules(tmp_path):
 def test_builtin_policies():
     assert DEFAULT_POLICY.rules[0].predicates[0].feature == "ratio"
     assert DEFAULT_POLICY.default_action is Action.DROP
-    assert HEARTBEAT_DROP_POLICY.default_action is Action.KEEP
+    heartbeat_drop = parse_rules("drop duration_s > p75, bytes_out < p25\ndefault keep")
+    assert heartbeat_drop.default_action is Action.KEEP
 
 
 # --- percentiles --------------------------------------------------------
@@ -146,18 +146,10 @@ def test_nearest_rank_empty_column():
 # --- evaluate -----------------------------------------------------------
 
 
-def model_with_ratio_centroids(ratios):
-    k = len(ratios)
-    centroids = np.zeros((k, len(CLUSTER_FEATURES)))
+def ratio_centroids(ratios):
+    centroids = np.zeros((len(ratios), len(CLUSTER_FEATURES)))
     centroids[:, CLUSTER_FEATURES.index("ratio")] = ratios
-    return ClusterModel(
-        algorithm=Algorithm.KMEANS,
-        k=k,
-        assignments=np.zeros(3, dtype=np.int64),
-        centroids_std=centroids,
-        centroids_raw=centroids,
-        sse=0.0,
-    )
+    return centroids
 
 
 def per_flow_fixture():
@@ -169,25 +161,25 @@ def per_flow_fixture():
 
 
 def test_evaluate_default_policy_threshold():
-    model = model_with_ratio_centroids([0.95, 0.40, -0.20])
-    kept = evaluate(DEFAULT_POLICY, model, per_flow_fixture())
+    centroids = ratio_centroids([0.95, 0.40, -0.20])
+    kept = evaluate(DEFAULT_POLICY, centroids, per_flow_fixture())
     assert kept == {0}
 
 
 def test_evaluate_first_match_wins():
     policy = parse_rules("drop ratio > 0.9\nkeep ratio > 0.5\ndefault keep")
-    model = model_with_ratio_centroids([0.95, 0.7, 0.1])
-    kept = evaluate(policy, model, per_flow_fixture())
+    centroids = ratio_centroids([0.95, 0.7, 0.1])
+    kept = evaluate(policy, centroids, per_flow_fixture())
     # 0.95 hits the drop rule first; 0.7 hits keep; 0.1 falls to default
     assert kept == {1, 2}
 
 
 def test_evaluate_empty_policy_uses_default():
-    model = model_with_ratio_centroids([0.95, -0.5])
-    assert evaluate(SelectionPolicy(rules=()), model, per_flow_fixture()) == set()
+    centroids = ratio_centroids([0.95, -0.5])
+    assert evaluate(SelectionPolicy(rules=()), centroids, per_flow_fixture()) == set()
     assert evaluate(
         SelectionPolicy(rules=(), default_action=Action.KEEP),
-        model,
+        centroids,
         per_flow_fixture(),
     ) == {0, 1}
 
@@ -197,12 +189,7 @@ def test_evaluate_multi_predicate_conjunction():
     centroids = np.zeros((2, len(CLUSTER_FEATURES)))
     centroids[:, CLUSTER_FEATURES.index("ratio")] = [0.9, 0.9]
     centroids[:, CLUSTER_FEATURES.index("bytes_in")] = [500.0, 50.0]
-    model = ClusterModel(
-        algorithm=Algorithm.KMEANS, k=2,
-        assignments=np.zeros(3, dtype=np.int64),
-        centroids_std=centroids, centroids_raw=centroids, sse=0.0,
-    )
-    assert evaluate(policy, model, per_flow_fixture()) == {0}
+    assert evaluate(policy, centroids, per_flow_fixture()) == {0}
 
 
 def test_evaluate_percentile_resolution():
@@ -210,19 +197,7 @@ def test_evaluate_percentile_resolution():
     policy = parse_rules("keep bytes_in >= p50")
     centroids = np.zeros((2, len(CLUSTER_FEATURES)))
     centroids[:, CLUSTER_FEATURES.index("bytes_in")] = [7000.0, 6999.0]
-    model = ClusterModel(
-        algorithm=Algorithm.KMEANS, k=2,
-        assignments=np.zeros(3, dtype=np.int64),
-        centroids_std=centroids, centroids_raw=centroids, sse=0.0,
-    )
-    assert evaluate(policy, model, per_flow_fixture()) == {0}
-
-
-def test_evaluate_rejects_standardized_matrix():
-    model = model_with_ratio_centroids([0.95])
-    std = standardize(per_flow_fixture())
-    with pytest.raises(ValueError):
-        evaluate(DEFAULT_POLICY, model, std)
+    assert evaluate(policy, centroids, per_flow_fixture()) == {0}
 
 
 # --- clean --------------------------------------------------------------
