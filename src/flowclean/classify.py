@@ -6,6 +6,16 @@ ground-truth-cleaned data. Trees use axis-aligned splits chosen by
 Gini impurity over the 6 clustering features plus the 2 auxiliary
 mean-size features.
 
+Split search is batched per node: the F features sampled for a node
+are gathered into one n x F block, sorted column-wise by one argsort,
+and every cut of every column that leaves min_leaf rows on each side
+is scored by one set of numpy calls. The trees are bit-identical to
+those of a loop over the features: class counts and their sums of
+squares are integers below 2**53, so the float64 cumsum and einsum are
+exact whatever order numpy adds them in, and cuts are scored only
+between distinct values, where the counts do not depend on how the
+sort ordered equal values, so the sort need not be stable.
+
 Determinism: every tree draws its bootstrap sample and per-node
 feature subsets from a PRNG stream derived from (seed, tree index),
 so trees could be built in parallel without changing the model.
@@ -155,14 +165,13 @@ class _TreeBuilder:
         y_node = self.y[indices]
         hist = np.bincount(y_node, minlength=self.n_classes)
         self.histogram.append(hist)
-        n = len(indices)
         if (
             depth >= self.max_depth
-            or n < 2 * self.min_leaf
+            or len(indices) < 2 * self.min_leaf
             or np.count_nonzero(hist) <= 1
         ):
             return node
-        found = self._best_split(indices, hist, n)
+        found = self._best_split(indices, y_node, hist)
         if found is None:
             return node
         feat, thr = found
@@ -176,40 +185,45 @@ class _TreeBuilder:
         return node
 
     def _best_split(
-        self, indices: np.ndarray, hist: np.ndarray, n: int
+        self, indices: np.ndarray, y_node: np.ndarray, hist: np.ndarray
     ) -> tuple[int, float] | None:
-        # score scale: n * weighted Gini, cheaper and order-equivalent
+        # Score scale: n * weighted Gini, cheaper and order-equivalent. The
+        # score and threshold arithmetic is a per-feature loop's, element by
+        # element, and strict < lets the first sampled feature win a tie;
+        # the module docstring says why the batched sums are exact.
+        n = len(indices)
         totals = hist.astype(np.float64)
         parent = n - float(totals @ totals) / n
         feats = self.rng.sample_indices(self.x.shape[1], self.features_per_split)
-        best_score = parent - 1e-12
-        best: tuple[int, float] | None = None
-        nl = np.arange(1, n, dtype=np.float64)
+        columns = np.arange(len(feats))
+        xf = self.x[indices[:, None], feats]
+        order = np.argsort(xf, axis=0)
+        xs = xf[order, columns]
+        # cut i puts sorted rows 0..i left: i + 1 rows left, n - i - 1 right
+        lo, hi = self.min_leaf - 1, n - self.min_leaf
+        cum = np.cumsum(self.one_hot[y_node[order[:hi]]], axis=0)
+        left = cum[lo:]
+        right = totals - left
+        nl = np.arange(lo + 1, hi + 1, dtype=np.float64)[:, None]
         nr = n - nl
-        for feat in feats:
-            xf = self.x[indices, feat]
-            order = np.argsort(xf, kind="stable")
-            xs = xf[order]
-            if xs[0] == xs[-1]:
-                continue
-            cum = np.cumsum(self.one_hot[self.y[indices][order]], axis=0)
-            left = cum[:-1]
-            right = totals[None, :] - left
-            score = (
-                nl
-                - np.einsum("ij,ij->i", left, left) / nl
-                + nr
-                - np.einsum("ij,ij->i", right, right) / nr
-            )
-            valid = (xs[1:] > xs[:-1]) & (nl >= self.min_leaf) & (nr >= self.min_leaf)
-            if not np.any(valid):
-                continue
-            score = np.where(valid, score, np.inf)
-            pos = int(np.argmin(score))
-            if score[pos] < best_score:
-                best_score = float(score[pos])
-                best = (int(feat), float((xs[pos] + xs[pos + 1]) / 2.0))
-        return best
+        score = (
+            nl
+            - np.einsum("ijk,ijk->ij", left, left) / nl
+            + nr
+            - np.einsum("ijk,ijk->ij", right, right) / nr
+        )
+        score = np.where(xs[lo + 1 : hi + 1] > xs[lo:hi], score, np.inf)
+        pos = np.argmin(score, axis=0)
+        best_score = parent - 1e-12
+        best = -1
+        for col, col_score in enumerate(score[pos, columns].tolist()):
+            if col_score < best_score:
+                best_score = col_score
+                best = col
+        if best < 0:
+            return None
+        cut = lo + pos[best]
+        return feats[best], float((xs[cut, best] + xs[cut + 1, best]) / 2.0)
 
     def finish(self) -> _Tree:
         return _Tree(
@@ -234,7 +248,21 @@ def train(
 
     Each tree trains on a bootstrap resample of the full training set
     (disabled with bootstrap=False, where every tree sees all rows).
+    Raises ValueError, naming the parameter, unless n_trees, max_depth
+    and min_leaf are >= 1 and 1 <= features_per_split <= 8.
     """
+    for name, value in (
+        ("n_trees", n_trees),
+        ("max_depth", max_depth),
+        ("min_leaf", min_leaf),
+    ):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if not 1 <= features_per_split <= len(ALL_FEATURES):
+        raise ValueError(
+            f"features_per_split must be in [1, {len(ALL_FEATURES)}], "
+            f"got {features_per_split}"
+        )
     labels = sorted({f.app_label for f in flows if f.app_label})
     if len(labels) < 2:
         raise SingleClass(f"need >= 2 classes, got {labels}")

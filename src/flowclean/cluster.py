@@ -17,13 +17,14 @@ replay in the order the chain found them.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvariantViolation, ShapeMismatch, TooFewRows
+from .errors import InvariantViolation, MatrixTooLarge, ShapeMismatch, TooFewRows
 from .features import CLUSTER_FEATURES
 from .rng import SplitMix64
 
@@ -176,7 +177,21 @@ def kmeans(
     )
 
 
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _pair_matrix(values: np.ndarray, squared: bool) -> np.ndarray:
+    # the n x n float64 matrix is the whole peak of hierarchical
+    # clustering; fail before allocating one the machine cannot hold
+    n = values.shape[0]
+    needed = n * n * 8
+    available = _physical_memory_bytes()
+    if needed > available:
+        raise MatrixTooLarge(
+            f"hierarchical clustering of {n} rows needs a {needed}-byte "
+            f"distance matrix, more than the {available} bytes of physical memory"
+        )
     d2 = _sq_dists(values, values)
     np.fill_diagonal(d2, np.inf)
     return d2 if squared else np.sqrt(d2, out=d2)

@@ -58,3 +58,7 @@ class InvalidSpec(FlowcleanError):
 
 class InvariantViolation(FlowcleanError):
     """An internal invariant failed: SSE monotonicity or count conservation."""
+
+
+class MatrixTooLarge(FlowcleanError):
+    """A hierarchical distance matrix would not fit in physical memory."""

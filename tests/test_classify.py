@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import flowclean.classify as classify_mod
 from flowclean.classify import (
     ForestModel,
+    _TreeBuilder,
     compute_metrics,
     evaluate,
     read_model,
@@ -173,6 +176,126 @@ def test_min_leaf_respected():
                 left_n = tree.histogram[tree.left[node]].sum()
                 right_n = tree.histogram[tree.right[node]].sum()
                 assert left_n >= 5 and right_n >= 5
+
+
+@pytest.mark.parametrize(
+    "param, value",
+    [
+        ("n_trees", 0),
+        ("max_depth", 0),
+        ("min_leaf", 0),
+        ("features_per_split", 0),
+        ("features_per_split", len(ALL_FEATURES) + 1),
+    ],
+)
+def test_train_rejects_bad_hyperparameters(param, value):
+    with pytest.raises(ValueError, match=rf"{param} .*got {value}$"):
+        train(separable_flows(5), **{param: value})
+
+
+class _PerFeatureBuilder(_TreeBuilder):
+    """Oracle: the split search as a loop over the sampled features.
+
+    One argsort, cumsum and pair of einsums per feature over every cut,
+    masked to valid cuts; the batched search must build the same trees.
+    """
+
+    def _best_split(self, indices, y_node, hist):
+        n = len(indices)
+        totals = hist.astype(np.float64)
+        parent = n - float(totals @ totals) / n
+        feats = self.rng.sample_indices(self.x.shape[1], self.features_per_split)
+        best_score = parent - 1e-12
+        best = None
+        nl = np.arange(1, n, dtype=np.float64)
+        nr = n - nl
+        for feat in feats:
+            xf = self.x[indices, feat]
+            order = np.argsort(xf, kind="stable")
+            xs = xf[order]
+            if xs[0] == xs[-1]:
+                continue
+            cum = np.cumsum(self.one_hot[self.y[indices][order]], axis=0)
+            left = cum[:-1]
+            right = totals[None, :] - left
+            score = (
+                nl
+                - np.einsum("ij,ij->i", left, left) / nl
+                + nr
+                - np.einsum("ij,ij->i", right, right) / nr
+            )
+            valid = (xs[1:] > xs[:-1]) & (nl >= self.min_leaf) & (nr >= self.min_leaf)
+            if not np.any(valid):
+                continue
+            score = np.where(valid, score, np.inf)
+            pos = int(np.argmin(score))
+            if score[pos] < best_score:
+                best_score = float(score[pos])
+                best = (int(feat), float((xs[pos] + xs[pos + 1]) / 2.0))
+        return best
+
+
+# small counters, so feature values repeat; frozen fields make constant
+# columns, and rows drawn from a few templates make duplicate rows
+_COUNTER_FIELDS = ("bytes_in", "bytes_out", "packets_in", "packets_out",
+                   "last_ts_us", "header_bytes_total", "payload_bytes_total")
+_TEMPLATE = st.fixed_dictionaries({
+    "bytes_in": st.integers(0, 3),
+    "bytes_out": st.integers(0, 3),
+    "packets_in": st.integers(1, 2),
+    "packets_out": st.integers(0, 2),
+    "last_ts_us": st.sampled_from([0, 1_000_000, 2_000_000]),
+    "header_bytes_total": st.integers(0, 3),
+    "payload_bytes_total": st.integers(0, 3),
+})
+
+
+@st.composite
+def tie_heavy_flows(draw):
+    n_classes = draw(st.integers(2, 5))
+    templates = draw(st.lists(_TEMPLATE, min_size=2, max_size=8))
+    frozen = draw(st.sets(st.sampled_from(_COUNTER_FIELDS)))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, len(templates) - 1), st.integers(0, n_classes - 1)),
+        min_size=12, max_size=80,
+    ))
+    rows[0] = (rows[0][0], 0)
+    rows[1] = (rows[1][0], 1)
+    flows = []
+    for i, (t, label) in enumerate(rows):
+        fields = {
+            name: templates[0 if name in frozen else t][name]
+            for name in _COUNTER_FIELDS
+        }
+        flows.append(make_flow(flow_id=i, app_label=f"c{label}",
+                               first_ts_us=0, **fields))
+    return flows
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    flows=tie_heavy_flows(),
+    min_leaf=st.integers(1, 4),
+    features_per_split=st.integers(1, len(ALL_FEATURES)),
+    bootstrap=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_batched_split_search_matches_per_feature_oracle(
+    flows, min_leaf, features_per_split, bootstrap, seed
+):
+    kwargs = dict(n_trees=3, min_leaf=min_leaf,
+                  features_per_split=features_per_split,
+                  seed=seed, bootstrap=bootstrap)
+    model = train(flows, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_mod, "_TreeBuilder", _PerFeatureBuilder)
+        oracle = train(flows, **kwargs)
+    for got, want in zip(model.trees, oracle.trees):
+        assert np.array_equal(got.feature, want.feature)
+        assert got.threshold.tobytes() == want.threshold.tobytes()
+        assert np.array_equal(got.left, want.left)
+        assert np.array_equal(got.right, want.right)
+        assert np.array_equal(got.histogram, want.histogram)
 
 
 def test_predict_tie_breaks_to_first_label():

@@ -5,7 +5,8 @@ import struct
 
 import pytest
 
-from flowclean.cli import main, read_config
+import flowclean.cluster as cluster_mod
+from flowclean.cli import _canonical_sha256, main, read_config
 from flowclean.ingest import read_flow_table
 
 from conftest import TCP_ACK, TCP_SYN, ethernet, pcap_bytes, tcp4_frame
@@ -169,6 +170,17 @@ def test_clean_hier_algorithm(tmp_path, scenario_file):
     assert (out / "cleaned.csv").is_file()
 
 
+def test_clean_hier_matrix_too_large(tmp_path, scenario_file, monkeypatch, capsys):
+    synth_dir = synth_into(tmp_path, scenario_file)
+    monkeypatch.setattr(cluster_mod, "_physical_memory_bytes", lambda: 1024)
+    rc = main(["clean", "--flows", str(synth_dir / "flows.csv"),
+               "--algorithm", "hier", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: hierarchical clustering of ")
+    assert "more than the 1024 bytes of physical memory" in err
+
+
 def test_clean_unknown_algorithm(tmp_path, scenario_file):
     synth_dir = synth_into(tmp_path, scenario_file)
     rc = main(["clean", "--flows", str(synth_dir / "flows.csv"),
@@ -248,6 +260,15 @@ def test_train_trees_config_override(tmp_path, scenario_file):
     assert model2["config"]["n_trees"] == 7
 
 
+def test_train_rejects_bad_hyperparameter(tmp_path, scenario_file, capsys):
+    synth_dir = synth_into(tmp_path, scenario_file)
+    rc = main(["train", "--flows", str(synth_dir / "flows.csv"),
+               "--features-per-split", "9", "--out", str(tmp_path / "m")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: features_per_split must be in [1, 8], got 9\n"
+    assert not (tmp_path / "m" / "model.json").exists()
+
+
 def test_eval_empty_flow_table(tmp_path, scenario_file):
     synth_dir = synth_into(tmp_path, scenario_file)
     model_dir = tmp_path / "model"
@@ -282,12 +303,20 @@ def test_compare_report_and_hash_stability(tmp_path, scenario_file, capsys):
     for arm in report["arms"].values():
         assert set(arm) == {"flows", "train", "test", "metrics", "loss_vs_oracle"}
     assert report["arms"]["oracle"]["loss_vs_oracle"]["accuracy"] == 0.0
-    assert "clean_kmeans_with_dpi" in report["timings_ms"]
-    assert "clean_kmeans_no_dpi" in report["timings_ms"]
+    assert set(report["timings_ms"]) == {
+        "clean_kmeans_with_dpi", "clean_kmeans_no_dpi",
+        *(f"{stage}_{arm}" for stage in ("train", "eval")
+          for arm in ("uncleaned", "oracle", "kmeans")),
+    }
+    # wall-clock timings stay outside the content hash
+    assert report["content_sha256"] == _canonical_sha256(
+        {"config": report["config"], "arms": report["arms"]}
+    )
     assert (out1 / "compare_metrics.csv").is_file()
     assert (out1 / "compare_timings.csv").is_file()
     table = capsys.readouterr().out
     assert "uncleaned" in table and "oracle" in table
+    assert "\nstage " in table and "\ntrain_oracle " in table
 
     out2 = tmp_path / "cmp2"
     assert main(["compare", "--scenario", str(scenario_file),

@@ -26,7 +26,12 @@ from flowclean.cluster import (
     write_assignments,
     write_cluster_report,
 )
-from flowclean.errors import InvariantViolation, ShapeMismatch, TooFewRows
+from flowclean.errors import (
+    InvariantViolation,
+    MatrixTooLarge,
+    ShapeMismatch,
+    TooFewRows,
+)
 from flowclean.features import (
     CLUSTER_FEATURES,
     destandardize,
@@ -417,6 +422,18 @@ def test_pair_matrix_peak_is_one_n_by_n_array():
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * n * n * 8, (squared, peak)
+
+
+def test_pair_matrix_refuses_more_than_physical_memory(monkeypatch):
+    assert cluster_mod._physical_memory_bytes() > 0
+    values = np.random.default_rng(1).normal(size=(100, len(CLUSTER_FEATURES)))
+    monkeypatch.setattr(cluster_mod, "_physical_memory_bytes", lambda: 100 * 100 * 8 - 1)
+    with pytest.raises(
+        MatrixTooLarge, match=r"of 100 rows needs a 80000-byte .* than the 79999 bytes"
+    ):
+        hierarchical(values, 3)
+    monkeypatch.setattr(cluster_mod, "_physical_memory_bytes", lambda: 100 * 100 * 8)
+    assert hierarchical(values, 3).k == 3
 
 
 # --- reports ------------------------------------------------------------
