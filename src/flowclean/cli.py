@@ -233,10 +233,12 @@ def run_compare(
 
     Every arm shares the same split seed, forest seed, and forest
     hyperparameters; each arm is split 75/25 within its own flow set.
-    timings_ms holds wall-clock milliseconds per cleaner run and per
-    arm's forest training (train_<arm>) and scoring (eval_<arm>). The
-    report's content_sha256 covers everything except these timings and
-    the generation timestamp.
+    Each cleaner runs once. timings_ms holds milliseconds: each clean's
+    own stage times (clean_<alg>_<stage> for dpi, features, cluster,
+    select and total; stage times are summed over worker threads, total
+    is wall time) and each arm's forest training (train_<arm>) and
+    scoring (eval_<arm>). The report's content_sha256 covers everything
+    except these timings and the generation timestamp.
     """
     flows, roles = synth.generate(scenario)
     arms: dict[str, list] = {
@@ -256,25 +258,8 @@ def run_compare(
             threads=threads,
         )
         arms[algorithm.value] = cleaned
-        suffix = "no_dpi" if skip_dpi else "with_dpi"
-        timings_ms[f"clean_{algorithm.value}_{suffix}"] = report.timings_ms["total"]
-        if not skip_dpi:
-            # second timed run without the payload filter, for the
-            # with/without comparison in the timing table
-            t0 = time.perf_counter()
-            clean(
-                flows,
-                blocklist=blocklist,
-                policy=policy,
-                algorithm=algorithm,
-                k=k,
-                seed=seed,
-                skip_dpi=True,
-                threads=threads,
-            )
-            timings_ms[f"clean_{algorithm.value}_no_dpi"] = (
-                time.perf_counter() - t0
-            ) * 1e3
+        for stage, ms in report.timings_ms.items():
+            timings_ms[f"clean_{algorithm.value}_{stage}"] = ms
 
     arm_results: dict[str, dict] = {}
     for name, arm_flows in arms.items():

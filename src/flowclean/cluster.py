@@ -16,16 +16,13 @@ replay in the order the chain found them.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InvariantViolation, MatrixTooLarge, ShapeMismatch, TooFewRows
-from .features import CLUSTER_FEATURES
 from .rng import SplitMix64
 
 
@@ -48,14 +45,10 @@ class ClusterModel:
     the algorithm ran in.
     """
 
-    algorithm: Algorithm
     k: int
     assignments: np.ndarray
     centroids: np.ndarray
     sse: float
-
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.assignments, minlength=self.k)
 
 
 def _coerce(matrix: np.ndarray) -> np.ndarray:
@@ -169,7 +162,6 @@ def kmeans(
         if shift < tol:
             break
     return ClusterModel(
-        algorithm=Algorithm.KMEANS,
         k=k,
         assignments=assign,
         centroids=centroids,
@@ -225,7 +217,6 @@ def _groups_to_model(values: np.ndarray, groups: list[list[int]]) -> ClusterMode
         assign[members] = cid
         centroids[cid] = values[members].mean(axis=0)
     return ClusterModel(
-        algorithm=Algorithm.HIERARCHICAL,
         k=k,
         assignments=assign,
         centroids=centroids,
@@ -319,33 +310,3 @@ def hierarchical(
     for point in range(n):
         groups.setdefault(find(point), []).append(point)
     return _groups_to_model(values, list(groups.values()))
-
-
-CLUSTER_REPORT_HEADER = ["cluster_id", "size"] + list(CLUSTER_FEATURES)
-
-
-def write_cluster_report(
-    model: ClusterModel, centroids_raw: np.ndarray, file: str | Path
-) -> None:
-    """CSV of per-cluster sizes and the caller's raw-scale centroids."""
-    sizes = model.sizes()
-    with open(file, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CLUSTER_REPORT_HEADER)
-        for cid in range(model.k):
-            row = [cid, int(sizes[cid])]
-            row += [repr(float(x)) for x in centroids_raw[cid]]
-            writer.writerow(row)
-
-
-def write_assignments(
-    model: ClusterModel, flow_ids: list[int], file: str | Path
-) -> None:
-    """CSV mapping each flow id to its cluster id."""
-    if len(flow_ids) != len(model.assignments):
-        raise ShapeMismatch("flow_ids length differs from assignments")
-    with open(file, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["flow_id", "cluster_id"])
-        for fid, cid in zip(flow_ids, model.assignments):
-            writer.writerow([fid, int(cid)])

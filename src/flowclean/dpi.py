@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .ingest import FlowRecord, TCP, UDP
+from .ingest import FlowRecord, TCP
 
 logger = logging.getLogger(__name__)
 

@@ -10,7 +10,10 @@ class MalformedCapture(FlowcleanError):
 
 
 class SchemaMismatch(FlowcleanError):
-    """A tabular input file does not carry the expected header."""
+    """A tabular input file has the wrong header or a malformed row.
+
+    Row errors name the file and the 1-based line of the bad row.
+    """
 
 
 class EmptyFlow(FlowcleanError):

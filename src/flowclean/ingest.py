@@ -474,10 +474,6 @@ def parse_mac(text: str) -> bytes:
     return bytes.fromhex(hexed)
 
 
-def format_mac(mac: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in mac)
-
-
 def read_tag_map(path: str | Path) -> TagMap:
     """Read a tag-map file: 'mac <hex-mac> <label>' / 'vlan <id> <label>'."""
     tags = TagMap()
@@ -576,32 +572,37 @@ def read_flow_table(file: str | Path) -> list[FlowRecord]:
         for row in reader:
             if not row:
                 continue
-            if len(row) != len(FLOW_TABLE_HEADER):
-                raise SchemaMismatch(f"{file}: row has {len(row)} columns")
-            key = FlowKey(
-                client_ip=row[3],
-                client_port=int(row[4]),
-                server_ip=row[5],
-                server_port=int(row[6]),
-                transport=row[2],
-            )
-            if int(row[15]) != key.server_port:
-                raise ValueError(f"{file}: dst_port disagrees with server_port")
-            flows.append(
-                FlowRecord(
-                    flow_id=int(row[0]),
-                    key=key,
-                    app_label=row[1] or None,
-                    first_ts_us=int(row[7]),
-                    last_ts_us=int(row[8]),
-                    bytes_in=int(row[9]),
-                    bytes_out=int(row[10]),
-                    packets_in=int(row[11]),
-                    packets_out=int(row[12]),
-                    header_bytes_total=int(row[13]),
-                    payload_bytes_total=int(row[14]),
-                    client_payload_prefix=bytes.fromhex(row[16]),
-                    server_payload_prefix=bytes.fromhex(row[17]),
+            try:
+                if len(row) != len(FLOW_TABLE_HEADER):
+                    raise ValueError(
+                        f"row has {len(row)} columns, expected {len(FLOW_TABLE_HEADER)}"
+                    )
+                key = FlowKey(
+                    client_ip=row[3],
+                    client_port=int(row[4]),
+                    server_ip=row[5],
+                    server_port=int(row[6]),
+                    transport=row[2],
                 )
-            )
+                if int(row[15]) != key.server_port:
+                    raise ValueError("dst_port disagrees with server_port")
+                flows.append(
+                    FlowRecord(
+                        flow_id=int(row[0]),
+                        key=key,
+                        app_label=row[1] or None,
+                        first_ts_us=int(row[7]),
+                        last_ts_us=int(row[8]),
+                        bytes_in=int(row[9]),
+                        bytes_out=int(row[10]),
+                        packets_in=int(row[11]),
+                        packets_out=int(row[12]),
+                        header_bytes_total=int(row[13]),
+                        payload_bytes_total=int(row[14]),
+                        client_payload_prefix=bytes.fromhex(row[16]),
+                        server_payload_prefix=bytes.fromhex(row[17]),
+                    )
+                )
+            except ValueError as exc:
+                raise SchemaMismatch(f"{file}: line {reader.line_num}: {exc}") from exc
     return flows

@@ -290,8 +290,10 @@ def clean(
 
     threads caps the worker pool for per-app pipelines; apps are
     independent and results are merged in sorted label order, so the
-    worker count never changes the output.
+    worker count never changes the output. threads must be >= 1.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     report = CleanReport(timings_ms={s: 0.0 for s in _STAGES})
     by_app: dict[str, list[FlowRecord]] = {}
     for flow in flows:
@@ -301,7 +303,6 @@ def clean(
 
     labels = sorted(by_app)
     total_start = time.perf_counter()
-    results: dict[str, tuple[list[FlowRecord], AppCounts, dict[str, float]]] = {}
 
     def run_one(label: str):
         app_flows = by_app[label]
@@ -328,17 +329,12 @@ def clean(
         counts.check(label)
         return kept, counts, timings
 
-    if threads > 1 and len(labels) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for label, result in zip(labels, pool.map(run_one, labels)):
-                results[label] = result
-    else:
-        for label in labels:
-            results[label] = run_one(label)
+    # map yields in label order and re-raises the first failing app's error
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(run_one, labels))
 
     cleaned: list[FlowRecord] = []
-    for label in labels:
-        kept, counts, timings = results[label]
+    for label, (kept, counts, timings) in zip(labels, results):
         report.apps[label] = counts
         for stage in _STAGES:
             report.timings_ms[stage] += timings[stage]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import InvalidSpec, SchemaMismatch
+from .errors import InvalidSpec
 from .ingest import FlowKey, FlowRecord, TCP, UDP
 from .rng import SplitMix64, derive
 
@@ -524,21 +524,3 @@ def write_roles(flows: list[FlowRecord], roles: list[Role], file: str | Path) ->
         writer.writerow(ROLES_HEADER)
         for flow, role in zip(flows, roles):
             writer.writerow([flow.flow_id, role.value])
-
-
-def read_roles(file: str | Path) -> dict[int, Role]:
-    role_by_name = {r.value: r for r in Role}
-    out: dict[int, Role] = {}
-    with open(file, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatch(f"{file}: empty file") from None
-        if header != ROLES_HEADER:
-            raise SchemaMismatch(f"{file}: bad roles header")
-        for row in reader:
-            if not row:
-                continue
-            out[int(row[0])] = role_by_name[row[1]]
-    return out

@@ -5,9 +5,13 @@ import struct
 
 import pytest
 
+import flowclean.cli as cli_mod
 import flowclean.cluster as cluster_mod
-from flowclean.cli import _canonical_sha256, main, read_config
+from flowclean.cli import _canonical_sha256, main, read_config, run_compare
+from flowclean.cluster import Algorithm
 from flowclean.ingest import read_flow_table
+from flowclean.select import clean
+from flowclean.synth import read_scenario
 
 from conftest import TCP_ACK, TCP_SYN, ethernet, pcap_bytes, tcp4_frame
 
@@ -181,6 +185,17 @@ def test_clean_hier_matrix_too_large(tmp_path, scenario_file, monkeypatch, capsy
     assert "more than the 1024 bytes of physical memory" in err
 
 
+@pytest.mark.parametrize("command", ["clean", "compare"])
+def test_threads_below_one_is_an_error(tmp_path, scenario_file, capsys, command):
+    if command == "clean":
+        source = ["--flows", str(synth_into(tmp_path, scenario_file) / "flows.csv")]
+    else:
+        source = ["--scenario", str(scenario_file), "--algorithm", "kmeans"]
+    rc = main([command, *source, "--threads", "0", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: threads must be >= 1, got 0\n"
+
+
 def test_clean_unknown_algorithm(tmp_path, scenario_file):
     synth_dir = synth_into(tmp_path, scenario_file)
     rc = main(["clean", "--flows", str(synth_dir / "flows.csv"),
@@ -304,7 +319,8 @@ def test_compare_report_and_hash_stability(tmp_path, scenario_file, capsys):
         assert set(arm) == {"flows", "train", "test", "metrics", "loss_vs_oracle"}
     assert report["arms"]["oracle"]["loss_vs_oracle"]["accuracy"] == 0.0
     assert set(report["timings_ms"]) == {
-        "clean_kmeans_with_dpi", "clean_kmeans_no_dpi",
+        *(f"clean_kmeans_{stage}"
+          for stage in ("dpi", "features", "cluster", "select", "total")),
         *(f"{stage}_{arm}" for stage in ("train", "eval")
           for arm in ("uncleaned", "oracle", "kmeans")),
     }
@@ -324,6 +340,21 @@ def test_compare_report_and_hash_stability(tmp_path, scenario_file, capsys):
     second = json.loads((out2 / "compare_report.json").read_text())
     assert second["content_sha256"] == report["content_sha256"]
     assert second["arms"] == report["arms"]
+
+
+def test_compare_runs_each_cleaner_once(scenario_file, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["algorithm"])
+        return clean(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "clean", counted)
+    report = run_compare(
+        read_scenario(scenario_file), [Algorithm.KMEANS, Algorithm.HIERARCHICAL]
+    )
+    assert calls == [Algorithm.KMEANS, Algorithm.HIERARCHICAL]
+    assert set(report["arms"]) == {"uncleaned", "oracle", "kmeans", "hier"}
 
 
 def test_compare_unknown_algorithm(tmp_path, scenario_file):

@@ -7,24 +7,18 @@ tie-free data.
 """
 
 import tracemalloc
-from itertools import product
 
 import numpy as np
 import pytest
 
 import flowclean.cluster as cluster_mod
 from flowclean.cluster import (
-    Algorithm,
-    CLUSTER_REPORT_HEADER,
-    ClusterModel,
     Linkage,
     _nnchain_merges,
     _pair_matrix,
     hierarchical,
     kmeans,
     sse,
-    write_assignments,
-    write_cluster_report,
 )
 from flowclean.errors import (
     InvariantViolation,
@@ -92,7 +86,6 @@ def test_kmeans_two_blob_exact():
     got = {tuple(c) for c in model.centroids}
     assert got == {(0.0, 0.5), (10.0, 10.5)}
     assert model.sse == pytest.approx(1.0)  # 4 points each 0.5 from center
-    assert model.algorithm is Algorithm.KMEANS
 
 
 def test_kmeans_k1_is_global_mean():
@@ -105,7 +98,7 @@ def test_kmeans_k1_is_global_mean():
 def test_kmeans_k_equals_n():
     values = blobs([(0, 0)], per=6, spread=5.0, seed=3)
     model = kmeans(values, k=6, seed=1)
-    assert sorted(model.sizes()) == [1] * 6
+    assert sorted(np.bincount(model.assignments, minlength=model.k)) == [1] * 6
     assert model.sse == pytest.approx(0.0, abs=1e-18)
 
 
@@ -146,7 +139,7 @@ def test_kmeans_duplicate_points():
     values = np.ones((10, 3))
     model = kmeans(values, k=3, seed=9)
     assert model.sse == 0.0
-    assert np.all(model.sizes() >= 1)
+    assert np.all(np.bincount(model.assignments, minlength=model.k) >= 1)
 
 
 def test_kmeans_centroid_is_cluster_mean():
@@ -434,44 +427,3 @@ def test_pair_matrix_refuses_more_than_physical_memory(monkeypatch):
         hierarchical(values, 3)
     monkeypatch.setattr(cluster_mod, "_physical_memory_bytes", lambda: 100 * 100 * 8)
     assert hierarchical(values, 3).k == 3
-
-
-# --- reports ------------------------------------------------------------
-
-
-def test_cluster_report_csv(tmp_path):
-    values = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 10.0], [10.0, 11.0]])
-    # 6-column matrix expected by the report header; pad with zeros
-    padded = np.hstack([values, np.zeros((4, 4))])
-    model = kmeans(padded, k=2, seed=0)
-    centroids_raw = model.centroids * 100.0
-    path = tmp_path / "report.csv"
-    write_cluster_report(model, centroids_raw, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(CLUSTER_REPORT_HEADER)
-    assert lines[0] == ("cluster_id,size,bytes_in,bytes_out,packets_in,"
-                        "packets_out,duration_s,ratio")
-    assert len(lines) == 1 + model.k
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert int(first[1]) == int(model.sizes()[0])
-    assert first[2:] == [repr(float(x)) for x in centroids_raw[0]]
-
-
-def test_write_assignments(tmp_path):
-    values = np.array([[0.0], [0.1], [9.0]])
-    model = hierarchical(values, k=2)
-    path = tmp_path / "assign.csv"
-    write_assignments(model, [100, 101, 102], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "flow_id,cluster_id"
-    assert lines[1:] == ["100,0", "101,0", "102,1"]
-    with pytest.raises(ShapeMismatch):
-        write_assignments(model, [1, 2], path)
-
-
-def test_sizes_sum_to_n():
-    values = blobs([(0, 0), (5, 5)], per=13, spread=0.7, seed=19)
-    model = kmeans(values, k=4, seed=3)
-    assert int(model.sizes().sum()) == 26
-    assert isinstance(model, ClusterModel)

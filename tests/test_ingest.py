@@ -9,7 +9,6 @@ from flowclean.ingest import (
     TagMap,
     apply_tags,
     assemble_flows_with_meta,
-    format_mac,
     parse_mac,
     read_flow_table,
     read_packets,
@@ -258,7 +257,7 @@ def test_read_tag_map_rejects_bad_lines(tmp_path, line):
 
 
 def test_mac_parse_format_roundtrip():
-    assert format_mac(parse_mac("02:00:00:00:00:ff")) == "02:00:00:00:00:ff"
+    assert parse_mac("02:00:00:00:00:ff") == bytes.fromhex("0200000000ff")
     assert parse_mac("0200.0000.00ff".replace(".", "")) == parse_mac("02-00-00-00-00-ff")
 
 
@@ -298,6 +297,34 @@ def test_flow_table_rejects_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(SchemaMismatch):
         read_flow_table(path)
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (9, "12x", "invalid literal for int()"),
+        (16, "16zz", "non-hexadecimal number"),
+        (15, "80", "dst_port disagrees with server_port"),
+        (None, None, "row has 17 columns, expected 18"),
+    ],
+    ids=["bad-int", "bad-hex", "dst-port", "short-row"],
+)
+def test_flow_table_bad_row_names_file_and_line(tmp_path, column, value, message):
+    path = tmp_path / "flows.csv"
+    write_flow_table([make_flow(flow_id=i) for i in range(3)], path)
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")  # line 3: the second data row
+    if column is None:
+        fields.pop()
+    else:
+        fields[column] = value
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaMismatch) as exc_info:
+        read_flow_table(path)
+    text = str(exc_info.value)
+    assert text.startswith(f"{path}: line 3: ")
+    assert message in text
 
 
 def test_payload_prefix_capped_at_256(tmp_path):

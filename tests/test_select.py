@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flowclean.cluster import Algorithm
-from flowclean.dpi import Blocklist, DEFAULT_BLOCKLIST
+from flowclean.dpi import Blocklist
 from flowclean.errors import InvariantViolation, ParseError
 from flowclean.features import CLUSTER_FEATURES, feature_matrix
 from flowclean.select import (
@@ -249,6 +249,13 @@ def test_clean_thread_count_does_not_change_output(small_capture):
     assert [f.flow_id for f in single] == [f.flow_id for f in pooled]
     for label in report_1.apps:
         assert report_1.apps[label] == report_8.apps[label]
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_clean_rejects_fewer_than_one_thread(small_capture, threads):
+    flows, _ = small_capture
+    with pytest.raises(ValueError, match=rf"^threads must be >= 1, got {threads}$"):
+        clean(flows, seed=7, threads=threads)
 
 
 def test_clean_skip_dpi(small_capture):
