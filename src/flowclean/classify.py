@@ -18,7 +18,15 @@ sort ordered equal values, so the sort need not be stable.
 
 Determinism: every tree draws its bootstrap sample and per-node
 feature subsets from a PRNG stream derived from (seed, tree index),
-so trees could be built in parallel without changing the model.
+so trees are built in parallel without changing the model. With
+train(workers > 1) the trees grow in a pool of worker processes
+started with the `fork` method: each worker inherits the training set
+once and is sent only tree indices, and the pool is shut down before
+train returns, so no process outlives the call. `spawn` and
+`forkserver` are not used because they start helper processes (the
+resource tracker and the fork server) that outlive the pool. A fork
+copies only the calling thread, so run_compare trains only after its
+cleaning threads have finished.
 Prediction ties break toward the lexicographically smallest label.
 """
 
@@ -26,6 +34,9 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -235,6 +246,51 @@ class _TreeBuilder:
         )
 
 
+# The training job of a forest worker process, set there by _start_worker:
+# (x, y, n_classes, max_depth, min_leaf, features_per_split, seed, bootstrap).
+# The calling process never sets it; its serial path passes the job along.
+_job: tuple | None = None
+
+
+def _start_worker(*job) -> None:
+    global _job
+    _job = job
+
+
+def _grow_tree(t: int, job: tuple | None = None) -> _Tree:
+    """Grow tree t of the forest from its own stream, derive(seed, t).
+
+    job defaults to the one _start_worker stored in this worker.
+    """
+    x, y, n_classes, max_depth, min_leaf, features_per_split, seed, bootstrap = (
+        job or _job
+    )
+    n = x.shape[0]
+    rng = SplitMix64(derive(seed, t))
+    if bootstrap:
+        sample = (rng.next_u64_array(n) % np.uint64(n)).astype(np.int64)
+    else:
+        sample = np.arange(n, dtype=np.int64)
+    builder = _TreeBuilder(
+        x[sample],
+        y[sample],
+        n_classes,
+        max_depth,
+        min_leaf,
+        features_per_split,
+        rng,
+    )
+    builder.build(np.arange(len(sample), dtype=np.int64), 0)
+    return builder.finish()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def train(
     flows: list[FlowRecord],
     n_trees: int = 100,
@@ -243,18 +299,24 @@ def train(
     features_per_split: int = 3,
     seed: int = 42,
     bootstrap: bool = True,
+    workers: int = 1,
 ) -> ForestModel:
     """Fit a random forest on labeled flows.
 
     Each tree trains on a bootstrap resample of the full training set
     (disabled with bootstrap=False, where every tree sees all rows).
-    Raises ValueError, naming the parameter, unless n_trees, max_depth
-    and min_leaf are >= 1 and 1 <= features_per_split <= 8.
+    workers caps the processes that grow trees, further capped by
+    n_trees and the CPUs this process may run on; the model is the
+    same for every worker count. Where the platform cannot fork, trees
+    grow in this process. Raises ValueError, naming the parameter,
+    unless n_trees, max_depth, min_leaf and workers are >= 1 and
+    1 <= features_per_split <= 8.
     """
     for name, value in (
         ("n_trees", n_trees),
         ("max_depth", max_depth),
         ("min_leaf", min_leaf),
+        ("workers", workers),
     ):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -269,25 +331,18 @@ def train(
     label_idx = {label: i for i, label in enumerate(labels)}
     x = feature_matrix(flows)
     y = np.array([label_idx[f.app_label] for f in flows], dtype=np.int64)
-    n = x.shape[0]
-    trees: list[_Tree] = []
-    for t in range(n_trees):
-        rng = SplitMix64(derive(seed, t))
-        if bootstrap:
-            sample = (rng.next_u64_array(n) % np.uint64(n)).astype(np.int64)
-        else:
-            sample = np.arange(n, dtype=np.int64)
-        builder = _TreeBuilder(
-            x[sample],
-            y[sample],
-            len(labels),
-            max_depth,
-            min_leaf,
-            features_per_split,
-            rng,
-        )
-        builder.build(np.arange(len(sample), dtype=np.int64), 0)
-        trees.append(builder.finish())
+    job = (x, y, len(labels), max_depth, min_leaf, features_per_split, seed, bootstrap)
+    workers = min(workers, n_trees, _usable_cpus())
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker,
+            initargs=job,
+        ) as pool:
+            trees = list(pool.map(_grow_tree, range(n_trees)))
+    else:
+        trees = [_grow_tree(t, job) for t in range(n_trees)]
     return ForestModel(
         labels=labels,
         feature_names=list(ALL_FEATURES),

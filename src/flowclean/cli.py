@@ -133,6 +133,13 @@ def cmd_ingest(opts: _Options) -> int:
     return 0
 
 
+def _threads(opts: _Options) -> int:
+    threads = opts.get("threads", 1, int)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return threads
+
+
 def _algorithm(name: str) -> Algorithm:
     try:
         return Algorithm(name)
@@ -154,7 +161,7 @@ def cmd_clean(opts: _Options) -> int:
         seed=opts.get("seed", 42, int),
         linkage=Linkage(opts.get("linkage", "ward")),
         skip_dpi=opts.get("skip_dpi", False, bool),
-        threads=opts.get("threads", 1, int),
+        threads=_threads(opts),
     )
     out = _out_dir(opts)
     write_flow_table(cleaned, out / "cleaned.csv")
@@ -184,6 +191,7 @@ def cmd_train(opts: _Options) -> int:
         min_leaf=opts.get("min_leaf", 2, int),
         features_per_split=opts.get("features_per_split", 3, int),
         seed=seed,
+        workers=_threads(opts),
     )
     out = _out_dir(opts)
     classify.write_model(model, out / "model.json")
@@ -233,12 +241,16 @@ def run_compare(
 
     Every arm shares the same split seed, forest seed, and forest
     hyperparameters; each arm is split 75/25 within its own flow set.
-    Each cleaner runs once. timings_ms holds milliseconds: each clean's
-    own stage times (clean_<alg>_<stage> for dpi, features, cluster,
-    select and total; stage times are summed over worker threads, total
-    is wall time) and each arm's forest training (train_<arm>) and
-    scoring (eval_<arm>). The report's content_sha256 covers everything
-    except these timings and the generation timestamp.
+    Each cleaner runs once. threads caps both the cleaners' app worker
+    threads and the processes that grow each forest; neither changes
+    the report outside its timings. timings_ms holds milliseconds: each
+    clean's own stage times (clean_<alg>_<stage> for dpi, features,
+    cluster, select and total; stage times are summed over worker
+    threads, total is wall time) and each arm's forest training
+    (train_<arm>) and scoring (eval_<arm>). forest holds each arm's
+    tree, node and leaf counts. The report's content_sha256 covers
+    config and arms: everything except timings_ms, forest and the
+    generation timestamp.
     """
     flows, roles = synth.generate(scenario)
     arms: dict[str, list] = {
@@ -262,12 +274,13 @@ def run_compare(
             timings_ms[f"clean_{algorithm.value}_{stage}"] = ms
 
     arm_results: dict[str, dict] = {}
+    forest: dict[str, dict] = {}
     for name, arm_flows in arms.items():
         train_flows, test_flows = classify.split(
             arm_flows, train_frac=train_frac, seed=seed
         )
         t0 = time.perf_counter()
-        model = classify.train(train_flows, seed=seed)
+        model = classify.train(train_flows, seed=seed, workers=threads)
         t1 = time.perf_counter()
         metrics = classify.evaluate(model, test_flows)
         timings_ms[f"train_{name}"] = (t1 - t0) * 1e3
@@ -277,6 +290,11 @@ def run_compare(
             "train": len(train_flows),
             "test": len(test_flows),
             "metrics": metrics.to_json_dict(),
+        }
+        forest[name] = {
+            "trees": len(model.trees),
+            "nodes": sum(len(tree.feature) for tree in model.trees),
+            "leaves": sum(int((tree.feature < 0).sum()) for tree in model.trees),
         }
     oracle = arm_results["oracle"]["metrics"]
     for name, result in arm_results.items():
@@ -302,6 +320,7 @@ def run_compare(
     return {
         "config": config,
         "arms": arm_results,
+        "forest": forest,
         "timings_ms": {key: round(v, 3) for key, v in timings_ms.items()},
         "content_sha256": _canonical_sha256(hashed),
         "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -348,7 +367,7 @@ def cmd_compare(opts: _Options) -> int:
         blocklist=_load_blocklist(opts),
         train_frac=opts.get("train_frac", 0.75, float),
         skip_dpi=opts.get("skip_dpi", False, bool),
-        threads=opts.get("threads", 1, int),
+        threads=_threads(opts),
     )
     out = _out_dir(opts)
     path = out / "compare_report.json"
@@ -434,6 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", dest="max_depth", type=int)
     p.add_argument("--min-leaf", dest="min_leaf", type=int)
     p.add_argument("--features-per-split", dest="features_per_split", type=int)
+    p.add_argument("--threads", type=int, help="max forest worker processes")
 
     p = sub.add_parser("eval", help="score a trained model on a flow table")
     common(p, seeded=False)
@@ -449,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="cluster count (default 4)")
     p.add_argument("--train-frac", dest="train_frac", type=float)
     p.add_argument("--skip-dpi", dest="skip_dpi", action="store_const", const=True)
-    p.add_argument("--threads", type=int, help="max parallel app workers")
+    p.add_argument("--threads", type=int,
+                   help="max parallel app workers and forest worker processes")
     p.add_argument("--emit-csv", dest="emit_csv", action="store_const", const=True,
                    help="also write metrics/timings CSVs for plotting")
     return parser

@@ -553,7 +553,28 @@ def write_flow_table(flows: list[FlowRecord], file: str | Path) -> None:
             )
 
 
+def _impossible_row(row: list[str], first_line: dict[int, int]) -> str:
+    """Why a row of well-formed fields cannot describe a flow."""
+    first_ts_us, last_ts_us = int(row[7]), int(row[8])
+    if last_ts_us < first_ts_us:
+        return f"last_ts_us {last_ts_us} is before first_ts_us {first_ts_us}"
+    for col in range(9, 15):
+        if int(row[col]) < 0:
+            return f"{FLOW_TABLE_HEADER[col]} is negative: {int(row[col])}"
+    flow_id = int(row[0])
+    if int(row[11]) + int(row[12]) == 0:
+        return f"flow {flow_id} has no packets"
+    return f"duplicate flow_id {flow_id}, first on line {first_line[flow_id]}"
+
+
 def read_flow_table(file: str | Path) -> list[FlowRecord]:
+    """Read a table written by write_flow_table.
+
+    Raises SchemaMismatch, naming the file and line, for a bad header
+    or a row with a malformed field, a dst_port that disagrees with
+    server_port, a last_ts_us before first_ts_us, a negative counter,
+    no packets either way, or a flow_id already seen on another line.
+    """
     with open(file, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -569,6 +590,7 @@ def read_flow_table(file: str | Path) -> list[FlowRecord]:
                 + (f", unexpected {sorted(extra)}" if extra else "")
             )
         flows = []
+        first_line: dict[int, int] = {}
         for row in reader:
             if not row:
                 continue
@@ -586,19 +608,35 @@ def read_flow_table(file: str | Path) -> list[FlowRecord]:
                 )
                 if int(row[15]) != key.server_port:
                     raise ValueError("dst_port disagrees with server_port")
+                flow_id = int(row[0])
+                first_ts_us, last_ts_us = int(row[7]), int(row[8])
+                bytes_in, bytes_out = int(row[9]), int(row[10])
+                packets_in, packets_out = int(row[11]), int(row[12])
+                header_bytes, payload_bytes = int(row[13]), int(row[14])
+                line = reader.line_num
+                # an OR of ints is negative when any of them is
+                if (
+                    (
+                        bytes_in | bytes_out | packets_in | packets_out
+                        | header_bytes | payload_bytes | (last_ts_us - first_ts_us)
+                    ) < 0
+                    or not (packets_in or packets_out)
+                    or first_line.setdefault(flow_id, line) != line
+                ):
+                    raise ValueError(_impossible_row(row, first_line))
                 flows.append(
                     FlowRecord(
-                        flow_id=int(row[0]),
+                        flow_id=flow_id,
                         key=key,
                         app_label=row[1] or None,
-                        first_ts_us=int(row[7]),
-                        last_ts_us=int(row[8]),
-                        bytes_in=int(row[9]),
-                        bytes_out=int(row[10]),
-                        packets_in=int(row[11]),
-                        packets_out=int(row[12]),
-                        header_bytes_total=int(row[13]),
-                        payload_bytes_total=int(row[14]),
+                        first_ts_us=first_ts_us,
+                        last_ts_us=last_ts_us,
+                        bytes_in=bytes_in,
+                        bytes_out=bytes_out,
+                        packets_in=packets_in,
+                        packets_out=packets_out,
+                        header_bytes_total=header_bytes,
+                        payload_bytes_total=payload_bytes,
                         client_payload_prefix=bytes.fromhex(row[16]),
                         server_payload_prefix=bytes.fromhex(row[17]),
                     )

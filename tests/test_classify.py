@@ -1,6 +1,12 @@
 """Tests for the stratified split, random forest, and metrics."""
 
+import _thread
 import json
+import multiprocessing
+import os
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +192,7 @@ def test_min_leaf_respected():
         ("min_leaf", 0),
         ("features_per_split", 0),
         ("features_per_split", len(ALL_FEATURES) + 1),
+        ("workers", 0),
     ],
 )
 def test_train_rejects_bad_hyperparameters(param, value):
@@ -436,3 +443,122 @@ def test_model_dump_deterministic(tmp_path):
     write_model(train(flows, n_trees=4, seed=11), p1)
     write_model(train(flows, n_trees=4, seed=11), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# --- worker processes ---------------------------------------------------
+
+
+def overlapping_flows(n_per_class: int = 40):
+    """Three classes whose features overlap, so trees grow deep."""
+    rng = np.random.default_rng(0)
+    return [
+        make_flow(flow_id=100 * c + i, app_label=f"c{c}",
+                  bytes_in=int(rng.integers(100, 5000)) + 400 * c,
+                  bytes_out=int(rng.integers(100, 5000)),
+                  packets_in=int(rng.integers(1, 30)),
+                  packets_out=int(rng.integers(1, 30)),
+                  last_ts_us=1_000_000 + int(rng.integers(0, 10_000_000)))
+        for c in range(3)
+        for i in range(n_per_class)
+    ]
+
+
+def child_processes() -> dict[int, str]:
+    """Command lines of this process's children by PID, from /proc.
+
+    multiprocessing.active_children() would miss helper processes such
+    as the resource tracker, which are not Process objects.
+    """
+    me = os.getpid()
+    found = {}
+    for proc in Path("/proc").glob("[0-9]*"):
+        try:
+            # after the parenthesised command name: state, then ppid
+            if int((proc / "stat").read_text().rsplit(")", 1)[1].split()[1]) == me:
+                found[int(proc.name)] = (proc / "cmdline").read_text().replace("\0", " ")
+        except OSError:  # the process has exited
+            continue
+    return found
+
+
+def assert_no_child_left(before: dict[int, str]) -> None:
+    after = child_processes()
+    assert after == before
+    # a helper started by an earlier spawn or forkserver pool lives on
+    assert not [cmd for cmd in after.values() if "multiprocessing" in cmd]
+
+
+needs_fork_and_proc = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods()
+    or not Path("/proc/self/stat").exists(),
+    reason="needs the fork start method and /proc",
+)
+
+
+@pytest.fixture
+def many_cpus(monkeypatch):
+    """Let train start up to 8 workers even on a host with fewer CPUs."""
+    monkeypatch.setattr(classify_mod, "_usable_cpus", lambda: 8)
+
+
+@pytest.mark.parametrize(
+    "n_trees, bootstrap", [(12, True), (12, False), (1, True)],
+    ids=["bootstrap", "no-bootstrap", "one-tree"],
+)
+def test_model_bytes_do_not_depend_on_workers(tmp_path, many_cpus, n_trees, bootstrap):
+    flows = overlapping_flows()
+    dumps = []
+    for workers in (1, 2, 3):
+        path = tmp_path / f"model{workers}.json"
+        write_model(train(flows, n_trees=n_trees, seed=9, bootstrap=bootstrap,
+                          workers=workers), path)
+        dumps.append(path.read_bytes())
+    assert dumps[1] == dumps[0]
+    assert dumps[2] == dumps[0]
+
+
+@needs_fork_and_proc
+def test_no_child_process_outlives_train(many_cpus):
+    before = child_processes()
+    model = train(overlapping_flows(), n_trees=6, seed=2, workers=2)
+    assert len(model.trees) == 6
+    assert_no_child_left(before)
+
+
+@needs_fork_and_proc
+def test_worker_error_reaches_caller_and_no_child_is_left(many_cpus, monkeypatch):
+    def broken(self, indices, depth):
+        raise RuntimeError("tree builder failed")
+
+    # patched before the pool forks, so every worker inherits it
+    monkeypatch.setattr(_TreeBuilder, "build", broken)
+    before = child_processes()
+    with pytest.raises(RuntimeError, match="^tree builder failed$") as exc_info:
+        train(overlapping_flows(), n_trees=8, workers=2)
+    # the traceback came back from a worker process
+    assert type(exc_info.value.__cause__).__name__ == "_RemoteTraceback"
+    assert_no_child_left(before)
+
+
+@needs_fork_and_proc
+def test_interrupt_cancels_unstarted_trees_and_no_child_is_left(many_cpus, monkeypatch):
+    build = _TreeBuilder.build
+
+    def slow(self, indices, depth):
+        if depth == 0:
+            time.sleep(0.3)
+        return build(self, indices, depth)
+
+    monkeypatch.setattr(_TreeBuilder, "build", slow)
+    before = child_processes()
+    # 40 trees of >= 0.3 s each on 2 workers would take >= 6 s
+    timer = threading.Timer(0.5, _thread.interrupt_main)
+    start = time.monotonic()
+    timer.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            train(overlapping_flows(), n_trees=40, workers=2)
+    finally:
+        timer.cancel()
+    assert time.monotonic() - start < 3.0
+    assert_no_child_left(before)

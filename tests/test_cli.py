@@ -185,9 +185,9 @@ def test_clean_hier_matrix_too_large(tmp_path, scenario_file, monkeypatch, capsy
     assert "more than the 1024 bytes of physical memory" in err
 
 
-@pytest.mark.parametrize("command", ["clean", "compare"])
+@pytest.mark.parametrize("command", ["clean", "train", "compare"])
 def test_threads_below_one_is_an_error(tmp_path, scenario_file, capsys, command):
-    if command == "clean":
+    if command in ("clean", "train"):
         source = ["--flows", str(synth_into(tmp_path, scenario_file) / "flows.csv")]
     else:
         source = ["--scenario", str(scenario_file), "--algorithm", "kmeans"]
@@ -275,6 +275,20 @@ def test_train_trees_config_override(tmp_path, scenario_file):
     assert model2["config"]["n_trees"] == 7
 
 
+def test_train_threads_flag_and_config_keep_the_model(tmp_path, scenario_file):
+    flows = synth_into(tmp_path, scenario_file) / "flows.csv"
+    assert main(["train", "--flows", str(flows), "--trees", "6",
+                 "--out", str(tmp_path / "serial")]) == 0
+    assert main(["train", "--flows", str(flows), "--trees", "6", "--threads", "2",
+                 "--out", str(tmp_path / "flag")]) == 0
+    config = tmp_path / "train.conf"
+    config.write_text(f"flows = {flows}\ntrees = 6\nthreads = 3\n")
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "conf")]) == 0
+    serial = (tmp_path / "serial" / "model.json").read_bytes()
+    assert (tmp_path / "flag" / "model.json").read_bytes() == serial
+    assert (tmp_path / "conf" / "model.json").read_bytes() == serial
+
+
 def test_train_rejects_bad_hyperparameter(tmp_path, scenario_file, capsys):
     synth_dir = synth_into(tmp_path, scenario_file)
     rc = main(["train", "--flows", str(synth_dir / "flows.csv"),
@@ -312,11 +326,17 @@ def test_compare_report_and_hash_stability(tmp_path, scenario_file, capsys):
     assert rc == 0
     report = json.loads((out1 / "compare_report.json").read_text())
     assert set(report) == {
-        "config", "arms", "timings_ms", "content_sha256", "generated_at",
+        "config", "arms", "forest", "timings_ms", "content_sha256", "generated_at",
     }
     assert set(report["arms"]) == {"uncleaned", "oracle", "kmeans"}
     for arm in report["arms"].values():
         assert set(arm) == {"flows", "train", "test", "metrics", "loss_vs_oracle"}
+    assert set(report["forest"]) == set(report["arms"])
+    for size in report["forest"].values():
+        assert set(size) == {"trees", "nodes", "leaves"}
+        assert size["trees"] == 100
+        # every internal node has two children: nodes = 2 * leaves - trees
+        assert size["nodes"] == 2 * size["leaves"] - size["trees"]
     assert report["arms"]["oracle"]["loss_vs_oracle"]["accuracy"] == 0.0
     assert set(report["timings_ms"]) == {
         *(f"clean_kmeans_{stage}"
@@ -340,6 +360,7 @@ def test_compare_report_and_hash_stability(tmp_path, scenario_file, capsys):
     second = json.loads((out2 / "compare_report.json").read_text())
     assert second["content_sha256"] == report["content_sha256"]
     assert second["arms"] == report["arms"]
+    assert second["forest"] == report["forest"]
 
 
 def test_compare_runs_each_cleaner_once(scenario_file, monkeypatch):

@@ -327,6 +327,29 @@ def test_flow_table_bad_row_names_file_and_line(tmp_path, column, value, message
     assert message in text
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(bytes_in=0, bytes_out=0, packets_in=0, packets_out=0),
+         "line 3: flow 1 has no packets"),
+        (dict(bytes_in=-5), "line 3: bytes_in is negative: -5"),
+        (dict(packets_out=-1), "line 3: packets_out is negative: -1"),
+        (dict(first_ts_us=5_000_000, last_ts_us=4_000_000),
+         "line 3: last_ts_us 4000000 is before first_ts_us 5000000"),
+        (dict(flow_id=0), "line 3: duplicate flow_id 0, first on line 2"),
+    ],
+    ids=["no-packets", "negative-bytes", "negative-packets", "ends-before-start",
+         "duplicate-id"],
+)
+def test_flow_table_rejects_impossible_rows(tmp_path, fields, message):
+    path = tmp_path / "flows.csv"
+    flows = [make_flow(flow_id=0), make_flow(**{"flow_id": 1, **fields}), make_flow(flow_id=2)]
+    write_flow_table(flows, path)
+    with pytest.raises(SchemaMismatch) as exc_info:
+        read_flow_table(path)
+    assert str(exc_info.value) == f"{path}: {message}"
+
+
 def test_payload_prefix_capped_at_256(tmp_path):
     frame = tcp4_frame("1.1.1.1", "2.2.2.2", 1, 2, b"z" * 600)
     packets, _ = read_packets(write_pcap(tmp_path, [(0, 0, frame)]))
