@@ -86,10 +86,19 @@ def standardize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if values.shape[0] < 2:
         raise TooFewRows("standardize needs at least 2 rows")
     means = values.mean(axis=0)
-    stds = values.std(axis=0)
-    safe = np.where(stds == 0.0, 1.0, stds)
-    z = (values - means) / safe
-    z[:, stds == 0.0] = 0.0
+    dev = values - means
+    # The float64 mean is off by up to half an ulp of the column's
+    # magnitude; divided by a spread many orders smaller (ratios near
+    # 1 that differ in the sixth digit) that leaves z visibly
+    # off-centre, so the deviations are centred a second time.
+    shift = dev.mean(axis=0)
+    means += shift
+    dev -= shift
+    const = (values == values[0]).all(axis=0)
+    means[const] = values[0, const]
+    dev[:, const] = 0.0
+    stds = np.sqrt((dev * dev).mean(axis=0))
+    z = dev / np.where(stds == 0.0, 1.0, stds)
     return z, means, stds
 
 
