@@ -39,10 +39,6 @@ class ParseError(FlowcleanError):
         self.line = line
 
 
-class AppTooSmall(FlowcleanError):
-    """Too few flows survive DPI for an app to be clustered."""
-
-
 class LabelTooSmall(FlowcleanError):
     """A class label has too few flows to split into train and test."""
 

@@ -469,36 +469,42 @@ def apply_tags(
 def parse_mac(text: str) -> bytes:
     """Parse 'aa:bb:cc:dd:ee:ff' (separators optional) into 6 bytes."""
     hexed = text.replace(":", "").replace("-", "").lower()
-    if len(hexed) != 12:
+    if len(hexed) != 12 or not set(hexed) <= set("0123456789abcdef"):
         raise ValueError(f"bad MAC address {text!r}")
     return bytes.fromhex(hexed)
 
 
 def read_tag_map(path: str | Path) -> TagMap:
-    """Read a tag-map file: 'mac <hex-mac> <label>' / 'vlan <id> <label>'."""
+    """Read a tag-map file: 'mac <hex-mac> <label>' / 'vlan <id> <label>'.
+
+    A bad line raises ValueError naming the file and the line.
+    """
     tags = TagMap()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'mac|vlan <key> <label>'")
-        kind, key, label = parts
-        if kind == "mac":
-            mac = parse_mac(key)
-            if mac in tags.mac_entries:
-                raise ValueError(f"{path}:{lineno}: duplicate MAC {key}")
-            tags.mac_entries[mac] = label
-        elif kind == "vlan":
-            vlan = int(key)
-            if not 0 <= vlan <= 4094:
-                raise ValueError(f"{path}:{lineno}: VLAN id out of range")
-            if vlan in tags.vlan_entries:
-                raise ValueError(f"{path}:{lineno}: duplicate VLAN {vlan}")
-            tags.vlan_entries[vlan] = label
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown entry kind {kind!r}")
+        try:
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError("expected 'mac|vlan <key> <label>'")
+            kind, key, label = parts
+            if kind == "mac":
+                mac = parse_mac(key)
+                if mac in tags.mac_entries:
+                    raise ValueError(f"duplicate MAC {key}")
+                tags.mac_entries[mac] = label
+            elif kind == "vlan":
+                vlan = int(key)
+                if not 0 <= vlan <= 4094:
+                    raise ValueError("VLAN id out of range")
+                if vlan in tags.vlan_entries:
+                    raise ValueError(f"duplicate VLAN {vlan}")
+                tags.vlan_entries[vlan] = label
+            else:
+                raise ValueError(f"unknown entry kind {kind!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return tags
 
 

@@ -5,21 +5,27 @@ against each cluster's raw-scale centroid, first match wins, with a
 default action for unmatched clusters. Thresholds are literal numbers
 or percentile tokens (p25, p75, ...) resolved against the per-app
 per-flow feature distribution, so policies transfer between apps with
-very different traffic volumes.
+very different traffic volumes. evaluate() resolves each threshold
+once and compares whole centroid columns, returning per cluster the
+index of the rule that decided it, or -1 where the default did.
 
 clean() runs the whole pipeline per app: payload-prefix filtering,
 feature extraction and standardization, clustering, cluster
-selection. The kept flows of every app form the cleaned dataset.
+selection. Each app's run returns its kept flows, counts and stage
+times; the kept flows of every app form the cleaned dataset.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import logging
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -27,7 +33,7 @@ import numpy as np
 
 from .cluster import Algorithm, Linkage, hierarchical, kmeans
 from .dpi import Blocklist, DEFAULT_BLOCKLIST, filter_flows
-from .errors import AppTooSmall, InvariantViolation, ParseError
+from .errors import InvariantViolation, ParseError
 from .features import CLUSTER_FEATURES, destandardize, feature_matrix, standardize
 from .ingest import FlowRecord
 
@@ -40,10 +46,10 @@ class Action(Enum):
 
 
 _COMPARATORS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -59,15 +65,6 @@ class Predicate:
     comparator: str
     threshold: float | None
     percentile: float | None = None
-
-    def resolve(self, per_flow_column: np.ndarray) -> float:
-        if self.percentile is None:
-            assert self.threshold is not None
-            return self.threshold
-        return _nearest_rank(per_flow_column, self.percentile)
-
-    def test(self, centroid_value: float, resolved_threshold: float) -> bool:
-        return _COMPARATORS[self.comparator](centroid_value, resolved_threshold)
 
 
 @dataclass(frozen=True)
@@ -101,7 +98,8 @@ def parse_rules(text: str) -> SelectionPolicy:
 
     One rule per line: `keep|drop <feature> <cmp> <number|pNN>` with
     extra comma-separated predicates; optional final line
-    `default keep|drop`; `#` comments and blank lines ignored.
+    `default keep|drop`; `#` comments and blank lines ignored. A NaN
+    threshold is rejected: no cluster could ever match it.
     """
     rules: list[Rule] = []
     default_action = Action.DROP
@@ -136,7 +134,8 @@ def parse_rules(text: str) -> SelectionPolicy:
                 raise ParseError(f"unknown feature {feature!r}", lineno)
             if cmp_token not in _COMPARATORS:
                 raise ParseError(f"unknown comparator {cmp_token!r}", lineno)
-            if value_token.lower().startswith("p") and not _is_number(value_token):
+            # no float literal starts with p, so pNN tokens cannot be numbers
+            if value_token.lower().startswith("p"):
                 digits = value_token[1:]
                 try:
                     pct = float(digits)
@@ -156,17 +155,13 @@ def parse_rules(text: str) -> SelectionPolicy:
                     raise ParseError(
                         f"malformed threshold {value_token!r}", lineno
                     ) from None
+                if math.isnan(literal):
+                    raise ParseError(
+                        f"threshold {value_token!r} is not a number", lineno
+                    )
                 predicates.append(Predicate(feature, cmp_token, threshold=literal))
         rules.append(Rule(action=Action(word), predicates=tuple(predicates)))
     return SelectionPolicy(rules=tuple(rules), default_action=default_action)
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
 
 
 def read_rules(path: str | Path) -> SelectionPolicy:
@@ -179,31 +174,27 @@ DEFAULT_POLICY = parse_rules("keep ratio > 0.9")
 
 def evaluate(
     policy: SelectionPolicy, centroids_raw: np.ndarray, per_flow: np.ndarray
-) -> set[int]:
-    """Cluster ids (rows of centroids_raw) the policy keeps.
+) -> np.ndarray:
+    """Index of the first rule each cluster matches, -1 for the default.
 
-    Both arrays are in the raw feature scale with columns in
-    CLUSTER_FEATURES order (per_flow may carry more columns after
-    them); pNN thresholds resolve against per_flow's columns.
+    Returns one int per row of centroids_raw. Both arrays are in the
+    raw feature scale with columns in CLUSTER_FEATURES order (per_flow
+    may carry more columns after them); each predicate's threshold is
+    resolved once, pNN against its per_flow column, and compared with
+    the whole centroid column.
     """
-    col = {name: i for i, name in enumerate(CLUSTER_FEATURES)}
-    kept: set[int] = set()
-    for cid, centroid in enumerate(centroids_raw):
-        action = policy.default_action
-        for rule in policy.rules:
-            matched = True
-            for pred in rule.predicates:
-                c = col[pred.feature]
-                threshold = pred.resolve(per_flow[:, c])
-                if not pred.test(float(centroid[c]), threshold):
-                    matched = False
-                    break
-            if matched:
-                action = rule.action
-                break
-        if action is Action.KEEP:
-            kept.add(cid)
-    return kept
+    decided = np.full(len(centroids_raw), -1, dtype=np.intp)
+    for index, rule in enumerate(policy.rules):
+        matched = decided < 0
+        for pred in rule.predicates:
+            c = CLUSTER_FEATURES.index(pred.feature)
+            if pred.percentile is None:
+                threshold = pred.threshold
+            else:
+                threshold = _nearest_rank(per_flow[:, c], pred.percentile)
+            matched &= _COMPARATORS[pred.comparator](centroids_raw[:, c], threshold)
+        decided[matched] = index
+    return decided
 
 
 @dataclass
@@ -227,34 +218,24 @@ class AppCounts:
             )
 
 
+_COUNTERS = tuple(f.name for f in fields(AppCounts) if f.name != "skipped")
+
+
 @dataclass
 class CleanReport:
     apps: dict[str, AppCounts] = field(default_factory=dict)
     timings_ms: dict[str, float] = field(default_factory=dict)
 
     def totals(self) -> AppCounts:
-        total = AppCounts()
-        for counts in self.apps.values():
-            total.input += counts.input
-            total.dpi_discarded += counts.dpi_discarded
-            total.clusters_formed += counts.clusters_formed
-            total.flows_kept += counts.flows_kept
-            total.flows_dropped += counts.flows_dropped
-        return total
+        apps = self.apps.values()
+        return AppCounts(**{n: sum(getattr(c, n) for c in apps) for n in _COUNTERS})
 
     def to_json_dict(self) -> dict:
         apps = {}
         for label in sorted(self.apps):
-            counts = self.apps[label]
-            entry = {
-                "input": counts.input,
-                "dpi_discarded": counts.dpi_discarded,
-                "clusters_formed": counts.clusters_formed,
-                "flows_kept": counts.flows_kept,
-                "flows_dropped": counts.flows_dropped,
-            }
-            if counts.skipped:
-                entry["skipped"] = True
+            entry = asdict(self.apps[label])
+            if not entry["skipped"]:
+                del entry["skipped"]
             apps[label] = entry
         return {
             "apps": apps,
@@ -294,7 +275,7 @@ def clean(
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    report = CleanReport(timings_ms={s: 0.0 for s in _STAGES})
+    report = CleanReport(timings_ms=dict.fromkeys(_STAGES, 0.0))
     by_app: dict[str, list[FlowRecord]] = {}
     for flow in flows:
         if not flow.app_label:
@@ -302,39 +283,24 @@ def clean(
         by_app.setdefault(flow.app_label, []).append(flow)
 
     labels = sorted(by_app)
+    run = functools.partial(
+        _clean_app,
+        blocklist=blocklist,
+        policy=policy,
+        algorithm=algorithm,
+        k=k,
+        seed=seed,
+        linkage=linkage,
+        skip_dpi=skip_dpi,
+    )
     total_start = time.perf_counter()
-
-    def run_one(label: str):
-        app_flows = by_app[label]
-        counts = AppCounts(input=len(app_flows))
-        timings = {s: 0.0 for s in _STAGES}
-        try:
-            kept = _clean_app(
-                app_flows,
-                counts,
-                timings,
-                blocklist,
-                policy,
-                algorithm,
-                k,
-                seed,
-                linkage,
-                skip_dpi,
-            )
-        except AppTooSmall as exc:
-            logger.warning("%s: %s", label, exc)
-            counts.skipped = True
-            counts.flows_dropped = counts.input - counts.dpi_discarded
-            kept = []
-        counts.check(label)
-        return kept, counts, timings
-
     # map yields in label order and re-raises the first failing app's error
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run_one, labels))
+        results = list(pool.map(run, labels, [by_app[label] for label in labels]))
 
     cleaned: list[FlowRecord] = []
     for label, (kept, counts, timings) in zip(labels, results):
+        counts.check(label)
         report.apps[label] = counts
         for stage in _STAGES:
             report.timings_ms[stage] += timings[stage]
@@ -345,9 +311,9 @@ def clean(
 
 
 def _clean_app(
+    label: str,
     app_flows: list[FlowRecord],
-    counts: AppCounts,
-    timings_ms: dict[str, float],
+    *,
     blocklist: Blocklist,
     policy: SelectionPolicy,
     algorithm: Algorithm,
@@ -355,25 +321,32 @@ def _clean_app(
     seed: int,
     linkage: Linkage,
     skip_dpi: bool,
-) -> list[FlowRecord]:
+) -> tuple[list[FlowRecord], AppCounts, dict[str, float]]:
+    """Clean one app: its kept flows in input order, counts, stage times."""
+    counts = AppCounts(input=len(app_flows))
+    timings = dict.fromkeys(_STAGES, 0.0)
     t0 = time.perf_counter()
     if skip_dpi:
-        survivors = list(app_flows)
+        survivors = app_flows
     else:
         survivors, discarded = filter_flows(app_flows, blocklist)
         counts.dpi_discarded = len(discarded)
     t1 = time.perf_counter()
-    timings_ms["dpi"] += (t1 - t0) * 1e3
+    timings["dpi"] = (t1 - t0) * 1e3
 
     if len(survivors) < max(k, 2):
-        raise AppTooSmall(
-            f"{len(survivors)} flows after filtering, need at least {max(k, 2)}"
+        logger.warning(
+            "%s: %d flows after filtering, need at least %d",
+            label, len(survivors), max(k, 2),
         )
+        counts.skipped = True
+        counts.flows_dropped = len(survivors)
+        return [], counts, timings
 
     raw = feature_matrix(survivors)
     z, means, stds = standardize(raw[:, : len(CLUSTER_FEATURES)])
     t2 = time.perf_counter()
-    timings_ms["features"] += (t2 - t1) * 1e3
+    timings["features"] = (t2 - t1) * 1e3
 
     if algorithm is Algorithm.KMEANS:
         model = kmeans(z, k, seed)
@@ -381,15 +354,16 @@ def _clean_app(
         model = hierarchical(z, k, linkage)
     counts.clusters_formed = model.k
     t3 = time.perf_counter()
-    timings_ms["cluster"] += (t3 - t2) * 1e3
+    timings["cluster"] = (t3 - t2) * 1e3
 
-    kept_ids = evaluate(policy, destandardize(model.centroids, means, stds), raw)
-    kept = [
-        flow
-        for flow, cid in zip(survivors, model.assignments)
-        if int(cid) in kept_ids
-    ]
+    rule_index = evaluate(policy, destandardize(model.centroids, means, stds), raw)
+    # index -1 picks the last entry, the default action
+    keeps = np.array(
+        [rule.action is Action.KEEP for rule in policy.rules]
+        + [policy.default_action is Action.KEEP]
+    )
+    kept = list(itertools.compress(survivors, keeps[rule_index][model.assignments]))
     counts.flows_kept = len(kept)
     counts.flows_dropped = len(survivors) - len(kept)
-    timings_ms["select"] += (time.perf_counter() - t3) * 1e3
-    return kept
+    timings["select"] = (time.perf_counter() - t3) * 1e3
+    return kept, counts, timings

@@ -240,7 +240,10 @@ def default_scenario(
 
 
 def read_scenario(path: str | Path) -> ScenarioSpec:
-    """Parse a scenario file: app/role/capture_duration_s/seed lines."""
+    """Parse a scenario file: app/role/capture_duration_s/seed lines.
+
+    A bad line raises InvalidSpec naming the file and the line.
+    """
     apps: list[AppSpec] = []
     capture = 7200.0
     seed = 42
@@ -251,26 +254,29 @@ def read_scenario(path: str | Path) -> ScenarioSpec:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "seed" and len(parts) == 2:
-            seed = int(parts[1])
-        elif parts[0] == "capture_duration_s" and len(parts) == 2:
-            capture = float(parts[1])
-        elif parts[0] == "app" and len(parts) == 2:
-            current = AppSpec(
-                label=parts[1],
-                counts={},
-                specs=default_specs(len(apps)),
-            )
-            apps.append(current)
-        elif parts[0] == "role" and len(parts) == 3:
-            if current is None:
-                raise InvalidSpec(f"{path}:{lineno}: role line before any app")
-            role = role_by_name.get(parts[1])
-            if role is None:
-                raise InvalidSpec(f"{path}:{lineno}: unknown role {parts[1]!r}")
-            current.counts[role] = current.counts.get(role, 0) + int(parts[2])
-        else:
-            raise InvalidSpec(f"{path}:{lineno}: unrecognized line {line!r}")
+        try:
+            if parts[0] == "seed" and len(parts) == 2:
+                seed = int(parts[1])
+            elif parts[0] == "capture_duration_s" and len(parts) == 2:
+                capture = float(parts[1])
+            elif parts[0] == "app" and len(parts) == 2:
+                current = AppSpec(
+                    label=parts[1],
+                    counts={},
+                    specs=default_specs(len(apps)),
+                )
+                apps.append(current)
+            elif parts[0] == "role" and len(parts) == 3:
+                if current is None:
+                    raise InvalidSpec("role line before any app")
+                role = role_by_name.get(parts[1])
+                if role is None:
+                    raise InvalidSpec(f"unknown role {parts[1]!r}")
+                current.counts[role] = current.counts.get(role, 0) + int(parts[2])
+            else:
+                raise InvalidSpec(f"unrecognized line {line!r}")
+        except (ValueError, InvalidSpec) as exc:
+            raise InvalidSpec(f"{path}:{lineno}: {exc}") from None
     return ScenarioSpec(apps=apps, capture_duration_s=capture, seed=seed)
 
 

@@ -247,12 +247,15 @@ def test_read_tag_map(tmp_path):
         "mac 02:00:00:00:00:01",
         "mac 02:00:00:00:00:01 a\nmac 02:00:00:00:00:01 b",
         "vlan 7 a\nvlan 7 b",
+        "vlan abc app1",
+        "mac zz:00:00:00:00:01 app1",
     ],
 )
 def test_read_tag_map_rejects_bad_lines(tmp_path, line):
     path = tmp_path / "tags.txt"
     path.write_text(line + "\n")
-    with pytest.raises(ValueError):
+    bad_line = line.count("\n") + 1
+    with pytest.raises(ValueError, match=rf"tags\.txt:{bad_line}: "):
         read_tag_map(path)
 
 

@@ -1,9 +1,11 @@
 """Tests for the selection rule DSL and the cleaning pipeline."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from flowclean.cluster import Algorithm
 from flowclean.dpi import Blocklist
@@ -77,11 +79,18 @@ def test_parse_inline_comment_and_blank_lines():
     ("keep ratio > 0.9 0.8", "expected"),
     ("default maybe", "expected 'default"),
     ("default keep\nkeep ratio > 0.9", "last line"),
+    ("keep ratio > 0.9\ndrop ratio <= nan\ndefault keep", "line 2: threshold 'nan'"),
+    ("keep bytes_in >= -NaN", "is not a number"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as exc_info:
         parse_rules(text)
     assert fragment in str(exc_info.value)
+
+
+def test_parse_infinite_thresholds():
+    policy = parse_rules("keep ratio < inf, bytes_in > -inf")
+    assert [p.threshold for p in policy.rules[0].predicates] == [math.inf, -math.inf]
 
 
 def test_parse_error_reports_line_number():
@@ -162,26 +171,23 @@ def per_flow_fixture():
 
 def test_evaluate_default_policy_threshold():
     centroids = ratio_centroids([0.95, 0.40, -0.20])
-    kept = evaluate(DEFAULT_POLICY, centroids, per_flow_fixture())
-    assert kept == {0}
+    decided = evaluate(DEFAULT_POLICY, centroids, per_flow_fixture())
+    assert decided.tolist() == [0, -1, -1]
 
 
 def test_evaluate_first_match_wins():
     policy = parse_rules("drop ratio > 0.9\nkeep ratio > 0.5\ndefault keep")
     centroids = ratio_centroids([0.95, 0.7, 0.1])
-    kept = evaluate(policy, centroids, per_flow_fixture())
+    decided = evaluate(policy, centroids, per_flow_fixture())
     # 0.95 hits the drop rule first; 0.7 hits keep; 0.1 falls to default
-    assert kept == {1, 2}
+    assert decided.tolist() == [0, 1, -1]
 
 
 def test_evaluate_empty_policy_uses_default():
     centroids = ratio_centroids([0.95, -0.5])
-    assert evaluate(SelectionPolicy(rules=()), centroids, per_flow_fixture()) == set()
-    assert evaluate(
-        SelectionPolicy(rules=(), default_action=Action.KEEP),
-        centroids,
-        per_flow_fixture(),
-    ) == {0, 1}
+    for default in Action:
+        policy = SelectionPolicy(rules=(), default_action=default)
+        assert evaluate(policy, centroids, per_flow_fixture()).tolist() == [-1, -1]
 
 
 def test_evaluate_multi_predicate_conjunction():
@@ -189,7 +195,7 @@ def test_evaluate_multi_predicate_conjunction():
     centroids = np.zeros((2, len(CLUSTER_FEATURES)))
     centroids[:, CLUSTER_FEATURES.index("ratio")] = [0.9, 0.9]
     centroids[:, CLUSTER_FEATURES.index("bytes_in")] = [500.0, 50.0]
-    assert evaluate(policy, centroids, per_flow_fixture()) == {0}
+    assert evaluate(policy, centroids, per_flow_fixture()).tolist() == [0, -1]
 
 
 def test_evaluate_percentile_resolution():
@@ -197,7 +203,94 @@ def test_evaluate_percentile_resolution():
     policy = parse_rules("keep bytes_in >= p50")
     centroids = np.zeros((2, len(CLUSTER_FEATURES)))
     centroids[:, CLUSTER_FEATURES.index("bytes_in")] = [7000.0, 6999.0]
-    assert evaluate(policy, centroids, per_flow_fixture()) == {0}
+    assert evaluate(policy, centroids, per_flow_fixture()).tolist() == [0, -1]
+
+
+def evaluate_oracle(policy, centroids_raw, per_flow):
+    """The per-cluster loop evaluate replaced: (rule index or -1, kept ids).
+
+    Resolves every threshold again for every cluster, with its own
+    nearest-rank percentile, and compares Python floats one at a time.
+    """
+    compare = {
+        "<": lambda a, b: a < b,
+        "<=": lambda a, b: a <= b,
+        ">": lambda a, b: a > b,
+        ">=": lambda a, b: a >= b,
+    }
+    decided, kept = [], set()
+    for cid, centroid in enumerate(centroids_raw):
+        index, action = -1, policy.default_action
+        for i, rule in enumerate(policy.rules):
+            matched = True
+            for pred in rule.predicates:
+                c = CLUSTER_FEATURES.index(pred.feature)
+                threshold = pred.threshold
+                if pred.percentile is not None:
+                    ordered = sorted(float(v) for v in per_flow[:, c])
+                    rank = max(1, math.ceil(pred.percentile / 100.0 * len(ordered)))
+                    threshold = ordered[min(rank, len(ordered)) - 1]
+                if not compare[pred.comparator](float(centroid[c]), threshold):
+                    matched = False
+                    break
+            if matched:
+                index, action = i, rule.action
+                break
+        decided.append(index)
+        if action is Action.KEEP:
+            kept.add(cid)
+    return decided, kept
+
+
+_values = st.sampled_from([-2.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(-10.0, 10.0)
+
+
+def _matrix(draw, values, rows):
+    cells = rows * len(CLUSTER_FEATURES)
+    drawn = draw(st.lists(values, min_size=cells, max_size=cells))
+    return np.array(drawn, dtype=np.float64).reshape(rows, len(CLUSTER_FEATURES))
+
+
+@st.composite
+def policy_and_arrays(draw):
+    per_flow = _matrix(draw, _values, draw(st.integers(1, 6)))
+    # thresholds and centroid values come partly from per_flow, so
+    # centroids sit exactly on literal and pNN thresholds
+    pool = _values | st.sampled_from(per_flow.ravel().tolist())
+    feature = st.sampled_from(CLUSTER_FEATURES)
+    comparator = st.sampled_from(["<", "<=", ">", ">="])
+    percentile = st.integers(0, 100).map(float) | st.floats(0.0, 100.0)
+    predicate = st.builds(Predicate, feature, comparator, pool) | st.builds(
+        Predicate, feature, comparator, st.none(), percentile
+    )
+    rules = draw(st.lists(
+        st.builds(
+            Rule,
+            action=st.sampled_from(Action),
+            predicates=st.lists(predicate, min_size=1, max_size=3).map(tuple),
+        ),
+        min_size=1,
+        max_size=4,
+    ))
+    policy = SelectionPolicy(
+        rules=tuple(rules), default_action=draw(st.sampled_from(Action))
+    )
+    centroids = _matrix(draw, pool, draw(st.integers(1, 8)))
+    return policy, centroids, per_flow
+
+
+@given(policy_and_arrays())
+def test_evaluate_matches_per_cluster_oracle(case):
+    policy, centroids, per_flow = case
+    decided = evaluate(policy, centroids, per_flow)
+    expected_decided, expected_kept = evaluate_oracle(policy, centroids, per_flow)
+    assert decided.tolist() == expected_decided
+    # the keep mask the cleaner builds: index -1 picks the default
+    keeps = np.array(
+        [rule.action is Action.KEEP for rule in policy.rules]
+        + [policy.default_action is Action.KEEP]
+    )
+    assert set(np.flatnonzero(keeps[decided]).tolist()) == expected_kept
 
 
 # --- clean --------------------------------------------------------------

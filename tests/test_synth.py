@@ -300,3 +300,12 @@ def test_read_scenario_unrecognized_line(tmp_path):
     path.write_text("apps a\n")
     with pytest.raises(InvalidSpec, match="unrecognized"):
         read_scenario(path)
+
+
+@pytest.mark.parametrize("line", ["role DataPlane x", "role DataPlane 5\nseed s"])
+def test_read_scenario_bad_number_names_file_and_line(tmp_path, line):
+    path = tmp_path / "bad.txt"
+    path.write_text("app a\n" + line + "\n")
+    bad_line = line.count("\n") + 2
+    with pytest.raises(InvalidSpec, match=rf"bad\.txt:{bad_line}: invalid literal"):
+        read_scenario(path)
