@@ -173,6 +173,10 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+# rows of the pair matrix per norm-sum temporary, a small share of n x n
+_PAIR_BLOCK_ROWS = 64
+
+
 def _pair_matrix(values: np.ndarray, squared: bool) -> np.ndarray:
     # the n x n float64 matrix is the whole peak of hierarchical
     # clustering; fail before allocating one the machine cannot hold
@@ -184,7 +188,19 @@ def _pair_matrix(values: np.ndarray, squared: bool) -> np.ndarray:
             f"hierarchical clustering of {n} rows needs a {needed}-byte "
             f"distance matrix, more than the {available} bytes of physical memory"
         )
-    d2 = _sq_dists(values, values)
+    # d2[i, j] and d2[j, i] must be the same float, or a nearest-neighbor
+    # chain can cycle forever. numpy computes a C-contiguous a @ a.T as
+    # one symmetric product (a strided a may be copied twice and rounded
+    # apart), and r_i + r_j is added as one term: adding the norms in
+    # two steps, as _sq_dists does, can round d2[i, j] and d2[j, i] apart
+    values = np.ascontiguousarray(values)
+    sq = np.einsum("ij,ij->i", values, values)
+    d2 = values @ values.T
+    d2 *= -2.0
+    for start in range(0, n, _PAIR_BLOCK_ROWS):
+        stop = min(start + _PAIR_BLOCK_ROWS, n)
+        d2[start:stop] += sq[start:stop, None] + sq[None, :]
+    np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, np.inf)
     return d2 if squared else np.sqrt(d2, out=d2)
 

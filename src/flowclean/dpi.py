@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -60,6 +60,10 @@ class Blocklist:
     """Lowercase domain suffixes matched at label boundaries."""
 
     suffixes: frozenset[str]
+    _dotted: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_dotted", tuple("." + s for s in self.suffixes))
 
     @classmethod
     def of(cls, *suffixes: str) -> "Blocklist":
@@ -73,10 +77,7 @@ class Blocklist:
     def matches(self, hostname: str) -> bool:
         """True iff hostname equals a suffix or ends with '.' + suffix."""
         host = hostname.lower().rstrip(".")
-        for suffix in self.suffixes:
-            if host == suffix or host.endswith("." + suffix):
-                return True
-        return False
+        return host in self.suffixes or host.endswith(self._dotted)
 
 
 DEFAULT_BLOCKLIST = Blocklist.of(*DEFAULT_BLOCKLIST_SUFFIXES)
@@ -188,23 +189,30 @@ def _server_name(ext: bytes) -> str | None:
 _HTTP_METHODS = (b"GET ", b"POST ", b"PUT ", b"HEAD ", b"DELETE ", b"OPTIONS ", b"CONNECT ")
 
 
+def _inspect(flow: FlowRecord) -> tuple[VerdictKind, str | None]:
+    """(kind, sni) of classify_flow's verdict, without building it."""
+    prefix = flow.client_payload_prefix
+    key = flow.key
+    if parse_dns(prefix, key.server_port, key.transport):
+        return VerdictKind.PLAINTEXT_DNS, None
+    if prefix.startswith(_HTTP_METHODS):
+        return VerdictKind.PLAINTEXT_HTTP, None
+    is_hello, sni = _client_hello(prefix)
+    if is_hello:
+        if sni:
+            return VerdictKind.TLS_WITH_SNI, sni
+        return VerdictKind.TLS_NO_SNI, None
+    return VerdictKind.OTHER_ENCRYPTED_ASSUMED, None
+
+
 def classify_flow(flow: FlowRecord) -> ProtocolVerdict:
     """Classify one flow from its client payload prefix and ports.
 
     Precedence: DNS, then HTTP method token, then TLS ClientHello
     (with or without SNI), else assumed encrypted.
     """
-    prefix = flow.client_payload_prefix
-    if parse_dns(prefix, flow.dst_port, flow.transport):
-        return ProtocolVerdict(VerdictKind.PLAINTEXT_DNS)
-    if prefix.startswith(_HTTP_METHODS):
-        return ProtocolVerdict(VerdictKind.PLAINTEXT_HTTP)
-    is_hello, sni = _client_hello(prefix)
-    if is_hello:
-        if sni:
-            return ProtocolVerdict(VerdictKind.TLS_WITH_SNI, sni=sni)
-        return ProtocolVerdict(VerdictKind.TLS_NO_SNI)
-    return ProtocolVerdict(VerdictKind.OTHER_ENCRYPTED_ASSUMED)
+    kind, sni = _inspect(flow)
+    return ProtocolVerdict(kind, sni)
 
 
 def filter_flows(
@@ -214,18 +222,19 @@ def filter_flows(
 
     Discards plaintext DNS and HTTP, plus TLS flows whose SNI matches
     the blocklist. TLS without SNI and unrecognized payloads are kept;
-    the clustering stage deals with those.
+    the clustering stage deals with those. Only discarded flows get a
+    ProtocolVerdict; most flows are kept.
     """
     kept: list[FlowRecord] = []
     discarded: list[tuple[FlowRecord, ProtocolVerdict]] = []
     for flow in flows:
-        verdict = classify_flow(flow)
-        if verdict.kind in (VerdictKind.PLAINTEXT_DNS, VerdictKind.PLAINTEXT_HTTP):
-            discarded.append((flow, verdict))
-        elif verdict.kind is VerdictKind.TLS_WITH_SNI and blocklist.matches(
-            verdict.sni or ""
+        kind, sni = _inspect(flow)
+        if (
+            kind is VerdictKind.PLAINTEXT_DNS
+            or kind is VerdictKind.PLAINTEXT_HTTP
+            or (kind is VerdictKind.TLS_WITH_SNI and blocklist.matches(sni))
         ):
-            discarded.append((flow, verdict))
+            discarded.append((flow, ProtocolVerdict(kind, sni)))
         else:
             kept.append(flow)
     logger.info("dpi: kept %d flows, discarded %d", len(kept), len(discarded))

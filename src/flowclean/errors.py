@@ -31,11 +31,14 @@ class ShapeMismatch(FlowcleanError):
 class ParseError(FlowcleanError):
     """A rule, scenario, or config file failed to parse.
 
-    Carries the 1-based line number of the offending line.
+    Carries the 1-based line number of the offending line, and the
+    file's name when the text came from a file.
     """
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int, file: str | None = None):
+        where = f"line {line}" if file is None else f"{file}:{line}"
+        super().__init__(f"{where}: {message}")
+        self.reason = message
         self.line = line
 
 

@@ -165,7 +165,11 @@ def parse_rules(text: str) -> SelectionPolicy:
 
 
 def read_rules(path: str | Path) -> SelectionPolicy:
-    return parse_rules(Path(path).read_text())
+    """parse_rules on a file; a ParseError names the file and the line."""
+    try:
+        return parse_rules(Path(path).read_text())
+    except ParseError as exc:
+        raise ParseError(exc.reason, exc.line, str(path)) from None
 
 
 # keep download-heavy clusters: the content traffic of data-plane apps

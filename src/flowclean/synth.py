@@ -21,6 +21,7 @@ step per app so a classifier has something to learn.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -35,6 +36,8 @@ _TCP_HEADER = 54
 _UDP_HEADER = 42
 
 _BASE_TS_US = 1_600_000_000_000_000
+
+_DURATION_RULE = "capture_duration_s must be a positive finite number"
 
 
 class Role(Enum):
@@ -259,6 +262,8 @@ def read_scenario(path: str | Path) -> ScenarioSpec:
                 seed = int(parts[1])
             elif parts[0] == "capture_duration_s" and len(parts) == 2:
                 capture = float(parts[1])
+                if not (math.isfinite(capture) and capture > 0):
+                    raise InvalidSpec(_DURATION_RULE)
             elif parts[0] == "app" and len(parts) == 2:
                 current = AppSpec(
                     label=parts[1],
@@ -489,8 +494,8 @@ def generate(spec: ScenarioSpec) -> tuple[list[FlowRecord], list[Role]]:
     """
     if not spec.apps:
         raise InvalidSpec("scenario needs at least one app")
-    if spec.capture_duration_s <= 0:
-        raise InvalidSpec("capture_duration_s must be positive")
+    if not (math.isfinite(spec.capture_duration_s) and spec.capture_duration_s > 0):
+        raise InvalidSpec(_DURATION_RULE)
     seen = set()
     for app in spec.apps:
         if app.label in seen:

@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import flowclean.cluster as cluster_mod
 from flowclean.cluster import (
@@ -397,11 +399,53 @@ def test_pair_matrix_matches_broadcast_formula():
     values = rng.normal(0, 2, size=(40, 6))
     values[7] = values[3]  # duplicate rows: distance exactly 0
     sq = np.einsum("ij,ij->i", values, values)
-    want = np.maximum(sq[:, None] - 2.0 * (values @ values.T) + sq[None, :], 0.0)
+    want = np.maximum((sq[:, None] + sq[None, :]) - 2.0 * (values @ values.T), 0.0)
     np.fill_diagonal(want, np.inf)
     for squared, expected in ((True, want), (False, np.sqrt(want))):
         got = _pair_matrix(values, squared)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 40), st.integers(1, 8)),
+        elements=st.floats(-1e3, 1e3),
+    ),
+    st.floats(-1e6, 1e6),
+    st.booleans(),
+)
+def test_pair_matrix_is_exactly_symmetric(values, offset, strided):
+    # far from the origin the norms dwarf the distances, which is where
+    # adding them in two steps rounds d[i, j] and d[j, i] apart
+    values = values + offset
+    if strided:
+        values = np.repeat(values, 2, axis=1)[:, ::2]
+    for squared in (True, False):
+        d = _pair_matrix(values, squared)
+        assert np.array_equal(d.view(np.uint64), d.T.view(np.uint64))
+
+
+# nearest neighbours 0 -> 1 -> 2 -> 0 under two-step norm sums: no pair
+# was reciprocal, so the nearest-neighbor chain grew forever
+_CYCLING_POINTS = np.array([
+    [6.442321744483086, -8.771607997770056, 5.961087904516867,
+     9.458844859405303, -4.020172295150899, 14.321670119939956],
+    [6.744575293577165, -8.126179145644832, 6.471530712482822,
+     10.45185535335966, -4.573188506604118, 15.291007913212574],
+    [7.171448469036135, -7.8927590634560945, 6.743956878461468,
+     9.142247515610178, -5.008061949603918, 14.405067316291213],
+])
+
+
+@pytest.mark.parametrize("linkage", list(Linkage))
+def test_hier_returns_on_points_whose_chain_cycled(linkage):
+    d = _pair_matrix(_CYCLING_POINTS, squared=linkage is Linkage.WARD)
+    # an asymmetric matrix would hang the call below instead of failing
+    assert np.array_equal(d, d.T)
+    for k in (1, 2, 3):
+        model = hierarchical(_CYCLING_POINTS, k, linkage)
+        assert len(set(model.assignments.tolist())) == k
 
 
 def test_pair_matrix_peak_is_one_n_by_n_array():

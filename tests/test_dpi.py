@@ -7,13 +7,14 @@ layouts, independent of the generator's own payload builders.
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flowclean.dpi import (
     Blocklist,
     DEFAULT_BLOCKLIST,
     ProtocolVerdict,
     VerdictKind,
+    _client_hello,
     classify_flow,
     filter_flows,
     parse_dns,
@@ -229,6 +230,24 @@ def test_blocklist_suffix_property(host, suffix):
     assert bl.matches(host) == expected
 
 
+def blocklist_matches_oracle(blocklist: Blocklist, hostname: str) -> bool:
+    """The first Blocklist.matches: one comparison per suffix."""
+    host = hostname.lower().rstrip(".")
+    for suffix in blocklist.suffixes:
+        if host == suffix or host.endswith("." + suffix):
+            return True
+    return False
+
+
+_label_text = st.text(alphabet="abAB.", max_size=7)
+
+
+@given(st.lists(_label_text, max_size=5), _label_text)
+def test_blocklist_matches_per_suffix_oracle(suffixes, host):
+    for blocklist in (Blocklist.of(*suffixes), Blocklist(frozenset(suffixes))):
+        assert blocklist.matches(host) == blocklist_matches_oracle(blocklist, host)
+
+
 def test_default_blocklist_contents():
     for s in ("google.com", "gstatic.com", "googleapis.com", "apple.com",
               "icloud.com", "cloudflare.com"):
@@ -297,3 +316,58 @@ def test_filter_preserves_order_within_lists():
     kept, discarded = filter_flows(flows, Blocklist.of("google.com"))
     assert [f.flow_id for f in kept] == [5, 4, 1]
     assert [f.flow_id for f, _ in discarded] == [3, 2, 0]
+
+
+_payloads = st.one_of(
+    st.binary(max_size=80),
+    st.builds(dns_query, st.from_regex(r"[a-z]{1,6}(\.[a-z]{1,6}){0,2}", fullmatch=True)),
+    st.sampled_from([b"GET / HTTP/1.1\r\n", b"POST /x HTTP/1.1\r\n"]),
+    st.builds(
+        client_hello,
+        st.none() | st.sampled_from(["api.google.com", "google.com", "cdn.app.example"]),
+        st.booleans(),
+    ).flatmap(lambda hello: st.integers(0, len(hello)).map(lambda cut: hello[:cut])),
+)
+
+
+@given(
+    st.lists(
+        st.builds(
+            make_flow,
+            transport=st.sampled_from(["tcp", "udp"]),
+            server_port=st.sampled_from([53, 80, 443]),
+            client_payload_prefix=_payloads,
+        ),
+        max_size=12,
+    ),
+    st.sampled_from([DEFAULT_BLOCKLIST, Blocklist.of(), Blocklist.of("example")]),
+)
+def test_filter_flows_verdicts_equal_classify_flow(flows, blocklist):
+    want_kept, want_discarded = [], []
+    for flow in flows:
+        verdict = classify_flow(flow)
+        if verdict.kind in (VerdictKind.PLAINTEXT_DNS, VerdictKind.PLAINTEXT_HTTP) or (
+            verdict.kind is VerdictKind.TLS_WITH_SNI and blocklist.matches(verdict.sni)
+        ):
+            want_discarded.append((flow, verdict))
+        else:
+            want_kept.append(flow)
+    assert filter_flows(flows, blocklist) == (want_kept, want_discarded)
+
+
+# --- fuzz: the parsers never raise on arbitrary bytes --------------------
+
+
+@settings(max_examples=500)
+@given(st.binary(max_size=300))
+def test_client_hello_never_raises(payload):
+    is_hello, sni = _client_hello(payload)
+    assert sni is None or (is_hello and sni == sni.lower())
+    # a TLS handshake header makes hypothesis walk past the fixed fields
+    _client_hello(b"\x16\x03\x01\x00\x00\x01" + payload)
+
+
+@settings(max_examples=500)
+@given(st.binary(max_size=64), st.sampled_from([53, 443]), st.sampled_from(["tcp", "udp"]))
+def test_parse_dns_never_raises(payload, dst_port, transport):
+    assert parse_dns(payload, dst_port, transport) in (True, False)

@@ -1,11 +1,16 @@
 """Tests for pcap reading, flow assembly, tagging, and flow tables."""
 
+import csv
 import struct
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from flowclean.errors import MalformedCapture, SchemaMismatch
 from flowclean.ingest import (
+    FLOW_TABLE_HEADER,
+    FlowKey,
+    FlowRecord,
     TagMap,
     apply_tags,
     assemble_flows_with_meta,
@@ -309,8 +314,10 @@ def test_flow_table_rejects_empty_file(tmp_path):
         (16, "16zz", "non-hexadecimal number"),
         (15, "80", "dst_port disagrees with server_port"),
         (None, None, "row has 17 columns, expected 18"),
+        # surrogateescape writes "\udcff" as the single byte 0xff
+        (1, "app\udcff", "byte 0xff is not valid utf-8"),
     ],
-    ids=["bad-int", "bad-hex", "dst-port", "short-row"],
+    ids=["bad-int", "bad-hex", "dst-port", "short-row", "bad-utf8"],
 )
 def test_flow_table_bad_row_names_file_and_line(tmp_path, column, value, message):
     path = tmp_path / "flows.csv"
@@ -322,7 +329,7 @@ def test_flow_table_bad_row_names_file_and_line(tmp_path, column, value, message
     else:
         fields[column] = value
     lines[2] = ",".join(fields)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     with pytest.raises(SchemaMismatch) as exc_info:
         read_flow_table(path)
     text = str(exc_info.value)
@@ -351,6 +358,124 @@ def test_flow_table_rejects_impossible_rows(tmp_path, fields, message):
     with pytest.raises(SchemaMismatch) as exc_info:
         read_flow_table(path)
     assert str(exc_info.value) == f"{path}: {message}"
+
+
+def write_flow_table_oracle(flows, file):
+    """The flow-table writer as it was first written, on csv.writer."""
+    with open(file, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(FLOW_TABLE_HEADER)
+        for f in flows:
+            writer.writerow(
+                [
+                    f.flow_id,
+                    f.app_label or "",
+                    f.key.transport,
+                    f.key.client_ip,
+                    f.key.client_port,
+                    f.key.server_ip,
+                    f.key.server_port,
+                    f.first_ts_us,
+                    f.last_ts_us,
+                    f.bytes_in,
+                    f.bytes_out,
+                    f.packets_in,
+                    f.packets_out,
+                    f.header_bytes_total,
+                    f.payload_bytes_total,
+                    f.dst_port,
+                    f.client_payload_prefix.hex(),
+                    f.server_payload_prefix.hex(),
+                ]
+            )
+
+
+_counter = st.integers(min_value=0, max_value=2**64)
+
+
+@st.composite
+def table_flows(draw):
+    """Flows read_flow_table accepts, with any text in the text fields."""
+    ids = draw(st.lists(st.integers(-(2**40), 2**40), unique=True, max_size=6))
+    flows = []
+    for flow_id in ids:
+        first = draw(st.integers(0, 2**62))
+        packets_in, packets_out = draw(
+            st.tuples(_counter, _counter).filter(lambda p: p[0] or p[1])
+        )
+        flows.append(
+            make_flow(
+                flow_id=flow_id,
+                # an empty label is written as a blank field, which reads back as None
+                app_label=draw(st.none() | st.text(min_size=1)),
+                transport=draw(st.text()),
+                client_ip=draw(st.text()),
+                client_port=draw(st.integers(0, 65535)),
+                server_ip=draw(st.text()),
+                server_port=draw(st.integers(0, 65535)),
+                first_ts_us=first,
+                last_ts_us=first + draw(st.integers(0, 2**40)),
+                bytes_in=draw(_counter),
+                bytes_out=draw(_counter),
+                packets_in=packets_in,
+                packets_out=packets_out,
+                header_bytes_total=draw(_counter),
+                payload_bytes_total=draw(_counter),
+                client_payload_prefix=draw(st.binary(max_size=8)),
+                server_payload_prefix=draw(st.binary(max_size=8)),
+            )
+        )
+    return flows
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=200)
+@given(table_flows())
+@example(
+    [
+        make_flow(flow_id=i, app_label=text, transport=text, client_ip=text, server_ip=text)
+        for i, text in enumerate(
+            ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", "crlf\r\n", '"', "nul\x00", "ünï"]
+        )
+    ]
+)
+def test_flow_table_writer_matches_csv_writer(tmp_path, flows):
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    write_flow_table(flows, ours)
+    write_flow_table_oracle(flows, oracle)
+    assert ours.read_bytes() == oracle.read_bytes()
+    assert read_flow_table(ours) == flows
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=300)
+@given(
+    st.binary(max_size=300),
+    st.sampled_from([b"", ",".join(FLOW_TABLE_HEADER).encode() + b"\r\n"]),
+)
+def test_read_flow_table_on_any_bytes_raises_only_schema_mismatch(tmp_path, data, header):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(header + data)
+    try:
+        flows = read_flow_table(path)
+    except SchemaMismatch as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        assert all(isinstance(f, FlowRecord) for f in flows)
+
+
+def test_flow_records_are_immutable_hashable_tuples():
+    flow = make_flow(flow_id=3, app_label="a")
+    with pytest.raises(AttributeError):
+        flow.app_label = "b"
+    with pytest.raises(AttributeError):
+        flow.key.server_port = 80
+    relabeled = flow._replace(app_label="b")
+    assert relabeled.app_label == "b" and flow.app_label == "a"
+    assert relabeled._replace(app_label="a") == flow
+    assert hash(make_flow(flow_id=3, app_label="a")) == hash(flow)
+    assert len({flow, make_flow(flow_id=3, app_label="a"), relabeled}) == 2
+    assert flow != make_flow(flow_id=4, app_label="a")
+    assert flow.key == FlowKey("192.168.0.2", 40000, "10.0.0.1", 443, "tcp")
+    assert (flow.dst_port, flow.transport) == (443, "tcp")
 
 
 def test_payload_prefix_capped_at_256(tmp_path):

@@ -82,10 +82,19 @@ def test_parse_inline_comment_and_blank_lines():
     ("keep ratio > 0.9\ndrop ratio <= nan\ndefault keep", "line 2: threshold 'nan'"),
     ("keep bytes_in >= -NaN", "is not a number"),
 ])
-def test_parse_errors(text, fragment):
+def test_parse_errors(tmp_path, text, fragment):
     with pytest.raises(ParseError) as exc_info:
         parse_rules(text)
     assert fragment in str(exc_info.value)
+    # read from a file, the same error names the file beside the line
+    path = tmp_path / "policy.rules"
+    path.write_text(text + "\n")
+    with pytest.raises(ParseError) as from_file:
+        read_rules(path)
+    line = exc_info.value.line
+    assert from_file.value.line == line
+    assert str(from_file.value) == f"{path}:{line}: {exc_info.value.reason}"
+    assert fragment.removeprefix(f"line {line}: ") in str(from_file.value)
 
 
 def test_parse_infinite_thresholds():

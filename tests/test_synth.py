@@ -193,9 +193,10 @@ def test_generate_empty_scenario():
 
 def test_generate_bad_capture_duration():
     spec = scenario_one_role(Role.DNS, 5)
-    spec.capture_duration_s = 0.0
-    with pytest.raises(InvalidSpec):
-        generate(spec)
+    for duration in (0.0, -1.0, float("nan"), float("inf")):
+        spec.capture_duration_s = duration
+        with pytest.raises(InvalidSpec, match="positive finite"):
+            generate(spec)
 
 
 def test_generate_duplicate_labels():
@@ -302,10 +303,26 @@ def test_read_scenario_unrecognized_line(tmp_path):
         read_scenario(path)
 
 
-@pytest.mark.parametrize("line", ["role DataPlane x", "role DataPlane 5\nseed s"])
-def test_read_scenario_bad_number_names_file_and_line(tmp_path, line):
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("role DataPlane x", "invalid literal"),
+        ("role DataPlane 5\nseed s", "invalid literal"),
+        ("capture_duration_s nan", "capture_duration_s must be a positive finite number"),
+        ("capture_duration_s inf", "capture_duration_s must be a positive finite number"),
+        ("role DataPlane 5\ncapture_duration_s 0", "capture_duration_s must be a positive"),
+    ],
+    ids=[
+        "role DataPlane x",
+        "role DataPlane 5\nseed s",
+        "duration-nan",
+        "duration-inf",
+        "duration-zero",
+    ],
+)
+def test_read_scenario_bad_number_names_file_and_line(tmp_path, line, message):
     path = tmp_path / "bad.txt"
     path.write_text("app a\n" + line + "\n")
     bad_line = line.count("\n") + 2
-    with pytest.raises(InvalidSpec, match=rf"bad\.txt:{bad_line}: invalid literal"):
+    with pytest.raises(InvalidSpec, match=rf"bad\.txt:{bad_line}: {message}"):
         read_scenario(path)
