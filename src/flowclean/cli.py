@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import sys
 import time
 from datetime import datetime, timezone
@@ -408,10 +409,17 @@ def _write_compare_csvs(report: dict, out: Path) -> None:
             writer.writerow([key, repr(report["timings_ms"][key])])
 
 
+_LOG_LEVELS = {"warning": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowclean",
         description="Clean app-tagged encrypted traffic captures for classifier training.",
+    )
+    parser.add_argument(
+        "--log-level", dest="log_level", choices=tuple(_LOG_LEVELS),
+        default="warning", help="stderr logging threshold (default warning)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -489,6 +497,14 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # one handler for the package's loggers, taken down again on return
+    # so that repeated calls in one process do not stack handlers
+    logger = logging.getLogger("flowclean")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(_LOG_LEVELS[args.log_level])
     try:
         return _COMMANDS[args.command](_Options(args))
     except FlowcleanError as exc:
@@ -500,6 +516,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,10 @@ Because the state advances by a fixed gamma, the i-th draw is a pure
 function of (seed, i); ``next_u64_array`` exploits that to produce a block
 of draws with numpy while leaving the stream position exactly as if the
 draws had been made one by one.
+
+How scenario synthesis lays its flows out on these draws (draws per flow
+by role, their order, and when a Box-Muller spare crosses a flow) is
+specified in the "Random-number layout" section of ``synth.py``.
 """
 
 from __future__ import annotations

@@ -16,6 +16,51 @@ inspector classifies each role the intended way by construction:
 Roles other than DataPlane share identical distribution parameters
 across apps, so noise carries no app signal; DataPlane parameters
 step per app so a classifier has something to learn.
+
+Random-number layout
+--------------------
+App i draws from ``SplitMix64(derive(seed, i))`` (see rng.py), role by
+role in ROLE_ORDER and flow by flow within a role. A flow draws, in
+this order:
+
+1. Its normal variates: the primary side's log-normal bytes, the
+   secondary side's log-normal bytes (``secondary_mean``) or log-normal
+   fraction (``secondary_frac``), then the primary and the secondary
+   mean packet size. A spec with neither secondary field skips the
+   second variate and uses 3 normals per flow; the others use 4.
+2. Two uniforms: the duration, then the start.
+3. Its payload draws, per role:
+
+       role           payload draws                         count  stride
+       DataPlane      SNI index mod 4, ClientHello 8,          11      17
+                      ServerHello filler 2
+       Heartbeat      ClientHello 8, ServerHello filler 2      10      16
+       Dns            host index mod 20, txid mod 2**16         2       8
+       BackgroundTls  hostname index mod 6, ClientHello 8,     11      17
+                      ServerHello filler 2
+       Upload         client prefix 2, server prefix 2          4      10
+
+   ClientHello draws fill the 32-byte random field, then the 32-byte
+   session id, big-endian; the ServerHello filler is 16 bytes, and an
+   Upload prefix is 0xC3 plus the first 15 bytes of its two draws.
+
+Normals are Box-Muller: a fresh pair costs two draws and yields its
+cosine variate, and its sine variate is kept as the spare, which the
+next normal takes instead of drawing. The spare carries over flow and
+role boundaries. With 4 normals per flow it is empty at every flow
+boundary, so each flow is one fixed stride of 6 counter draws plus its
+payload draws (the table's last column), in the column order: primary
+pair, packet pair, duration, start, payload. With 3 normals per flow,
+flows alternate between two pairs and one pair, and the spare left by
+an odd count crosses into the next role, shifting its layout by one
+normal.
+
+generate draws each role as one block per up to _BLOCK_FLOWS flows
+with ``SplitMix64.next_u64_array`` and computes its flows column by
+column. The columns use only correctly rounded IEEE-754 operations, in
+the per-flow order, and take log, exp, cos and sin from ``math``, so
+the output is the same bits as drawing each flow on its own, whatever
+the numpy build.
 """
 
 from __future__ import annotations
@@ -26,6 +71,8 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+
+import numpy as np
 
 from .errors import InvalidSpec
 from .ingest import FlowKey, FlowRecord, TCP, UDP
@@ -38,6 +85,11 @@ _UDP_HEADER = 42
 _BASE_TS_US = 1_600_000_000_000_000
 
 _DURATION_RULE = "capture_duration_s must be a positive finite number"
+
+_TWO53_INV = 2.0**-53
+_SERVER_HELLO_HEAD = b"\x16\x03\x03" + struct.pack(">H", 48) + b"\x02"
+# flows per drawn block, so memory stays flat on huge scenarios
+_BLOCK_FLOWS = 65_536
 
 
 class Role(Enum):
@@ -55,6 +107,15 @@ ROLE_ORDER = (
     Role.BACKGROUND_TLS,
     Role.UPLOAD,
 )
+
+# draws per flow after its counter draws; the module docstring lists them
+_PAYLOAD_DRAWS = {
+    Role.DATA_PLANE: 11,
+    Role.HEARTBEAT: 10,
+    Role.DNS: 2,
+    Role.BACKGROUND_TLS: 11,
+    Role.UPLOAD: 4,
+}
 
 # hostnames for BackgroundTls flows; all match the default blocklist
 _SERVICE_HOSTNAMES = (
@@ -328,80 +389,200 @@ def build_client_hello(sni: str | None, rng: SplitMix64) -> bytes:
     return b"\x16\x03\x01" + struct.pack(">H", len(handshake)) + handshake
 
 
-def _server_hello_prefix(rng: SplitMix64) -> bytes:
-    filler = struct.pack(">2Q", rng.next_u64(), rng.next_u64())
-    return b"\x16\x03\x03" + struct.pack(">H", 48) + b"\x02" + filler
+def _hello_template(sni: str | None) -> tuple[bytes, bytes, bytes]:
+    """build_client_hello's record around its two 32-byte random fields.
+
+    The random field follows the 5-byte record header, the 4-byte
+    handshake header and the 2-byte version; the session id's length byte
+    sits between it and the session id.
+    """
+    hello = build_client_hello(sni, SplitMix64(0))
+    return hello[:11], hello[43:44], hello[76:]
 
 
-def _opaque_prefix(rng: SplitMix64) -> bytes:
-    # first byte outside TLS/HTTP/DNS shapes so it stays unclassified
-    return b"\xc3" + struct.pack(">2Q", rng.next_u64(), rng.next_u64())[:15]
+def _libm(func, values: np.ndarray) -> np.ndarray:
+    """``func`` from math over a 1-D array.
+
+    numpy's own log, exp, cos and sin may differ from libm in the last
+    bit, depending on the build; the streams must not.
+    """
+    return np.fromiter(map(func, values.tolist()), np.float64, values.size)
 
 
-def _role_payloads(
-    role: Role, app_label: str, rng: SplitMix64
-) -> tuple[bytes, bytes]:
-    """(client_prefix, server_prefix) crafted per role."""
-    if role is Role.DATA_PLANE:
-        sni = f"v{1 + rng.next_below(4)}.cdn.{app_label}.example"
-        return build_client_hello(sni, rng), _server_hello_prefix(rng)
-    if role is Role.HEARTBEAT:
-        return build_client_hello(None, rng), _server_hello_prefix(rng)
-    if role is Role.DNS:
-        host = f"svc{rng.next_below(20)}.{app_label}.example"
-        txid = rng.next_below(0x10000)
-        query = build_dns_query(host, txid)
-        response = struct.pack(">HHHHHH", txid, 0x8180, 1, 1, 0, 0) + query[12:]
-        return query, response
-    if role is Role.BACKGROUND_TLS:
-        sni = _SERVICE_HOSTNAMES[rng.next_below(len(_SERVICE_HOSTNAMES))]
-        return build_client_hello(sni, rng), _server_hello_prefix(rng)
-    return _opaque_prefix(rng), _opaque_prefix(rng)
+def _draw_block(rng: SplitMix64, n_normals: int, count: int, payload_draws: int,
+                spare: float | None):
+    """Draw `count` flows' random numbers as one block; split it into columns.
+
+    Returns ``(normal, uniforms, payload, spare)``:
+    ``normal(q, mean, std)`` is every flow's q-th normal variate, computed
+    as ``SplitMix64.normal(mean, std)`` computes it; ``uniforms`` holds
+    each flow's duration and start draws mapped to [0, 1); ``payload`` its
+    payload draws; ``spare`` the Box-Muller variate left for the next
+    flow, or None. The stream advances as if each flow drew on its own.
+    """
+    carried = 0 if spare is None else 1
+    # normal j is the carried spare (j = 0 when carried), or the cosine
+    # (j - carried even) or sine (odd) of pair (j - carried) // 2
+    n_pairs = (count * n_normals - carried + 1) // 2
+    per_flow = 2 + payload_draws
+    block = rng.next_u64_array(2 * n_pairs + count * per_flow)
+    pair = np.arange(n_pairs)
+    # a pair is drawn by the flow of its cosine, after that flow's earlier pairs
+    pair_at = 2 * pair + (2 * pair + carried) // n_normals * per_flow
+    u1 = ((block[pair_at] >> 11) + 1).astype(np.float64) * _TWO53_INV
+    u2 = (block[pair_at + 1] >> 11).astype(np.float64) * _TWO53_INV
+    theta = (2.0 * math.pi) * u2
+    r = np.sqrt(-2.0 * _libm(math.log, u1))
+    cos = _libm(math.cos, theta)
+    # sines[p + 1] is pair p's sine variate; sines[0] the carried spare
+    carried_value = 0.0 if spare is None else spare
+    sines = np.concatenate(([carried_value], r * _libm(math.sin, theta)))
+
+    j = np.arange(count * n_normals).reshape(count, n_normals) - carried
+    is_cos = j % 2 == 0
+    of_pair = j // 2
+
+    def normal(q: int, mean: float, std: float) -> np.ndarray:
+        p = of_pair[:, q]
+        at = np.maximum(p, 0)  # p is -1 only in a sine slot: the carried spare
+        return np.where(
+            is_cos[:, q],
+            mean + (std * r[at]) * cos[at],
+            mean + std * sines[p + 1],
+        )
+
+    spare = sines[-1].item() if (count * n_normals - carried) % 2 else None
+    # a flow's uniforms follow every pair whose cosine belongs to it or an earlier flow
+    flow = np.arange(count)
+    rest_at = 2 * ((n_normals * (flow + 1) - carried + 1) // 2) + flow * per_flow
+    rest = block[rest_at[:, None] + np.arange(per_flow)]
+    uniforms = (rest[:, :2] >> 11).astype(np.float64) * _TWO53_INV
+    return normal, uniforms, rest[:, 2:], spare
 
 
-def _draw_side(rng: SplitMix64, mean_bytes: float, sigma: float) -> int:
-    return max(1, int(round(rng.lognormal(mean_bytes, sigma))))
+def _normals_per_flow(spec: RoleSpec) -> int:
+    if spec.secondary_frac is None and spec.secondary_mean is None:
+        return 3
+    return 4
 
 
-def _packets_for(rng: SplitMix64, total_bytes: int, size: float, jitter: float) -> int:
-    pkt = rng.normal(size, jitter)
-    pkt = min(max(pkt, 80.0), 1500.0)
-    return max(1, int(round(total_bytes / pkt)))
+def _flow_columns(spec: RoleSpec, capture_s: float, normal, uniforms: np.ndarray):
+    """A block's FlowRecord counters, first_ts_us through payload_bytes_total.
 
+    Returns one int list per field, in FlowRecord's field order.
 
-def _sample_flow_counters(
-    spec: RoleSpec, capture_s: float, rng: SplitMix64
-) -> tuple[int, int, int, int, float, float]:
-    """(bytes_in, bytes_out, packets_in, packets_out, start_s, duration_s)."""
-    primary = _draw_side(rng, spec.primary_mean, spec.primary_sigma)
+    Every step is the one IEEE-754 operation the per-flow definition does,
+    in the same order; whole-number floats stay exact below 2**53.
+    """
+
+    def lognormal(q: int, mean: float, sigma: float) -> np.ndarray:
+        mu = math.log(mean) - 0.5 * sigma * sigma
+        return _libm(math.exp, mu + sigma * normal(q, 0.0, 1.0))
+
+    def packets(q: int, total: np.ndarray, size: float, jitter: float) -> np.ndarray:
+        pkt = np.clip(normal(q, size, jitter), 80.0, 1500.0)
+        return np.maximum(1.0, np.rint(total / pkt))
+
+    primary = np.maximum(
+        1.0, np.rint(lognormal(0, spec.primary_mean, spec.primary_sigma))
+    )
     if spec.secondary_frac is not None:
-        frac = rng.lognormal(spec.secondary_frac, spec.secondary_frac_sigma)
-        secondary = max(1, int(round(primary * frac)))
+        frac = lognormal(1, spec.secondary_frac, spec.secondary_frac_sigma)
+        secondary = np.maximum(1.0, np.rint(primary * frac))
     elif spec.secondary_mean is not None:
-        secondary = _draw_side(rng, spec.secondary_mean, spec.secondary_sigma)
+        secondary = np.maximum(
+            1.0, np.rint(lognormal(1, spec.secondary_mean, spec.secondary_sigma))
+        )
     else:
-        secondary = 1
-
-    pkts_primary = _packets_for(rng, primary, spec.pkt_primary, spec.pkt_primary_jitter)
-    pkts_secondary = _packets_for(
-        rng, secondary, spec.pkt_secondary, spec.pkt_secondary_jitter
+        secondary = np.ones_like(primary)
+    q = _normals_per_flow(spec) - 2
+    pkts_primary = packets(q, primary, spec.pkt_primary, spec.pkt_primary_jitter)
+    pkts_secondary = packets(
+        q + 1, secondary, spec.pkt_secondary, spec.pkt_secondary_jitter
     )
     header = _TCP_HEADER if spec.transport == TCP else _UDP_HEADER
     # wire bytes can never undercut the headers of the packets carrying them
-    primary = max(primary, pkts_primary * header)
-    secondary = max(secondary, pkts_secondary * header)
+    primary = np.maximum(primary, pkts_primary * header)
+    secondary = np.maximum(secondary, pkts_secondary * header)
+    # float64 holds every whole number exactly only below 2**53 (and a
+    # non-finite sigma gives NaN, which fails the comparison too)
+    if not max(primary.max(), secondary.max()) < 2.0**53:
+        raise InvalidSpec(
+            f"{spec.role.value}: a flow drew 2**53 or more bytes; lower its byte means"
+        )
+    primary = primary.astype(np.int64)
+    secondary = secondary.astype(np.int64)
+    pkts_primary = pkts_primary.astype(np.int64)
+    pkts_secondary = pkts_secondary.astype(np.int64)
 
     if spec.duration_frac is not None:
         lo, hi = spec.duration_frac
-        duration = rng.uniform(lo * capture_s, hi * capture_s)
+        lo, hi = lo * capture_s, hi * capture_s
     else:
-        duration = rng.uniform(spec.duration_lo_s, spec.duration_hi_s)
-    duration = min(duration, capture_s)
-    start = rng.uniform(0.0, max(capture_s - duration, 0.0))
+        lo, hi = spec.duration_lo_s, spec.duration_hi_s
+    duration = np.minimum(lo + (hi - lo) * uniforms[:, 0], capture_s)
+    # uniform(0, m) is exactly m * u for m >= 0
+    start = np.maximum(capture_s - duration, 0.0) * uniforms[:, 1]
+    first_ts = _BASE_TS_US + np.rint(start * 1e6).astype(np.int64)
+    last_ts = first_ts + np.rint(duration * 1e6).astype(np.int64)
 
     if spec.primary == "in":
-        return primary, secondary, pkts_primary, pkts_secondary, start, duration
-    return secondary, primary, pkts_secondary, pkts_primary, start, duration
+        b_in, b_out, p_in, p_out = primary, secondary, pkts_primary, pkts_secondary
+    else:
+        b_in, b_out, p_in, p_out = secondary, primary, pkts_secondary, pkts_primary
+    header_total = (p_in + p_out) * header
+    payload_total = np.maximum(b_in - p_in * header, 0) + np.maximum(
+        b_out - p_out * header, 0
+    )
+    return [
+        column.tolist()
+        for column in (first_ts, last_ts, b_in, b_out, p_in, p_out, header_total,
+                       payload_total)
+    ]
+
+
+def _hello_payloads(raw: bytes, stride: int, snis, choices: list[int],
+                    at: int) -> list[tuple[bytes, bytes]]:
+    """ClientHello and ServerHello prefixes, 64 + 16 bytes of draws per flow."""
+    templates = [_hello_template(sni) for sni in snis]
+    out = []
+    for choice, base in zip(choices, range(at, len(raw), stride)):
+        head, middle, tail = templates[choice]
+        out.append((
+            head + raw[base : base + 32] + middle + raw[base + 32 : base + 64] + tail,
+            _SERVER_HELLO_HEAD + raw[base + 64 : base + 80],
+        ))
+    return out
+
+
+def _payloads(
+    role: Role, app_label: str, draws: np.ndarray
+) -> list[tuple[bytes, bytes]]:
+    """(client_prefix, server_prefix) per flow, crafted per role from its draws."""
+    if role is Role.DNS:
+        out = []
+        hosts = (draws[:, 0] % 20).tolist()
+        for host, txid in zip(hosts, (draws[:, 1] % 0x10000).tolist()):
+            query = build_dns_query(f"svc{host}.{app_label}.example", txid)
+            response = struct.pack(">HHHHHH", txid, 0x8180, 1, 1, 0, 0) + query[12:]
+            out.append((query, response))
+        return out
+    raw = draws.astype(">u8").tobytes()
+    stride = 8 * draws.shape[1]
+    if role is Role.UPLOAD:
+        # first byte outside TLS/HTTP/DNS shapes so it stays unclassified
+        return [
+            (b"\xc3" + raw[at : at + 15], b"\xc3" + raw[at + 16 : at + 31])
+            for at in range(0, len(raw), stride)
+        ]
+    if role is Role.HEARTBEAT:
+        return _hello_payloads(raw, stride, [None], [0] * len(draws), 0)
+    if role is Role.DATA_PLANE:
+        snis = [f"v{1 + i}.cdn.{app_label}.example" for i in range(4)]
+    else:
+        snis = _SERVICE_HOSTNAMES
+    choices = (draws[:, 0] % len(snis)).tolist()
+    return _hello_payloads(raw, stride, snis, choices, 8)
 
 
 def generate_app(
@@ -411,58 +592,47 @@ def generate_app(
     app_index: int,
     flow_id_base: int,
 ) -> tuple[list[FlowRecord], list[Role]]:
-    """Generate one app's flows from its own derived PRNG stream."""
+    """Generate one app's flows from its own derived PRNG stream.
+
+    Each role draws its flows' random numbers in blocks of up to
+    _BLOCK_FLOWS flows; the module docstring gives the layout.
+    """
     rng = SplitMix64(seed)
+    spare: float | None = None
     client_ip = f"192.168.{app_index + 1}.2"
     flows: list[FlowRecord] = []
     roles: list[Role] = []
-    seq = 0
-    for role in ROLE_ORDER:
+    for position, role in enumerate(ROLE_ORDER):
         count = app.counts.get(role, 0)
         if count < 0:
             raise InvalidSpec(f"{app.label}: negative count for {role.value}")
         spec = app.specs.get(role)
         if count and spec is None:
             raise InvalidSpec(f"{app.label}: no RoleSpec for {role.value}")
-        for i in range(count):
-            b_in, b_out, p_in, p_out, start, duration = _sample_flow_counters(
-                spec, capture_duration_s, rng
+        if not count:
+            continue
+        server_ips = [f"10.{app_index + 1}.{position}.{1 + i}" for i in range(250)]
+        n_normals = _normals_per_flow(spec)
+        for first in range(0, count, _BLOCK_FLOWS):
+            n = min(_BLOCK_FLOWS, count - first)
+            normal, uniforms, payload_draws, spare = _draw_block(
+                rng, n_normals, n, _PAYLOAD_DRAWS[role], spare
             )
-            client_prefix, server_prefix = _role_payloads(role, app.label, rng)
-            header = _TCP_HEADER if spec.transport == TCP else _UDP_HEADER
-            header_total = (p_in + p_out) * header
-            payload_total = max(b_in - p_in * header, 0) + max(
-                b_out - p_out * header, 0
-            )
-            first_ts = _BASE_TS_US + int(round(start * 1e6))
-            key = FlowKey(
-                client_ip=client_ip,
-                client_port=10_000 + seq % 50_000,
-                server_ip=(
-                    f"10.{app_index + 1}.{ROLE_ORDER.index(role)}.{1 + i % 250}"
-                ),
-                server_port=spec.dst_port,
-                transport=spec.transport,
-            )
-            flows.append(
-                FlowRecord(
-                    flow_id=flow_id_base + seq,
-                    key=key,
-                    app_label=app.label,
-                    first_ts_us=first_ts,
-                    last_ts_us=first_ts + int(round(duration * 1e6)),
-                    bytes_in=b_in,
-                    bytes_out=b_out,
-                    packets_in=p_in,
-                    packets_out=p_out,
-                    header_bytes_total=header_total,
-                    payload_bytes_total=payload_total,
-                    client_payload_prefix=client_prefix,
-                    server_payload_prefix=server_prefix,
+            columns = _flow_columns(spec, capture_duration_s, normal, uniforms)
+            payloads = _payloads(role, app.label, payload_draws)
+            for i, (counters, (client_prefix, server_prefix)) in enumerate(
+                zip(zip(*columns), payloads), start=first
+            ):
+                seq = len(flows)
+                key = FlowKey(
+                    client_ip, 10_000 + seq % 50_000, server_ips[i % 250],
+                    spec.dst_port, spec.transport,
                 )
-            )
-            roles.append(role)
-            seq += 1
+                flows.append(FlowRecord(
+                    flow_id_base + seq, key, app.label, *counters,
+                    client_prefix, server_prefix,
+                ))
+            roles.extend([role] * n)
     _validate_data_plane_ratio(app.label, flows, roles)
     return flows, roles
 

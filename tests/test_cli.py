@@ -165,6 +165,27 @@ def test_clean_outputs(tmp_path, scenario_file, capsys):
     assert "132 flows in, 28 filtered" in capsys.readouterr().out
 
 
+def test_log_level_info_logs_dpi_counts_to_stderr(tmp_path, scenario_file, capsys):
+    flows = synth_into(tmp_path, scenario_file) / "flows.csv"
+    args = ["clean", "--flows", str(flows), "--out", str(tmp_path / "cleaned")]
+    capsys.readouterr()
+    assert main(args) == 0
+    default = capsys.readouterr()
+    assert main(["--log-level", "info", *args]) == 0
+    info = capsys.readouterr()
+    assert default.err == ""
+    # one dpi pass per app: 66 flows in each, 8 dns + 6 blocklisted tls out
+    assert info.err.count("INFO flowclean.dpi: dpi: kept 52 flows, discarded 14\n") == 2
+    assert info.out == default.out
+
+
+def test_log_level_rejects_unknown_names(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--log-level", "verbose", "synth"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'verbose'" in capsys.readouterr().err
+
+
 def test_clean_hier_algorithm(tmp_path, scenario_file):
     synth_dir = synth_into(tmp_path, scenario_file)
     out = tmp_path / "cleaned-hier"

@@ -32,6 +32,7 @@ from conftest import (
     pcap_bytes,
     tcp,
     tcp4_frame,
+    udp,
     udp4_frame,
 )
 
@@ -129,6 +130,92 @@ def test_ipv6_packet(tmp_path):
     assert len(packets) == 1
     assert packets[0].src_ip == "2001:db8:0:0:0:0:0:1"
     assert packets[0].payload_len == 3
+
+
+# --- pcap reader fuzzing ------------------------------------------------
+
+_V6_SRC = (0x2001, 0xDB8, 0, 0, 0, 0, 0, 1)
+_V6_DST = (0x2001, 0xDB8, 0, 0, 0, 0, 0, 2)
+FUZZ_FRAMES = (
+    tcp4_frame("10.0.0.2", "10.0.0.3", 40000, 443, b"\x16\x03\x01" + b"x" * 40),
+    udp4_frame("10.0.0.2", "10.0.0.53", 5353, 53, b"q" * 20),
+    tcp4_frame("10.0.0.2", "10.0.0.3", 40000, 443, flags=TCP_SYN, vlan=301),
+    ethernet(ipv6(_V6_SRC, _V6_DST, 6, tcp(10, 20, b"abc")), 0x86DD),
+    ethernet(ipv6(_V6_SRC, _V6_DST, 17, udp(10, 20, b"abc")), 0x86DD),
+    ethernet(b"\x00" * 28, 0x0806),
+)
+
+
+def assert_counters_add_up(packets, stats):
+    assert stats.packets == len(packets)
+    # every record read is a packet, a non-IP skip or a truncated frame;
+    # a record cut short by the end of the file is counted as truncated
+    # but not as a record, and ends the read
+    cut_records = (
+        stats.skipped_truncated - (stats.records - stats.packets - stats.skipped_non_ip)
+    )
+    assert cut_records in (0, 1)
+
+
+@st.composite
+def mangled_frames(draw):
+    frame = bytearray(draw(st.sampled_from(FUZZ_FRAMES)))
+    for _ in range(draw(st.integers(0, 4))):
+        frame[draw(st.integers(0, len(frame) - 1))] = draw(st.integers(0, 255))
+    return bytes(frame[: draw(st.integers(0, len(frame)))])
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=300)
+@given(
+    st.binary(max_size=300),
+    st.sampled_from([b"", pcap_bytes([]), pcap_bytes([], endian=">"),
+                     pcap_bytes([], nanosecond=True)]),
+)
+def test_read_packets_on_any_bytes_raises_only_malformed_capture(tmp_path, data, header):
+    path = tmp_path / "fuzz.pcap"
+    path.write_bytes(header + data)
+    try:
+        packets, stats = read_packets(path)
+    except MalformedCapture as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        assert_counters_add_up(packets, stats)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=300)
+@given(st.lists(mangled_frames(), max_size=6), st.sampled_from(["<", ">"]))
+def test_read_packets_skips_mangled_frames(tmp_path, frames, endian):
+    path = tmp_path / "mangled.pcap"
+    path.write_bytes(pcap_bytes([(i, 0, f) for i, f in enumerate(frames)], endian=endian))
+    packets, stats = read_packets(path)
+    assert stats.records == len(frames)
+    assert stats.packets + stats.skipped_non_ip + stats.skipped_truncated == len(frames)
+    assert_counters_add_up(packets, stats)
+
+
+_FUZZ_CAPTURE = pcap_bytes([(i, 0, f) for i, f in enumerate(FUZZ_FRAMES)])
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=200)
+@given(st.integers(0, len(_FUZZ_CAPTURE)))
+def test_read_packets_on_capture_cut_at_any_offset(tmp_path, cut):
+    path = tmp_path / "cut.pcap"
+    path.write_bytes(_FUZZ_CAPTURE[:cut])
+    if cut < 24:
+        with pytest.raises(MalformedCapture, match="truncated global header"):
+            read_packets(path)
+        return
+    packets, stats = read_packets(path)
+    ends = [24]
+    for frame in FUZZ_FRAMES:
+        ends.append(ends[-1] + 16 + len(frame))
+    whole = sum(end <= cut for end in ends[1:])
+    assert stats.records == whole
+    assert stats.skipped_truncated == (cut not in ends)
+    assert_counters_add_up(packets, stats)
+    whole_path = tmp_path / "whole.pcap"
+    whole_path.write_bytes(_FUZZ_CAPTURE[: ends[whole]])
+    assert packets == read_packets(whole_path)[0]
 
 
 def _session_frames(payloads_c2s, payloads_s2c, base_ts=10):
