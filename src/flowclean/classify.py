@@ -6,27 +6,58 @@ ground-truth-cleaned data. Trees use axis-aligned splits chosen by
 Gini impurity over the 6 clustering features plus the 2 auxiliary
 mean-size features.
 
-Split search is batched per node: the F features sampled for a node
-are gathered into one n x F block, sorted column-wise by one argsort,
-and every cut of every column that leaves min_leaf rows on each side
-is scored by one set of numpy calls. The trees are bit-identical to
-those of a loop over the features: class counts and their sums of
-squares are integers below 2**53, so the float64 cumsum and einsum are
-exact whatever order numpy adds them in, and cuts are scored only
-between distinct values, where the counts do not depend on how the
-sort ordered equal values, so the sort need not be stable.
+A tree is defined node by node in preorder. A node is a leaf at
+max_depth, with fewer than 2 * min_leaf rows or with one class;
+otherwise it makes a split call: it samples F = features_per_split
+features, scores every cut of each that leaves min_leaf rows each side
+and lies between distinct values, and keeps the first feature, in
+sampled order, whose best cut (its first least score) scores strictly
+below the node's own n - T.T / n - 1e-12. The score of a cut with class
+counts L left and R right of n = nl + nr rows is the float64
+nl - L.L / nl + nr - R.R / nr, n times the weighted Gini. Rows with
+x <= threshold, the midpoint of the values either side of the cut, go
+left. Without such a cut the node is a leaf. A node's id is its place
+in preorder, so a left child's is its parent's plus 1.
 
-Determinism: every tree draws its bootstrap sample and per-node
-feature subsets from a PRNG stream derived from (seed, tree index),
-so trees are built in parallel without changing the model. With
-train(workers > 1) the trees grow in a pool of worker processes
-started with the `fork` method: each worker inherits the training set
-once and is sent only tree indices, and the pool is shut down before
-train returns, so no process outlives the call. `spawn` and
-`forkserver` are not used because they start helper processes (the
-resource tracker and the fork server) that outlive the pool. A fork
-copies only the calling thread, so run_compare trains only after its
-cleaning threads have finished.
+Tree t draws from SplitMix64(derive(seed, t)): with bootstrap, draws
+1..n pick its rows (draw % n); then split call m, counted in preorder
+from 0, takes the F draws after draw B + m * F, where B is n with
+bootstrap and 0 without, as a partial Fisher-Yates over the 8 features
+(rng.py gives the draws). A call draws F numbers whether or not it
+splits.
+
+Trees grow in blocks of up to _BLOCK_TREES in lockstep. Each tree
+keeps a stack of its pending nodes; a step pops every tree's next node
+in preorder that needs a split call (leaves popped on the way take
+their ids and are done, as the class counts that made them leaves were
+known when their parent split), draws each one's features from its
+call index with stream_draws, and scores all of them in one pass of
+numpy calls, in chunks of at most _CHUNK_ROWS rows. So every tree is
+the one defined above, whatever the block and chunk sizes:
+
+- A pass sorts each (feature slot, node) segment of rows by the dense
+  rank of the feature's values, with ties in row order. Counts at a cut
+  between distinct values do not depend on how equal values are
+  ordered.
+- L.L is the running sum of 2 * occ + 1, occ counting the earlier rows
+  of the row's class, and T.L the running sum of T[class]; both restart
+  at each node. R.R = T.T - 2 * T.L + L.L. All are exact integers, so
+  the score is the same float64 however the sums were formed.
+- np.minimum.reduceat finds each segment's least score, and its first
+  position; each node then takes its slots in sampled order with a
+  strict <.
+- The chosen slot's sorted rows give the children: the rows with
+  x <= threshold are a prefix of the node's rows there.
+
+Determinism: with train(workers > 1) the blocks grow in a pool of
+worker processes started with the `fork` method: each worker inherits
+the training set once and is sent only blocks of tree indices, and the
+pool is shut down before train returns, so no process outlives the
+call. The model is the same for every worker count and block size.
+`spawn` and `forkserver` are not used because they start helper
+processes (the resource tracker and the fork server) that outlive the
+pool. A fork copies only the calling thread, so run_compare trains only
+after its cleaning threads have finished.
 Prediction ties break toward the lexicographically smallest label.
 """
 
@@ -45,7 +76,7 @@ import numpy as np
 from .errors import EmptyTest, LabelTooSmall, SingleClass
 from .features import ALL_FEATURES, feature_matrix
 from .ingest import FlowRecord
-from .rng import SplitMix64, derive
+from .rng import SplitMix64, derive, stream_draws
 
 
 def split(
@@ -107,6 +138,16 @@ class _Tree:
             active[idx] = self.feature[node[idx]] >= 0
         return np.argmax(self.histogram[node], axis=1)
 
+    def depth(self) -> int:
+        """Depth of the deepest leaf; a lone root leaf has depth 0."""
+        level, nodes = 0, np.zeros(1, dtype=np.int64)
+        while True:
+            inner = nodes[self.feature[nodes] >= 0]
+            if not len(inner):
+                return level
+            nodes = np.concatenate([self.left[inner], self.right[inner]])
+            level += 1
+
 
 @dataclass
 class ForestModel:
@@ -142,113 +183,167 @@ class ForestModel:
         return self.predict_matrix(feature_matrix(flows))
 
 
-class _TreeBuilder:
-    def __init__(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        n_classes: int,
-        max_depth: int,
-        min_leaf: int,
-        features_per_split: int,
-        rng: SplitMix64,
-    ):
-        self.x = x
-        self.y = y
-        self.n_classes = n_classes
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.features_per_split = features_per_split
-        self.rng = rng
-        self.one_hot = np.eye(n_classes, dtype=np.float64)
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.histogram: list[np.ndarray] = []
+# At most this many rows are scored in one pass of a growth step; a node
+# with more rows is scored alone. It bounds a pass's arrays (a few dozen
+# bytes per row and sampled feature) without changing any tree.
+_CHUNK_ROWS = 16_384
+# At most this many trees grow in lockstep in one _grow_block call.
+_BLOCK_TREES = 25
 
-    def build(self, indices: np.ndarray, depth: int) -> int:
-        node = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        y_node = self.y[indices]
-        hist = np.bincount(y_node, minlength=self.n_classes)
-        self.histogram.append(hist)
-        if (
-            depth >= self.max_depth
-            or len(indices) < 2 * self.min_leaf
-            or np.count_nonzero(hist) <= 1
-        ):
-            return node
-        found = self._best_split(indices, y_node, hist)
-        if found is None:
-            return node
-        feat, thr = found
-        mask = self.x[indices, feat] <= thr
-        left_idx = indices[mask]
-        right_idx = indices[~mask]
-        self.feature[node] = feat
-        self.threshold[node] = thr
-        self.left[node] = self.build(left_idx, depth + 1)
-        self.right[node] = self.build(right_idx, depth + 1)
-        return node
 
-    def _best_split(
-        self, indices: np.ndarray, y_node: np.ndarray, hist: np.ndarray
-    ) -> tuple[int, float] | None:
-        # Score scale: n * weighted Gini, cheaper and order-equivalent. The
-        # score and threshold arithmetic is a per-feature loop's, element by
-        # element, and strict < lets the first sampled feature win a tie;
-        # the module docstring says why the batched sums are exact.
-        n = len(indices)
-        totals = hist.astype(np.float64)
-        parent = n - float(totals @ totals) / n
-        feats = self.rng.sample_indices(self.x.shape[1], self.features_per_split)
-        columns = np.arange(len(feats))
-        xf = self.x[indices[:, None], feats]
-        order = np.argsort(xf, axis=0)
-        xs = xf[order, columns]
-        # cut i puts sorted rows 0..i left: i + 1 rows left, n - i - 1 right
-        lo, hi = self.min_leaf - 1, n - self.min_leaf
-        cum = np.cumsum(self.one_hot[y_node[order[:hi]]], axis=0)
-        left = cum[lo:]
-        right = totals - left
-        nl = np.arange(lo + 1, hi + 1, dtype=np.float64)[:, None]
-        nr = n - nl
-        score = (
-            nl
-            - np.einsum("ijk,ijk->ij", left, left) / nl
-            + nr
-            - np.einsum("ijk,ijk->ij", right, right) / nr
-        )
-        score = np.where(xs[lo + 1 : hi + 1] > xs[lo:hi], score, np.inf)
-        pos = np.argmin(score, axis=0)
-        best_score = parent - 1e-12
-        best = -1
-        for col, col_score in enumerate(score[pos, columns].tolist()):
-            if col_score < best_score:
-                best_score = col_score
-                best = col
-        if best < 0:
-            return None
-        cut = lo + pos[best]
-        return feats[best], float((xs[cut, best] + xs[cut + 1, best]) / 2.0)
+def _sample_features(
+    seeds: np.ndarray, first: np.ndarray, n_features: int, k: int
+) -> np.ndarray:
+    """k distinct feature indices per stream, one row per seed.
 
-    def finish(self) -> _Tree:
-        return _Tree(
-            feature=np.array(self.feature, dtype=np.int64),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.array(self.left, dtype=np.int64),
-            right=np.array(self.right, dtype=np.int64),
-            histogram=np.array(self.histogram, dtype=np.int64),
-        )
+    Row i is a partial Fisher-Yates over range(n_features), swapping
+    position j = i + u % (n_features - i) into place i, whose u are
+    draws first[i] + 1 on of SplitMix64(seeds[i]).
+    """
+    draws = stream_draws(
+        seeds[:, None], first[:, None] + np.arange(1, k + 1, dtype=np.uint64)
+    )
+    feats = []
+    for row in draws.tolist():
+        pool = list(range(n_features))
+        for i, u in enumerate(row):
+            j = i + u % (n_features - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        feats.append(pool[:k])
+    return np.array(feats)
+
+
+def _best_splits(
+    x: np.ndarray,
+    ranks: np.ndarray,
+    y: np.ndarray,
+    min_leaf: int,
+    rows: np.ndarray,
+    sizes: np.ndarray,
+    hist: np.ndarray,
+    feats: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Find the best split of several nodes in one pass.
+
+    Node s owns the next sizes[s] entries of rows (row indices of x),
+    with class counts hist[s], and its sampled features are feats[s].
+    Returns (feature, threshold, ordered, n_left): per node, the split
+    feature, or -1 where no cut beats the node's own impurity, and the
+    threshold; ordered holds each split node's rows sorted by its split
+    feature, so that its first n_left[s] rows go left. The module
+    docstring gives the arithmetic.
+    """
+    n_nodes, n_feats = feats.shape
+    n_rows, n_classes = ranks.shape[1], hist.shape[1]
+    total = len(rows)
+    starts = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(n_nodes), sizes)
+    position = np.arange(total)
+    bits = total.bit_length()
+    low = (1 << bits) - 1
+    # sort each (slot, node) segment by its feature's dense rank: one sort
+    # of (node, rank, position) packed into an int64
+    key = np.repeat(feats.T * n_rows, sizes, axis=1)
+    key += rows
+    key = np.take(ranks, key)
+    key <<= bits
+    key += np.repeat(starts * n_rows << bits, sizes) + position
+    key.sort(axis=1)
+    srows = np.take(rows, key & low)
+    key >>= bits
+    # a cut needs distinct values across it and min_leaf rows each side
+    cut = np.zeros((n_feats, total), dtype=bool)
+    np.greater(key[:, 1:], key[:, :-1], out=cut[:, :-1])
+    del key
+    nl = position + 1 - np.repeat(starts, sizes)
+    nr = np.repeat(sizes, sizes) - nl
+    cut &= (nl >= min_leaf) & (nr >= min_leaf)
+    # With T a node's class counts and L those left of a cut, the score
+    # needs L.L and R.R = T.T - 2 T.L + L.L. Each row adds 2 * occ + 1 to
+    # L.L, occ counting the rows before it in its (node, class) group, and
+    # T[class] to T.L. Sorted by group and then by position, a row's place
+    # in its group is its occ, so one stable pass over the groups lays out
+    # both increments, a = 2 * occ + 1 and a - 2 T[class]; their cumsums
+    # restart at each node, where both have summed to the node's T.T.
+    counts = hist.ravel()
+    by_group = np.take(y, srows)
+    by_group += np.repeat(np.arange(0, n_nodes * n_classes, n_classes), sizes)
+    by_group <<= bits
+    by_group += position
+    if n_nodes * n_classes << bits < 2**31:
+        by_group = by_group.astype(np.int32)
+    by_group.sort(axis=1)
+    by_group &= low
+    by_group += (np.arange(n_feats) * total)[:, None]
+    occ = position - np.repeat(np.cumsum(counts) - counts, counts)
+    increments = np.stack([2 * occ + 1, 2 * (occ - np.repeat(counts, counts)) + 1], 1)
+    # one scatter moves both increments of a row, as one 16-byte item
+    pair = np.dtype((np.void, 16))
+    steps = np.empty((n_feats, total, 2), dtype=np.int64)
+    steps.view(pair).reshape(-1)[by_group] = increments.view(pair).reshape(-1)
+    del by_group
+    np.cumsum(steps, axis=1, out=steps)
+    tt = (hist * hist).sum(axis=1)
+    restart = np.repeat(np.cumsum(tt) - tt, sizes)
+    ll = steps[..., 0] - restart
+    rr = steps[..., 1] + (restart + np.repeat(tt, sizes))
+    del steps
+    nlf = nl.astype(np.float64)
+    nrf = nr.astype(np.float64)
+    with np.errstate(invalid="ignore"):  # 0 / 0 past each node's last row
+        score = nlf - ll / nlf
+        score += nrf
+        score -= rr / nrf
+    del ll, rr
+    np.putmask(score, ~cut, np.inf)
+    least = np.minimum.reduceat(score, starts, axis=1)
+    # strict < from the parent's impurity: the first sampled feature wins
+    # a tie between features
+    sizes_f = sizes.astype(np.float64)
+    best = sizes_f - tt / sizes_f - 1e-12
+    slot = np.full(n_nodes, -1)
+    for j in range(n_feats):
+        better = least[j] < best
+        best = np.where(better, least[j], best)
+        slot[better] = j
+    # the first position of the least score in each node's chosen slot;
+    # a node that does not split reads slot 0 and is marked at the end
+    found = slot >= 0
+    slot[~found] = 0
+    chosen = np.repeat(slot * total, sizes) + position
+    pos = np.minimum.reduceat(
+        np.where(np.take(score, chosen) == np.repeat(best, sizes), position, total),
+        starts,
+    )
+    pos[~found] = starts[~found]
+    feature = feats[np.arange(n_nodes), slot]
+    ordered = np.take(srows, chosen)
+    threshold = (x[ordered[pos], feature] + x[ordered[pos + 1], feature]) / 2.0
+    n_left = np.add.reduceat(
+        np.take(x, ordered * x.shape[1] + np.repeat(feature, sizes))
+        <= np.repeat(threshold, sizes),
+        starts,
+    )
+    feature[~found] = -1
+    return feature, threshold, ordered, n_left
+
+
+def _chunks(sizes: list[int]):
+    """Yield (start, stop) runs of nodes with at most _CHUNK_ROWS rows."""
+    start, rows = 0, 0
+    for i, size in enumerate(sizes):
+        if rows and rows + size > _CHUNK_ROWS:
+            yield start, i
+            start, rows = i, 0
+        rows += size
+    if sizes:
+        yield start, len(sizes)
 
 
 # The training job of a forest worker process, set there by _start_worker:
-# (x, y, n_classes, max_depth, min_leaf, features_per_split, seed, bootstrap).
-# The calling process never sets it; its serial path passes the job along.
+# (x, ranks, y, n_classes, max_depth, min_leaf, features_per_split, seed,
+# bootstrap). The calling process never sets it; its serial path passes the
+# job along.
 _job: tuple | None = None
 
 
@@ -257,31 +352,105 @@ def _start_worker(*job) -> None:
     _job = job
 
 
-def _grow_tree(t: int, job: tuple | None = None) -> _Tree:
-    """Grow tree t of the forest from its own stream, derive(seed, t).
+def _grow_block(trees: range, job: tuple | None = None) -> list[_Tree]:
+    """Grow trees `trees` of the forest in lockstep; see the module docstring.
 
     job defaults to the one _start_worker stored in this worker.
     """
-    x, y, n_classes, max_depth, min_leaf, features_per_split, seed, bootstrap = (
-        job or _job
-    )
-    n = x.shape[0]
-    rng = SplitMix64(derive(seed, t))
-    if bootstrap:
-        sample = (rng.next_u64_array(n) % np.uint64(n)).astype(np.int64)
-    else:
-        sample = np.arange(n, dtype=np.int64)
-    builder = _TreeBuilder(
-        x[sample],
-        y[sample],
-        n_classes,
-        max_depth,
-        min_leaf,
-        features_per_split,
-        rng,
-    )
-    builder.build(np.arange(len(sample), dtype=np.int64), 0)
-    return builder.finish()
+    x, ranks, y, n_classes, max_depth, min_leaf, k, seed, bootstrap = job or _job
+    n, n_features = x.shape
+    seeds = np.array([derive(seed, t) for t in trees], dtype=np.uint64)
+    # split call m of a tree draws its features from draw drawn + m * k + 1
+    # on: a bootstrap sample draws n numbers first
+    drawn = np.full(len(trees), n if bootstrap else 0, dtype=np.uint64)
+
+    def leaf(depth, size, counts):
+        return (depth >= max_depth) | (size < 2 * min_leaf) | (
+            np.count_nonzero(counts, axis=-1) <= 1
+        )
+
+    # A pending node is (rows, or None once it is known to be a leaf, depth,
+    # class counts, the node whose right child it is or -1); a grown node
+    # is [feature, threshold, left, right, class counts].
+    stacks = []
+    for seed_t in seeds:
+        if bootstrap:
+            draws = stream_draws(seed_t, np.arange(1, n + 1, dtype=np.uint64))
+            rows = (draws % np.uint64(n)).astype(np.int64)
+        else:
+            rows = np.arange(n)
+        counts = np.bincount(y[rows], minlength=n_classes)
+        stacks.append([(None if leaf(0, n, counts) else rows, 0, counts, -1)])
+    grown = [[] for _ in trees]
+    active = list(range(len(trees)))
+    while active:
+        # every tree's next node in preorder that needs a split search;
+        # the leaves before it take their preorder ids on the way
+        nodes = []
+        for t in active:
+            stack, tree = stacks[t], grown[t]
+            while stack:
+                rows, depth, counts, parent = stack.pop()
+                if parent >= 0:
+                    tree[parent][3] = len(tree)
+                tree.append([-1, 0.0, -1, -1, counts])
+                if rows is not None:
+                    nodes.append((t, rows, depth, counts))
+                    break
+        if not nodes:
+            break
+        owner = np.array([node[0] for node in nodes])
+        feats = _sample_features(seeds[owner], drawn[owner], n_features, k)
+        drawn[owner] += np.uint64(k)
+        sizes = [len(node[1]) for node in nodes]
+        for lo, hi in _chunks(sizes):
+            chunk = nodes[lo:hi]
+            rows = np.concatenate([node[1] for node in chunk])
+            size = np.array(sizes[lo:hi])
+            feature, threshold, ordered, n_left = _best_splits(
+                x, ranks, y, min_leaf, rows, size,
+                np.array([node[3] for node in chunk]), feats[lo:hi],
+            )
+            split = np.flatnonzero(feature >= 0)
+            if not len(split):
+                continue
+            # the first n_left of a node's ordered rows go left; one bincount
+            # gives both children's class counts
+            ends = np.cumsum(size)
+            starts = ends - size
+            cuts = starts + n_left
+            child = np.repeat(np.arange(0, 2 * (hi - lo), 2), size)
+            child += np.arange(len(ordered)) >= np.repeat(cuts, size)
+            child_counts = np.bincount(
+                child * n_classes + y[ordered], minlength=2 * (hi - lo) * n_classes
+            ).reshape(hi - lo, 2, n_classes)[split]
+            child_size = np.stack([n_left, size - n_left], axis=1)[split]
+            depth = 1 + np.array([node[2] for node in chunk])[split]
+            child_leaf = leaf(depth[:, None], child_size, child_counts).tolist()
+            for s, f, v, d, start, cut, end, leaves, counts in zip(
+                split.tolist(), feature[split].tolist(), threshold[split].tolist(),
+                depth.tolist(), starts[split].tolist(), cuts[split].tolist(),
+                ends[split].tolist(), child_leaf, child_counts,
+            ):
+                t = chunk[s][0]
+                tree = grown[t]
+                node = len(tree) - 1  # the tree's last node is the one scored
+                tree[node][:3] = f, v, node + 1
+                stacks[t] += [
+                    (None if leaves[1] else ordered[cut:end], d, counts[1], node),
+                    (None if leaves[0] else ordered[start:cut], d, counts[0], -1),
+                ]
+        active = [t for t in active if stacks[t]]
+    return [
+        _Tree(
+            feature=np.array([node[0] for node in tree], dtype=np.int64),
+            threshold=np.array([node[1] for node in tree], dtype=np.float64),
+            left=np.array([node[2] for node in tree], dtype=np.int64),
+            right=np.array([node[3] for node in tree], dtype=np.int64),
+            histogram=np.array([node[4] for node in tree], dtype=np.int64),
+        )
+        for tree in grown
+    ]
 
 
 def _usable_cpus() -> int:
@@ -331,8 +500,16 @@ def train(
     label_idx = {label: i for i, label in enumerate(labels)}
     x = feature_matrix(flows)
     y = np.array([label_idx[f.app_label] for f in flows], dtype=np.int64)
-    job = (x, y, len(labels), max_depth, min_leaf, features_per_split, seed, bootstrap)
+    # dense rank of every value in its column, one row per feature
+    ranks = np.array(
+        [np.unique(column, return_inverse=True)[1] for column in x.T], dtype=np.int64
+    )
+    job = (x, ranks, y, len(labels), max_depth, min_leaf, features_per_split, seed,
+           bootstrap)
     workers = min(workers, n_trees, _usable_cpus())
+    # at least one block per worker
+    size = min(_BLOCK_TREES, -(-n_trees // workers))
+    blocks = [range(t, min(t + size, n_trees)) for t in range(0, n_trees, size)]
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         with ProcessPoolExecutor(
             max_workers=workers,
@@ -340,9 +517,10 @@ def train(
             initializer=_start_worker,
             initargs=job,
         ) as pool:
-            trees = list(pool.map(_grow_tree, range(n_trees)))
+            grown = list(pool.map(_grow_block, blocks))
     else:
-        trees = [_grow_tree(t, job) for t in range(n_trees)]
+        grown = [_grow_block(block, job) for block in blocks]
+    trees = [tree for block in grown for tree in block]
     return ForestModel(
         labels=labels,
         feature_names=list(ALL_FEATURES),

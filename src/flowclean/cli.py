@@ -249,9 +249,9 @@ def run_compare(
     cluster, select and total; stage times are summed over worker
     threads, total is wall time) and each arm's forest training
     (train_<arm>) and scoring (eval_<arm>). forest holds each arm's
-    tree, node and leaf counts. The report's content_sha256 covers
-    config and arms: everything except timings_ms, forest and the
-    generation timestamp.
+    tree, node and leaf counts and the depth of its deepest leaf. The
+    report's content_sha256 covers config and arms: everything except
+    timings_ms, forest and the generation timestamp.
     """
     flows, roles = synth.generate(scenario)
     arms: dict[str, list] = {
@@ -296,6 +296,7 @@ def run_compare(
             "trees": len(model.trees),
             "nodes": sum(len(tree.feature) for tree in model.trees),
             "leaves": sum(int((tree.feature < 0).sum()) for tree in model.trees),
+            "depth": max(tree.depth() for tree in model.trees),
         }
     oracle = arm_results["oracle"]["metrics"]
     for name, result in arm_results.items():

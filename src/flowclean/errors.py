@@ -40,6 +40,12 @@ class ParseError(FlowcleanError):
         super().__init__(f"{where}: {message}")
         self.reason = message
         self.line = line
+        self.file = file
+
+    def __reduce__(self):
+        # pickle rebuilds an exception from self.args, the formatted
+        # message alone, which __init__ cannot take
+        return type(self), (self.reason, self.line, self.file)
 
 
 class LabelTooSmall(FlowcleanError):

@@ -1,10 +1,11 @@
 """Deterministic SplitMix64 random streams.
 
 All randomized stages (scenario synthesis, k-means++ seeding, bootstrap
-sampling, train/test shuffles) draw from this generator so that runs are
-reproducible from a single integer seed, independent of Python or numpy
-versions. The generator is fully specified here so another implementation
-can reproduce the streams bit for bit:
+sampling, per-node feature sampling, train/test shuffles) draw from this
+generator so that runs are reproducible from a single integer seed,
+independent of Python or numpy versions. The generator is fully
+specified here so another implementation can reproduce the streams bit
+for bit:
 
 * State advances by the 64-bit golden gamma ``0x9E3779B97F4A7C15`` per draw.
 * Each output is the advanced state passed through the SplitMix64 finalizer
@@ -13,26 +14,24 @@ can reproduce the streams bit for bit:
 * ``random()`` maps a draw to [0, 1) as ``(u64 >> 11) * 2**-53``.
 * ``next_below(n)`` reduces a draw with ``u64 % n`` (the modulo bias is
   negligible for the small n used here).
-* ``normal()`` is Box-Muller on two draws, with the second variate cached:
-  ``u1 = ((u64 >> 11) + 1) * 2**-53`` (never zero), ``u2 = random()``,
-  ``z0 = sqrt(-2 ln u1) cos(2 pi u2)``, ``z1 = sqrt(-2 ln u1) sin(2 pi u2)``.
 * Sub-streams come from ``derive(seed, *keys)``: fold each key into the seed
   with the finalizer, ``s = mix64(s ^ mix64(key))``, starting from
   ``s = mix64(seed)``.
 
 Because the state advances by a fixed gamma, the i-th draw is a pure
-function of (seed, i); ``next_u64_array`` exploits that to produce a block
-of draws with numpy while leaving the stream position exactly as if the
+function of (seed, i); ``stream_draws`` computes any draws of any
+streams that way with numpy, and ``next_u64_array`` uses it to produce
+a block of draws while leaving the stream position exactly as if the
 draws had been made one by one.
 
 How scenario synthesis lays its flows out on these draws (draws per flow
-by role, their order, and when a Box-Muller spare crosses a flow) is
-specified in the "Random-number layout" section of ``synth.py``.
+by role, their order, the Box-Muller rule, and when a Box-Muller spare
+crosses a flow) is specified in the "Random-number layout" section of
+``synth.py``; how a forest draws its bootstrap samples and per-node
+features, in the ``classify.py`` docstring.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -59,14 +58,24 @@ def derive(seed: int, *keys: int) -> int:
     return s
 
 
+def stream_draws(seeds: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Draw number ``positions`` (1-based) of the streams ``SplitMix64(seeds)``.
+
+    Elementwise over the broadcast uint64 arrays; no stream is advanced.
+    """
+    z = seeds + positions * np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
 class SplitMix64:
     """Sequential SplitMix64 stream over a 64-bit state."""
 
-    __slots__ = ("_state", "_spare_normal")
+    __slots__ = ("_state",)
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
-        self._spare_normal: float | None = None
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -74,60 +83,22 @@ class SplitMix64:
 
     def next_u64_array(self, count: int) -> np.ndarray:
         """Vectorized block of draws; advances the stream by ``count``."""
-        steps = np.arange(1, count + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        z = stream_draws(
+            np.uint64(self._state), np.arange(1, count + 1, dtype=np.uint64)
+        )
         self._state = (self._state + count * _GAMMA) & _MASK64
         return z
 
     def random(self) -> float:
         return (self.next_u64() >> 11) * _TWO53_INV
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
     def next_below(self, n: int) -> int:
         if n <= 0:
             raise ValueError("n must be positive")
         return self.next_u64() % n
-
-    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        if self._spare_normal is not None:
-            z = self._spare_normal
-            self._spare_normal = None
-            return mean + std * z
-        u1 = ((self.next_u64() >> 11) + 1) * _TWO53_INV
-        u2 = self.random()
-        r = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._spare_normal = r * math.sin(theta)
-        return mean + std * r * math.cos(theta)
-
-    def lognormal(self, mean: float, sigma: float) -> float:
-        """Log-normal sample with the given natural-scale mean.
-
-        ``sigma`` is the standard deviation in log space; ``mu`` is chosen
-        so that E[X] = mean.
-        """
-        if mean <= 0:
-            raise ValueError("mean must be positive")
-        mu = math.log(mean) - 0.5 * sigma * sigma
-        return math.exp(mu + sigma * self.normal())
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):
             j = self.next_below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), via partial Fisher-Yates."""
-        if not 0 <= k <= n:
-            raise ValueError("need 0 <= k <= n")
-        pool = list(range(n))
-        for i in range(k):
-            j = i + self.next_below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]

@@ -44,11 +44,17 @@ this order:
    session id, big-endian; the ServerHello filler is 16 bytes, and an
    Upload prefix is 0xC3 plus the first 15 bytes of its two draws.
 
-Normals are Box-Muller: a fresh pair costs two draws and yields its
-cosine variate, and its sine variate is kept as the spare, which the
-next normal takes instead of drawing. The spare carries over flow and
-role boundaries. With 4 normals per flow it is empty at every flow
-boundary, so each flow is one fixed stride of 6 counter draws plus its
+Normals are Box-Muller: a fresh pair costs two draws u and v and yields
+its cosine variate. With ``a = ((u >> 11) + 1) * 2**-53`` (never zero),
+``b = (v >> 11) * 2**-53``, ``r = sqrt(-2 * ln a)`` and
+``t = (2 * pi) * b``, a normal with mean m and deviation s is
+``m + (s * r) * cos t``, and the sine variate ``r * sin t`` is kept as
+the spare, which the next normal takes instead of drawing, as
+``m + s * spare``. A log-normal with natural-scale mean m and log-space
+deviation s is ``exp((ln m - 0.5 * s * s) + s * z)``, z a normal with
+mean 0 and deviation 1. The spare carries over flow and role
+boundaries. With 4 normals per flow it is empty at every flow boundary,
+so each flow is one fixed stride of 6 counter draws plus its
 payload draws (the table's last column), in the column order: primary
 pair, packet pair, duration, start, payload. With 3 normals per flow,
 flows alternate between two pairs and one pair, and the spare left by
@@ -415,7 +421,7 @@ def _draw_block(rng: SplitMix64, n_normals: int, count: int, payload_draws: int,
 
     Returns ``(normal, uniforms, payload, spare)``:
     ``normal(q, mean, std)`` is every flow's q-th normal variate, computed
-    as ``SplitMix64.normal(mean, std)`` computes it; ``uniforms`` holds
+    by the Box-Muller rule of the module docstring; ``uniforms`` holds
     each flow's duration and start draws mapped to [0, 1); ``payload`` its
     payload draws; ``spare`` the Box-Muller variate left for the next
     flow, or None. The stream advances as if each flow drew on its own.

@@ -20,6 +20,7 @@ from flowclean.select import clean
 from flowclean.synth import Role, default_scenario, generate
 
 from conftest import make_flow
+from scalar_rng import ScalarStream
 from test_dpi import client_hello, dns_query
 from test_features import ratios
 
@@ -183,7 +184,7 @@ def test_criterion_4_lloyd_sse_never_increases(monkeypatch):
     monkeypatch.setattr(cluster_mod, "sse", recording_sse)
     worst = 0.0
     for trial in range(100):
-        rng = SplitMix64(trial)
+        rng = ScalarStream(trial)
         values = np.array(
             [rng.normal() for _ in range(200 * 6)], dtype=np.float64
         ).reshape(200, 6)

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 import flowclean.classify as classify_mod
 from flowclean.classify import (
     ForestModel,
-    _TreeBuilder,
+    _Tree,
+    _sample_features,
     compute_metrics,
     evaluate,
     read_model,
@@ -25,8 +26,10 @@ from flowclean.classify import (
 )
 from flowclean.errors import EmptyTest, LabelTooSmall, SingleClass
 from flowclean.features import ALL_FEATURES, feature_matrix
+from flowclean.rng import derive
 
 from conftest import make_flow
+from scalar_rng import ScalarStream
 
 
 def labeled_flows(label: str, n: int, base_id: int = 0, **overrides):
@@ -200,6 +203,123 @@ def test_train_rejects_bad_hyperparameters(param, value):
         train(separable_flows(5), **{param: value})
 
 
+class _TreeBuilder:
+    """Oracle: the forest's trees grown one node at a time, in preorder.
+
+    Each node's split search sorts the node's rows once for its sampled
+    features and scores every cut with class-count cumsums; the
+    lockstep grower must build the same trees.
+    """
+
+    def __init__(self, x, y, n_classes, max_depth, min_leaf, features_per_split, rng):
+        self.x = x
+        self.y = y
+        self.n_classes = n_classes
+        self.max_depth = max_depth
+        self.min_leaf = min_leaf
+        self.features_per_split = features_per_split
+        self.rng = rng
+        self.one_hot = np.eye(n_classes, dtype=np.float64)
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.histogram: list[np.ndarray] = []
+
+    def build(self, indices: np.ndarray, depth: int) -> int:
+        node = len(self.feature)
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        y_node = self.y[indices]
+        hist = np.bincount(y_node, minlength=self.n_classes)
+        self.histogram.append(hist)
+        if (
+            depth >= self.max_depth
+            or len(indices) < 2 * self.min_leaf
+            or np.count_nonzero(hist) <= 1
+        ):
+            return node
+        found = self._best_split(indices, y_node, hist)
+        if found is None:
+            return node
+        feat, thr = found
+        mask = self.x[indices, feat] <= thr
+        self.feature[node] = feat
+        self.threshold[node] = thr
+        self.left[node] = self.build(indices[mask], depth + 1)
+        self.right[node] = self.build(indices[~mask], depth + 1)
+        return node
+
+    def _best_split(self, indices, y_node, hist):
+        # Score scale: n * weighted Gini, cheaper and order-equivalent;
+        # strict < lets the first sampled feature win a tie.
+        n = len(indices)
+        totals = hist.astype(np.float64)
+        parent = n - float(totals @ totals) / n
+        feats = self.rng.sample_indices(self.x.shape[1], self.features_per_split)
+        columns = np.arange(len(feats))
+        xf = self.x[indices[:, None], feats]
+        order = np.argsort(xf, axis=0)
+        xs = xf[order, columns]
+        # cut i puts sorted rows 0..i left: i + 1 rows left, n - i - 1 right
+        lo, hi = self.min_leaf - 1, n - self.min_leaf
+        cum = np.cumsum(self.one_hot[y_node[order[:hi]]], axis=0)
+        left = cum[lo:]
+        right = totals - left
+        nl = np.arange(lo + 1, hi + 1, dtype=np.float64)[:, None]
+        nr = n - nl
+        score = (
+            nl
+            - np.einsum("ijk,ijk->ij", left, left) / nl
+            + nr
+            - np.einsum("ijk,ijk->ij", right, right) / nr
+        )
+        score = np.where(xs[lo + 1 : hi + 1] > xs[lo:hi], score, np.inf)
+        pos = np.argmin(score, axis=0)
+        best_score = parent - 1e-12
+        best = -1
+        for col, col_score in enumerate(score[pos, columns].tolist()):
+            if col_score < best_score:
+                best_score = col_score
+                best = col
+        if best < 0:
+            return None
+        cut = lo + pos[best]
+        return feats[best], float((xs[cut, best] + xs[cut + 1, best]) / 2.0)
+
+    def finish(self) -> _Tree:
+        return _Tree(
+            feature=np.array(self.feature, dtype=np.int64),
+            threshold=np.array(self.threshold, dtype=np.float64),
+            left=np.array(self.left, dtype=np.int64),
+            right=np.array(self.right, dtype=np.int64),
+            histogram=np.array(self.histogram, dtype=np.int64),
+        )
+
+
+def oracle_trees(flows, n_trees, max_depth=16, min_leaf=2, features_per_split=3,
+                 seed=42, bootstrap=True, builder=_TreeBuilder):
+    """train's trees, each grown by builder from its stream derive(seed, t)."""
+    labels = sorted({f.app_label for f in flows})
+    x = feature_matrix(flows)
+    y = np.array([labels.index(f.app_label) for f in flows], dtype=np.int64)
+    n = len(flows)
+    trees = []
+    for t in range(n_trees):
+        rng = ScalarStream(derive(seed, t))
+        if bootstrap:
+            sample = np.array([rng.next_u64() % n for _ in range(n)], dtype=np.int64)
+        else:
+            sample = np.arange(n)
+        tree = builder(x[sample], y[sample], len(labels), max_depth, min_leaf,
+                       features_per_split, rng)
+        tree.build(np.arange(n), 0)
+        trees.append(tree.finish())
+    return trees
+
+
 class _PerFeatureBuilder(_TreeBuilder):
     """Oracle: the split search as a loop over the sampled features.
 
@@ -286,23 +406,79 @@ def tie_heavy_flows(draw):
     features_per_split=st.integers(1, len(ALL_FEATURES)),
     bootstrap=st.booleans(),
     seed=st.integers(0, 2**32),
+    block_trees=st.integers(1, 3),
+    chunk_rows=st.integers(1, 100),
 )
 def test_batched_split_search_matches_per_feature_oracle(
-    flows, min_leaf, features_per_split, bootstrap, seed
+    flows, min_leaf, features_per_split, bootstrap, seed, block_trees, chunk_rows
 ):
     kwargs = dict(n_trees=3, min_leaf=min_leaf,
                   features_per_split=features_per_split,
                   seed=seed, bootstrap=bootstrap)
-    model = train(flows, **kwargs)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify_mod, "_TreeBuilder", _PerFeatureBuilder)
-        oracle = train(flows, **kwargs)
-    for got, want in zip(model.trees, oracle.trees):
-        assert np.array_equal(got.feature, want.feature)
+        # small chunks split a step between nodes and put a large node alone
+        mp.setattr(classify_mod, "_BLOCK_TREES", block_trees)
+        mp.setattr(classify_mod, "_CHUNK_ROWS", chunk_rows)
+        model = train(flows, **kwargs)
+    for builder in (_TreeBuilder, _PerFeatureBuilder):
+        oracle = oracle_trees(flows, builder=builder, **kwargs)
+        for got, want in zip(model.trees, oracle, strict=True):
+            assert np.array_equal(got.feature, want.feature)
+            assert got.threshold.tobytes() == want.threshold.tobytes()
+            assert np.array_equal(got.left, want.left)
+            assert np.array_equal(got.right, want.right)
+            assert np.array_equal(got.histogram, want.histogram)
+
+
+def test_threshold_rounded_onto_the_upper_value_sends_its_rows_left():
+    # 2**53 + 2 and 2**53 + 4 are adjacent doubles whose midpoint rounds
+    # to the upper one, so x <= threshold sends every row left: the right
+    # child is empty, as in the per-node oracle
+    flows = [make_flow(flow_id=i, app_label=f"c{i % 2}",
+                       bytes_in=2**53 + 2 + 2 * (i % 2), bytes_out=0)
+             for i in range(8)]
+    kwargs = dict(n_trees=2, max_depth=2, min_leaf=1, features_per_split=8,
+                  seed=0, bootstrap=False)
+    model = train(flows, **kwargs)
+    for got, want in zip(model.trees, oracle_trees(flows, **kwargs), strict=True):
+        assert got.threshold[0] == 2**53 + 4
+        assert got.histogram[got.right[0]].sum() == 0
         assert got.threshold.tobytes() == want.threshold.tobytes()
-        assert np.array_equal(got.left, want.left)
         assert np.array_equal(got.right, want.right)
         assert np.array_equal(got.histogram, want.histogram)
+
+
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    n_rows=st.integers(0, 300),
+    calls=st.integers(0, 40),
+    k=st.integers(1, len(ALL_FEATURES)),
+)
+def test_feature_draws_match_sample_indices_after_the_bootstrap(seeds, n_rows, calls, k):
+    expected = []
+    for seed in seeds:
+        rng = ScalarStream(seed)
+        rng.next_u64_array(n_rows)
+        for _ in range(calls):
+            rng.sample_indices(len(ALL_FEATURES), k)
+        expected.append(rng.sample_indices(len(ALL_FEATURES), k))
+    first = np.full(len(seeds), n_rows + calls * k, dtype=np.uint64)
+    got = _sample_features(np.array(seeds, dtype=np.uint64), first, len(ALL_FEATURES), k)
+    assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("max_depth", [1, 4])
+def test_tree_depth_is_its_deepest_leaf(max_depth):
+    def leaf_depths(tree, node=0, depth=0):
+        if tree.feature[node] < 0:
+            return [depth]
+        return (leaf_depths(tree, tree.left[node], depth + 1)
+                + leaf_depths(tree, tree.right[node], depth + 1))
+
+    model = train(overlapping_flows(), n_trees=4, max_depth=max_depth, seed=1)
+    for tree in model.trees:
+        assert tree.depth() == max(leaf_depths(tree)) <= max_depth
+    assert max(tree.depth() for tree in model.trees) == max_depth
 
 
 def test_predict_tie_breaks_to_first_label():
@@ -525,13 +701,24 @@ def test_no_child_process_outlives_train(many_cpus):
     assert_no_child_left(before)
 
 
+# Stand-ins for classify._grow_block. The pool sends the function it maps
+# by name, so they live at module level, where a worker finds them.
+_grow_block = classify_mod._grow_block
+
+
+def _broken_block(trees, job=None):
+    raise RuntimeError("tree builder failed")
+
+
+def _slow_block(trees, job=None):
+    time.sleep(0.3)
+    return _grow_block(trees, job)
+
+
 @needs_fork_and_proc
 def test_worker_error_reaches_caller_and_no_child_is_left(many_cpus, monkeypatch):
-    def broken(self, indices, depth):
-        raise RuntimeError("tree builder failed")
-
     # patched before the pool forks, so every worker inherits it
-    monkeypatch.setattr(_TreeBuilder, "build", broken)
+    monkeypatch.setattr(classify_mod, "_grow_block", _broken_block)
     before = child_processes()
     with pytest.raises(RuntimeError, match="^tree builder failed$") as exc_info:
         train(overlapping_flows(), n_trees=8, workers=2)
@@ -542,14 +729,9 @@ def test_worker_error_reaches_caller_and_no_child_is_left(many_cpus, monkeypatch
 
 @needs_fork_and_proc
 def test_interrupt_cancels_unstarted_trees_and_no_child_is_left(many_cpus, monkeypatch):
-    build = _TreeBuilder.build
-
-    def slow(self, indices, depth):
-        if depth == 0:
-            time.sleep(0.3)
-        return build(self, indices, depth)
-
-    monkeypatch.setattr(_TreeBuilder, "build", slow)
+    # a block of one tree each: a running block finishes, the rest are cancelled
+    monkeypatch.setattr(classify_mod, "_BLOCK_TREES", 1)
+    monkeypatch.setattr(classify_mod, "_grow_block", _slow_block)
     before = child_processes()
     # 40 trees of >= 0.3 s each on 2 workers would take >= 6 s
     timer = threading.Timer(0.5, _thread.interrupt_main)

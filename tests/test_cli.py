@@ -354,10 +354,12 @@ def test_compare_report_and_hash_stability(tmp_path, scenario_file, capsys):
         assert set(arm) == {"flows", "train", "test", "metrics", "loss_vs_oracle"}
     assert set(report["forest"]) == set(report["arms"])
     for size in report["forest"].values():
-        assert set(size) == {"trees", "nodes", "leaves"}
+        assert set(size) == {"trees", "nodes", "leaves", "depth"}
         assert size["trees"] == 100
         # every internal node has two children: nodes = 2 * leaves - trees
         assert size["nodes"] == 2 * size["leaves"] - size["trees"]
+        # the forest's default max_depth bounds its deepest leaf
+        assert 1 <= size["depth"] <= 16
     assert report["arms"]["oracle"]["loss_vs_oracle"]["accuracy"] == 0.0
     assert set(report["timings_ms"]) == {
         *(f"clean_kmeans_{stage}"

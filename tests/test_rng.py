@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from flowclean.rng import SplitMix64, derive, mix64
+from flowclean.rng import SplitMix64, derive, mix64, stream_draws
+
+from scalar_rng import ScalarStream
 
 MASK = (1 << 64) - 1
 
@@ -40,6 +42,23 @@ def test_vectorized_draws_match_scalar_draws():
     assert scalar.next_u64() == vector.next_u64()
 
 
+@given(
+    st.lists(st.integers(0, MASK), min_size=1, max_size=5),
+    st.lists(st.integers(0, 2**40), min_size=1, max_size=5),
+)
+def test_stream_draws_match_scalar_draws(seeds, positions):
+    got = stream_draws(
+        np.array(seeds, dtype=np.uint64)[:, None], np.array(positions, dtype=np.uint64)
+    )
+    for seed, row in zip(seeds, got.tolist()):
+        for position, draw in zip(positions, row):
+            # draw i of a stream is the finalizer of seed + i * gamma
+            assert draw == mix64(seed + position * 0x9E3779B97F4A7C15)
+    assert stream_draws(np.uint64(seeds[0]), np.arange(1, 4, dtype=np.uint64)).tolist() == (
+        reference_stream(seeds[0], 3)
+    )
+
+
 def test_vectorized_draws_split_anywhere():
     one = SplitMix64(7)
     two = SplitMix64(7)
@@ -61,7 +80,7 @@ def test_random_in_unit_interval():
 
 
 def test_uniform_bounds():
-    rng = SplitMix64(4)
+    rng = ScalarStream(4)
     for _ in range(500):
         v = rng.uniform(-3.0, 7.0)
         assert -3.0 <= v < 7.0
@@ -78,21 +97,21 @@ def test_next_below_range_and_determinism():
 
 
 def test_normal_moments():
-    rng = SplitMix64(6)
+    rng = ScalarStream(6)
     draws = np.array([rng.normal() for _ in range(20000)])
     assert abs(draws.mean()) < 0.03
     assert abs(draws.std() - 1.0) < 0.03
 
 
 def test_normal_mean_std_parameters():
-    rng = SplitMix64(61)
+    rng = ScalarStream(61)
     draws = np.array([rng.normal(100.0, 15.0) for _ in range(20000)])
     assert abs(draws.mean() - 100.0) < 0.5
     assert abs(draws.std() - 15.0) < 0.5
 
 
 def test_lognormal_natural_scale_mean():
-    rng = SplitMix64(7)
+    rng = ScalarStream(7)
     draws = np.array([rng.lognormal(5000.0, 0.4) for _ in range(20000)])
     assert (draws > 0).all()
     assert abs(draws.mean() / 5000.0 - 1.0) < 0.03
@@ -100,7 +119,7 @@ def test_lognormal_natural_scale_mean():
 
 def test_lognormal_rejects_nonpositive_mean():
     with pytest.raises(ValueError):
-        SplitMix64(1).lognormal(0.0, 0.3)
+        ScalarStream(1).lognormal(0.0, 0.3)
 
 
 def test_shuffle_is_permutation_and_deterministic():
@@ -115,7 +134,7 @@ def test_shuffle_is_permutation_and_deterministic():
 
 
 def test_sample_indices_distinct_and_in_range():
-    rng = SplitMix64(9)
+    rng = ScalarStream(9)
     for k in (0, 1, 5, 12):
         picked = rng.sample_indices(12, k)
         assert len(picked) == k
@@ -142,7 +161,7 @@ def test_seed_wraps_modulo_64_bits():
 
 def test_normal_spare_is_consumed_in_order():
     # two consecutive draws use one Box-Muller pair
-    rng = SplitMix64(10)
+    rng = ScalarStream(10)
     pair = [rng.normal(), rng.normal()]
     fresh = SplitMix64(10)
     u1 = ((fresh.next_u64() >> 11) + 1) * 2.0**-53
