@@ -18,13 +18,14 @@ import json
 import logging
 import sys
 import time
+from collections.abc import Collection
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import classify, synth
 from .cluster import Algorithm, Linkage
 from .dpi import DEFAULT_BLOCKLIST, read_blocklist
-from .errors import FlowcleanError
+from .errors import FlowcleanError, ParseError
 from .ingest import (
     apply_tags,
     assemble_flows_with_meta,
@@ -36,17 +37,29 @@ from .ingest import (
 from .select import DEFAULT_POLICY, clean, read_rules
 
 
-def read_config(path: str | Path) -> dict[str, str]:
-    """Parse a line-oriented `key = value` config file."""
+def read_config(
+    path: str | Path, keys: Collection[str] | None = None
+) -> dict[str, str]:
+    """Parse a line-oriented `key = value` config file.
+
+    A line without '=', or with a key outside `keys` when that is
+    given, raises ParseError naming the file and the line.
+    """
     out: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+            raise ParseError("expected 'key = value'", lineno, str(path))
+        key, value = (part.strip() for part in line.split("=", 1))
+        if keys is not None and key not in keys:
+            raise ParseError(
+                f"unknown key {key!r}; expected one of {', '.join(sorted(keys))}",
+                lineno,
+                str(path),
+            )
+        out[key] = value
     return out
 
 
@@ -60,7 +73,9 @@ class _Options:
         self.args = args
         self.config: dict[str, str] = {}
         if getattr(args, "config", None):
-            self.config = read_config(args.config)
+            # a key is any of the subcommand's own flags
+            keys = set(vars(args)) - {"command", "config", "log_level"}
+            self.config = read_config(args.config, keys)
 
     def get(self, key: str, default, cast=str):
         flag = getattr(self.args, key, None)

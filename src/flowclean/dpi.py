@@ -10,11 +10,13 @@ are discarded as well. Everything else passes through to clustering.
 from __future__ import annotations
 
 import logging
+import re
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+from .errors import ParseError
 from .ingest import FlowRecord, TCP
 
 logger = logging.getLogger(__name__)
@@ -83,13 +85,29 @@ class Blocklist:
 DEFAULT_BLOCKLIST = Blocklist.of(*DEFAULT_BLOCKLIST_SUFFIXES)
 
 
+# dot-separated labels, optionally after one leading dot
+_SUFFIX = re.compile(r"\.?[^\s.*]+(?:\.[^\s.*]+)*")
+
+
 def read_blocklist(path: str | Path) -> Blocklist:
-    """Read a blocklist file: one suffix per line, # comments allowed."""
+    """Read a blocklist file: one suffix per line, # comments allowed.
+
+    An entry with a space, a ``*`` or an empty label matches no hostname,
+    so it raises ParseError naming the file and the line.
+    """
     suffixes = []
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line:
-            suffixes.append(line)
+        if not line:
+            continue
+        if not _SUFFIX.fullmatch(line):
+            raise ParseError(
+                f"blocklist entry {line!r} can match no hostname; expected "
+                "dot-separated labels without spaces or '*'",
+                lineno,
+                str(path),
+            )
+        suffixes.append(line)
     return Blocklist.of(*suffixes)
 
 

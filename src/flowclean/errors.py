@@ -29,7 +29,7 @@ class ShapeMismatch(FlowcleanError):
 
 
 class ParseError(FlowcleanError):
-    """A rule, scenario, or config file failed to parse.
+    """A rule, scenario, config, tag-map or blocklist file failed to parse.
 
     Carries the 1-based line number of the offending line, and the
     file's name when the text came from a file.

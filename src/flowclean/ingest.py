@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import MalformedCapture, SchemaMismatch
+from .errors import MalformedCapture, ParseError, SchemaMismatch
 
 logger = logging.getLogger(__name__)
 
@@ -87,14 +87,6 @@ class FlowRecord(NamedTuple):
     payload_bytes_total: int
     client_payload_prefix: bytes
     server_payload_prefix: bytes
-
-    @property
-    def dst_port(self) -> int:
-        return self.key.server_port
-
-    @property
-    def transport(self) -> str:
-        return self.key.transport
 
 
 @dataclass(frozen=True)
@@ -478,7 +470,7 @@ def parse_mac(text: str) -> bytes:
 def read_tag_map(path: str | Path) -> TagMap:
     """Read a tag-map file: 'mac <hex-mac> <label>' / 'vlan <id> <label>'.
 
-    A bad line raises ValueError naming the file and the line.
+    A bad line raises ParseError naming the file and the line.
     """
     tags = TagMap()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -505,7 +497,7 @@ def read_tag_map(path: str | Path) -> TagMap:
             else:
                 raise ValueError(f"unknown entry kind {kind!r}")
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+            raise ParseError(str(exc), lineno, str(path)) from None
     return tags
 
 

@@ -25,10 +25,10 @@ a block of draws while leaving the stream position exactly as if the
 draws had been made one by one.
 
 How scenario synthesis lays its flows out on these draws (draws per flow
-by role, their order, the Box-Muller rule, and when a Box-Muller spare
-crosses a flow) is specified in the "Random-number layout" section of
-``synth.py``; how a forest draws its bootstrap samples and per-node
-features, in the ``classify.py`` docstring.
+by role, their order and the Box-Muller rule) is specified in the
+"Random-number layout" section of ``synth.py``; how a forest draws its
+bootstrap samples and per-node features, in the ``classify.py``
+docstring.
 """
 
 from __future__ import annotations

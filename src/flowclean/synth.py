@@ -20,14 +20,14 @@ step per app so a classifier has something to learn.
 Random-number layout
 --------------------
 App i draws from ``SplitMix64(derive(seed, i))`` (see rng.py), role by
-role in ROLE_ORDER and flow by flow within a role. A flow draws, in
-this order:
+role in ROLE_ORDER and flow by flow within a role. Every flow draws,
+in this order:
 
-1. Its normal variates: the primary side's log-normal bytes, the
-   secondary side's log-normal bytes (``secondary_mean``) or log-normal
-   fraction (``secondary_frac``), then the primary and the secondary
-   mean packet size. A spec with neither secondary field skips the
-   second variate and uses 3 normals per flow; the others use 4.
+1. Four normal variates from two Box-Muller pairs: the primary side's
+   log-normal bytes and the secondary side's log-normal bytes
+   (``secondary_mean``) or log-normal fraction (``secondary_frac``)
+   from the first pair, then the primary and the secondary mean packet
+   size from the second.
 2. Two uniforms: the duration, then the start.
 3. Its payload draws, per role:
 
@@ -44,22 +44,19 @@ this order:
    session id, big-endian; the ServerHello filler is 16 bytes, and an
    Upload prefix is 0xC3 plus the first 15 bytes of its two draws.
 
-Normals are Box-Muller: a fresh pair costs two draws u and v and yields
-its cosine variate. With ``a = ((u >> 11) + 1) * 2**-53`` (never zero),
-``b = (v >> 11) * 2**-53``, ``r = sqrt(-2 * ln a)`` and
-``t = (2 * pi) * b``, a normal with mean m and deviation s is
-``m + (s * r) * cos t``, and the sine variate ``r * sin t`` is kept as
-the spare, which the next normal takes instead of drawing, as
-``m + s * spare``. A log-normal with natural-scale mean m and log-space
-deviation s is ``exp((ln m - 0.5 * s * s) + s * z)``, z a normal with
-mean 0 and deviation 1. The spare carries over flow and role
-boundaries. With 4 normals per flow it is empty at every flow boundary,
-so each flow is one fixed stride of 6 counter draws plus its
+Four normals use both variates of both pairs, so no variate crosses a
+flow, and each flow is one fixed stride of 6 counter draws plus its
 payload draws (the table's last column), in the column order: primary
-pair, packet pair, duration, start, payload. With 3 normals per flow,
-flows alternate between two pairs and one pair, and the spare left by
-an odd count crosses into the next role, shifting its layout by one
-normal.
+pair, packet pair, duration, start, payload.
+
+Normals are Box-Muller: a pair costs two draws u and v and yields two
+variates. With ``a = ((u >> 11) + 1) * 2**-53`` (never zero),
+``b = (v >> 11) * 2**-53``, ``r = sqrt(-2 * ln a)`` and
+``t = (2 * pi) * b``, the pair's first normal with mean m and deviation
+s is ``m + (s * r) * cos t`` and its second is ``m + s * (r * sin t)``.
+A log-normal with natural-scale mean m and log-space deviation s is
+``exp((ln m - 0.5 * s * s) + s * z)``, z a normal with mean 0 and
+deviation 1.
 
 generate draws each role as one block per up to _BLOCK_FLOWS flows
 with ``SplitMix64.next_u64_array`` and computes its flows column by
@@ -80,7 +77,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, ParseError
 from .ingest import FlowKey, FlowRecord, TCP, UDP
 from .rng import SplitMix64, derive
 
@@ -141,6 +138,9 @@ class RoleSpec:
     The primary direction's wire bytes are drawn log-normally; the
     other direction is either drawn independently (secondary_mean) or
     coupled as a log-normal fraction of the primary (secondary_frac).
+    Exactly one of the two must be set, so every flow draws four
+    normals and the fixed stride of 6 + payload draws that the module
+    docstring lays out; setting neither or both raises InvalidSpec.
     Packet counts follow from bytes via a jittered mean packet size.
     Durations are uniform in seconds, or in fractions of the capture
     when duration_frac is set.
@@ -163,6 +163,13 @@ class RoleSpec:
     duration_frac: tuple[float, float] | None = None
     transport: str = TCP
     dst_port: int = 443
+
+    def __post_init__(self):
+        if (self.secondary_mean is None) == (self.secondary_frac is None):
+            raise InvalidSpec(
+                f"{self.role.value}: set exactly one of secondary_mean and "
+                "secondary_frac"
+            )
 
 
 @dataclass
@@ -312,7 +319,7 @@ def default_scenario(
 def read_scenario(path: str | Path) -> ScenarioSpec:
     """Parse a scenario file: app/role/capture_duration_s/seed lines.
 
-    A bad line raises InvalidSpec naming the file and the line.
+    A bad line raises ParseError naming the file and the line.
     """
     apps: list[AppSpec] = []
     capture = 7200.0
@@ -330,7 +337,7 @@ def read_scenario(path: str | Path) -> ScenarioSpec:
             elif parts[0] == "capture_duration_s" and len(parts) == 2:
                 capture = float(parts[1])
                 if not (math.isfinite(capture) and capture > 0):
-                    raise InvalidSpec(_DURATION_RULE)
+                    raise ValueError(_DURATION_RULE)
             elif parts[0] == "app" and len(parts) == 2:
                 current = AppSpec(
                     label=parts[1],
@@ -340,15 +347,15 @@ def read_scenario(path: str | Path) -> ScenarioSpec:
                 apps.append(current)
             elif parts[0] == "role" and len(parts) == 3:
                 if current is None:
-                    raise InvalidSpec("role line before any app")
+                    raise ValueError("role line before any app")
                 role = role_by_name.get(parts[1])
                 if role is None:
-                    raise InvalidSpec(f"unknown role {parts[1]!r}")
+                    raise ValueError(f"unknown role {parts[1]!r}")
                 current.counts[role] = current.counts.get(role, 0) + int(parts[2])
             else:
-                raise InvalidSpec(f"unrecognized line {line!r}")
-        except (ValueError, InvalidSpec) as exc:
-            raise InvalidSpec(f"{path}:{lineno}: {exc}") from None
+                raise ValueError(f"unrecognized line {line!r}")
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno, str(path)) from None
     return ScenarioSpec(apps=apps, capture_duration_s=capture, seed=seed)
 
 
@@ -363,10 +370,14 @@ def build_dns_query(hostname: str, txid: int) -> bytes:
     return header + qname + struct.pack(">HH", 1, 1)  # A, IN
 
 
-def build_client_hello(sni: str | None, rng: SplitMix64) -> bytes:
-    """TLS 1.2 ClientHello record, optionally carrying an SNI."""
-    random_bytes = struct.pack(">4Q", *(rng.next_u64() for _ in range(4)))
-    session_id = struct.pack(">4Q", *(rng.next_u64() for _ in range(4)))
+def _hello_template(sni: str | None) -> tuple[bytes, bytes, bytes]:
+    """A TLS 1.2 ClientHello record, optionally carrying an SNI, in three parts.
+
+    The parts surround its two 32-byte fields of draws: the bytes before
+    the random field (record header, handshake header, version), the
+    session id's length byte between the random field and the session
+    id, and the bytes after the session id.
+    """
     cipher_suites = struct.pack(
         ">8H", 0x1301, 0x1302, 0x1303, 0xC02B, 0xC02F, 0xC02C, 0xC030, 0x00FF
     )
@@ -380,96 +391,61 @@ def build_client_hello(sni: str | None, rng: SplitMix64) -> bytes:
     sigalgs = struct.pack(">H", 4) + struct.pack(">HH", 0x0403, 0x0804)
     extensions += struct.pack(">HH", 13, len(sigalgs)) + sigalgs
 
-    body = (
-        b"\x03\x03"
-        + random_bytes
-        + bytes([len(session_id)])
-        + session_id
-        + struct.pack(">H", len(cipher_suites))
+    tail = (
+        struct.pack(">H", len(cipher_suites))
         + cipher_suites
         + b"\x01\x00"  # null compression only
         + struct.pack(">H", len(extensions))
         + extensions
     )
-    handshake = b"\x01" + len(body).to_bytes(3, "big") + body
-    return b"\x16\x03\x01" + struct.pack(">H", len(handshake)) + handshake
-
-
-def _hello_template(sni: str | None) -> tuple[bytes, bytes, bytes]:
-    """build_client_hello's record around its two 32-byte random fields.
-
-    The random field follows the 5-byte record header, the 4-byte
-    handshake header and the 2-byte version; the session id's length byte
-    sits between it and the session id.
-    """
-    hello = build_client_hello(sni, SplitMix64(0))
-    return hello[:11], hello[43:44], hello[76:]
+    body_len = 2 + 32 + 1 + 32 + len(tail)
+    head = (
+        b"\x16\x03\x01"
+        + struct.pack(">H", 4 + body_len)
+        + b"\x01"
+        + body_len.to_bytes(3, "big")
+        + b"\x03\x03"
+    )
+    return head, bytes([32]), tail
 
 
 def _libm(func, values: np.ndarray) -> np.ndarray:
-    """``func`` from math over a 1-D array.
+    """``func`` from math over an array.
 
     numpy's own log, exp, cos and sin may differ from libm in the last
     bit, depending on the build; the streams must not.
     """
-    return np.fromiter(map(func, values.tolist()), np.float64, values.size)
+    out = np.fromiter(map(func, values.ravel().tolist()), np.float64, values.size)
+    return out.reshape(values.shape)
 
 
-def _draw_block(rng: SplitMix64, n_normals: int, count: int, payload_draws: int,
-                spare: float | None):
+def _draw_block(rng: SplitMix64, count: int, payload_draws: int):
     """Draw `count` flows' random numbers as one block; split it into columns.
 
-    Returns ``(normal, uniforms, payload, spare)``:
-    ``normal(q, mean, std)`` is every flow's q-th normal variate, computed
-    by the Box-Muller rule of the module docstring; ``uniforms`` holds
-    each flow's duration and start draws mapped to [0, 1); ``payload`` its
-    payload draws; ``spare`` the Box-Muller variate left for the next
-    flow, or None. The stream advances as if each flow drew on its own.
+    Returns ``(normal, uniforms, payload)``: ``normal(q, mean, std)`` is
+    every flow's q-th normal variate (q in 0..3), computed by the
+    Box-Muller rule of the module docstring; ``uniforms`` holds each
+    flow's duration and start draws mapped to [0, 1); ``payload`` its
+    payload draws. The stream advances as if each flow drew on its own.
     """
-    carried = 0 if spare is None else 1
-    # normal j is the carried spare (j = 0 when carried), or the cosine
-    # (j - carried even) or sine (odd) of pair (j - carried) // 2
-    n_pairs = (count * n_normals - carried + 1) // 2
-    per_flow = 2 + payload_draws
-    block = rng.next_u64_array(2 * n_pairs + count * per_flow)
-    pair = np.arange(n_pairs)
-    # a pair is drawn by the flow of its cosine, after that flow's earlier pairs
-    pair_at = 2 * pair + (2 * pair + carried) // n_normals * per_flow
-    u1 = ((block[pair_at] >> 11) + 1).astype(np.float64) * _TWO53_INV
-    u2 = (block[pair_at + 1] >> 11).astype(np.float64) * _TWO53_INV
+    block = rng.next_u64_array(count * (6 + payload_draws)).reshape(count, -1)
+    # columns 0-1 and 2-3 are the flow's two pairs (u, v); normal 2p is
+    # pair p's cosine variate and normal 2p + 1 its sine variate
+    u1 = ((block[:, 0:4:2] >> 11) + 1).astype(np.float64) * _TWO53_INV
+    u2 = (block[:, 1:4:2] >> 11).astype(np.float64) * _TWO53_INV
     theta = (2.0 * math.pi) * u2
     r = np.sqrt(-2.0 * _libm(math.log, u1))
     cos = _libm(math.cos, theta)
-    # sines[p + 1] is pair p's sine variate; sines[0] the carried spare
-    carried_value = 0.0 if spare is None else spare
-    sines = np.concatenate(([carried_value], r * _libm(math.sin, theta)))
-
-    j = np.arange(count * n_normals).reshape(count, n_normals) - carried
-    is_cos = j % 2 == 0
-    of_pair = j // 2
+    sines = r * _libm(math.sin, theta)
 
     def normal(q: int, mean: float, std: float) -> np.ndarray:
-        p = of_pair[:, q]
-        at = np.maximum(p, 0)  # p is -1 only in a sine slot: the carried spare
-        return np.where(
-            is_cos[:, q],
-            mean + (std * r[at]) * cos[at],
-            mean + std * sines[p + 1],
-        )
+        p = q // 2
+        if q % 2:
+            return mean + std * sines[:, p]
+        return mean + (std * r[:, p]) * cos[:, p]
 
-    spare = sines[-1].item() if (count * n_normals - carried) % 2 else None
-    # a flow's uniforms follow every pair whose cosine belongs to it or an earlier flow
-    flow = np.arange(count)
-    rest_at = 2 * ((n_normals * (flow + 1) - carried + 1) // 2) + flow * per_flow
-    rest = block[rest_at[:, None] + np.arange(per_flow)]
-    uniforms = (rest[:, :2] >> 11).astype(np.float64) * _TWO53_INV
-    return normal, uniforms, rest[:, 2:], spare
-
-
-def _normals_per_flow(spec: RoleSpec) -> int:
-    if spec.secondary_frac is None and spec.secondary_mean is None:
-        return 3
-    return 4
+    uniforms = (block[:, 4:6] >> 11).astype(np.float64) * _TWO53_INV
+    return normal, uniforms, block[:, 6:]
 
 
 def _flow_columns(spec: RoleSpec, capture_s: float, normal, uniforms: np.ndarray):
@@ -495,17 +471,12 @@ def _flow_columns(spec: RoleSpec, capture_s: float, normal, uniforms: np.ndarray
     if spec.secondary_frac is not None:
         frac = lognormal(1, spec.secondary_frac, spec.secondary_frac_sigma)
         secondary = np.maximum(1.0, np.rint(primary * frac))
-    elif spec.secondary_mean is not None:
+    else:
         secondary = np.maximum(
             1.0, np.rint(lognormal(1, spec.secondary_mean, spec.secondary_sigma))
         )
-    else:
-        secondary = np.ones_like(primary)
-    q = _normals_per_flow(spec) - 2
-    pkts_primary = packets(q, primary, spec.pkt_primary, spec.pkt_primary_jitter)
-    pkts_secondary = packets(
-        q + 1, secondary, spec.pkt_secondary, spec.pkt_secondary_jitter
-    )
+    pkts_primary = packets(2, primary, spec.pkt_primary, spec.pkt_primary_jitter)
+    pkts_secondary = packets(3, secondary, spec.pkt_secondary, spec.pkt_secondary_jitter)
     header = _TCP_HEADER if spec.transport == TCP else _UDP_HEADER
     # wire bytes can never undercut the headers of the packets carrying them
     primary = np.maximum(primary, pkts_primary * header)
@@ -604,7 +575,6 @@ def generate_app(
     _BLOCK_FLOWS flows; the module docstring gives the layout.
     """
     rng = SplitMix64(seed)
-    spare: float | None = None
     client_ip = f"192.168.{app_index + 1}.2"
     flows: list[FlowRecord] = []
     roles: list[Role] = []
@@ -618,11 +588,10 @@ def generate_app(
         if not count:
             continue
         server_ips = [f"10.{app_index + 1}.{position}.{1 + i}" for i in range(250)]
-        n_normals = _normals_per_flow(spec)
         for first in range(0, count, _BLOCK_FLOWS):
             n = min(_BLOCK_FLOWS, count - first)
-            normal, uniforms, payload_draws, spare = _draw_block(
-                rng, n_normals, n, _PAYLOAD_DRAWS[role], spare
+            normal, uniforms, payload_draws = _draw_block(
+                rng, n, _PAYLOAD_DRAWS[role]
             )
             columns = _flow_columns(spec, capture_duration_s, normal, uniforms)
             payloads = _payloads(role, app.label, payload_draws)

@@ -9,6 +9,7 @@ import flowclean.cli as cli_mod
 import flowclean.cluster as cluster_mod
 from flowclean.cli import _canonical_sha256, main, read_config, run_compare
 from flowclean.cluster import Algorithm
+from flowclean.errors import ParseError
 from flowclean.ingest import read_flow_table
 from flowclean.select import clean
 from flowclean.synth import read_scenario
@@ -419,8 +420,25 @@ def test_read_config(tmp_path):
 def test_read_config_bad_line(tmp_path):
     path = tmp_path / "bad.conf"
     path.write_text("just-a-word\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match=r"bad\.conf:1: expected 'key = value'"):
         read_config(path)
+
+
+def test_config_key_without_a_flag_is_an_error(tmp_path, scenario_file, capsys):
+    # a misspelt key must not fall back to the default (100 trees here)
+    synth_dir = synth_into(tmp_path, scenario_file)
+    config = tmp_path / "train.conf"
+    config.write_text(f"flows = {synth_dir / 'flows.csv'}\ntress = 5\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}:2: unknown key 'tress'; expected one of ")
+    assert not (out / "model.json").exists()
+    # a key is a flag of the subcommand it configures
+    config.write_text("trees = 5\n")
+    with pytest.raises(ParseError, match=r"train\.conf:1: unknown key 'trees'"):
+        read_config(config, keys={"flows", "k"})
 
 
 def test_cli_requires_subcommand():

@@ -4,6 +4,7 @@ TLS and DNS byte fixtures are hand-assembled here from the wire
 layouts, independent of the generator's own payload builders.
 """
 
+import re
 import struct
 
 import pytest
@@ -20,6 +21,7 @@ from flowclean.dpi import (
     parse_dns,
     read_blocklist,
 )
+from flowclean.errors import ParseError
 
 from conftest import make_flow
 
@@ -259,6 +261,17 @@ def test_read_blocklist(tmp_path):
     path.write_text("# services\nGoogle.com\n\n .leadingdot.example \n")
     bl = read_blocklist(path)
     assert bl.suffixes == frozenset({"google.com", "leadingdot.example"})
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["*.doubleclick.net", "ads example.com", "example.com.", "ads..example.com", "."],
+)
+def test_read_blocklist_rejects_entries_that_match_nothing(tmp_path, entry):
+    path = tmp_path / "bl.txt"
+    path.write_text(f"# services\ngoogle.com\n{entry}  # never matches\n")
+    with pytest.raises(ParseError, match=rf"bl\.txt:3: blocklist entry {re.escape(repr(entry))}"):
+        read_blocklist(path)
 
 
 # --- filter_flows -------------------------------------------------------

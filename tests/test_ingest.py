@@ -6,7 +6,7 @@ import struct
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from flowclean.errors import MalformedCapture, SchemaMismatch
+from flowclean.errors import MalformedCapture, ParseError, SchemaMismatch
 from flowclean.ingest import (
     FLOW_TABLE_HEADER,
     FlowKey,
@@ -245,7 +245,7 @@ def test_assemble_flows_direction_and_counters(tmp_path):
     assert f.server_payload_prefix == b"r1" * 10
     assert f.first_ts_us == 10_000_000
     assert f.last_ts_us == 11_000_500
-    assert f.dst_port == 443
+    assert f.key.server_port == 443
 
 
 def test_assemble_flows_server_initiated_direction(tmp_path):
@@ -347,7 +347,7 @@ def test_read_tag_map_rejects_bad_lines(tmp_path, line):
     path = tmp_path / "tags.txt"
     path.write_text(line + "\n")
     bad_line = line.count("\n") + 1
-    with pytest.raises(ValueError, match=rf"tags\.txt:{bad_line}: "):
+    with pytest.raises(ParseError, match=rf"tags\.txt:{bad_line}: "):
         read_tag_map(path)
 
 
@@ -470,7 +470,7 @@ def write_flow_table_oracle(flows, file):
                     f.packets_out,
                     f.header_bytes_total,
                     f.payload_bytes_total,
-                    f.dst_port,
+                    f.key.server_port,
                     f.client_payload_prefix.hex(),
                     f.server_payload_prefix.hex(),
                 ]
@@ -562,7 +562,6 @@ def test_flow_records_are_immutable_hashable_tuples():
     assert len({flow, make_flow(flow_id=3, app_label="a"), relabeled}) == 2
     assert flow != make_flow(flow_id=4, app_label="a")
     assert flow.key == FlowKey("192.168.0.2", 40000, "10.0.0.1", 443, "tcp")
-    assert (flow.dst_port, flow.transport) == (443, "tcp")
 
 
 def test_payload_prefix_capped_at_256(tmp_path):

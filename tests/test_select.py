@@ -332,7 +332,7 @@ def test_clean_counts_and_conservation(small_capture):
 def test_clean_removes_all_dns(small_capture):
     flows, _ = small_capture
     cleaned, _ = clean(flows, seed=7)
-    assert all(f.dst_port != 53 for f in cleaned)
+    assert all(f.key.server_port != 53 for f in cleaned)
 
 
 def test_clean_output_sorted_and_subset(small_capture):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from flowclean import synth
 from flowclean.cli import main
 from flowclean.dpi import DEFAULT_BLOCKLIST, VerdictKind, classify_flow
-from flowclean.errors import InvalidSpec
+from flowclean.errors import InvalidSpec, ParseError
 from flowclean.ingest import FlowKey, FlowRecord, TCP, UDP, write_flow_table
 from flowclean.rng import SplitMix64, derive
 from flowclean.synth import (
@@ -23,7 +23,6 @@ from flowclean.synth import (
     ROLE_ORDER,
     RoleSpec,
     ScenarioSpec,
-    build_client_hello,
     build_dns_query,
     default_scenario,
     default_specs,
@@ -93,6 +92,38 @@ def test_synth_seed_42_files_are_pinned(tmp_path):
 # block, must give the same flows bit for bit.
 
 
+def build_client_hello(sni, rng):
+    """TLS 1.2 ClientHello record, optionally carrying an SNI."""
+    random_bytes = struct.pack(">4Q", *(rng.next_u64() for _ in range(4)))
+    session_id = struct.pack(">4Q", *(rng.next_u64() for _ in range(4)))
+    cipher_suites = struct.pack(
+        ">8H", 0x1301, 0x1302, 0x1303, 0xC02B, 0xC02F, 0xC02C, 0xC030, 0x00FF
+    )
+    extensions = b""
+    if sni is not None:
+        host = sni.encode("ascii")
+        entry = b"\x00" + struct.pack(">H", len(host)) + host
+        server_name_list = struct.pack(">H", len(entry)) + entry
+        extensions += struct.pack(">HH", 0, len(server_name_list)) + server_name_list
+    # a benign non-SNI extension so "SNI absent" is not "no extensions"
+    sigalgs = struct.pack(">H", 4) + struct.pack(">HH", 0x0403, 0x0804)
+    extensions += struct.pack(">HH", 13, len(sigalgs)) + sigalgs
+
+    body = (
+        b"\x03\x03"
+        + random_bytes
+        + bytes([len(session_id)])
+        + session_id
+        + struct.pack(">H", len(cipher_suites))
+        + cipher_suites
+        + b"\x01\x00"  # null compression only
+        + struct.pack(">H", len(extensions))
+        + extensions
+    )
+    handshake = b"\x01" + len(body).to_bytes(3, "big") + body
+    return b"\x16\x03\x01" + struct.pack(">H", len(handshake)) + handshake
+
+
 def _server_hello_prefix(rng):
     filler = struct.pack(">2Q", rng.next_u64(), rng.next_u64())
     return b"\x16\x03\x03" + struct.pack(">H", 48) + b"\x02" + filler
@@ -135,10 +166,8 @@ def _sample_flow_counters(spec, capture_s, rng):
     if spec.secondary_frac is not None:
         frac = rng.lognormal(spec.secondary_frac, spec.secondary_frac_sigma)
         secondary = max(1, int(round(primary * frac)))
-    elif spec.secondary_mean is not None:
-        secondary = _draw_side(rng, spec.secondary_mean, spec.secondary_sigma)
     else:
-        secondary = 1
+        secondary = _draw_side(rng, spec.secondary_mean, spec.secondary_sigma)
     pkts_primary = _packets_for(rng, primary, spec.pkt_primary, spec.pkt_primary_jitter)
     pkts_secondary = _packets_for(
         rng, secondary, spec.pkt_secondary, spec.pkt_secondary_jitter
@@ -220,34 +249,25 @@ def assert_matches_oracle(spec):
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 2**64 - 1),
-    st.sampled_from([3, 4]),
     st.integers(1, 9),
     st.integers(0, 11),
-    st.booleans(),
     st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(0.0, 1e3)), min_size=4, max_size=4),
 )
-def test_draw_block_matches_scalar_stream(seed, n_normals, count, payload_draws,
-                                          carry, moments):
+def test_draw_block_matches_scalar_stream(seed, count, payload_draws, moments):
     # every column bit for bit as SplitMix64 draws it, flow by flow
     scalar, block_rng = ScalarStream(seed), SplitMix64(seed)
-    spare = None
-    if carry:
-        scalar.normal()  # draws a pair and keeps its sine variate as the spare
-        spare = scalar._spare_normal
-        block_rng.next_u64_array(2)
     expected_normals, expected_uniforms, expected_payload = [], [], []
     for _ in range(count):
-        expected_normals.append([scalar.normal(m, sd) for m, sd in moments[:n_normals]])
+        expected_normals.append([scalar.normal(m, sd) for m, sd in moments])
         expected_uniforms.append([scalar.random(), scalar.random()])
         expected_payload.append([scalar.next_u64() for _ in range(payload_draws)])
-    normal, uniforms, payload, spare = synth._draw_block(
-        block_rng, n_normals, count, payload_draws, spare
-    )
-    for q, (mean, std) in enumerate(moments[:n_normals]):
+    normal, uniforms, payload = synth._draw_block(block_rng, count, payload_draws)
+    for q, (mean, std) in enumerate(moments):
         assert normal(q, mean, std).tolist() == [row[q] for row in expected_normals]
     assert uniforms.tolist() == expected_uniforms
     assert payload.tolist() == expected_payload
-    assert spare == scalar._spare_normal
+    # four normals per flow use up every pair: nothing carries into the next block
+    assert scalar._spare_normal is None
     assert block_rng.next_u64() == scalar.next_u64()
 
 
@@ -266,7 +286,7 @@ def test_generate_takes_transcendentals_from_math():
 
 @st.composite
 def role_specs(draw, role):
-    secondary = draw(st.sampled_from(["frac", "mean", None]))
+    secondary = draw(st.sampled_from(["frac", "mean"]))
     positive = st.floats(1.0, 2e6)
     sigma = st.floats(0.0, 1.5)
     return RoleSpec(
@@ -315,27 +335,7 @@ def scenarios(draw):
 @settings(max_examples=200, deadline=None)
 @given(scenarios(), st.sampled_from([1, 2, 3, 5, synth._BLOCK_FLOWS]))
 def test_generate_matches_per_flow_oracle(spec, block_flows):
-    # small blocks put block boundaries, and a carried spare, inside a role
-    with mock.patch.object(synth, "_BLOCK_FLOWS", block_flows):
-        assert_matches_oracle(spec)
-
-
-@pytest.mark.parametrize("block_flows", [2, synth._BLOCK_FLOWS])
-def test_spare_crosses_flow_and_role_boundaries(block_flows):
-    # Heartbeat and Dns draw 3 normals per flow: with odd counts the
-    # Box-Muller spare crosses flows, blocks and both role boundaries
-    specs = default_specs(0)
-    for role in (Role.HEARTBEAT, Role.DNS):
-        specs[role] = dataclasses.replace(
-            specs[role], secondary_mean=None, secondary_frac=None
-        )
-    counts = {Role.DATA_PLANE: 3, Role.HEARTBEAT: 5, Role.DNS: 1,
-              Role.BACKGROUND_TLS: 3, Role.UPLOAD: 1}
-    spec = ScenarioSpec(
-        apps=[AppSpec(label="solo", counts=counts, specs=specs)],
-        capture_duration_s=3600.0,
-        seed=3,
-    )
+    # small blocks put block boundaries inside a role
     with mock.patch.object(synth, "_BLOCK_FLOWS", block_flows):
         assert_matches_oracle(spec)
 
@@ -396,7 +396,7 @@ def test_zero_count_role():
 def test_counters_valid(two_app_capture):
     flows, _ = two_app_capture
     for f in flows:
-        header = 54 if f.transport == "tcp" else 42
+        header = 54 if f.key.transport == "tcp" else 42
         assert f.packets_in >= 1 and f.packets_out >= 1
         assert f.bytes_in >= f.packets_in * header
         assert f.bytes_out >= f.packets_out * header
@@ -415,11 +415,11 @@ def test_endpoints_by_app_and_role(two_app_capture):
         assert f.key.client_ip == f"192.168.{app_index + 1}.2"
         assert f.key.server_ip.startswith(f"10.{app_index + 1}.")
         if r is Role.DNS:
-            assert f.dst_port == 53 and f.transport == "udp"
+            assert (f.key.server_port, f.key.transport) == (53, "udp")
         elif r is Role.UPLOAD:
-            assert f.dst_port == 443 and f.transport == "udp"
+            assert (f.key.server_port, f.key.transport) == (443, "udp")
         else:
-            assert f.dst_port == 443 and f.transport == "tcp"
+            assert (f.key.server_port, f.key.transport) == (443, "tcp")
 
 
 def test_capture_window_respected(two_app_capture):
@@ -518,6 +518,19 @@ def test_generate_missing_role_spec():
         generate(spec)
 
 
+@pytest.mark.parametrize(
+    "secondary",
+    [{}, {"secondary_mean": 7_000.0, "secondary_frac": 0.02}],
+    ids=["neither", "both"],
+)
+def test_role_spec_needs_exactly_one_secondary_mode(secondary):
+    with pytest.raises(
+        InvalidSpec, match="Heartbeat: set exactly one of secondary_mean and secondary_frac"
+    ):
+        RoleSpec(role=Role.HEARTBEAT, primary="in", primary_mean=9_000.0,
+                 primary_sigma=0.4, **secondary)
+
+
 @pytest.mark.parametrize("field, value", [("primary_mean", 1e20), ("primary_sigma", float("nan"))])
 def test_generate_rejects_byte_counts_beyond_float64_integers(field, value):
     spec = dataclasses.replace(synth.UPLOAD_SPEC, **{field: value})
@@ -591,21 +604,21 @@ def test_read_scenario(tmp_path):
 def test_read_scenario_role_before_app(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("role DataPlane 5\n")
-    with pytest.raises(InvalidSpec, match="before any app"):
+    with pytest.raises(ParseError, match="before any app"):
         read_scenario(path)
 
 
 def test_read_scenario_unknown_role(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("app a\nrole Telemetry 5\n")
-    with pytest.raises(InvalidSpec, match="unknown role"):
+    with pytest.raises(ParseError, match="unknown role"):
         read_scenario(path)
 
 
 def test_read_scenario_unrecognized_line(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("apps a\n")
-    with pytest.raises(InvalidSpec, match="unrecognized"):
+    with pytest.raises(ParseError, match="unrecognized"):
         read_scenario(path)
 
 
@@ -630,5 +643,5 @@ def test_read_scenario_bad_number_names_file_and_line(tmp_path, line, message):
     path = tmp_path / "bad.txt"
     path.write_text("app a\n" + line + "\n")
     bad_line = line.count("\n") + 2
-    with pytest.raises(InvalidSpec, match=rf"bad\.txt:{bad_line}: {message}"):
+    with pytest.raises(ParseError, match=rf"bad\.txt:{bad_line}: {message}"):
         read_scenario(path)
