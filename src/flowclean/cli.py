@@ -5,9 +5,10 @@ ingest a capture, clean a flow table, train and evaluate a classifier,
 and run the four-arm cleaning comparison (uncleaned, oracle-cleaned,
 K-means-cleaned, hierarchical-cleaned).
 
-Options may come from a `key = value` config file (--config); command
-line flags override file values. Exit codes: 0 success, 1 validation
-error, 2 I/O or usage error.
+Options may come from a `key = value` config file (--config), each
+value converted as its flag's value is; command line flags override
+file values. Exit codes: 0 success, 1 validation error, 2 I/O or usage
+error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import logging
 import sys
 import time
-from collections.abc import Collection
+from collections.abc import Callable, Mapping
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,16 +37,21 @@ from .ingest import (
 )
 from .select import DEFAULT_POLICY, clean, read_rules
 
+_DEFAULT_SEED = 42
+
 
 def read_config(
-    path: str | Path, keys: Collection[str] | None = None
-) -> dict[str, str]:
+    path: str | Path, keys: Mapping[str, Callable[[str], object]]
+) -> dict[str, object]:
     """Parse a line-oriented `key = value` config file.
 
-    A line without '=', or with a key outside `keys` when that is
-    given, raises ParseError naming the file and the line.
+    Every key must be one of `keys`, and keys[key] converts its value.
+    A line without '=', a key outside `keys`, a key given twice, or a
+    value its conversion rejects raises ParseError naming the file and
+    the line.
     """
-    out: dict[str, str] = {}
+    out: dict[str, object] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -53,71 +59,71 @@ def read_config(
         if "=" not in line:
             raise ParseError("expected 'key = value'", lineno, str(path))
         key, value = (part.strip() for part in line.split("=", 1))
-        if keys is not None and key not in keys:
+        if key not in keys:
             raise ParseError(
                 f"unknown key {key!r}; expected one of {', '.join(sorted(keys))}",
                 lineno,
                 str(path),
             )
-        out[key] = value
+        if key in seen:
+            raise ParseError(f"key {key!r} repeats line {seen[key]}", lineno, str(path))
+        seen[key] = lineno
+        try:
+            out[key] = keys[key](value)
+        except ValueError as exc:
+            raise ParseError(f"{key}: {exc}", lineno, str(path)) from None
     return out
 
 
-_BOOL_TRUE = ("1", "true", "yes", "on")
+_BOOLEANS = {"true": True, "false": False, "yes": True, "no": False,
+             "on": True, "off": False, "1": True, "0": False}
 
 
-class _Options:
-    """Flag values merged over config-file values over defaults."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config: dict[str, str] = {}
-        if getattr(args, "config", None):
-            # a key is any of the subcommand's own flags
-            keys = set(vars(args)) - {"command", "config", "log_level"}
-            self.config = read_config(args.config, keys)
-
-    def get(self, key: str, default, cast=str):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.config:
-            raw = self.config[key]
-            if cast is bool:
-                return raw.lower() in _BOOL_TRUE
-            return cast(raw)
-        return default
+def _boolean(raw: str) -> bool:
+    if raw.lower() not in _BOOLEANS:
+        raise ValueError(f"expected one of {'/'.join(_BOOLEANS)} (any case), got {raw!r}")
+    return _BOOLEANS[raw.lower()]
 
 
-def _out_dir(opts: _Options) -> Path:
-    out = Path(opts.get("out", "."))
+def _apply_config(command: argparse.ArgumentParser, path: str) -> None:
+    """Make the config file's values the defaults of `command`'s flags.
+
+    A value is converted by its flag's type, or as a boolean for a flag
+    that takes no value.
+    """
+    keys = {
+        action.dest: _boolean if action.nargs == 0 else action.type or str
+        for action in command._actions
+        if action.dest not in ("help", "config")
+    }
+    command.set_defaults(**read_config(path, keys))
+
+
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _load_policy(opts: _Options):
-    path = opts.get("policy", None)
-    return read_rules(path) if path else DEFAULT_POLICY
+def _load_policy(args: argparse.Namespace):
+    return read_rules(args.policy) if args.policy else DEFAULT_POLICY
 
 
-def _load_blocklist(opts: _Options):
-    path = opts.get("blocklist", None)
-    return read_blocklist(path) if path else DEFAULT_BLOCKLIST
+def _load_blocklist(args: argparse.Namespace):
+    return read_blocklist(args.blocklist) if args.blocklist else DEFAULT_BLOCKLIST
 
 
-def _load_scenario(opts: _Options) -> synth.ScenarioSpec:
-    path = opts.get("scenario", None)
-    spec = synth.read_scenario(path) if path else synth.default_scenario()
-    seed = opts.get("seed", None, int)
-    if seed is not None:
-        spec.seed = seed
+def _load_scenario(args: argparse.Namespace) -> synth.ScenarioSpec:
+    spec = synth.read_scenario(args.scenario) if args.scenario else synth.default_scenario()
+    if args.seed is not None:
+        spec.seed = args.seed
     return spec
 
 
-def cmd_synth(opts: _Options) -> int:
-    spec = _load_scenario(opts)
+def cmd_synth(args: argparse.Namespace) -> int:
+    spec = _load_scenario(args)
     flows, roles = synth.generate(spec)
-    out = _out_dir(opts)
+    out = _out_dir(args)
     write_flow_table(flows, out / "flows.csv")
     synth.write_roles(flows, roles, out / "roles.csv")
     print(
@@ -127,17 +133,14 @@ def cmd_synth(opts: _Options) -> int:
     return 0
 
 
-def cmd_ingest(opts: _Options) -> int:
-    pcap = opts.get("pcap", None)
-    if not pcap:
+def cmd_ingest(args: argparse.Namespace) -> int:
+    if not args.pcap:
         raise ValueError("ingest requires --pcap")
-    packets, stats = read_packets(pcap)
-    idle = opts.get("idle_timeout", 60.0, float)
-    flows, metas = assemble_flows_with_meta(packets, idle_timeout_s=idle)
-    tags_path = opts.get("tags", None)
-    if tags_path:
-        flows = apply_tags(flows, read_tag_map(tags_path), metas)
-    out = _out_dir(opts)
+    packets, stats = read_packets(args.pcap)
+    flows, metas = assemble_flows_with_meta(packets, idle_timeout_s=args.idle_timeout)
+    if args.tags:
+        flows = apply_tags(flows, read_tag_map(args.tags), metas)
+    out = _out_dir(args)
     write_flow_table(flows, out / "flows.csv")
     labeled = sum(1 for f in flows if f.app_label)
     print(
@@ -149,11 +152,10 @@ def cmd_ingest(opts: _Options) -> int:
     return 0
 
 
-def _threads(opts: _Options) -> int:
-    threads = opts.get("threads", 1, int)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    return threads
+def _threads(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
+    return args.threads
 
 
 def _algorithm(name: str) -> Algorithm:
@@ -163,23 +165,22 @@ def _algorithm(name: str) -> Algorithm:
         raise ValueError(f"unknown algorithm {name!r}, expected kmeans or hier") from None
 
 
-def cmd_clean(opts: _Options) -> int:
-    flows_path = opts.get("flows", None)
-    if not flows_path:
+def cmd_clean(args: argparse.Namespace) -> int:
+    if not args.flows:
         raise ValueError("clean requires --flows")
-    flows = read_flow_table(flows_path)
+    flows = read_flow_table(args.flows)
     cleaned, report = clean(
         flows,
-        blocklist=_load_blocklist(opts),
-        policy=_load_policy(opts),
-        algorithm=_algorithm(opts.get("algorithm", "kmeans")),
-        k=opts.get("k", 4, int),
-        seed=opts.get("seed", 42, int),
-        linkage=Linkage(opts.get("linkage", "ward")),
-        skip_dpi=opts.get("skip_dpi", False, bool),
-        threads=_threads(opts),
+        blocklist=_load_blocklist(args),
+        policy=_load_policy(args),
+        algorithm=_algorithm(args.algorithm),
+        k=args.k,
+        seed=args.seed,
+        linkage=Linkage(args.linkage),
+        skip_dpi=args.skip_dpi,
+        threads=_threads(args),
     )
-    out = _out_dir(opts)
+    out = _out_dir(args)
     write_flow_table(cleaned, out / "cleaned.csv")
     report.write_json(out / "clean_report.json")
     totals = report.totals()
@@ -191,25 +192,23 @@ def cmd_clean(opts: _Options) -> int:
     return 0
 
 
-def cmd_train(opts: _Options) -> int:
-    flows_path = opts.get("flows", None)
-    if not flows_path:
+def cmd_train(args: argparse.Namespace) -> int:
+    if not args.flows:
         raise ValueError("train requires --flows")
-    flows = read_flow_table(flows_path)
-    seed = opts.get("seed", 42, int)
+    flows = read_flow_table(args.flows)
     train_flows, test_flows = classify.split(
-        flows, train_frac=opts.get("train_frac", 0.75, float), seed=seed
+        flows, train_frac=args.train_frac, seed=args.seed
     )
     model = classify.train(
         train_flows,
-        n_trees=opts.get("trees", 100, int),
-        max_depth=opts.get("max_depth", 16, int),
-        min_leaf=opts.get("min_leaf", 2, int),
-        features_per_split=opts.get("features_per_split", 3, int),
-        seed=seed,
-        workers=_threads(opts),
+        n_trees=args.trees,
+        max_depth=args.max_depth,
+        min_leaf=args.min_leaf,
+        features_per_split=args.features_per_split,
+        seed=args.seed,
+        workers=_threads(args),
     )
-    out = _out_dir(opts)
+    out = _out_dir(args)
     classify.write_model(model, out / "model.json")
     write_flow_table(test_flows, out / "holdout.csv")
     print(
@@ -219,15 +218,13 @@ def cmd_train(opts: _Options) -> int:
     return 0
 
 
-def cmd_eval(opts: _Options) -> int:
-    model_path = opts.get("model", None)
-    flows_path = opts.get("flows", None)
-    if not model_path or not flows_path:
+def cmd_eval(args: argparse.Namespace) -> int:
+    if not args.model or not args.flows:
         raise ValueError("eval requires --model and --flows")
-    model = classify.read_model(model_path)
-    test_flows = read_flow_table(flows_path)
+    model = classify.read_model(args.model)
+    test_flows = read_flow_table(args.flows)
     metrics = classify.evaluate(model, test_flows)
-    out = _out_dir(opts)
+    out = _out_dir(args)
     metrics.write_json(out / "metrics.json")
     print(
         f"eval: accuracy {metrics.accuracy:.4f}, "
@@ -266,8 +263,12 @@ def run_compare(
     (train_<arm>) and scoring (eval_<arm>). forest holds each arm's
     tree, node and leaf counts and the depth of its deepest leaf. The
     report's content_sha256 covers config and arms: everything except
-    timings_ms, forest and the generation timestamp.
+    timings_ms, forest and the generation timestamp. An algorithm given
+    twice raises ValueError.
     """
+    for i, algorithm in enumerate(algorithms):
+        if algorithm in algorithms[:i]:
+            raise ValueError(f"algorithm {algorithm.value!r} is given twice")
     flows, roles = synth.generate(scenario)
     arms: dict[str, list] = {
         "uncleaned": flows,
@@ -371,25 +372,24 @@ def _format_compare_table(report: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_compare(opts: _Options) -> int:
-    scenario = _load_scenario(opts)
-    names = [s.strip() for s in opts.get("algorithm", "kmeans,hier").split(",") if s.strip()]
-    algorithms = [_algorithm(n) for n in names]
+def cmd_compare(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args)
+    names = [s.strip() for s in args.algorithm.split(",") if s.strip()]
     report = run_compare(
         scenario,
-        algorithms,
-        k=opts.get("k", 4, int),
-        seed=opts.get("seed", 42, int),
-        policy=_load_policy(opts),
-        blocklist=_load_blocklist(opts),
-        train_frac=opts.get("train_frac", 0.75, float),
-        skip_dpi=opts.get("skip_dpi", False, bool),
-        threads=_threads(opts),
+        [_algorithm(n) for n in names],
+        k=args.k,
+        seed=_DEFAULT_SEED if args.seed is None else args.seed,
+        policy=_load_policy(args),
+        blocklist=_load_blocklist(args),
+        train_frac=args.train_frac,
+        skip_dpi=args.skip_dpi,
+        threads=_threads(args),
     )
-    out = _out_dir(opts)
+    out = _out_dir(args)
     path = out / "compare_report.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
-    if opts.get("emit_csv", False, bool):
+    if args.emit_csv:
         _write_compare_csvs(report, out)
     print(_format_compare_table(report))
     print(f"\ncompare: report -> {path} (content {report['content_sha256'][:12]})")
@@ -428,86 +428,83 @@ def _write_compare_csvs(report: dict, out: Path) -> None:
 _LOG_LEVELS = {"warning": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Ends each flag's help with its default, where it has one."""
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        if action.default in (None, argparse.SUPPRESS) or action.default is False:
+            return action.help
+        return f"{action.help} (default: %(default)s)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowclean",
         description="Clean app-tagged encrypted traffic captures for classifier training.",
+        formatter_class=_HelpFormatter,
     )
-    parser.add_argument(
-        "--log-level", dest="log_level", choices=tuple(_LOG_LEVELS),
-        default="warning", help="stderr logging threshold (default warning)",
-    )
+    parser.add_argument("--log-level", choices=tuple(_LOG_LEVELS), default="warning",
+                        help="stderr logging threshold")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, seeded=True):
+    def command(name: str, run: Callable, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="key = value config file; flags override")
-        p.add_argument("--out", help="output directory (default .)")
-        if seeded:
-            p.add_argument("--seed", type=int, help="PRNG seed")
+        p.add_argument("--out", default=".", help="output directory")
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic labeled scenario")
-    common(p)
+    def cleaner(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--policy", help="selection rule file (default: keep ratio > 0.9)")
+        p.add_argument("--blocklist", help="SNI suffix blocklist file (default: built-in list)")
+        p.add_argument("--k", type=int, default=4, help="cluster count")
+        p.add_argument("--skip-dpi", action="store_true", help="skip the DPI filter stage")
+
+    p = command("synth", cmd_synth, "generate a synthetic labeled scenario")
+    p.add_argument("--seed", type=int, help="PRNG seed; replaces the scenario's seed")
     p.add_argument("--scenario", help="scenario file (default: built-in 5-app mix)")
 
-    p = sub.add_parser("ingest", help="read a pcap into a flow table")
-    common(p, seeded=False)
+    p = command("ingest", cmd_ingest, "read a pcap into a flow table")
     p.add_argument("--pcap", help="classic pcap capture file")
     p.add_argument("--tags", help="MAC/VLAN tag map file")
-    p.add_argument("--idle-timeout", dest="idle_timeout", type=float,
-                   help="flow idle timeout seconds (default 60)")
+    p.add_argument("--idle-timeout", type=float, default=60.0, help="flow idle timeout, seconds")
 
-    p = sub.add_parser("clean", help="run the cleaning pipeline on a flow table")
-    common(p)
+    p = command("clean", cmd_clean, "run the cleaning pipeline on a flow table")
+    p.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="PRNG seed")
     p.add_argument("--flows", help="input flow table CSV")
-    p.add_argument("--policy", help="selection rule file (default: keep ratio > 0.9)")
-    p.add_argument("--blocklist", help="SNI suffix blocklist file")
-    p.add_argument("--algorithm", help="kmeans or hier (default kmeans)")
-    p.add_argument("--linkage", help="ward, average, or complete (default ward)")
-    p.add_argument("--k", type=int, help="cluster count (default 4)")
-    p.add_argument("--skip-dpi", dest="skip_dpi", action="store_const", const=True,
-                   help="skip the payload filter stage")
-    p.add_argument("--threads", type=int, help="max parallel app workers")
+    p.add_argument("--algorithm", default="kmeans", help="kmeans or hier")
+    p.add_argument("--linkage", default="ward", help="ward, average, or complete")
+    cleaner(p)
+    p.add_argument("--threads", type=int, default=1, help="max parallel app workers")
 
-    p = sub.add_parser("train", help="split a flow table and train the classifier")
-    common(p)
+    p = command("train", cmd_train, "split a flow table and train the classifier")
+    p.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="PRNG seed")
     p.add_argument("--flows", help="labeled flow table CSV")
-    p.add_argument("--train-frac", dest="train_frac", type=float,
-                   help="training fraction (default 0.75)")
-    p.add_argument("--trees", type=int, help="forest size (default 100)")
-    p.add_argument("--max-depth", dest="max_depth", type=int)
-    p.add_argument("--min-leaf", dest="min_leaf", type=int)
-    p.add_argument("--features-per-split", dest="features_per_split", type=int)
-    p.add_argument("--threads", type=int, help="max forest worker processes")
+    p.add_argument("--train-frac", type=float, default=0.75, help="training fraction")
+    p.add_argument("--trees", type=int, default=100, help="forest size")
+    p.add_argument("--max-depth", type=int, default=16, help="deepest leaf of a tree")
+    p.add_argument("--min-leaf", type=int, default=2, help="fewest rows in a leaf")
+    p.add_argument("--features-per-split", type=int, default=3,
+                   help="features sampled per split, 1-8")
+    p.add_argument("--threads", type=int, default=1, help="max forest worker processes")
 
-    p = sub.add_parser("eval", help="score a trained model on a flow table")
-    common(p, seeded=False)
+    p = command("eval", cmd_eval, "score a trained model on a flow table")
     p.add_argument("--model", help="model JSON from train")
     p.add_argument("--flows", help="test flow table CSV")
 
-    p = sub.add_parser("compare", help="four-arm cleaning comparison on a scenario")
-    common(p)
+    p = command("compare", cmd_compare, "four-arm cleaning comparison on a scenario")
+    p.add_argument("--seed", type=int, help="seed of the split, cleaners and forests "
+                   f"(default: {_DEFAULT_SEED}); also replaces the scenario's seed")
     p.add_argument("--scenario", help="scenario file (default: built-in 5-app mix)")
-    p.add_argument("--policy", help="selection rule file")
-    p.add_argument("--blocklist", help="SNI suffix blocklist file")
-    p.add_argument("--algorithm", help="comma list of kmeans,hier (default both)")
-    p.add_argument("--k", type=int, help="cluster count (default 4)")
-    p.add_argument("--train-frac", dest="train_frac", type=float)
-    p.add_argument("--skip-dpi", dest="skip_dpi", action="store_const", const=True)
-    p.add_argument("--threads", type=int,
+    p.add_argument("--algorithm", default="kmeans,hier", help="comma list of kmeans, hier")
+    p.add_argument("--train-frac", type=float, default=0.75,
+                   help="training fraction of each arm")
+    cleaner(p)
+    p.add_argument("--threads", type=int, default=1,
                    help="max parallel app workers and forest worker processes")
-    p.add_argument("--emit-csv", dest="emit_csv", action="store_const", const=True,
+    p.add_argument("--emit-csv", action="store_true",
                    help="also write metrics/timings CSVs for plotting")
     return parser
-
-
-_COMMANDS = {
-    "synth": cmd_synth,
-    "ingest": cmd_ingest,
-    "clean": cmd_clean,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "compare": cmd_compare,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -522,11 +519,13 @@ def main(argv: list[str] | None = None) -> int:
     logger.addHandler(handler)
     logger.setLevel(_LOG_LEVELS[args.log_level])
     try:
-        return _COMMANDS[args.command](_Options(args))
-    except FlowcleanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        if args.config:
+            # config values become the subcommand's defaults, so flags still win
+            (commands,) = (a for a in parser._actions if a.dest == "command")
+            _apply_config(commands.choices[args.command], args.config)
+            args = parser.parse_args(argv)
+        return args.run(args)
+    except (FlowcleanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

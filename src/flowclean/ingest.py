@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -409,8 +410,10 @@ def assemble_flows_with_meta(
     The client is the sender of the first observed packet. Each flow
     comes with its first packet's MAC/VLAN for tagging.
     """
-    if idle_timeout_s <= 0:
-        raise ValueError("idle_timeout_s must be positive")
+    if not (math.isfinite(idle_timeout_s) and idle_timeout_s > 0):
+        raise ValueError(
+            f"idle_timeout_s must be a positive finite number, got {idle_timeout_s}"
+        )
     order = sorted(range(len(packets)), key=lambda i: (packets[i].timestamp_us, i))
     gap_us = int(idle_timeout_s * 1_000_000)
 

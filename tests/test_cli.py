@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import json
 import struct
 
@@ -144,6 +145,9 @@ def test_ingest_idle_timeout_flag(tmp_path):
                "--out", str(out)])
     assert rc == 0
     assert len(read_flow_table(out / "flows.csv")) == 2  # 3 s gap > 2 s timeout
+    rc = main(["ingest", "--pcap", str(pcap), "--idle-timeout", "inf",
+               "--out", str(out)])
+    assert rc == 1
 
 
 # --- clean --------------------------------------------------------------
@@ -402,6 +406,16 @@ def test_compare_runs_each_cleaner_once(scenario_file, monkeypatch):
     assert set(report["arms"]) == {"uncleaned", "oracle", "kmeans", "hier"}
 
 
+def test_compare_rejects_a_repeated_algorithm(tmp_path, scenario_file, capsys):
+    with pytest.raises(ValueError, match=r"^algorithm 'kmeans' is given twice$"):
+        run_compare(read_scenario(scenario_file), [Algorithm.KMEANS, Algorithm.KMEANS])
+    rc = main(["compare", "--scenario", str(scenario_file),
+               "--algorithm", "kmeans,hier,kmeans", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: algorithm 'kmeans' is given twice\n"
+    assert not (tmp_path / "compare_report.json").exists()
+
+
 def test_compare_unknown_algorithm(tmp_path, scenario_file):
     rc = main(["compare", "--scenario", str(scenario_file),
                "--algorithm", "spectral", "--out", str(tmp_path)])
@@ -414,14 +428,16 @@ def test_compare_unknown_algorithm(tmp_path, scenario_file):
 def test_read_config(tmp_path):
     path = tmp_path / "app.conf"
     path.write_text("# comment\nk = 4\nalgorithm= hier  # inline\n\nname =  spaced\n")
-    assert read_config(path) == {"k": "4", "algorithm": "hier", "name": "spaced"}
+    assert read_config(path, {"k": str, "algorithm": str, "name": str}) == {
+        "k": "4", "algorithm": "hier", "name": "spaced"
+    }
 
 
 def test_read_config_bad_line(tmp_path):
     path = tmp_path / "bad.conf"
     path.write_text("just-a-word\n")
     with pytest.raises(ParseError, match=r"bad\.conf:1: expected 'key = value'"):
-        read_config(path)
+        read_config(path, {})
 
 
 def test_config_key_without_a_flag_is_an_error(tmp_path, scenario_file, capsys):
@@ -438,7 +454,90 @@ def test_config_key_without_a_flag_is_an_error(tmp_path, scenario_file, capsys):
     # a key is a flag of the subcommand it configures
     config.write_text("trees = 5\n")
     with pytest.raises(ParseError, match=r"train\.conf:1: unknown key 'trees'"):
-        read_config(config, keys={"flows", "k"})
+        read_config(config, keys={"flows": str, "k": int})
+
+
+def test_config_key_given_twice_is_an_error(tmp_path, scenario_file, capsys):
+    # a repeat must not silently replace the first value
+    flows = synth_into(tmp_path, scenario_file) / "flows.csv"
+    config = tmp_path / "clean.conf"
+    config.write_text("k = 3\nseed = 5\nk = 2\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["clean", "--flows", str(flows), "--config", str(config),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {config}:3: key 'k' repeats line 1\n"
+    assert not out.exists()
+    with pytest.raises(ParseError, match=r"clean\.conf:3: key 'k' repeats line 1"):
+        read_config(config, {"k": int, "seed": int})
+
+
+def test_config_value_is_typed_by_its_flag(tmp_path, scenario_file, capsys):
+    flows = synth_into(tmp_path, scenario_file) / "flows.csv"
+    config = tmp_path / "clean.conf"
+    out = tmp_path / "out"
+    argv = ["clean", "--flows", str(flows), "--config", str(config), "--out", str(out)]
+    config.write_text("skip_dpi = true\nk = four\n")
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {config}:2: k: ")
+    config.write_text("threads = 2.5\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {config}:1: threads: ")
+    assert not out.exists()
+
+
+def _clean_outputs(out):
+    report = json.loads((out / "clean_report.json").read_text())
+    del report["timings_ms"]
+    return report, (out / "cleaned.csv").read_bytes()
+
+
+def test_config_boolean_is_strict(tmp_path, scenario_file, capsys):
+    flows = synth_into(tmp_path, scenario_file) / "flows.csv"
+
+    def run(name, *flags, config=None):
+        out = tmp_path / name
+        argv = ["clean", "--flows", str(flows), "--out", str(out), *flags]
+        if config is not None:
+            path = tmp_path / f"{name}.conf"
+            path.write_text(config)
+            argv += ["--config", str(path)]
+        return main(argv), out
+
+    assert run("flag", "--skip-dpi")[0] == 0
+    assert run("no-flag")[0] == 0
+    skipped = _clean_outputs(tmp_path / "flag")
+    filtered = _clean_outputs(tmp_path / "no-flag")
+    assert skipped != filtered
+    for spelling, expected in [("true", skipped), ("off", filtered), ("YES", skipped),
+                               ("No", filtered), ("1", skipped), ("0", filtered)]:
+        rc, out = run(f"conf-{spelling}", config=f"skip_dpi = {spelling}\n")
+        assert rc == 0
+        assert _clean_outputs(out) == expected, spelling
+    # a misspelling must not read as false
+    capsys.readouterr()
+    rc, out = run("typo", config="skip_dpi = ture\n")
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'typo.conf'}:1: skip_dpi: "
+        "expected one of true/false/yes/no/on/off/1/0 (any case), got 'ture'\n"
+    )
+    assert not out.exists()
+
+
+def test_help_shows_declared_defaults(capsys):
+    (commands,) = (a for a in cli_mod.build_parser()._actions if a.dest == "command")
+    for name, command in commands.choices.items():
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for action in command._actions:
+            if action.default not in (None, argparse.SUPPRESS) and action.default is not False:
+                assert f"(default: {action.default})" in text, (name, action.dest)
+        assert "(default: .)" in text, name
+        assert ("(default: 42)" in text) == (name in ("clean", "train", "compare")), name
 
 
 def test_cli_requires_subcommand():

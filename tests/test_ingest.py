@@ -1,6 +1,7 @@
 """Tests for pcap reading, flow assembly, tagging, and flow tables."""
 
 import csv
+import math
 import struct
 
 import pytest
@@ -269,6 +270,16 @@ def test_idle_timeout_splits_strictly_greater(tmp_path):
     flows = assemble_flows_with_meta(packets, idle_timeout_s=60)[0]
     assert len(flows) == 2
     assert [f.flow_id for f in flows] == [0, 1]
+
+
+@pytest.mark.parametrize("idle", [math.inf, math.nan, 0, -1])
+def test_idle_timeout_must_be_positive_and_finite(tmp_path, idle):
+    frames = [(0, 0, udp4_frame("1.1.1.1", "2.2.2.2", 5, 6, b"x"))]
+    packets, _ = read_packets(write_pcap(tmp_path, frames))
+    with pytest.raises(
+        ValueError, match=r"^idle_timeout_s must be a positive finite number, got "
+    ):
+        assemble_flows_with_meta(packets, idle_timeout_s=idle)
 
 
 def test_rst_closes_flow(tmp_path):
