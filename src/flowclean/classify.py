@@ -49,15 +49,11 @@ the one defined above, whatever the block and chunk sizes:
 - The chosen slot's sorted rows give the children: the rows with
   x <= threshold are a prefix of the node's rows there.
 
-Determinism: with train(workers > 1) the blocks grow in a pool of
-worker processes started with the `fork` method: each worker inherits
-the training set once and is sent only blocks of tree indices, and the
-pool is shut down before train returns, so no process outlives the
-call. The model is the same for every worker count and block size.
-`spawn` and `forkserver` are not used because they start helper
-processes (the resource tracker and the fork server) that outlive the
-pool. A fork copies only the calling thread, so run_compare trains only
-after its cleaning threads have finished.
+Determinism: with train(workers > 1) the blocks grow on
+parallel.fork_map's forked worker processes: each worker inherits the
+training set once and is sent only block indices, and the pool is shut
+down before train returns, so no process outlives the call. The model
+is the same for every worker count and block size.
 Prediction ties break toward the lexicographically smallest label.
 """
 
@@ -65,14 +61,12 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .errors import EmptyTest, LabelTooSmall, SingleClass
 from .features import ALL_FEATURES, feature_matrix
 from .ingest import FlowRecord
@@ -340,24 +334,13 @@ def _chunks(sizes: list[int]):
         yield start, len(sizes)
 
 
-# The training job of a forest worker process, set there by _start_worker:
-# (x, ranks, y, n_classes, max_depth, min_leaf, features_per_split, seed,
-# bootstrap). The calling process never sets it; its serial path passes the
-# job along.
-_job: tuple | None = None
-
-
-def _start_worker(*job) -> None:
-    global _job
-    _job = job
-
-
-def _grow_block(trees: range, job: tuple | None = None) -> list[_Tree]:
+def _grow_block(trees: range, job: tuple) -> list[_Tree]:
     """Grow trees `trees` of the forest in lockstep; see the module docstring.
 
-    job defaults to the one _start_worker stored in this worker.
+    job is (x, ranks, y, n_classes, max_depth, min_leaf, features_per_split,
+    seed, bootstrap).
     """
-    x, ranks, y, n_classes, max_depth, min_leaf, k, seed, bootstrap = job or _job
+    x, ranks, y, n_classes, max_depth, min_leaf, k, seed, bootstrap = job
     n, n_features = x.shape
     seeds = np.array([derive(seed, t) for t in trees], dtype=np.uint64)
     # split call m of a tree draws its features from draw drawn + m * k + 1
@@ -453,13 +436,6 @@ def _grow_block(trees: range, job: tuple | None = None) -> list[_Tree]:
     ]
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
 def train(
     flows: list[FlowRecord],
     n_trees: int = 100,
@@ -506,20 +482,11 @@ def train(
     )
     job = (x, ranks, y, len(labels), max_depth, min_leaf, features_per_split, seed,
            bootstrap)
-    workers = min(workers, n_trees, _usable_cpus())
+    workers = min(workers, n_trees, parallel.usable_cpus())
     # at least one block per worker
     size = min(_BLOCK_TREES, -(-n_trees // workers))
     blocks = [range(t, min(t + size, n_trees)) for t in range(0, n_trees, size)]
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker,
-            initargs=job,
-        ) as pool:
-            grown = list(pool.map(_grow_block, blocks))
-    else:
-        grown = [_grow_block(block, job) for block in blocks]
+    grown = parallel.fork_map(lambda i: _grow_block(blocks[i], job), len(blocks), workers)
     trees = [tree for block in grown for tree in block]
     return ForestModel(
         labels=labels,

@@ -254,12 +254,12 @@ def run_compare(
 
     Every arm shares the same split seed, forest seed, and forest
     hyperparameters; each arm is split 75/25 within its own flow set.
-    Each cleaner runs once. threads caps both the cleaners' app worker
-    threads and the processes that grow each forest; neither changes
-    the report outside its timings. timings_ms holds milliseconds: each
+    Each cleaner runs once. threads caps both the worker processes that
+    clean apps and those that grow each forest; neither changes the
+    report outside its timings. timings_ms holds milliseconds: each
     clean's own stage times (clean_<alg>_<stage> for dpi, features,
     cluster, select and total; stage times are summed over worker
-    threads, total is wall time) and each arm's forest training
+    processes, total is wall time) and each arm's forest training
     (train_<arm>) and scoring (eval_<arm>). forest holds each arm's
     tree, node and leaf counts and the depth of its deepest leaf. The
     report's content_sha256 covers config and arms: everything except
@@ -475,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", default="kmeans", help="kmeans or hier")
     p.add_argument("--linkage", default="ward", help="ward, average, or complete")
     cleaner(p)
-    p.add_argument("--threads", type=int, default=1, help="max parallel app workers")
+    p.add_argument("--threads", type=int, default=1, help="max app worker processes")
 
     p = command("train", cmd_train, "split a flow table and train the classifier")
     p.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="PRNG seed")
@@ -501,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="training fraction of each arm")
     cleaner(p)
     p.add_argument("--threads", type=int, default=1,
-                   help="max parallel app workers and forest worker processes")
+                   help="max app and forest worker processes")
     p.add_argument("--emit-csv", action="store_true",
                    help="also write metrics/timings CSVs for plotting")
     return parser

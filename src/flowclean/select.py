@@ -11,20 +11,22 @@ index of the rule that decided it, or -1 where the default did.
 
 clean() runs the whole pipeline per app: payload-prefix filtering,
 feature extraction and standardization, clustering, cluster
-selection. Each app's run returns its kept flows, counts and stage
-times; the kept flows of every app form the cleaned dataset.
+selection. Each app's run returns the positions of its kept flows,
+its counts and its stage times; the kept flows of every app form the
+cleaned dataset.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import logging
 import math
 import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
+# Unused: perfbench's tracer patches this attribute. It goes once perfbench
+# stops patching it (see ROADMAP.md).
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -36,6 +38,7 @@ from .dpi import Blocklist, DEFAULT_BLOCKLIST, filter_flows
 from .errors import InvariantViolation, ParseError
 from .features import CLUSTER_FEATURES, destandardize, feature_matrix, standardize
 from .ingest import FlowRecord
+from .parallel import fork_map
 
 logger = logging.getLogger(__name__)
 
@@ -273,9 +276,12 @@ def clean(
     they are skipped (all surviving flows dropped) and flagged in the
     report. Returns kept flows sorted by (app_label, flow_id).
 
-    threads caps the worker pool for per-app pipelines; apps are
-    independent and results are merged in sorted label order, so the
-    worker count never changes the output. threads must be >= 1.
+    threads caps the worker processes that clean apps, further capped
+    by the app count and the CPUs this process may run on (see
+    parallel.fork_map); apps are independent and results are merged in
+    sorted label order, so the worker count never changes the output.
+    threads must be >= 1. Stage times in the report are summed over
+    apps, while total is wall time.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -298,24 +304,28 @@ def clean(
         skip_dpi=skip_dpi,
     )
     total_start = time.perf_counter()
-    # map yields in label order and re-raises the first failing app's error
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run, labels, [by_app[label] for label in labels]))
+    # results come in label order; the first failing app's error re-raises
+    results = fork_map(lambda i: run(by_app[labels[i]]), len(labels), threads)
 
     cleaned: list[FlowRecord] = []
     for label, (kept, counts, timings) in zip(labels, results):
+        if counts.skipped:
+            logger.warning(
+                "%s: %d flows after filtering, need at least %d",
+                label, counts.flows_dropped, max(k, 2),
+            )
         counts.check(label)
         report.apps[label] = counts
         for stage in _STAGES:
             report.timings_ms[stage] += timings[stage]
-        cleaned.extend(kept)
+        app_flows = by_app[label]
+        cleaned.extend(app_flows[i] for i in kept.tolist())
     report.timings_ms["total"] = (time.perf_counter() - total_start) * 1e3
     cleaned.sort(key=lambda f: (f.app_label or "", f.flow_id))
     return cleaned, report
 
 
 def _clean_app(
-    label: str,
     app_flows: list[FlowRecord],
     *,
     blocklist: Blocklist,
@@ -325,27 +335,26 @@ def _clean_app(
     seed: int,
     linkage: Linkage,
     skip_dpi: bool,
-) -> tuple[list[FlowRecord], AppCounts, dict[str, float]]:
-    """Clean one app: its kept flows in input order, counts, stage times."""
+) -> tuple[np.ndarray, AppCounts, dict[str, float]]:
+    """Clean one app: its kept flows' positions in app_flows, counts, stage times."""
     counts = AppCounts(input=len(app_flows))
     timings = dict.fromkeys(_STAGES, 0.0)
     t0 = time.perf_counter()
     if skip_dpi:
-        survivors = app_flows
+        survivors, at = app_flows, np.arange(len(app_flows))
     else:
         survivors, discarded = filter_flows(app_flows, blocklist)
         counts.dpi_discarded = len(discarded)
+        # filter_flows keeps order: the survivors are the flows not discarded
+        gone = {id(flow) for flow, _ in discarded}
+        at = np.flatnonzero([id(flow) not in gone for flow in app_flows])
     t1 = time.perf_counter()
     timings["dpi"] = (t1 - t0) * 1e3
 
     if len(survivors) < max(k, 2):
-        logger.warning(
-            "%s: %d flows after filtering, need at least %d",
-            label, len(survivors), max(k, 2),
-        )
         counts.skipped = True
         counts.flows_dropped = len(survivors)
-        return [], counts, timings
+        return at[:0], counts, timings
 
     raw = feature_matrix(survivors)
     z, means, stds = standardize(raw[:, : len(CLUSTER_FEATURES)])
@@ -366,7 +375,7 @@ def _clean_app(
         [rule.action is Action.KEEP for rule in policy.rules]
         + [policy.default_action is Action.KEEP]
     )
-    kept = list(itertools.compress(survivors, keeps[rule_index][model.assignments]))
+    kept = at[keeps[rule_index][model.assignments]]
     counts.flows_kept = len(kept)
     counts.flows_dropped = len(survivors) - len(kept)
     timings["select"] = (time.perf_counter() - t3) * 1e3

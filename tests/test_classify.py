@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowclean.classify as classify_mod
+from flowclean import parallel
 from flowclean.classify import (
     ForestModel,
     _Tree,
@@ -674,7 +675,7 @@ needs_fork_and_proc = pytest.mark.skipif(
 @pytest.fixture
 def many_cpus(monkeypatch):
     """Let train start up to 8 workers even on a host with fewer CPUs."""
-    monkeypatch.setattr(classify_mod, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
 
 
 @pytest.mark.parametrize(
@@ -701,8 +702,8 @@ def test_no_child_process_outlives_train(many_cpus):
     assert_no_child_left(before)
 
 
-# Stand-ins for classify._grow_block. The pool sends the function it maps
-# by name, so they live at module level, where a worker finds them.
+# Stand-ins for classify._grow_block. train's task looks the name up when
+# it runs, so a patch made before the pool forks reaches every worker.
 _grow_block = classify_mod._grow_block
 
 

@@ -1,12 +1,16 @@
 """Tests for the selection rule DSL and the cleaning pipeline."""
 
 import json
+import logging
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import flowclean.select as select_mod
+from flowclean import parallel
 from flowclean.cluster import Algorithm
 from flowclean.dpi import Blocklist
 from flowclean.errors import InvariantViolation, ParseError
@@ -344,13 +348,62 @@ def test_clean_output_sorted_and_subset(small_capture):
     assert all(f.flow_id in all_ids for f in cleaned)
 
 
-def test_clean_thread_count_does_not_change_output(small_capture):
+@pytest.fixture
+def many_cpus(monkeypatch):
+    """Let clean start up to 8 workers even on a host with fewer CPUs."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
+
+
+def test_clean_thread_count_does_not_change_output(small_capture, many_cpus):
     flows, _ = small_capture
-    single, report_1 = clean(flows, seed=7, threads=1)
-    pooled, report_8 = clean(flows, seed=7, threads=8)
-    assert [f.flow_id for f in single] == [f.flow_id for f in pooled]
-    for label in report_1.apps:
-        assert report_1.apps[label] == report_8.apps[label]
+    # a third app that is skipped after filtering
+    flows = flows + [make_flow(flow_id=10_000 + i, app_label="app03") for i in range(3)]
+    for algorithm in Algorithm:
+        for skip_dpi in (False, True):
+            runs = []
+            for threads in (1, 2, 8):
+                cleaned, report = clean(flows, algorithm=algorithm, seed=7,
+                                        skip_dpi=skip_dpi, threads=threads)
+                document = report.to_json_dict()
+                del document["timings_ms"]
+                runs.append(([(f.app_label, f.flow_id) for f in cleaned],
+                             report.apps, document))
+            assert runs[0][0] and runs[0][2]["apps"]["app03"]["skipped"]
+            assert runs[1] == runs[0]
+            assert runs[2] == runs[0]
+
+
+def test_clean_warns_of_skipped_apps_in_label_order(small_capture, many_cpus, caplog):
+    flows, _ = small_capture
+    tiny = [make_flow(flow_id=10_000 + i, app_label=label)
+            for label in ("zz-tiny", "aa-tiny") for i in range(3)]
+    with caplog.at_level(logging.WARNING, logger="flowclean.select"):
+        clean(tiny + flows, seed=7, threads=2)
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "aa-tiny: 3 flows after filtering, need at least 4"),
+        ("WARNING", "zz-tiny: 3 flows after filtering, need at least 4"),
+    ]
+
+
+def _boom(*args, **kwargs):
+    raise InvariantViolation("boom")
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_worker_error_reaches_clean_and_no_child_is_left(
+    small_capture, many_cpus, monkeypatch
+):
+    flows, _ = small_capture
+    clean(flows, seed=7, threads=2)
+    assert multiprocessing.active_children() == []
+    # patched before the pool forks, so every worker inherits it
+    monkeypatch.setattr(select_mod, "kmeans", _boom)
+    with pytest.raises(InvariantViolation, match="^boom$") as exc_info:
+        clean(flows, seed=7, threads=2)
+    # the traceback came back from a worker process
+    assert type(exc_info.value.__cause__).__name__ == "_RemoteTraceback"
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("threads", [0, -3])
