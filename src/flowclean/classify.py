@@ -26,14 +26,16 @@ bootstrap and 0 without, as a partial Fisher-Yates over the 8 features
 (rng.py gives the draws). A call draws F numbers whether or not it
 splits.
 
-Trees grow in blocks of up to _BLOCK_TREES in lockstep. Each tree
-keeps a stack of its pending nodes; a step pops every tree's next node
-in preorder that needs a split call (leaves popped on the way take
-their ids and are done, as the class counts that made them leaves were
-known when their parent split), draws each one's features from its
-call index with stream_draws, and scores all of them in one pass of
-numpy calls, in chunks of at most _CHUNK_ROWS rows. So every tree is
-the one defined above, whatever the block and chunk sizes:
+Trees grow in blocks of up to _BLOCK_TREES (50) in lockstep, so the
+default 100 trees on 2 workers are one block per worker. Each tree
+keeps a stack of its pending nodes, each holding a copy of its rows; a
+step pops every tree's next node in preorder that needs a split call
+(leaves popped on the way take their ids and are done, as the class
+counts that made them leaves were known when their parent split),
+draws each one's features from its call index with stream_draws, one
+table lookup per node, and scores all of them in one pass of numpy
+calls, in chunks of at most _CHUNK_ROWS rows. So every tree is the one
+defined above, whatever the block and chunk sizes:
 
 - A pass sorts each (feature slot, node) segment of rows by the dense
   rank of the feature's values, with ties in row order. Counts at a cut
@@ -59,6 +61,7 @@ Prediction ties break toward the lexicographically smallest label.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -67,7 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from . import parallel
-from .errors import EmptyTest, LabelTooSmall, SingleClass
+from .errors import EmptyTest, LabelTooSmall, SchemaMismatch, SingleClass
 from .features import ALL_FEATURES, feature_matrix
 from .ingest import FlowRecord
 from .rng import SplitMix64, derive, stream_draws
@@ -109,7 +112,7 @@ class _Tree:
     """One decision tree as parallel node arrays (preorder).
 
     feature[i] == -1 marks a leaf; histogram[i] counts the training
-    samples per class that reached node i (populated for leaves).
+    samples per class that reached node i.
     Internal nodes route x[feature] <= threshold to left.
     """
 
@@ -181,8 +184,25 @@ class ForestModel:
 # with more rows is scored alone. It bounds a pass's arrays (a few dozen
 # bytes per row and sampled feature) without changing any tree.
 _CHUNK_ROWS = 16_384
-# At most this many trees grow in lockstep in one _grow_block call.
-_BLOCK_TREES = 25
+# At most this many trees grow in lockstep in one _grow_block call, so the
+# default 100 trees on 2 workers are one block per worker. A tree's pending
+# nodes hold disjoint copies of its rows, so a block's pending rows take at
+# most _BLOCK_TREES * n * 8 bytes for n training rows.
+_BLOCK_TREES = 50
+
+
+@functools.cache
+def _fisher_yates_table(n_features: int, k: int) -> np.ndarray:
+    """Row r: the partial Fisher-Yates of k over range(n_features) whose
+    digits d (swap i + d[i] into place i) are unravel_index(r, radices)."""
+    radices = range(n_features, n_features - k, -1)
+    table = []
+    for digits in np.indices(radices).reshape(k, -1).T.tolist():
+        pool = list(range(n_features))
+        for i, d in enumerate(digits):
+            pool[i], pool[i + d] = pool[i + d], pool[i]
+        table.append(pool[:k])
+    return np.array(table)
 
 
 def _sample_features(
@@ -192,19 +212,18 @@ def _sample_features(
 
     Row i is a partial Fisher-Yates over range(n_features), swapping
     position j = i + u % (n_features - i) into place i, whose u are
-    draws first[i] + 1 on of SplitMix64(seeds[i]).
+    draws first[i] + 1 on of SplitMix64(seeds[i]). The digits
+    u % (n_features - i) index a cached table of all n_features! /
+    (n_features - k)! results (336 rows for 3 of 8), so every row is
+    one gather.
     """
     draws = stream_draws(
         seeds[:, None], first[:, None] + np.arange(1, k + 1, dtype=np.uint64)
     )
-    feats = []
-    for row in draws.tolist():
-        pool = list(range(n_features))
-        for i, u in enumerate(row):
-            j = i + u % (n_features - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        feats.append(pool[:k])
-    return np.array(feats)
+    radix = np.arange(n_features, n_features - k, -1, dtype=np.uint64)
+    digits = (draws % radix).astype(np.intp)
+    index = np.ravel_multi_index(tuple(digits.T), radix.tolist())
+    return _fisher_yates_table(n_features, k)[index]
 
 
 def _best_splits(
@@ -420,8 +439,8 @@ def _grow_block(trees: range, job: tuple) -> list[_Tree]:
                 node = len(tree) - 1  # the tree's last node is the one scored
                 tree[node][:3] = f, v, node + 1
                 stacks[t] += [
-                    (None if leaves[1] else ordered[cut:end], d, counts[1], node),
-                    (None if leaves[0] else ordered[start:cut], d, counts[0], -1),
+                    (None if leaves[1] else ordered[cut:end].copy(), d, counts[1], node),
+                    (None if leaves[0] else ordered[start:cut].copy(), d, counts[0], -1),
                 ]
         active = [t for t in active if stacks[t]]
     return [
@@ -574,6 +593,11 @@ def evaluate(model: ForestModel, test_flows: list[FlowRecord]) -> Metrics:
     )
 
 
+# A dumped tree's node arrays and their dtypes.
+_TREE_ARRAYS = {"feature": np.int64, "threshold": np.float64, "left": np.int64,
+                "right": np.int64, "histogram": np.int64}
+
+
 def write_model(model: ForestModel, path: str | Path) -> None:
     """Dump the forest as JSON: config, labels, and per-tree arrays."""
     doc = {
@@ -581,13 +605,7 @@ def write_model(model: ForestModel, path: str | Path) -> None:
         "feature_names": model.feature_names,
         "config": model.config_dict(),
         "trees": [
-            {
-                "feature": tree.feature.tolist(),
-                "threshold": tree.threshold.tolist(),
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "histogram": tree.histogram.tolist(),
-            }
+            {name: getattr(tree, name).tolist() for name in _TREE_ARRAYS}
             for tree in model.trees
         ],
     }
@@ -595,25 +613,65 @@ def write_model(model: ForestModel, path: str | Path) -> None:
 
 
 def read_model(path: str | Path) -> ForestModel:
-    doc = json.loads(Path(path).read_text())
-    trees = [
-        _Tree(
-            feature=np.array(t["feature"], dtype=np.int64),
-            threshold=np.array(t["threshold"], dtype=np.float64),
-            left=np.array(t["left"], dtype=np.int64),
-            right=np.array(t["right"], dtype=np.int64),
-            histogram=np.array(t["histogram"], dtype=np.int64),
+    """Load a forest that write_model dumped.
+
+    Raises SchemaMismatch naming the file, and the tree and node where
+    there is one, unless the file parses with every key, labels are 2 or
+    more sorted distinct names, feature_names is ALL_FEATURES, config
+    n_trees counts the trees, and every tree has equal-length arrays,
+    features in [-1, 8), each internal node i's children following it
+    in preorder (left i + 1, i + 1 < right < nodes) and histogram rows
+    one count per label wide. So predicting with the model ends: every
+    step moves to a later node.
+    """
+    def mismatch(message: str) -> SchemaMismatch:
+        return SchemaMismatch(f"{path}: {message}")
+
+    try:
+        doc = json.loads(Path(path).read_text())
+        labels, feature_names = list(doc["labels"]), list(doc["feature_names"])
+        config = {key: int(doc["config"][key]) for key in (
+            "n_trees", "max_depth", "min_leaf", "features_per_split", "seed")}
+        arrays = [{name: t[name] for name in _TREE_ARRAYS} for t in doc["trees"]]
+    except KeyError as exc:
+        raise mismatch(f"missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+        raise mismatch(f"not a forest model: {exc}") from exc
+    if len(labels) < 2 or labels != sorted(set(map(str, labels))):
+        raise mismatch(f"labels {labels} are not 2 or more sorted distinct names")
+    if feature_names != list(ALL_FEATURES):
+        raise mismatch(f"feature_names {feature_names} are not {list(ALL_FEATURES)}")
+    if config["n_trees"] != len(arrays):
+        raise mismatch(f"n_trees is {config['n_trees']} but there are {len(arrays)} trees")
+    trees = []
+    for t, tree in enumerate(arrays):
+        try:
+            lengths = {name: len(values) for name, values in tree.items()}
+            if len(set(lengths.values())) != 1 or not lengths["feature"]:
+                raise mismatch(f"tree {t}: node arrays have lengths {lengths}")
+            for i, row in enumerate(tree["histogram"]):
+                if len(row) != len(labels):
+                    raise mismatch(f"tree {t} node {i}: histogram row has "
+                                   f"{len(row)} counts for {len(labels)} labels")
+            tree = _Tree(**{name: np.array(tree[name], dtype=dtype)
+                            for name, dtype in _TREE_ARRAYS.items()})
+            if [getattr(tree, name).ndim for name in _TREE_ARRAYS] != [1, 1, 1, 1, 2]:
+                raise ValueError("node arrays must hold numbers, histogram rows counts")
+        except (TypeError, ValueError) as exc:
+            raise mismatch(f"tree {t}: {exc}") from exc
+        node = np.arange(len(tree.feature))
+        inner = tree.feature >= 0
+        bad = (tree.feature < -1) | (tree.feature >= len(ALL_FEATURES)) | inner & (
+            (tree.left != node + 1) | (tree.right <= node + 1)
+            | (tree.right >= len(node))
         )
-        for t in doc["trees"]
-    ]
-    cfg = doc["config"]
-    return ForestModel(
-        labels=list(doc["labels"]),
-        feature_names=list(doc["feature_names"]),
-        trees=trees,
-        n_trees=int(cfg["n_trees"]),
-        max_depth=int(cfg["max_depth"]),
-        min_leaf=int(cfg["min_leaf"]),
-        features_per_split=int(cfg["features_per_split"]),
-        seed=int(cfg["seed"]),
-    )
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise mismatch(
+                f"tree {t} node {i}: feature {tree.feature[i]}, children "
+                f"{tree.left[i]} and {tree.right[i]}; need a feature in "
+                f"[-1, {len(ALL_FEATURES)}) and, with one >= 0, children "
+                f"{i + 1} and one in ({i + 1}, {len(node)})"
+            )
+        trees.append(tree)
+    return ForestModel(labels=labels, feature_names=feature_names, trees=trees, **config)

@@ -314,6 +314,8 @@ def run_compare(
             "leaves": sum(int((tree.feature < 0).sum()) for tree in model.trees),
             "depth": max(tree.depth() for tree in model.trees),
         }
+        # freed before the next arm's trees arrive
+        del model
     oracle = arm_results["oracle"]["metrics"]
     for name, result in arm_results.items():
         m = result["metrics"]

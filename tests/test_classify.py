@@ -1,7 +1,9 @@
 """Tests for the stratified split, random forest, and metrics."""
 
 import _thread
+import itertools
 import json
+import math
 import multiprocessing
 import os
 import threading
@@ -468,6 +470,30 @@ def test_feature_draws_match_sample_indices_after_the_bootstrap(seeds, n_rows, c
     assert got.tolist() == expected
 
 
+class _Digits:
+    """A stand-in stream whose next_below(n) returns given digits in turn."""
+
+    def __init__(self, digits):
+        self._digits = iter(digits)
+
+    def next_below(self, n):
+        digit = next(self._digits)
+        assert 0 <= digit < n
+        return digit
+
+
+@pytest.mark.parametrize("k", range(1, len(ALL_FEATURES) + 1))
+def test_feature_table_rows_are_the_scalar_fisher_yates_of_their_digits(k):
+    # row r holds the draw whose digits u_i % (8 - i) are r in mixed radix,
+    # first digit most significant: itertools.product's order
+    n = len(ALL_FEATURES)
+    table = classify_mod._fisher_yates_table(n, k)
+    digits = list(itertools.product(*(range(n - i) for i in range(k))))
+    assert len(table) == len(digits) == math.perm(n, k)
+    for row, draw in zip(table.tolist(), digits):
+        assert row == ScalarStream.sample_indices(_Digits(draw), n, k)
+
+
 @pytest.mark.parametrize("max_depth", [1, 4])
 def test_tree_depth_is_its_deepest_leaf(max_depth):
     def leaf_depths(tree, node=0, depth=0):
@@ -692,6 +718,19 @@ def test_model_bytes_do_not_depend_on_workers(tmp_path, many_cpus, n_trees, boot
         dumps.append(path.read_bytes())
     assert dumps[1] == dumps[0]
     assert dumps[2] == dumps[0]
+
+
+def test_model_bytes_do_not_depend_on_the_block_layout(tmp_path, many_cpus, monkeypatch):
+    # 120 trees as 120 blocks of one; as 50, 50 and an uneven 20 on 1 and 2
+    # workers; as 3 blocks of 40 on 3 workers; and as 2 blocks of 60
+    flows = overlapping_flows()
+    dumps = set()
+    for block_trees, workers in ((1, 1), (50, 1), (50, 2), (50, 3), (120, 2)):
+        monkeypatch.setattr(classify_mod, "_BLOCK_TREES", block_trees)
+        path = tmp_path / f"model-{block_trees}-{workers}.json"
+        write_model(train(flows, n_trees=120, seed=4, workers=workers), path)
+        dumps.add(path.read_bytes())
+    assert len(dumps) == 1
 
 
 @needs_fork_and_proc

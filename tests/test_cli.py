@@ -2,7 +2,11 @@
 
 import argparse
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -340,6 +344,99 @@ def test_eval_empty_flow_table(tmp_path, scenario_file):
 
 def test_eval_requires_both_flags(tmp_path):
     assert main(["eval", "--out", str(tmp_path)]) == 1
+
+
+@pytest.fixture()
+def trained(tmp_path, scenario_file):
+    """A model.json of 2 trees and its holdout table, from `flowclean train`."""
+    flows = synth_into(tmp_path, scenario_file) / "flows.csv"
+    out = tmp_path / "model"
+    assert main(["train", "--flows", str(flows), "--trees", "2", "--out", str(out)]) == 0
+    doc = json.loads((out / "model.json").read_text())
+    # every case below edits the root, which must split
+    assert doc["trees"][0]["feature"][0] >= 0
+    return out / "model.json", out / "holdout.csv", doc
+
+
+def _drop_config(doc):
+    del doc["config"]
+
+
+def _one_label(doc):
+    doc["labels"] = doc["labels"][:1]
+
+
+def _reorder_features(doc):
+    doc["feature_names"].reverse()
+
+
+def _add_tree(doc):
+    doc["config"]["n_trees"] += 1
+
+
+def _ragged_tree(doc):
+    doc["trees"][1]["threshold"].pop()
+
+
+def _feature_out_of_range(doc):
+    doc["trees"][0]["feature"][0] = 8
+
+
+def _child_out_of_range(doc):
+    doc["trees"][0]["right"][0] = len(doc["trees"][0]["right"])
+
+
+def _left_child_is_itself(doc):
+    doc["trees"][0]["left"][0] = 0
+
+
+def _wide_histogram_row(doc):
+    doc["trees"][0]["histogram"][0].append(0)
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(None, "not a forest model: Expecting value", id="not-json"),
+    pytest.param(_drop_config, "missing key 'config'", id="missing-key"),
+    pytest.param(_one_label, "labels ['alpha'] are not", id="labels"),
+    pytest.param(_reorder_features, "feature_names [", id="feature-names"),
+    pytest.param(_add_tree, "n_trees is 3 but there are 2 trees", id="n-trees"),
+    pytest.param(_ragged_tree, "tree 1: node arrays have lengths", id="ragged"),
+    pytest.param(_feature_out_of_range, "tree 0 node 0: feature 8,", id="feature"),
+    pytest.param(_child_out_of_range, "tree 0 node 0: feature", id="child"),
+    pytest.param(_wide_histogram_row,
+                 "tree 0 node 0: histogram row has 3 counts for 2 labels",
+                 id="histogram"),
+])
+def test_eval_rejects_a_malformed_model(trained, tmp_path, capsys, edit, message):
+    model, holdout, doc = trained
+    if edit is None:
+        model.write_text("not json")
+    else:
+        edit(doc)
+        model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model), "--flows", str(holdout),
+               "--out", str(tmp_path / "e")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {model}: {message}")
+    assert not (tmp_path / "e" / "metrics.json").exists()
+
+
+def test_eval_rejects_a_self_looping_model_without_hanging(trained, tmp_path):
+    # before models were checked, this model made eval loop forever, so it
+    # runs in a process the timeout can kill
+    model, holdout, doc = trained
+    _left_child_is_itself(doc)
+    model.write_text(json.dumps(doc))
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "flowclean.cli", "eval", "--model", str(model),
+         "--flows", str(holdout), "--out", str(tmp_path / "e")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"error: {model}: tree 0 node 0: feature")
 
 
 # --- compare ------------------------------------------------------------
