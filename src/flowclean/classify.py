@@ -27,15 +27,16 @@ bootstrap and 0 without, as a partial Fisher-Yates over the 8 features
 splits.
 
 Trees grow in blocks of up to _BLOCK_TREES (50) in lockstep, so the
-default 100 trees on 2 workers are one block per worker. Each tree
-keeps a stack of its pending nodes, each holding a copy of its rows; a
-step pops every tree's next node in preorder that needs a split call
-(leaves popped on the way take their ids and are done, as the class
-counts that made them leaves were known when their parent split),
-draws each one's features from its call index with stream_draws, one
-table lookup per node, and scores all of them in one pass of numpy
-calls, in chunks of at most _CHUNK_ROWS rows. So every tree is the one
-defined above, whatever the block and chunk sizes:
+default 100 trees on 2 workers are one block per worker. A block keeps
+its trees' rows in one buffer, and each tree a stack of its pending
+nodes, each owning a run of the buffer; a step pops every tree's next
+node in preorder that needs a split call (leaves popped on the way take
+their ids and are done, as the class counts that made them leaves were
+known when their parent split), draws each one's features from its call
+index with stream_draws, one table lookup per node, and scores all of
+them in one pass of numpy calls, in chunks of at most _CHUNK_ROWS rows.
+So every tree is the one defined above, whatever the block and chunk
+sizes:
 
 - A pass sorts each (feature slot, node) segment of rows by the dense
   rank of the feature's values, with ties in row order. Counts at a cut
@@ -49,7 +50,12 @@ defined above, whatever the block and chunk sizes:
   position; each node then takes its slots in sampled order with a
   strict <.
 - The chosen slot's sorted rows give the children: the rows with
-  x <= threshold are a prefix of the node's rows there.
+  x <= threshold are a prefix of the node's rows there, written back
+  to the node's run of the buffer, so each child owns one part of it.
+  The prefix ends at the cut, or, where the midpoint rounded onto the
+  value above it, after that value's rows. The left child's class
+  counts are searched for in the slot's (class, position) order, and
+  the right child's are the rest.
 
 Determinism: with train(workers > 1) the blocks grow on
 parallel.fork_map's forked worker processes: each worker inherits the
@@ -185,9 +191,8 @@ class ForestModel:
 # bytes per row and sampled feature) without changing any tree.
 _CHUNK_ROWS = 16_384
 # At most this many trees grow in lockstep in one _grow_block call, so the
-# default 100 trees on 2 workers are one block per worker. A tree's pending
-# nodes hold disjoint copies of its rows, so a block's pending rows take at
-# most _BLOCK_TREES * n * 8 bytes for n training rows.
+# default 100 trees on 2 workers are one block per worker. A block's rows
+# take one buffer of len(trees) * n * 8 bytes for n training rows.
 _BLOCK_TREES = 50
 
 
@@ -240,17 +245,16 @@ def _best_splits(
 
     Node s owns the next sizes[s] entries of rows (row indices of x),
     with class counts hist[s], and its sampled features are feats[s].
-    Returns (feature, threshold, ordered, n_left): per node, the split
+    Returns (feature, threshold, ordered, left): per node, the split
     feature, or -1 where no cut beats the node's own impurity, and the
     threshold; ordered holds each split node's rows sorted by its split
-    feature, so that its first n_left[s] rows go left. The module
-    docstring gives the arithmetic.
+    feature, so that its first left[s].sum() rows, with class counts
+    left[s], go left. The module docstring gives the arithmetic.
     """
     n_nodes, n_feats = feats.shape
     n_rows, n_classes = ranks.shape[1], hist.shape[1]
     total = len(rows)
     starts = np.cumsum(sizes) - sizes
-    seg = np.repeat(np.arange(n_nodes), sizes)
     position = np.arange(total)
     bits = total.bit_length()
     low = (1 << bits) - 1
@@ -263,21 +267,22 @@ def _best_splits(
     key += np.repeat(starts * n_rows << bits, sizes) + position
     key.sort(axis=1)
     srows = np.take(rows, key & low)
+    # a cut needs distinct values across it and min_leaf rows each side, so
+    # none follows a row whose (node, rank) the next row shares, nor a
+    # node's last row
     key >>= bits
-    # a cut needs distinct values across it and min_leaf rows each side
-    cut = np.zeros((n_feats, total), dtype=bool)
-    np.greater(key[:, 1:], key[:, :-1], out=cut[:, :-1])
+    no_cut = np.ones((n_feats, total), dtype=bool)
+    np.equal(key[:, 1:], key[:, :-1], out=no_cut[:, :-1])
     del key
     nl = position + 1 - np.repeat(starts, sizes)
     nr = np.repeat(sizes, sizes) - nl
-    cut &= (nl >= min_leaf) & (nr >= min_leaf)
+    no_cut |= (nl < min_leaf) | (nr < min_leaf)
     # With T a node's class counts and L those left of a cut, the score
-    # needs L.L and R.R = T.T - 2 T.L + L.L. Each row adds 2 * occ + 1 to
-    # L.L, occ counting the rows before it in its (node, class) group, and
-    # T[class] to T.L. Sorted by group and then by position, a row's place
-    # in its group is its occ, so one stable pass over the groups lays out
-    # both increments, a = 2 * occ + 1 and a - 2 T[class]; their cumsums
-    # restart at each node, where both have summed to the node's T.T.
+    # needs L.L and R.R = T.T - 2 T.L + L.L. Each row adds a = 2 * occ + 1
+    # to L.L, occ counting the rows before it in its (node, class) group,
+    # and T[class] to T.L. Sorted by group and then by position, a row's
+    # place in its group is its occ, so one stable pass over the groups lays
+    # out both increments, a and a - 2 T[class].
     counts = hist.ravel()
     by_group = np.take(y, srows)
     by_group += np.repeat(np.arange(0, n_nodes * n_classes, n_classes), sizes)
@@ -286,59 +291,67 @@ def _best_splits(
     if n_nodes * n_classes << bits < 2**31:
         by_group = by_group.astype(np.int32)
     by_group.sort(axis=1)
-    by_group &= low
-    by_group += (np.arange(n_feats) * total)[:, None]
-    occ = position - np.repeat(np.cumsum(counts) - counts, counts)
-    increments = np.stack([2 * occ + 1, 2 * (occ - np.repeat(counts, counts)) + 1], 1)
+    # an int64 index scatters faster than an int32 one
+    scatter = (by_group & low) + (np.arange(n_feats) * total)[:, None]
+    # the group's first row sits at place first, so a = 2 * (position -
+    # first) + 1 and a - 2 T[class] = 2 * (position - first - T[class]) + 1
+    last = np.cumsum(counts)
+    first = last - counts
+    increments = np.repeat(np.stack([first, last], axis=1) * -2, counts, axis=0)
+    increments += np.arange(1, 2 * total, 2)[:, None]
     # one scatter moves both increments of a row, as one 16-byte item
     pair = np.dtype((np.void, 16))
     steps = np.empty((n_feats, total, 2), dtype=np.int64)
-    steps.view(pair).reshape(-1)[by_group] = increments.view(pair).reshape(-1)
-    del by_group
-    np.cumsum(steps, axis=1, out=steps)
+    steps.view(pair).reshape(-1)[scatter] = increments.view(pair).reshape(-1)
+    del scatter
+    # A node's a sum to T.T and its a - 2 T[class] to -T.T. So adding
+    # -T.T of the node before to the first sum and T.T of its own to the
+    # second, at a node's first row, makes the running sums L.L and R.R.
     tt = (hist * hist).sum(axis=1)
-    restart = np.repeat(np.cumsum(tt) - tt, sizes)
-    ll = steps[..., 0] - restart
-    rr = steps[..., 1] + (restart + np.repeat(tt, sizes))
-    del steps
+    restart = np.zeros((n_nodes, 2), dtype=np.int64)
+    restart[1:, 0] = -tt[:-1]
+    restart[:, 1] = tt
+    steps[:, starts] += restart
+    np.cumsum(steps, axis=1, out=steps)
     nlf = nl.astype(np.float64)
-    nrf = nr.astype(np.float64)
-    with np.errstate(invalid="ignore"):  # 0 / 0 past each node's last row
-        score = nlf - ll / nlf
-        score += nrf
-        score -= rr / nrf
-    del ll, rr
-    np.putmask(score, ~cut, np.inf)
+    nrf = np.maximum(nr, 1.0)  # no cut follows a node's last row, where nr = 0
+    score = nlf - steps[..., 0] / nlf
+    score += nrf
+    score -= steps[..., 1] / nrf
+    del steps
+    np.putmask(score, no_cut, np.inf)
     least = np.minimum.reduceat(score, starts, axis=1)
-    # strict < from the parent's impurity: the first sampled feature wins
-    # a tie between features
+    # strict < from the parent's impurity, and the first sampled feature
+    # wins a tie between features: the first least of least
+    slot = least.argmin(axis=0)
+    best = least[slot, np.arange(n_nodes)]
     sizes_f = sizes.astype(np.float64)
-    best = sizes_f - tt / sizes_f - 1e-12
-    slot = np.full(n_nodes, -1)
-    for j in range(n_feats):
-        better = least[j] < best
-        best = np.where(better, least[j], best)
-        slot[better] = j
-    # the first position of the least score in each node's chosen slot;
-    # a node that does not split reads slot 0 and is marked at the end
-    found = slot >= 0
-    slot[~found] = 0
+    found = best < sizes_f - tt / sizes_f - 1e-12
+    # the first position of the least score in each node's chosen slot; it
+    # is not the node's last row, which scores inf, unless every row does
+    # (then it is the first), so pos + 1 is in the node
     chosen = np.repeat(slot * total, sizes) + position
     pos = np.minimum.reduceat(
         np.where(np.take(score, chosen) == np.repeat(best, sizes), position, total),
         starts,
     )
-    pos[~found] = starts[~found]
     feature = feats[np.arange(n_nodes), slot]
     ordered = np.take(srows, chosen)
-    threshold = (x[ordered[pos], feature] + x[ordered[pos + 1], feature]) / 2.0
-    n_left = np.add.reduceat(
-        np.take(x, ordered * x.shape[1] + np.repeat(feature, sizes))
-        <= np.repeat(threshold, sizes),
-        starts,
-    )
-    feature[~found] = -1
-    return feature, threshold, ordered, n_left
+    upper = x[ordered[pos + 1], feature]
+    threshold = (x[ordered[pos], feature] + upper) / 2.0
+    # rows up to the cut go left, unless the midpoint rounded onto the value
+    # above it, which sends rows with that value left too
+    for s in np.flatnonzero(found & (threshold >= upper)).tolist():
+        segment = ordered[starts[s]:starts[s] + sizes[s]]
+        pos[s] = starts[s] - 1 + np.count_nonzero(x[segment, feature[s]] <= threshold[s])
+    # the left child's count of class c: the rows of group (s, c) at or before
+    # pos in the chosen slot's (group, position) order
+    query = np.arange(n_nodes * n_classes).reshape(n_nodes, n_classes) << bits
+    query += pos[:, None]
+    query = query.astype(by_group.dtype)
+    left = np.stack([np.searchsorted(row, query, side="right") for row in by_group])
+    left = left[slot, np.arange(n_nodes)] - first.reshape(n_nodes, n_classes)
+    return np.where(found, feature, -1), threshold, ordered, left
 
 
 def _chunks(sizes: list[int]):
@@ -362,29 +375,39 @@ def _grow_block(trees: range, job: tuple) -> list[_Tree]:
     x, ranks, y, n_classes, max_depth, min_leaf, k, seed, bootstrap = job
     n, n_features = x.shape
     seeds = np.array([derive(seed, t) for t in trees], dtype=np.uint64)
-    # split call m of a tree draws its features from draw drawn + m * k + 1
-    # on: a bootstrap sample draws n numbers first
-    drawn = np.full(len(trees), n if bootstrap else 0, dtype=np.uint64)
+    # Every tree still growing makes one split call per pass, so pass m is
+    # split call m of each tree in it, and draws its features from draw
+    # drawn + m * k + 1 on: a bootstrap sample draws n numbers first. The
+    # features of the next `ahead` passes are drawn at once.
+    drawn, ahead = n if bootstrap else 0, 64
+    # Tree i's rows fill buffer[i * n:(i + 1) * n]. A pending node owns a run
+    # of the buffer; a pass writes each scored node's rows back in its split
+    # feature's order, so the children own the two parts of their parent's run.
+    if bootstrap:
+        draws = stream_draws(seeds[:, None], np.arange(1, n + 1, dtype=np.uint64))
+        buffer = (draws % np.uint64(n)).astype(np.int64).reshape(-1)
+    else:
+        buffer = np.tile(np.arange(n), len(trees))
+    # counts[h] is node h's class counts, h counting nodes as their parents
+    # split; roots come first
+    counts = np.bincount(
+        np.repeat(np.arange(0, len(trees) * n_classes, n_classes), n) + y[buffer],
+        minlength=len(trees) * n_classes,
+    ).reshape(-1, n_classes)
+    n_counts = len(trees)
 
-    def leaf(depth, size, counts):
-        return (depth >= max_depth) | (size < 2 * min_leaf) | (
-            np.count_nonzero(counts, axis=-1) <= 1
-        )
+    def leaf(size, class_counts):  # at max_depth a node is a leaf as well
+        return (size < 2 * min_leaf) | (np.count_nonzero(class_counts, axis=-1) <= 1)
 
-    # A pending node is (rows, or None once it is known to be a leaf, depth,
-    # class counts, the node whose right child it is or -1); a grown node
-    # is [feature, threshold, left, right, class counts].
-    stacks = []
-    for seed_t in seeds:
-        if bootstrap:
-            draws = stream_draws(seed_t, np.arange(1, n + 1, dtype=np.uint64))
-            rows = (draws % np.uint64(n)).astype(np.int64)
-        else:
-            rows = np.arange(n)
-        counts = np.bincount(y[rows], minlength=n_classes)
-        stacks.append([(None if leaf(0, n, counts) else rows, 0, counts, -1)])
+    # A pending node is (start of its run, or -1 once it is known to be a
+    # leaf, size, depth, row of counts, the node whose right child it is or
+    # -1); a grown node is [feature, threshold, right child, row of counts].
+    root_leaf = leaf(n, counts).tolist()
+    stacks = [[(-1 if is_leaf else i * n, n, 0, i, -1)]
+              for i, is_leaf in enumerate(root_leaf)]
     grown = [[] for _ in trees]
     active = list(range(len(trees)))
+    passes = 0
     while active:
         # every tree's next node in preorder that needs a split search;
         # the leaves before it take their preorder ids on the way
@@ -392,67 +415,75 @@ def _grow_block(trees: range, job: tuple) -> list[_Tree]:
         for t in active:
             stack, tree = stacks[t], grown[t]
             while stack:
-                rows, depth, counts, parent = stack.pop()
+                start, size, depth, h, parent = stack.pop()
                 if parent >= 0:
-                    tree[parent][3] = len(tree)
-                tree.append([-1, 0.0, -1, -1, counts])
-                if rows is not None:
-                    nodes.append((t, rows, depth, counts))
+                    tree[parent][2] = len(tree)
+                tree.append([-1, 0.0, -1, h])
+                if start >= 0:
+                    nodes.append((t, start, size, depth, h))
                     break
         if not nodes:
             break
-        owner = np.array([node[0] for node in nodes])
-        feats = _sample_features(seeds[owner], drawn[owner], n_features, k)
-        drawn[owner] += np.uint64(k)
-        sizes = [len(node[1]) for node in nodes]
-        for lo, hi in _chunks(sizes):
-            chunk = nodes[lo:hi]
-            rows = np.concatenate([node[1] for node in chunk])
-            size = np.array(sizes[lo:hi])
-            feature, threshold, ordered, n_left = _best_splits(
-                x, ranks, y, min_leaf, rows, size,
-                np.array([node[3] for node in chunk]), feats[lo:hi],
+        if passes % ahead == 0:
+            calls = np.arange(passes, passes + ahead, dtype=np.uint64)
+            upcoming = _sample_features(
+                np.repeat(seeds, ahead), np.tile(drawn + calls * k, len(trees)),
+                n_features, k,
+            ).reshape(len(trees), ahead, k)
+        scored = np.array(nodes)
+        owner, starts, sizes, _, rows_h = scored.T
+        feats = upcoming[owner, passes % ahead]
+        passes += 1
+        for lo, hi in _chunks(sizes.tolist()):
+            size = sizes[lo:hi]
+            ends = np.cumsum(size)
+            # the chunk's rows, node after node: one gather from the buffer
+            index = np.repeat(starts[lo:hi] - (ends - size), size)
+            index += np.arange(ends[-1])
+            hist = counts[rows_h[lo:hi]]
+            feature, threshold, ordered, left = _best_splits(
+                x, ranks, y, min_leaf, buffer[index], size, hist, feats[lo:hi],
             )
+            buffer[index] = ordered
             split = np.flatnonzero(feature >= 0)
             if not len(split):
                 continue
-            # the first n_left of a node's ordered rows go left; one bincount
-            # gives both children's class counts
-            ends = np.cumsum(size)
-            starts = ends - size
-            cuts = starts + n_left
-            child = np.repeat(np.arange(0, 2 * (hi - lo), 2), size)
-            child += np.arange(len(ordered)) >= np.repeat(cuts, size)
-            child_counts = np.bincount(
-                child * n_classes + y[ordered], minlength=2 * (hi - lo) * n_classes
-            ).reshape(hi - lo, 2, n_classes)[split]
-            child_size = np.stack([n_left, size - n_left], axis=1)[split]
-            depth = 1 + np.array([node[2] for node in chunk])[split]
-            child_leaf = leaf(depth[:, None], child_size, child_counts).tolist()
-            for s, f, v, d, start, cut, end, leaves, counts in zip(
-                split.tolist(), feature[split].tolist(), threshold[split].tolist(),
-                depth.tolist(), starts[split].tolist(), cuts[split].tolist(),
-                ends[split].tolist(), child_leaf, child_counts,
+            child_counts = np.stack([left, hist - left], axis=1)[split]
+            child_size = child_counts.sum(axis=2)
+            child_leaf = leaf(child_size, child_counts)
+            if n_counts + 2 * len(split) > len(counts):
+                # keeps the rows in use; the rest are written before use
+                counts = np.resize(counts, (2 * (n_counts + 2 * len(split)), n_classes))
+            counts[n_counts:n_counts + 2 * len(split)] = child_counts.reshape(-1, n_classes)
+            for h, (t, start, _, d, _), f, v, (n_l, n_r), (leaf_l, leaf_r) in zip(
+                range(n_counts, n_counts + 2 * len(split), 2),
+                scored[lo:hi][split].tolist(), feature[split].tolist(),
+                threshold[split].tolist(), child_size.tolist(), child_leaf.tolist(),
             ):
-                t = chunk[s][0]
                 tree = grown[t]
                 node = len(tree) - 1  # the tree's last node is the one scored
-                tree[node][:3] = f, v, node + 1
+                tree[node][:2] = f, v
+                d += 1
+                if d >= max_depth:
+                    leaf_l = leaf_r = True
                 stacks[t] += [
-                    (None if leaves[1] else ordered[cut:end].copy(), d, counts[1], node),
-                    (None if leaves[0] else ordered[start:cut].copy(), d, counts[0], -1),
+                    (-1 if leaf_r else start + n_l, n_r, d, h + 1, node),
+                    (-1 if leaf_l else start, n_l, d, h, -1),
                 ]
+            n_counts += 2 * len(split)
         active = [t for t in active if stacks[t]]
-    return [
-        _Tree(
-            feature=np.array([node[0] for node in tree], dtype=np.int64),
-            threshold=np.array([node[1] for node in tree], dtype=np.float64),
-            left=np.array([node[2] for node in tree], dtype=np.int64),
-            right=np.array([node[3] for node in tree], dtype=np.int64),
-            histogram=np.array([node[4] for node in tree], dtype=np.int64),
-        )
-        for tree in grown
-    ]
+    blocks = []
+    for tree in grown:
+        feature, threshold, right, h = zip(*tree)
+        feature = np.array(feature, dtype=np.int64)
+        blocks.append(_Tree(
+            feature=feature,
+            threshold=np.array(threshold, dtype=np.float64),
+            left=np.where(feature >= 0, np.arange(1, len(feature) + 1), -1),
+            right=np.array(right, dtype=np.int64),
+            histogram=counts[list(h)],
+        ))
+    return blocks
 
 
 def train(
