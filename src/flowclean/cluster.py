@@ -2,9 +2,11 @@
 
 Both algorithms take a plain float64 array, one row per point, and
 report centroids in the space they ran in; mapping them back to the
-raw feature scale is the caller's business. K-means is the fast path;
-hierarchical clustering (Ward by default) trades speed for
-merge-quality and needs no seed.
+raw feature scale is the caller's business. Both refuse, with
+UnclusterableMatrix, a matrix that has no columns, a non-finite value
+or a row too large to keep distances finite (see _coerce). K-means is
+the fast path; hierarchical clustering (Ward by default) trades speed
+for merge-quality and needs no seed.
 
 Determinism contract: identical inputs, k, seed, and tolerance yield
 bit-identical assignments and centroids. Nearest-centroid ties go to
@@ -22,7 +24,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvariantViolation, MatrixTooLarge, ShapeMismatch, TooFewRows
+from .errors import (
+    InvariantViolation,
+    MatrixTooLarge,
+    ShapeMismatch,
+    TooFewRows,
+    UnclusterableMatrix,
+)
 from .rng import SplitMix64
 
 
@@ -51,10 +59,46 @@ class ClusterModel:
     sse: float
 
 
+# largest squared row norm either algorithm accepts; see _coerce
+MAX_SQ_NORM = 1e280
+
+
 def _coerce(matrix: np.ndarray) -> np.ndarray:
+    """The matrix as 2-D float64, refused if it cannot be clustered.
+
+    A matrix with no columns, or a row with a NaN or infinite value or
+    a squared norm r above MAX_SQ_NORM, raises UnclusterableMatrix
+    naming the first such row. The check reads each row once, before
+    any n x n allocation.
+
+    Why 1e280: with every r <= R, a squared pair distance is at most
+    (sqrt(r_i) + sqrt(r_j))^2 <= 4R, and so is each of its terms
+    (r_i + r_j and the Cauchy-Schwarz-bounded -2 x_i . x_j). A Ward
+    distance 2|A||B| / (|A| + |B|) * |c_A - c_B|^2 between clusters is
+    at most n * 4R, and the largest Lance-Williams intermediate, the sum
+    (s_i + s_k) d_ik + (s_j + s_k) d_jk, at most 8 n^2 R. The n x n
+    matrix must fit in a 64-bit address space, so n^2 < 2^61 and
+    8 n^2 R < 2e19 * 1e280 = 2e299, eight orders of magnitude below the
+    largest float64 (1.8e308); k-means sums at most n * 4R. Every
+    distance, update and SSE therefore stays finite, and the matrix
+    NaN-free, which the chain step's additive mask relies on.
+    """
     values = np.asarray(matrix, dtype=np.float64)
     if values.ndim != 2:
         raise ShapeMismatch("matrix must be 2-D")
+    if values.shape[1] == 0 and values.shape[0]:
+        raise UnclusterableMatrix("row 0 has no values: the matrix has no columns")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", values, values)
+    # a NaN or infinite value makes its row's norm NaN or infinite
+    bad = np.flatnonzero(~(sq <= MAX_SQ_NORM))
+    if bad.size:
+        row = int(bad[0])
+        if not np.isfinite(values[row]).all():
+            raise UnclusterableMatrix(f"row {row} holds a non-finite value")
+        raise UnclusterableMatrix(
+            f"row {row} has squared norm {float(sq[row])!r}, above {MAX_SQ_NORM!r}"
+        )
     return values
 
 
@@ -214,13 +258,35 @@ def _lw_update(
     s_j: float,
     s_k: np.ndarray,
 ) -> np.ndarray:
-    """Lance-Williams distance from merged cluster (i u j) to others k."""
+    """Lance-Williams distance from merged cluster (i u j) to others k.
+
+    Computes in place and overwrites d_ik, d_jk and s_k, so pass fresh
+    gathers; returns d_ik. Each linkage performs the same float
+    operations, on the same operands and in the same order, as the
+    textbook expressions in the comments, so the results are
+    bit-identical to them (+ and * are exactly commutative).
+    """
     if linkage is Linkage.WARD:
-        denom = s_i + s_j + s_k
-        return ((s_i + s_k) * d_ik + (s_j + s_k) * d_jk - s_k * d_ij) / denom
+        # ((s_i + s_k) * d_ik + (s_j + s_k) * d_jk - s_k * d_ij)
+        #   / (s_i + s_j + s_k)
+        scratch = np.add(s_k, s_i)
+        d_ik *= scratch
+        np.add(s_k, s_j, out=scratch)
+        d_jk *= scratch
+        d_ik += d_jk
+        np.multiply(s_k, d_ij, out=d_jk)
+        d_ik -= d_jk
+        s_k += s_i + s_j
+        d_ik /= s_k
+        return d_ik
     if linkage is Linkage.AVERAGE:
-        return (s_i * d_ik + s_j * d_jk) / (s_i + s_j)
-    return np.maximum(d_ik, d_jk)
+        # (s_i * d_ik + s_j * d_jk) / (s_i + s_j)
+        d_ik *= s_i
+        d_jk *= s_j
+        d_ik += d_jk
+        d_ik /= s_i + s_j
+        return d_ik
+    return np.maximum(d_ik, d_jk, out=d_ik)
 
 
 def _groups_to_model(values: np.ndarray, groups: list[list[int]]) -> ClusterModel:
@@ -251,42 +317,59 @@ def _nnchain_merges(
     reciprocal pair merges into its lower index. The merges are then
     sorted by ascending height; equal heights keep the order the chain
     found them in.
+
+    Invariants of the loop, over the one n x n matrix:
+    - the diagonal stays +inf: _pair_matrix sets it, and a merge of
+      b into a writes only row a and column a at the other live
+      clusters, never dist[a, a];
+    - a chain step reads dist[x] + dead, where dead is 0.0 for a live
+      cluster and +inf for one merged away. _coerce keeps the matrix
+      finite, so this reads exactly as np.where(alive, dist[x], inf);
+      a dead cluster's stale row and column are never read otherwise;
+    - a merge costs O(live): two row gathers, one Lance-Williams
+      update (which overwrites its fresh gathers) and one row and one
+      column write.
     """
     n = values.shape[0]
     dist = _pair_matrix(values, squared=linkage is Linkage.WARD)
     sizes = np.ones(n, dtype=np.float64)
     alive = np.ones(n, dtype=bool)
+    dead = np.zeros(n, dtype=np.float64)
+    row = np.empty(n, dtype=np.float64)
     merges: list[tuple[float, int, int]] = []
     chain: list[int] = []
     while len(merges) < n - 1:
         if not chain:
-            chain.append(int(np.flatnonzero(alive)[0]))
+            # argmax of a bool array is its first True
+            chain.append(int(alive.argmax()))
         x = chain[-1]
-        row = np.where(alive, dist[x], np.inf)
-        row[x] = np.inf
-        y = int(np.argmin(row))
+        # dist[x, x] is +inf, so x is never its own nearest neighbor
+        np.add(dist[x], dead, out=row)
+        y = int(row.argmin())
         if len(chain) >= 2 and y == chain[-2]:
             chain.pop()
             chain.pop()
             a, b = (x, y) if x < y else (y, x)
             d_ab = dist[a, b]
             merges.append((float(d_ab), a, b))
-            others = alive.copy()
-            others[a] = others[b] = False
-            idx = np.flatnonzero(others)
+            alive[a] = alive[b] = False
+            idx = np.flatnonzero(alive)
+            alive[a] = True
+            dead[b] = np.inf
             if idx.size:
-                dist[a, idx] = _lw_update(
+                row_a = dist[a]
+                new = _lw_update(
                     linkage,
-                    dist[a, idx],
-                    dist[b, idx],
+                    row_a[idx],
+                    dist[b][idx],
                     d_ab,
                     sizes[a],
                     sizes[b],
                     sizes[idx],
                 )
-                dist[idx, a] = dist[a, idx]
+                row_a[idx] = new
+                dist[idx, a] = new
             sizes[a] += sizes[b]
-            alive[b] = False
         else:
             chain.append(y)
     merges.sort(key=lambda m: m[0])

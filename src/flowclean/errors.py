@@ -70,3 +70,11 @@ class InvariantViolation(FlowcleanError):
 
 class MatrixTooLarge(FlowcleanError):
     """A hierarchical distance matrix would not fit in physical memory."""
+
+
+class UnclusterableMatrix(FlowcleanError):
+    """A clustering input cannot be clustered.
+
+    It has no columns, a NaN or infinite value, or a row too large to
+    keep every distance finite; the message names the first such row.
+    """

@@ -1,9 +1,10 @@
 """Tests for K-means and hierarchical clustering.
 
 Correctness anchors: tiny fixtures with hand-checkable partitions, a
-brute-force minimum-SSE search over all partitions for small n, and a
+brute-force minimum-SSE search over all partitions for small n, a
 naive matrix-scan oracle for the nearest-neighbor-chain engine on
-tie-free data.
+tie-free data, and an earlier, plainer copy of the engine that every
+merge list must match bit for bit, ties included.
 """
 
 import tracemalloc
@@ -15,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 import flowclean.cluster as cluster_mod
 from flowclean.cluster import (
+    MAX_SQ_NORM,
     Linkage,
     _nnchain_merges,
     _pair_matrix,
@@ -27,6 +29,7 @@ from flowclean.errors import (
     MatrixTooLarge,
     ShapeMismatch,
     TooFewRows,
+    UnclusterableMatrix,
 )
 from flowclean.features import (
     CLUSTER_FEATURES,
@@ -133,6 +136,66 @@ def test_kmeans_bad_inputs():
         kmeans(values, k=4, seed=0)
     with pytest.raises(ValueError):
         kmeans(values, k=0, seed=0)
+
+
+@pytest.mark.parametrize("cluster", [
+    lambda m: kmeans(m, k=2, seed=0),
+    lambda m: hierarchical(m, k=2),
+], ids=["kmeans", "hier"])
+@pytest.mark.parametrize("row,value,match", [
+    (2, np.nan, r"^row 2 holds a non-finite value$"),
+    (1, np.inf, r"^row 1 holds a non-finite value$"),
+    (3, -np.inf, r"^row 3 holds a non-finite value$"),
+    (0, 1e200, r"^row 0 has squared norm inf, above 1e\+280$"),  # square overflows
+    (2, 1e141, r"^row 2 has squared norm 1e\+282, above 1e\+280$"),
+])
+def test_clustering_refuses_unclusterable_rows(cluster, row, value, match):
+    values = np.zeros((4, 2))
+    values[row, 1] = value
+    with pytest.raises(UnclusterableMatrix, match=match):
+        cluster(values)
+
+
+def test_clustering_names_the_first_bad_row():
+    values = np.zeros((5, 2))
+    values[3, 0] = np.nan
+    values[1, 1] = 1e141
+    with pytest.raises(UnclusterableMatrix, match=r"^row 1 "):
+        hierarchical(values, 2)
+
+
+def test_clustering_refuses_a_matrix_without_columns():
+    for cluster in (lambda m: kmeans(m, 2, seed=0), lambda m: hierarchical(m, 2)):
+        with pytest.raises(UnclusterableMatrix, match=r"^row 0 has no values"):
+            cluster(np.zeros((5, 0)))
+
+
+def test_hier_refuses_large_rows_before_the_pair_matrix(monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("the n x n matrix was allocated")
+
+    monkeypatch.setattr(cluster_mod, "_pair_matrix", no_matrix)
+    values = np.zeros((6, 2))
+    values[4] = np.sqrt(MAX_SQ_NORM)  # squared norm 2 * MAX_SQ_NORM
+    with pytest.raises(UnclusterableMatrix, match=r"^row 4 has squared norm"):
+        hierarchical(values, 2)
+
+
+def test_rows_at_the_norm_bound_keep_every_height_finite():
+    # two far groups of rows at the bound and a group near the origin:
+    # the largest Ward distances and Lance-Williams sums the bound allows
+    side = np.sqrt(MAX_SQ_NORM / 2.0)
+    values = np.zeros((40, 2))
+    values[:20] = np.random.default_rng(5).normal(size=(20, 2))
+    values[20:30] = [side, side]
+    values[30:] = [-side, -side]
+    for linkage in Linkage:
+        heights = [h for h, _, _ in _nnchain_merges(values, linkage)]
+        assert np.isfinite(heights).all(), linkage
+        model = hierarchical(values, 3, linkage)
+        assert np.isfinite(model.sse) and np.isfinite(model.centroids).all()
+    model = kmeans(values, 3, seed=0)
+    assert np.isfinite(model.sse) and np.isfinite(model.centroids).all()
 
 
 def test_kmeans_duplicate_points():
@@ -446,6 +509,111 @@ def test_hier_returns_on_points_whose_chain_cycled(linkage):
     for k in (1, 2, 3):
         model = hierarchical(_CYCLING_POINTS, k, linkage)
         assert len(set(model.assignments.tolist())) == k
+
+
+# --- the engine against its earlier, plainer loop -----------------------
+
+
+def reference_lw_update(linkage, d_ik, d_jk, d_ij, s_i, s_j, s_k):
+    """Lance-Williams distance from merged cluster (i u j) to others k."""
+    if linkage is Linkage.WARD:
+        denom = s_i + s_j + s_k
+        return ((s_i + s_k) * d_ik + (s_j + s_k) * d_jk - s_k * d_ij) / denom
+    if linkage is Linkage.AVERAGE:
+        return (s_i * d_ik + s_j * d_jk) / (s_i + s_j)
+    return np.maximum(d_ik, d_jk)
+
+
+def reference_nnchain_merges(values, linkage):
+    """The nearest-neighbor-chain loop before it was tuned, kept verbatim.
+
+    Each step copies a masked row and each merge copies the live mask
+    and allocates every temporary; _nnchain_merges must give the same
+    merge list, heights and tie order included.
+    """
+    n = values.shape[0]
+    dist = _pair_matrix(values, squared=linkage is Linkage.WARD)
+    sizes = np.ones(n, dtype=np.float64)
+    alive = np.ones(n, dtype=bool)
+    merges: list[tuple[float, int, int]] = []
+    chain: list[int] = []
+    while len(merges) < n - 1:
+        if not chain:
+            chain.append(int(np.flatnonzero(alive)[0]))
+        x = chain[-1]
+        row = np.where(alive, dist[x], np.inf)
+        row[x] = np.inf
+        y = int(np.argmin(row))
+        if len(chain) >= 2 and y == chain[-2]:
+            chain.pop()
+            chain.pop()
+            a, b = (x, y) if x < y else (y, x)
+            d_ab = dist[a, b]
+            merges.append((float(d_ab), a, b))
+            others = alive.copy()
+            others[a] = others[b] = False
+            idx = np.flatnonzero(others)
+            if idx.size:
+                dist[a, idx] = reference_lw_update(
+                    linkage,
+                    dist[a, idx],
+                    dist[b, idx],
+                    d_ab,
+                    sizes[a],
+                    sizes[b],
+                    sizes[idx],
+                )
+                dist[idx, a] = dist[a, idx]
+            sizes[a] += sizes[b]
+            alive[b] = False
+        else:
+            chain.append(y)
+    merges.sort(key=lambda m: m[0])
+    return merges
+
+
+def merges_and_final_matrix(values, linkage):
+    """_nnchain_merges's merge list and its distance matrix after the loop."""
+    matrices = []
+
+    def keep(values, squared):
+        matrices.append(_pair_matrix(values, squared))
+        return matrices[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cluster_mod, "_pair_matrix", keep)
+        merges = _nnchain_merges(values, linkage)
+    (dist,) = matrices
+    return merges, dist
+
+
+def assert_matches_reference(values):
+    for linkage in Linkage:
+        merges, dist = merges_and_final_matrix(values, linkage)
+        assert merges == reference_nnchain_merges(values, linkage), linkage
+        assert np.all(np.diagonal(dist) == np.inf), linkage
+
+
+@given(st.one_of(
+    # small integer grids: many equal distances and duplicate rows
+    hnp.arrays(np.float64, st.tuples(st.integers(2, 80), st.integers(1, 4)),
+               elements=st.integers(-3, 3).map(float)),
+    hnp.arrays(np.float64, st.tuples(st.integers(2, 80), st.integers(1, 6)),
+               elements=st.floats(-1e3, 1e3)),
+))
+def test_merges_match_the_reference_loop(values):
+    assert_matches_reference(values)
+
+
+def test_merges_match_the_reference_loop_on_fixed_inputs():
+    rng = np.random.default_rng(12)
+    for values in (
+        _CYCLING_POINTS,
+        np.zeros((9, 3)),  # every distance ties at 0
+        rng.integers(0, 2, size=(200, 3)).astype(np.float64),
+        rng.normal(size=(300, 6)),
+    ):
+        assert_matches_reference(values)
 
 
 def test_pair_matrix_peak_is_one_n_by_n_array():

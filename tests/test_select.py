@@ -1,5 +1,6 @@
 """Tests for the selection rule DSL and the cleaning pipeline."""
 
+import hashlib
 import json
 import logging
 import math
@@ -11,10 +12,11 @@ from hypothesis import given, strategies as st
 
 import flowclean.select as select_mod
 from flowclean import parallel
-from flowclean.cluster import Algorithm
+from flowclean.cluster import Algorithm, Linkage
 from flowclean.dpi import Blocklist
 from flowclean.errors import InvariantViolation, ParseError
 from flowclean.features import CLUSTER_FEATURES, feature_matrix
+from flowclean.ingest import write_flow_table
 from flowclean.select import (
     Action,
     AppCounts,
@@ -476,6 +478,32 @@ def test_clean_hierarchical_algorithm(small_capture):
     assert len(cleaned) > 0
     for counts in report.apps.values():
         assert counts.clusters_formed == 4
+
+
+# sha256 of the cleaned flow table of the default scenario at 5 x 600
+_HIER_CLEAN_SHA256 = {
+    Linkage.WARD: "5b83784e5ef130ff15672a802fca64497f659ef5943f240fe337a2dd3968ea27",
+    Linkage.AVERAGE: "fc399e42e9823770b6806a78479c4645972b348e2bbb1d46dabd94129276e31b",
+    Linkage.COMPLETE: "f944f89caf9000dad29b1a9432802f624ed57446314aee361bce4e4cb0d41f3e",
+}
+
+
+@pytest.fixture(scope="module")
+def table_5x600():
+    flows, _ = generate(default_scenario(flows_per_app=600))
+    return flows
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("linkage", list(Linkage), ids=lambda lk: lk.value)
+def test_hier_clean_output_is_pinned(tmp_path, many_cpus, table_5x600, linkage, threads):
+    # pins every merge the nearest-neighbor chain makes on real features,
+    # ties included, through the whole clean
+    cleaned, _ = clean(table_5x600, algorithm=Algorithm.HIERARCHICAL,
+                       linkage=linkage, threads=threads)
+    write_flow_table(cleaned, tmp_path / "cleaned.csv")
+    digest = hashlib.sha256((tmp_path / "cleaned.csv").read_bytes()).hexdigest()
+    assert digest == _HIER_CLEAN_SHA256[linkage]
 
 
 def test_clean_report_json_shape(tmp_path, small_capture):
