@@ -70,7 +70,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -560,14 +560,7 @@ class Metrics:
     config: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "labels": self.labels,
-            "confusion": self.confusion,
-            "config": self.config,
-        }
+        return asdict(self)
 
     def write_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")

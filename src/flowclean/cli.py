@@ -26,13 +26,14 @@ from pathlib import Path
 from . import classify, synth
 from .cluster import Algorithm, Linkage
 from .dpi import DEFAULT_BLOCKLIST, read_blocklist
-from .errors import FlowcleanError, ParseError
+from .errors import FlowcleanError
 from .ingest import (
-    apply_tags,
-    assemble_flows_with_meta,
+    assemble_flows,
+    parse_lines,
     read_flow_table,
     read_packets,
     read_tag_map,
+    read_text,
     write_flow_table,
 )
 from .select import DEFAULT_POLICY, clean, read_rules
@@ -52,26 +53,24 @@ def read_config(
     """
     out: dict[str, object] = {}
     seen: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+
+    def setting(lineno: int, line: str) -> None:
         if "=" not in line:
-            raise ParseError("expected 'key = value'", lineno, str(path))
+            raise ValueError("expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in keys:
-            raise ParseError(
-                f"unknown key {key!r}; expected one of {', '.join(sorted(keys))}",
-                lineno,
-                str(path),
+            raise ValueError(
+                f"unknown key {key!r}; expected one of {', '.join(sorted(keys))}"
             )
         if key in seen:
-            raise ParseError(f"key {key!r} repeats line {seen[key]}", lineno, str(path))
+            raise ValueError(f"key {key!r} repeats line {seen[key]}")
         seen[key] = lineno
         try:
             out[key] = keys[key](value)
         except ValueError as exc:
-            raise ParseError(f"{key}: {exc}", lineno, str(path)) from None
+            raise ValueError(f"{key}: {exc}") from None
+
+    parse_lines(read_text(path), setting, str(path))
     return out
 
 
@@ -137,9 +136,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if not args.pcap:
         raise ValueError("ingest requires --pcap")
     packets, stats = read_packets(args.pcap)
-    flows, metas = assemble_flows_with_meta(packets, idle_timeout_s=args.idle_timeout)
-    if args.tags:
-        flows = apply_tags(flows, read_tag_map(args.tags), metas)
+    tags = read_tag_map(args.tags) if args.tags else None
+    flows = assemble_flows(packets, idle_timeout_s=args.idle_timeout, tags=tags)
     out = _out_dir(args)
     write_flow_table(flows, out / "flows.csv")
     labeled = sum(1 for f in flows if f.app_label)

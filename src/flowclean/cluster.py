@@ -61,6 +61,7 @@ class ClusterModel:
 
 # largest squared row norm either algorithm accepts; see _coerce
 MAX_SQ_NORM = 1e280
+KMEANS_MAX_ITER = 100  # Lloyd passes before kmeans stops unconverged
 
 
 def _coerce(matrix: np.ndarray) -> np.ndarray:
@@ -158,7 +159,6 @@ def kmeans(
     matrix: np.ndarray,
     k: int,
     seed: int,
-    max_iter: int = 100,
     tol: float = 1e-6,
 ) -> ClusterModel:
     """Lloyd's algorithm with k-means++ seeding.
@@ -179,7 +179,7 @@ def kmeans(
     centroids = _kmeanspp_init(values, k, rng)
     assign = np.zeros(n, dtype=np.int64)
     prev_sse = np.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, KMEANS_MAX_ITER + 1):
         d2 = _sq_dists(values, centroids)
         assign = np.argmin(d2, axis=1)
         counts = np.bincount(assign, minlength=k)

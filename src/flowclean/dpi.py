@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .errors import ParseError
-from .ingest import FlowRecord, TCP
+from .ingest import FlowRecord, TCP, parse_lines, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -96,18 +95,16 @@ def read_blocklist(path: str | Path) -> Blocklist:
     so it raises ParseError naming the file and the line.
     """
     suffixes = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+
+    def entry(lineno: int, line: str) -> None:
         if not _SUFFIX.fullmatch(line):
-            raise ParseError(
+            raise ValueError(
                 f"blocklist entry {line!r} can match no hostname; expected "
-                "dot-separated labels without spaces or '*'",
-                lineno,
-                str(path),
+                "dot-separated labels without spaces or '*'"
             )
         suffixes.append(line)
+
+    parse_lines(read_text(path), entry, str(path))
     return Blocklist.of(*suffixes)
 
 

@@ -1,9 +1,10 @@
-"""Packet ingestion: pcap reading, flow assembly, tagging, flow tables.
+"""Input formats: pcaps, flow tables, and the line format of text inputs.
 
-Reads classic pcap files (both endiannesses, microsecond and nanosecond
-resolution), groups packets into bidirectional flows keyed by the
-canonical 5-tuple, and attaches app labels from MAC/VLAN tag maps. Flows
-can be persisted to and restored from a CSV flow table losslessly.
+Reads classic Ethernet pcaps (both endiannesses, microsecond and
+nanosecond resolution) and groups packets into bidirectional flows keyed
+by the canonical 5-tuple, labelled from a MAC/VLAN tag map. Flows can be
+persisted to and restored from a CSV flow table losslessly. read_text
+and parse_lines own the line format the five text inputs share.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import logging
 import math
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -90,14 +92,6 @@ class FlowRecord(NamedTuple):
     server_payload_prefix: bytes
 
 
-@dataclass(frozen=True)
-class FlowMeta:
-    """First-packet attributes used for tagging, parallel to a flow list."""
-
-    src_mac: bytes
-    vlan_id: int | None
-
-
 @dataclass
 class TagMap:
     """App labels keyed by client MAC or VLAN id; VLAN wins on conflict."""
@@ -119,9 +113,10 @@ class CaptureStats:
 def read_packets(
     capture_file: str | Path,
 ) -> tuple[list[PacketRecord], CaptureStats]:
-    """Read all TCP/UDP packets from a classic pcap file, in file order.
+    """Read all TCP/UDP packets from a classic Ethernet pcap, in file order.
 
-    Also returns the file's record count and skip counters.
+    Also returns the file's record count and skip counters. Any link
+    type but Ethernet raises MalformedCapture.
     """
     data = Path(capture_file).read_bytes()
     if len(data) < 24:
@@ -135,6 +130,9 @@ def read_packets(
     else:
         raise MalformedCapture(f"{capture_file}: bad magic {data[:4].hex()}")
     nanosecond = magic == _PCAP_MAGIC_NS
+    (linktype,) = struct.unpack_from(endian + "I", data, 20)
+    if linktype != 1:
+        raise MalformedCapture(f"{capture_file}: link type {linktype} is not Ethernet (1)")
 
     stats = CaptureStats()
     packets: list[PacketRecord] = []
@@ -210,6 +208,10 @@ def _parse_frame(
             return None
         src_port, dst_port = struct.unpack_from(">HH", frame, tp_offset)
         data_off = (frame[tp_offset + 12] >> 4) * 4
+        if data_off < 20:
+            # no room for the fixed header: the ports and flags are not real
+            stats.skipped_non_ip += 1
+            return None
         flag_bits = frame[tp_offset + 13]
         flags = frozenset(
             name
@@ -264,7 +266,10 @@ def _parse_ipv4(frame: bytes, offset: int):
     ihl = (first & 0x0F) * 4
     if ihl < 20 or len(frame) < offset + ihl:
         return None
-    total_len = struct.unpack_from(">H", frame, offset + 2)[0]
+    total_len, frag = struct.unpack_from(">H2xH", frame, offset + 2)
+    if frag & 0x1FFF:
+        # a later fragment: its payload starts mid-datagram, with no ports
+        return None
     proto = frame[offset + 9]
     src_ip = ".".join(str(b) for b in frame[offset + 12 : offset + 16])
     dst_ip = ".".join(str(b) for b in frame[offset + 16 : offset + 20])
@@ -375,7 +380,7 @@ class _FlowState:
                 # final ack of the close handshake
                 self.closed = True
 
-    def to_record(self, flow_id: int) -> FlowRecord:
+    def to_record(self, flow_id: int, tags: TagMap) -> FlowRecord:
         return FlowRecord(
             flow_id=flow_id,
             key=FlowKey(
@@ -385,7 +390,7 @@ class _FlowState:
                 server_port=self.server[1],
                 transport=self.transport,
             ),
-            app_label=None,
+            app_label=tags.vlan_entries.get(self.vlan_id, tags.mac_entries.get(self.src_mac)),
             first_ts_us=self.first_ts,
             last_ts_us=self.last_ts,
             bytes_in=self.bytes_in,
@@ -399,16 +404,19 @@ class _FlowState:
         )
 
 
-def assemble_flows_with_meta(
-    packets: list[PacketRecord], idle_timeout_s: float = 60.0
-) -> tuple[list[FlowRecord], list[FlowMeta]]:
+def assemble_flows(
+    packets: list[PacketRecord],
+    idle_timeout_s: float = 60.0,
+    tags: TagMap | None = None,
+) -> list[FlowRecord]:
     """Group packets into bidirectional flows.
 
     A flow closes when its TCP teardown completes (both FINs plus the
     final ack, or any RST) or when the gap to the next packet of the
     same key exceeds idle_timeout_s; later packets start a new flow.
-    The client is the sender of the first observed packet. Each flow
-    comes with its first packet's MAC/VLAN for tagging.
+    The client is the sender of the first observed packet. With tags,
+    a flow's label is the VLAN entry of its first packet, else the
+    entry of that packet's source MAC, else None.
     """
     if not (math.isfinite(idle_timeout_s) and idle_timeout_s > 0):
         raise ValueError(
@@ -436,30 +444,55 @@ def assemble_flows_with_meta(
         state.add(p)
     finished.extend(active.values())
     finished.sort(key=lambda s: (s.first_ts, s.seq))
-
-    flows: list[FlowRecord] = []
-    metas: list[FlowMeta] = []
-    for flow_id, state in enumerate(finished):
-        flows.append(state.to_record(flow_id))
-        metas.append(FlowMeta(src_mac=state.src_mac, vlan_id=state.vlan_id))
-    return flows, metas
+    tags = tags or TagMap()
+    return [state.to_record(flow_id, tags) for flow_id, state in enumerate(finished)]
 
 
-def apply_tags(
-    flows: list[FlowRecord], tags: TagMap, metas: list[FlowMeta]
-) -> list[FlowRecord]:
-    """Attach app labels from the tag map; VLAN match beats MAC match."""
-    if len(flows) != len(metas):
-        raise ValueError("flows and metas must be parallel lists")
-    out: list[FlowRecord] = []
-    for flow, meta in zip(flows, metas):
-        label = None
-        if meta.vlan_id is not None and meta.vlan_id in tags.vlan_entries:
-            label = tags.vlan_entries[meta.vlan_id]
-        elif meta.src_mac in tags.mac_entries:
-            label = tags.mac_entries[meta.src_mac]
-        out.append(flow._replace(app_label=label) if label is not None else flow)
-    return out
+def _undecodable(file: str | Path, encoding: str) -> tuple[int, str]:
+    """The line of the first byte of file that encoding rejects, and why.
+
+    Readers decode ahead in chunks, so neither their line count nor the
+    error's offset gives the line.
+    """
+    data = Path(file).read_bytes()
+    try:
+        data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].replace(b"\r\n", b"\n")
+        line = before.count(b"\n") + before.count(b"\r") + 1  # LF, CRLF or CR end lines
+        return line, f"byte {data[exc.start]:#04x} is not valid {exc.encoding}"
+    # it decodes now: the file changed after the failed read, so blame its first line
+    return 1, f"not valid {encoding} when first read"
+
+
+def read_text(file: str | Path) -> str:
+    """file's text as open() reads it: in the locale's encoding, with
+    CRLF and CR made LF. A rejected byte raises ParseError naming the
+    file and the line.
+    """
+    with open(file) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            line, reason = _undecodable(file, fh.encoding)
+            raise ParseError(reason, line, str(file)) from None
+
+
+def parse_lines(text: str, handle: Callable[[int, str], None], file: str | None) -> None:
+    """Call handle(lineno, line) on each entry of a line-format text.
+
+    Only LF ends a line. '#' starts a comment to the end of the line;
+    lines left blank are skipped and the rest stripped. A ValueError
+    from handle becomes a ParseError naming the line, and file unless None.
+    """
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            handle(lineno, line)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno, file) from None
 
 
 def parse_mac(text: str) -> bytes:
@@ -476,31 +509,28 @@ def read_tag_map(path: str | Path) -> TagMap:
     A bad line raises ParseError naming the file and the line.
     """
     tags = TagMap()
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError("expected 'mac|vlan <key> <label>'")
-            kind, key, label = parts
-            if kind == "mac":
-                mac = parse_mac(key)
-                if mac in tags.mac_entries:
-                    raise ValueError(f"duplicate MAC {key}")
-                tags.mac_entries[mac] = label
-            elif kind == "vlan":
-                vlan = int(key)
-                if not 0 <= vlan <= 4094:
-                    raise ValueError("VLAN id out of range")
-                if vlan in tags.vlan_entries:
-                    raise ValueError(f"duplicate VLAN {vlan}")
-                tags.vlan_entries[vlan] = label
-            else:
-                raise ValueError(f"unknown entry kind {kind!r}")
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno, str(path)) from None
+
+    def entry(lineno: int, line: str) -> None:
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError("expected 'mac|vlan <key> <label>'")
+        kind, key, label = parts
+        if kind == "mac":
+            mac = parse_mac(key)
+            if mac in tags.mac_entries:
+                raise ValueError(f"duplicate MAC {key}")
+            tags.mac_entries[mac] = label
+        elif kind == "vlan":
+            vlan = int(key)
+            if not 0 <= vlan <= 4094:
+                raise ValueError("VLAN id out of range")
+            if vlan in tags.vlan_entries:
+                raise ValueError(f"duplicate VLAN {vlan}")
+            tags.vlan_entries[vlan] = label
+        else:
+            raise ValueError(f"unknown entry kind {kind!r}")
+
+    parse_lines(read_text(path), entry, str(path))
     return tags
 
 
@@ -570,17 +600,6 @@ def _impossible_row(row: list[str], first_line: dict[int, int]) -> str:
     return f"duplicate flow_id {flow_id}, first on line {first_line[flow_id]}"
 
 
-def _undecodable(file: str | Path, encoding: str) -> str:
-    """'line N: ...' naming the first byte of file that encoding rejects."""
-    data = Path(file).read_bytes()
-    try:
-        data.decode(encoding)
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        return f"line {line}: byte {data[exc.start]:#04x} is not valid {exc.encoding}"
-    return f"not valid {encoding}"
-
-
 def read_flow_table(file: str | Path) -> list[FlowRecord]:
     """Read a table written by write_flow_table.
 
@@ -595,8 +614,8 @@ def read_flow_table(file: str | Path) -> list[FlowRecord]:
         try:
             return _parse_flow_table(reader, file)
         except UnicodeDecodeError:
-            # decoding runs ahead of parsing, so reader.line_num is not the line
-            raise SchemaMismatch(f"{file}: {_undecodable(file, fh.encoding)}") from None
+            line, reason = _undecodable(file, fh.encoding)
+            raise SchemaMismatch(f"{file}: line {line}: {reason}") from None
         except csv.Error as exc:
             raise SchemaMismatch(f"{file}: line {reader.line_num}: {exc}") from None
 

@@ -35,9 +35,9 @@ import numpy as np
 
 from .cluster import Algorithm, Linkage, hierarchical, kmeans
 from .dpi import Blocklist, DEFAULT_BLOCKLIST, filter_flows
-from .errors import InvariantViolation, ParseError
+from .errors import InvariantViolation
 from .features import CLUSTER_FEATURES, destandardize, feature_matrix, standardize
-from .ingest import FlowRecord
+from .ingest import FlowRecord, parse_lines, read_text
 from .parallel import fork_map
 
 logger = logging.getLogger(__name__)
@@ -96,58 +96,50 @@ def _nearest_rank(column: np.ndarray, percentile: float) -> float:
     return float(ordered[min(rank, n) - 1])
 
 
-def parse_rules(text: str) -> SelectionPolicy:
+def parse_rules(text: str, file: str | None = None) -> SelectionPolicy:
     """Parse the rule DSL.
 
     One rule per line: `keep|drop <feature> <cmp> <number|pNN>` with
     extra comma-separated predicates; optional final line
     `default keep|drop`; `#` comments and blank lines ignored. A NaN
-    threshold is rejected: no cluster could ever match it.
+    threshold is rejected: no cluster could ever match it. A bad line
+    raises ParseError naming the line, and file if given.
     """
     rules: list[Rule] = []
-    default_action = Action.DROP
-    default_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if default_seen:
-            raise ParseError("default must be the last line", lineno)
+    defaults: list[Action] = []
+
+    def rule(lineno: int, line: str) -> None:
+        if defaults:
+            raise ValueError("default must be the last line")
         parts = line.split(None, 1)
         word = parts[0].lower()
         if word == "default":
             if len(parts) != 2 or parts[1].strip().lower() not in ("keep", "drop"):
-                raise ParseError("expected 'default keep' or 'default drop'", lineno)
-            default_action = Action(parts[1].strip().lower())
-            default_seen = True
-            continue
+                raise ValueError("expected 'default keep' or 'default drop'")
+            defaults.append(Action(parts[1].strip().lower()))
+            return
         if word not in ("keep", "drop"):
-            raise ParseError(f"unknown action {parts[0]!r}", lineno)
+            raise ValueError(f"unknown action {parts[0]!r}")
         if len(parts) != 2:
-            raise ParseError("rule has no predicates", lineno)
+            raise ValueError("rule has no predicates")
         predicates = []
         for chunk in parts[1].split(","):
             tokens = chunk.split()
             if len(tokens) != 3:
-                raise ParseError(
-                    f"expected '<feature> <cmp> <value>', got {chunk.strip()!r}", lineno
-                )
+                raise ValueError(f"expected '<feature> <cmp> <value>', got {chunk.strip()!r}")
             feature, cmp_token, value_token = tokens
             if feature not in CLUSTER_FEATURES:
-                raise ParseError(f"unknown feature {feature!r}", lineno)
+                raise ValueError(f"unknown feature {feature!r}")
             if cmp_token not in _COMPARATORS:
-                raise ParseError(f"unknown comparator {cmp_token!r}", lineno)
+                raise ValueError(f"unknown comparator {cmp_token!r}")
             # no float literal starts with p, so pNN tokens cannot be numbers
             if value_token.lower().startswith("p"):
-                digits = value_token[1:]
                 try:
-                    pct = float(digits)
+                    pct = float(value_token[1:])
                 except ValueError:
-                    raise ParseError(
-                        f"malformed percentile {value_token!r}", lineno
-                    ) from None
+                    raise ValueError(f"malformed percentile {value_token!r}") from None
                 if not 0.0 <= pct <= 100.0:
-                    raise ParseError(f"percentile {value_token!r} outside 0-100", lineno)
+                    raise ValueError(f"percentile {value_token!r} outside 0-100")
                 predicates.append(
                     Predicate(feature, cmp_token, threshold=None, percentile=pct)
                 )
@@ -155,24 +147,21 @@ def parse_rules(text: str) -> SelectionPolicy:
                 try:
                     literal = float(value_token)
                 except ValueError:
-                    raise ParseError(
-                        f"malformed threshold {value_token!r}", lineno
-                    ) from None
+                    raise ValueError(f"malformed threshold {value_token!r}") from None
                 if math.isnan(literal):
-                    raise ParseError(
-                        f"threshold {value_token!r} is not a number", lineno
-                    )
+                    raise ValueError(f"threshold {value_token!r} is not a number")
                 predicates.append(Predicate(feature, cmp_token, threshold=literal))
         rules.append(Rule(action=Action(word), predicates=tuple(predicates)))
-    return SelectionPolicy(rules=tuple(rules), default_action=default_action)
+
+    parse_lines(text, rule, file)
+    return SelectionPolicy(
+        rules=tuple(rules), default_action=defaults[0] if defaults else Action.DROP
+    )
 
 
 def read_rules(path: str | Path) -> SelectionPolicy:
     """parse_rules on a file; a ParseError names the file and the line."""
-    try:
-        return parse_rules(Path(path).read_text())
-    except ParseError as exc:
-        raise ParseError(exc.reason, exc.line, str(path)) from None
+    return parse_rules(read_text(path), str(path))
 
 
 # keep download-heavy clusters: the content traffic of data-plane apps

@@ -77,8 +77,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec, ParseError
-from .ingest import FlowKey, FlowRecord, TCP, UDP
+from .errors import InvalidSpec
+from .ingest import FlowKey, FlowRecord, TCP, UDP, parse_lines, read_text
 from .rng import SplitMix64, derive
 
 # Ethernet + IPv4 + transport header bytes per packet
@@ -321,42 +321,35 @@ def read_scenario(path: str | Path) -> ScenarioSpec:
 
     A bad line raises ParseError naming the file and the line.
     """
-    apps: list[AppSpec] = []
-    capture = 7200.0
-    seed = 42
-    current: AppSpec | None = None
+    spec = ScenarioSpec(apps=[], capture_duration_s=7200.0, seed=42)
     role_by_name = {r.value: r for r in Role}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+
+    def setting(lineno: int, line: str) -> None:
         parts = line.split()
-        try:
-            if parts[0] == "seed" and len(parts) == 2:
-                seed = int(parts[1])
-            elif parts[0] == "capture_duration_s" and len(parts) == 2:
-                capture = float(parts[1])
-                if not (math.isfinite(capture) and capture > 0):
-                    raise ValueError(_DURATION_RULE)
-            elif parts[0] == "app" and len(parts) == 2:
-                current = AppSpec(
-                    label=parts[1],
-                    counts={},
-                    specs=default_specs(len(apps)),
-                )
-                apps.append(current)
-            elif parts[0] == "role" and len(parts) == 3:
-                if current is None:
-                    raise ValueError("role line before any app")
-                role = role_by_name.get(parts[1])
-                if role is None:
-                    raise ValueError(f"unknown role {parts[1]!r}")
-                current.counts[role] = current.counts.get(role, 0) + int(parts[2])
-            else:
-                raise ValueError(f"unrecognized line {line!r}")
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno, str(path)) from None
-    return ScenarioSpec(apps=apps, capture_duration_s=capture, seed=seed)
+        if parts[0] == "seed" and len(parts) == 2:
+            spec.seed = int(parts[1])
+        elif parts[0] == "capture_duration_s" and len(parts) == 2:
+            capture = float(parts[1])
+            if not (math.isfinite(capture) and capture > 0):
+                raise ValueError(_DURATION_RULE)
+            spec.capture_duration_s = capture
+        elif parts[0] == "app" and len(parts) == 2:
+            spec.apps.append(
+                AppSpec(label=parts[1], counts={}, specs=default_specs(len(spec.apps)))
+            )
+        elif parts[0] == "role" and len(parts) == 3:
+            if not spec.apps:
+                raise ValueError("role line before any app")
+            role = role_by_name.get(parts[1])
+            if role is None:
+                raise ValueError(f"unknown role {parts[1]!r}")
+            counts = spec.apps[-1].counts
+            counts[role] = counts.get(role, 0) + int(parts[2])
+        else:
+            raise ValueError(f"unrecognized line {line!r}")
+
+    parse_lines(read_text(path), setting, str(path))
+    return spec
 
 
 def build_dns_query(hostname: str, txid: int) -> bytes:

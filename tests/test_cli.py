@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import locale
 import os
 import struct
 import subprocess
@@ -621,6 +622,74 @@ def test_config_boolean_is_strict(tmp_path, scenario_file, capsys):
         "expected one of true/false/yes/no/on/off/1/0 (any case), got 'ture'\n"
     )
     assert not out.exists()
+
+
+# --- text inputs ---------------------------------------------------------
+
+# each text input as a flag, the subcommand that reads it, and a valid body
+TEXT_INPUTS = {
+    "--policy": ("clean", "keep ratio > 0.9\n"),
+    "--blocklist": ("clean", "example.com\n"),
+    "--config": ("clean", "k = 4\n"),
+    "--tags": ("ingest", "mac 02:00:00:00:00:aa chat-app\n"),
+    "--scenario": ("synth", SCENARIO),
+}
+
+
+def _run_with_text_input(tmp_path, scenario_file, flag, data: bytes) -> int:
+    command, _ = TEXT_INPUTS[flag]
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    argv = [command, flag, str(path), "--out", str(tmp_path / "out")]
+    if command == "clean":
+        argv += ["--flows", str(synth_into(tmp_path, scenario_file) / "flows.csv")]
+    elif command == "ingest":
+        frame = tcp4_frame("192.168.0.2", "10.0.0.1", 40000, 443, payload=b"x",
+                           src_mac=b"\x02\x00\x00\x00\x00\xaa")
+        pcap = tmp_path / "capture.pcap"
+        pcap.write_bytes(pcap_bytes([(0, 0, frame)]))
+        argv += ["--pcap", str(pcap)]
+    return main(argv)
+
+
+@pytest.mark.parametrize("flag", list(TEXT_INPUTS))
+def test_text_input_byte_the_encoding_rejects_names_file_and_line(
+    tmp_path, scenario_file, capsys, flag
+):
+    encoding = locale.getpreferredencoding(False)
+    rejected = []
+    for value in range(256):
+        try:
+            bytes([value]).decode(encoding)
+        except UnicodeDecodeError:
+            rejected.append(bytes([value]))
+    if not rejected:
+        pytest.skip(f"{encoding} accepts every byte")
+    body = TEXT_INPUTS[flag][1].encode(encoding)
+    data = b"# a comment\n# " + rejected[-1] + b"\n" + body
+    capsys.readouterr()
+    assert _run_with_text_input(tmp_path, scenario_file, flag, data) == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'input.txt'}:2: ")
+
+
+@pytest.mark.parametrize("flag", list(TEXT_INPUTS))
+def test_text_input_comment_keeps_unicode_line_separators(
+    tmp_path, scenario_file, capsys, flag
+):
+    # str.splitlines() would end a line at each of these; "* *" is an
+    # error in every format, so the run fails unless it stays comment
+    encoding = locale.getpreferredencoding(False)
+    comment = "# x"
+    for separator in "\x0c\x1c\x85\u2028":
+        try:
+            separator.encode(encoding)
+        except UnicodeEncodeError:
+            continue
+        comment += separator + "* *"
+    data = (TEXT_INPUTS[flag][1] + comment + "\n").encode(encoding)
+    assert _run_with_text_input(tmp_path, scenario_file, flag, data) == 0, (
+        capsys.readouterr().err
+    )
 
 
 def test_help_shows_declared_defaults(capsys):

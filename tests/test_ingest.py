@@ -13,8 +13,7 @@ from flowclean.ingest import (
     FlowKey,
     FlowRecord,
     TagMap,
-    apply_tags,
-    assemble_flows_with_meta,
+    assemble_flows,
     parse_mac,
     read_flow_table,
     read_packets,
@@ -28,6 +27,7 @@ from conftest import (
     TCP_RST,
     TCP_SYN,
     ethernet,
+    ipv4,
     ipv6,
     make_flow,
     pcap_bytes,
@@ -219,6 +219,55 @@ def test_read_packets_on_capture_cut_at_any_offset(tmp_path, cut):
     assert packets == read_packets(whole_path)[0]
 
 
+@pytest.mark.parametrize("linktype", [101, 113])
+@pytest.mark.parametrize("endian", ["<", ">"])
+def test_read_packets_refuses_non_ethernet_link_types(tmp_path, linktype, endian):
+    # raw IP (101) and Linux cooked (113) frames have no Ethernet header
+    data = bytearray(pcap_bytes([(0, 0, FUZZ_FRAMES[0])], endian=endian))
+    struct.pack_into(endian + "I", data, 20, linktype)
+    path = tmp_path / "cooked.pcap"
+    path.write_bytes(bytes(data))
+    with pytest.raises(MalformedCapture) as exc_info:
+        read_packets(path)
+    assert str(exc_info.value) == f"{path}: link type {linktype} is not Ethernet (1)"
+
+
+def test_tcp_data_offset_below_five_words_is_skipped(tmp_path):
+    segment = bytearray(tcp(40000, 443, b"hello"))
+    segment[12] = 0  # data offset 0: the header would overlap the ports
+    frame = ethernet(ipv4("10.0.0.2", "10.0.0.3", 6, bytes(segment)), 0x0800)
+    good = tcp4_frame("10.0.0.2", "10.0.0.3", 40000, 443, b"hello")
+    packets, stats = read_packets(write_pcap(tmp_path, [(0, 0, frame), (1, 0, good)]))
+    assert [p.payload_len for p in packets] == [5]
+    assert packets[0].timestamp_us == 1_000_000
+    assert stats.skipped_non_ip == 1
+    assert_counters_add_up(packets, stats)
+
+
+def _udp4_fragment(flags_and_offset: int, payload: bytes) -> bytes:
+    packet = bytearray(ipv4("10.0.0.2", "10.0.0.53", 17, payload))
+    struct.pack_into(">H", packet, 6, flags_and_offset)
+    return ethernet(bytes(packet), 0x0800)
+
+
+@pytest.mark.parametrize("flags_and_offset", [185, 0x2000 | 185])
+def test_non_first_ipv4_fragment_is_skipped(tmp_path, flags_and_offset):
+    # mid-datagram bytes that would read as ports 0x1234 -> 53
+    frame = _udp4_fragment(flags_and_offset, b"\x12\x34\x00\x35" + b"x" * 20)
+    packets, stats = read_packets(write_pcap(tmp_path, [(0, 0, frame)]))
+    assert packets == []
+    assert stats.skipped_non_ip == 1
+    assert_counters_add_up(packets, stats)
+
+
+def test_first_ipv4_fragment_is_parsed(tmp_path):
+    # more-fragments set, offset 0: the UDP header is really there
+    frame = _udp4_fragment(0x2000, udp(5353, 53, b"q" * 20))
+    packets, stats = read_packets(write_pcap(tmp_path, [(0, 0, frame)]))
+    assert [(p.src_port, p.dst_port) for p in packets] == [(5353, 53)]
+    assert stats.skipped_non_ip == 0
+
+
 def _session_frames(payloads_c2s, payloads_s2c, base_ts=10):
     """Interleave client->server then server->client packets."""
     frames = []
@@ -233,7 +282,7 @@ def _session_frames(payloads_c2s, payloads_s2c, base_ts=10):
 def test_assemble_flows_direction_and_counters(tmp_path):
     frames = _session_frames([b"q1", b"q2"], [b"r1" * 10, b"r2" * 10])
     packets, _ = read_packets(write_pcap(tmp_path, frames))
-    flows = assemble_flows_with_meta(packets)[0]
+    flows = assemble_flows(packets)
     assert len(flows) == 1
     f = flows[0]
     assert f.key.client_ip == "192.168.0.2"
@@ -252,7 +301,7 @@ def test_assemble_flows_direction_and_counters(tmp_path):
 def test_assemble_flows_server_initiated_direction(tmp_path):
     # first packet decides who the client is, not the port numbers
     frames = [(5, 0, tcp4_frame("10.0.0.1", "192.168.0.2", 443, 40000, b"push"))]
-    flows = assemble_flows_with_meta(read_packets(write_pcap(tmp_path, frames))[0])[0]
+    flows = assemble_flows(read_packets(write_pcap(tmp_path, frames))[0])
     assert flows[0].key.client_ip == "10.0.0.1"
     assert flows[0].key.client_port == 443
     assert flows[0].packets_out == 1
@@ -263,11 +312,11 @@ def test_idle_timeout_splits_strictly_greater(tmp_path):
     mk = lambda t: (t, 0, udp4_frame("1.1.1.1", "2.2.2.2", 5, 6, b"x"))
     # gap exactly equal to the timeout stays one flow
     packets, _ = read_packets(write_pcap(tmp_path, [mk(0), mk(60)]))
-    assert len(assemble_flows_with_meta(packets, idle_timeout_s=60)[0]) == 1
+    assert len(assemble_flows(packets, idle_timeout_s=60)) == 1
     # one microsecond beyond the timeout splits
     frames = [mk(0), (60, 1, udp4_frame("1.1.1.1", "2.2.2.2", 5, 6, b"x"))]
     packets, _ = read_packets(write_pcap(tmp_path, frames))
-    flows = assemble_flows_with_meta(packets, idle_timeout_s=60)[0]
+    flows = assemble_flows(packets, idle_timeout_s=60)
     assert len(flows) == 2
     assert [f.flow_id for f in flows] == [0, 1]
 
@@ -279,7 +328,7 @@ def test_idle_timeout_must_be_positive_and_finite(tmp_path, idle):
     with pytest.raises(
         ValueError, match=r"^idle_timeout_s must be a positive finite number, got "
     ):
-        assemble_flows_with_meta(packets, idle_timeout_s=idle)
+        assemble_flows(packets, idle_timeout_s=idle)
 
 
 def test_rst_closes_flow(tmp_path):
@@ -288,7 +337,7 @@ def test_rst_closes_flow(tmp_path):
         (2, 0, tcp4_frame("10.0.0.1", "192.168.0.2", 443, 40000, b"", TCP_RST)),
         (3, 0, tcp4_frame("192.168.0.2", "10.0.0.1", 40000, 443, b"b")),
     ]
-    flows = assemble_flows_with_meta(read_packets(write_pcap(tmp_path, frames))[0])[0]
+    flows = assemble_flows(read_packets(write_pcap(tmp_path, frames))[0])
     assert len(flows) == 2
     assert flows[0].packets_out + flows[0].packets_in == 2
     assert flows[1].client_payload_prefix == b"b"
@@ -304,7 +353,7 @@ def test_fin_fin_ack_closes_flow(tmp_path):
         # same 5-tuple again: must be a fresh flow despite no idle gap
         (5, 0, tcp4_frame(c, s, 40000, 443, b"again")),
     ]
-    flows = assemble_flows_with_meta(read_packets(write_pcap(tmp_path, frames))[0])[0]
+    flows = assemble_flows(read_packets(write_pcap(tmp_path, frames))[0])
     assert len(flows) == 2
     assert flows[0].packets_out + flows[0].packets_in == 4
     assert flows[1].client_payload_prefix == b"again"
@@ -317,12 +366,11 @@ def test_apply_tags_vlan_beats_mac(tmp_path):
         (1, 0, tcp4_frame("3.3.3.3", "4.4.4.4", 3, 4, src_mac=mac)),
         (2, 0, tcp4_frame("5.5.5.5", "6.6.6.6", 5, 6)),
     ]
-    flows, metas = assemble_flows_with_meta(read_packets(write_pcap(tmp_path, frames))[0])
     tags = TagMap(
         mac_entries={mac: "macapp"},
         vlan_entries={100: "vlanapp"},
     )
-    tagged = apply_tags(flows, tags, metas)
+    tagged = assemble_flows(read_packets(write_pcap(tmp_path, frames))[0], tags=tags)
     assert tagged[0].app_label == "vlanapp"
     assert tagged[1].app_label == "macapp"
     assert tagged[2].app_label is None
