@@ -14,6 +14,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -29,14 +30,16 @@ from .dpi import DEFAULT_BLOCKLIST, read_blocklist
 from .errors import FlowcleanError
 from .ingest import (
     assemble_flows,
+    index_flow_table,
     parse_lines,
     read_flow_table,
     read_packets,
     read_tag_map,
     read_text,
+    write_flow_lines,
     write_flow_table,
 )
-from .select import DEFAULT_POLICY, clean, read_rules
+from .select import DEFAULT_POLICY, clean, clean_table, read_rules
 
 _DEFAULT_SEED = 42
 
@@ -150,10 +153,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {args.threads}")
-    return args.threads
+def _count(args: argparse.Namespace, name: str) -> int:
+    value = getattr(args, name)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def _algorithm(name: str) -> Algorithm:
@@ -163,23 +167,37 @@ def _algorithm(name: str) -> Algorithm:
         raise ValueError(f"unknown algorithm {name!r}, expected kmeans or hier") from None
 
 
+def _linkage(name: str) -> Linkage:
+    try:
+        return Linkage(name)
+    except ValueError:
+        raise ValueError(
+            f"unknown linkage {name!r}, expected ward, average or complete"
+        ) from None
+
+
 def cmd_clean(args: argparse.Namespace) -> int:
     if not args.flows:
         raise ValueError("clean requires --flows")
-    flows = read_flow_table(args.flows)
-    cleaned, report = clean(
-        flows,
+    options = dict(
         blocklist=_load_blocklist(args),
         policy=_load_policy(args),
         algorithm=_algorithm(args.algorithm),
-        k=args.k,
+        k=_count(args, "k"),
         seed=args.seed,
-        linkage=Linkage(args.linkage),
+        linkage=_linkage(args.linkage),
         skip_dpi=args.skip_dpi,
-        threads=_threads(args),
+        threads=_count(args, "threads"),
     )
+    table = index_flow_table(args.flows)
+    if table is None:  # quoted fields, or an encoding the line index does not take
+        cleaned, report = clean(read_flow_table(args.flows), **options)
+        write = functools.partial(write_flow_table, cleaned)
+    else:
+        kept, report = clean_table(table, **options)
+        write = functools.partial(write_flow_lines, table=table, kept=kept)
     out = _out_dir(args)
-    write_flow_table(cleaned, out / "cleaned.csv")
+    write(out / "cleaned.csv")
     report.write_json(out / "clean_report.json")
     totals = report.totals()
     print(
@@ -204,7 +222,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         min_leaf=args.min_leaf,
         features_per_split=args.features_per_split,
         seed=args.seed,
-        workers=_threads(args),
+        workers=_count(args, "threads"),
     )
     out = _out_dir(args)
     classify.write_model(model, out / "model.json")
@@ -384,7 +402,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         blocklist=_load_blocklist(args),
         train_frac=args.train_frac,
         skip_dpi=args.skip_dpi,
-        threads=_threads(args),
+        threads=_count(args, "threads"),
     )
     out = _out_dir(args)
     path = out / "compare_report.json"

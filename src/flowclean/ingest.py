@@ -3,12 +3,15 @@
 Reads classic Ethernet pcaps (both endiannesses, microsecond and
 nanosecond resolution) and groups packets into bidirectional flows keyed
 by the canonical 5-tuple, labelled from a MAC/VLAN tag map. Flows can be
-persisted to and restored from a CSV flow table losslessly. read_text
-and parse_lines own the line format the five text inputs share.
+persisted to and restored from a CSV flow table losslessly, and a
+table's lines can be indexed by label (index_flow_table) so that each
+app's rows are parsed on their own (read_flow_lines). read_text and
+parse_lines own the line format the five text inputs share.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import logging
 import math
@@ -17,6 +20,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import MalformedCapture, ParseError, SchemaMismatch
 
@@ -460,7 +465,7 @@ def _undecodable(file: str | Path, encoding: str) -> tuple[int, str]:
     except UnicodeDecodeError as exc:
         before = data[: exc.start].replace(b"\r\n", b"\n")
         line = before.count(b"\n") + before.count(b"\r") + 1  # LF, CRLF or CR end lines
-        return line, f"byte {data[exc.start]:#04x} is not valid {exc.encoding}"
+        return line, _rejected(exc)
     # it decodes now: the file changed after the failed read, so blame its first line
     return 1, f"not valid {encoding} when first read"
 
@@ -563,27 +568,37 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def format_flow_row(f: FlowRecord) -> str:
+    """f's row as csv.writer writes it, CRLF included.
+
+    Only the four text fields can need quoting; integer and hex fields
+    never do. One formatted string is about three times faster than
+    csv.writer on a large table.
+    """
+    key = f.key
+    return (
+        f"{f.flow_id},{_csv_field(f.app_label or '')},"
+        f"{_csv_field(key.transport)},{_csv_field(key.client_ip)},"
+        f"{key.client_port},{_csv_field(key.server_ip)},{key.server_port},"
+        f"{f.first_ts_us},{f.last_ts_us},{f.bytes_in},{f.bytes_out},"
+        f"{f.packets_in},{f.packets_out},{f.header_bytes_total},"
+        f"{f.payload_bytes_total},{key.server_port},"
+        f"{f.client_payload_prefix.hex()},{f.server_payload_prefix.hex()}\r\n"
+    )
+
+
+_HEADER_ROW = ",".join(FLOW_TABLE_HEADER) + "\r\n"
+
+
 def write_flow_table(flows: list[FlowRecord], file: str | Path) -> None:
     """Write flows as CSV in FLOW_TABLE_HEADER column order.
 
-    The bytes are those csv.writer writes, CRLF line ends included,
-    but each row is one formatted string, about three times faster on
-    a large table. Only the four text fields can need quoting; integer
-    and hex fields never do.
+    The bytes are those csv.writer writes, CRLF line ends included.
     """
     with open(file, "w", newline="") as fh:
-        fh.write(",".join(FLOW_TABLE_HEADER) + "\r\n")
+        fh.write(_HEADER_ROW)
         for f in flows:
-            key = f.key
-            fh.write(
-                f"{f.flow_id},{_csv_field(f.app_label or '')},"
-                f"{_csv_field(key.transport)},{_csv_field(key.client_ip)},"
-                f"{key.client_port},{_csv_field(key.server_ip)},{key.server_port},"
-                f"{f.first_ts_us},{f.last_ts_us},{f.bytes_in},{f.bytes_out},"
-                f"{f.packets_in},{f.packets_out},{f.header_bytes_total},"
-                f"{f.payload_bytes_total},{key.server_port},"
-                f"{f.client_payload_prefix.hex()},{f.server_payload_prefix.hex()}\r\n"
-            )
+            fh.write(format_flow_row(f))
 
 
 def _impossible_row(row: list[str], first_line: dict[int, int]) -> str:
@@ -600,14 +615,75 @@ def _impossible_row(row: list[str], first_line: dict[int, int]) -> str:
     return f"duplicate flow_id {flow_id}, first on line {first_line[flow_id]}"
 
 
+def parse_flow_row(row: list[str], line: int, first_line: dict[int, int]) -> FlowRecord:
+    """The flow that row, the fields of the table's line `line`, describes.
+
+    Raises ValueError for a malformed field, a dst_port that disagrees
+    with server_port, a last_ts_us before first_ts_us, a negative
+    counter, no packets either way, or a flow_id that first_line maps
+    to another line. first_line maps each flow_id seen so far to its
+    line; a row's flow_id is added once it passes that check, before
+    the hex fields are read.
+    """
+    if len(row) != len(FLOW_TABLE_HEADER):
+        raise ValueError(f"row has {len(row)} columns, expected {len(FLOW_TABLE_HEADER)}")
+    key = FlowKey(
+        client_ip=row[3],
+        client_port=int(row[4]),
+        server_ip=row[5],
+        server_port=int(row[6]),
+        transport=row[2],
+    )
+    if int(row[15]) != key.server_port:
+        raise ValueError("dst_port disagrees with server_port")
+    flow_id = int(row[0])
+    first_ts_us, last_ts_us = int(row[7]), int(row[8])
+    bytes_in, bytes_out = int(row[9]), int(row[10])
+    packets_in, packets_out = int(row[11]), int(row[12])
+    header_bytes, payload_bytes = int(row[13]), int(row[14])
+    # an OR of ints is negative when any of them is
+    if (
+        (
+            bytes_in | bytes_out | packets_in | packets_out
+            | header_bytes | payload_bytes | (last_ts_us - first_ts_us)
+        ) < 0
+        or not (packets_in or packets_out)
+        or first_line.setdefault(flow_id, line) != line
+    ):
+        raise ValueError(_impossible_row(row, first_line))
+    return FlowRecord(
+        flow_id=flow_id,
+        key=key,
+        app_label=row[1] or None,
+        first_ts_us=first_ts_us,
+        last_ts_us=last_ts_us,
+        bytes_in=bytes_in,
+        bytes_out=bytes_out,
+        packets_in=packets_in,
+        packets_out=packets_out,
+        header_bytes_total=header_bytes,
+        payload_bytes_total=payload_bytes,
+        client_payload_prefix=bytes.fromhex(row[16]),
+        server_payload_prefix=bytes.fromhex(row[17]),
+    )
+
+
+def _check_header(header: list[str], file: str | Path) -> None:
+    if header != FLOW_TABLE_HEADER:
+        missing = set(FLOW_TABLE_HEADER) - set(header)
+        extra = set(header) - set(FLOW_TABLE_HEADER)
+        raise SchemaMismatch(
+            f"{file}: bad flow-table header"
+            + (f", missing {sorted(missing)}" if missing else "")
+            + (f", unexpected {sorted(extra)}" if extra else "")
+        )
+
+
 def read_flow_table(file: str | Path) -> list[FlowRecord]:
     """Read a table written by write_flow_table.
 
     Raises SchemaMismatch, naming the file and line, for a bad header,
-    bytes that are not valid text, or a row with a malformed field, a
-    dst_port that disagrees with server_port, a last_ts_us before
-    first_ts_us, a negative counter, no packets either way, or a
-    flow_id already seen on another line.
+    bytes that are not valid text, or a row parse_flow_row rejects.
     """
     with open(file, newline="") as fh:
         reader = csv.reader(fh)
@@ -625,66 +701,181 @@ def _parse_flow_table(reader, file: str | Path) -> list[FlowRecord]:
         header = next(reader)
     except StopIteration:
         raise SchemaMismatch(f"{file}: empty file") from None
-    if header != FLOW_TABLE_HEADER:
-        missing = set(FLOW_TABLE_HEADER) - set(header)
-        extra = set(header) - set(FLOW_TABLE_HEADER)
-        raise SchemaMismatch(
-            f"{file}: bad flow-table header"
-            + (f", missing {sorted(missing)}" if missing else "")
-            + (f", unexpected {sorted(extra)}" if extra else "")
-        )
+    _check_header(header, file)
     flows = []
     first_line: dict[int, int] = {}
     for row in reader:
         if not row:
             continue
         try:
-            if len(row) != len(FLOW_TABLE_HEADER):
-                raise ValueError(
-                    f"row has {len(row)} columns, expected {len(FLOW_TABLE_HEADER)}"
-                )
-            key = FlowKey(
-                client_ip=row[3],
-                client_port=int(row[4]),
-                server_ip=row[5],
-                server_port=int(row[6]),
-                transport=row[2],
-            )
-            if int(row[15]) != key.server_port:
-                raise ValueError("dst_port disagrees with server_port")
-            flow_id = int(row[0])
-            first_ts_us, last_ts_us = int(row[7]), int(row[8])
-            bytes_in, bytes_out = int(row[9]), int(row[10])
-            packets_in, packets_out = int(row[11]), int(row[12])
-            header_bytes, payload_bytes = int(row[13]), int(row[14])
-            line = reader.line_num
-            # an OR of ints is negative when any of them is
-            if (
-                (
-                    bytes_in | bytes_out | packets_in | packets_out
-                    | header_bytes | payload_bytes | (last_ts_us - first_ts_us)
-                ) < 0
-                or not (packets_in or packets_out)
-                or first_line.setdefault(flow_id, line) != line
-            ):
-                raise ValueError(_impossible_row(row, first_line))
-            flows.append(
-                FlowRecord(
-                    flow_id=flow_id,
-                    key=key,
-                    app_label=row[1] or None,
-                    first_ts_us=first_ts_us,
-                    last_ts_us=last_ts_us,
-                    bytes_in=bytes_in,
-                    bytes_out=bytes_out,
-                    packets_in=packets_in,
-                    packets_out=packets_out,
-                    header_bytes_total=header_bytes,
-                    payload_bytes_total=payload_bytes,
-                    client_payload_prefix=bytes.fromhex(row[16]),
-                    server_payload_prefix=bytes.fromhex(row[17]),
-                )
-            )
+            flows.append(parse_flow_row(row, reader.line_num, first_line))
         except ValueError as exc:
             raise SchemaMismatch(f"{file}: line {reader.line_num}: {exc}") from exc
     return flows
+
+
+# Encodings in which CR, LF, comma and quote are one byte each that no
+# other character contains, and which decode each line on its own as
+# the whole text decodes it.
+_LINE_CODECS = frozenset({"utf-8", "ascii", "iso8859-1", "cp1252"})
+
+_CHUNK = 1 << 20
+_LINE_BLOCK = 4096
+
+
+class FlowTableLines(NamedTuple):
+    """A flow table's bytes with its rows' lines grouped by app label.
+
+    rows maps the bytes of each label, the text between a line's first
+    two commas, to an int64 array with one (start, stop, line) entry
+    per line in file order: the line's offsets in data, line end
+    excluded, and its 1-based number. Lines with fewer than two commas
+    are under None; blank lines and the header are left out.
+    """
+
+    file: str
+    data: bytes
+    encoding: str
+    rows: dict[bytes | None, np.ndarray]
+
+
+def _offsets(buf: np.ndarray, byte: int) -> np.ndarray:
+    """Offsets of byte in buf, found a chunk at a time to bound the scratch memory."""
+    return np.concatenate(
+        [np.flatnonzero(buf[at : at + _CHUNK] == byte) + at for at in range(0, len(buf), _CHUNK)]
+        or [np.empty(0, np.intp)]
+    )
+
+
+def _line_bounds(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop offsets of buf's lines, ended by CRLF, CR or LF as csv ends them."""
+    cr, lf = _offsets(buf, 13), _offsets(buf, 10)
+    # a CRLF ends its line at the LF
+    lone_cr = cr[buf[np.minimum(cr + 1, len(buf) - 1)] != 10]
+    ends = np.sort(np.concatenate([lf, lone_cr]))
+    starts = np.concatenate([[0], ends + 1])
+    stops = np.append(ends - ((buf[ends] == 10) & (buf[ends - 1] == 13) & (ends > 0)), len(buf))
+    if starts[-1] == len(buf):  # no line after the last line end
+        starts, stops = starts[:-1], stops[:-1]
+    return starts, stops
+
+
+def _labels(
+    data: bytes, buf: np.ndarray, starts: np.ndarray, stops: np.ndarray
+) -> list[bytes | None]:
+    """The bytes between each line's first two commas, None where it has fewer.
+
+    Commas are found a block of lines at a time: a table has about 17
+    per line, too many to hold all their offsets at once.
+    """
+    labels: list[bytes | None] = []
+    for lo in range(0, len(starts), _LINE_BLOCK):
+        block_starts, block_stops = starts[lo : lo + _LINE_BLOCK], stops[lo : lo + _LINE_BLOCK]
+        first, last = block_starts[0], block_stops[-1]
+        # two commas past the block, for lines with fewer than two
+        commas = np.append(np.flatnonzero(buf[first:last] == 44) + first, [last, last])
+        at = np.searchsorted(commas, block_starts)
+        after, end = commas[at] + 1, commas[at + 1]
+        labels += [
+            data[a:b] if labeled else None
+            for a, b, labeled in zip(after.tolist(), end.tolist(), (end < block_stops).tolist())
+        ]
+    return labels
+
+
+def _rejected(exc: UnicodeDecodeError) -> str:
+    return f"byte {exc.object[exc.start]:#04x} is not valid {exc.encoding}"
+
+
+def index_flow_table(file: str | Path) -> FlowTableLines | None:
+    """file's bytes and the lines of its rows by label, for per-app parsing.
+
+    The header is checked here, as read_flow_table checks it; rows are
+    not parsed. Returns None where a label cannot be found without
+    parsing: the bytes hold a quote, so a field may hold a comma or a
+    line end, or the locale's encoding is not one of _LINE_CODECS.
+    """
+    with open(file, newline="") as fh:
+        encoding = fh.encoding
+        data = fh.buffer.read()
+    if b'"' in data or codecs.lookup(encoding).name not in _LINE_CODECS:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    starts, stops = _line_bounds(buf)
+    if not len(starts):
+        raise SchemaMismatch(f"{file}: empty file")
+    try:
+        header = next(csv.reader([data[starts[0] : stops[0]].decode(encoding)]))
+    except UnicodeDecodeError as exc:
+        raise SchemaMismatch(f"{file}: line 1: {_rejected(exc)}") from None
+    except csv.Error as exc:
+        raise SchemaMismatch(f"{file}: line 1: {exc}") from None
+    _check_header(header, file)
+
+    lines = np.arange(1, len(starts) + 1)
+    filled = stops > starts
+    filled[0] = False
+    starts, stops, lines = starts[filled], stops[filled], lines[filled]
+    labels = _labels(data, buf, starts, stops)
+    codes = {label: code for code, label in enumerate(dict.fromkeys(labels))}
+    code = np.fromiter(map(codes.__getitem__, labels), np.intp, len(labels))
+    order = np.argsort(code, kind="stable")
+    cuts = np.searchsorted(code[order], np.arange(len(codes) + 1))
+    table = np.column_stack([starts, stops, lines]).astype(np.int64)[order]
+    rows = {label: table[cuts[c] : cuts[c + 1]] for label, c in codes.items()}
+    return FlowTableLines(str(file), data, encoding, rows)
+
+
+def read_flow_lines(
+    table: FlowTableLines, rows: np.ndarray, first_line: dict[int, int]
+) -> tuple[list[FlowRecord], list[str], tuple[int, str] | None]:
+    """Parse the lines at rows, one label's entries of table.rows.
+
+    Each line is decoded and read by csv and parse_flow_row, which
+    finds repeats of the flow_ids in first_line and adds the new ones,
+    so its fields read as read_flow_table reads them. Returns the flows
+    and text of the lines before the first bad one, and that line's
+    number and error, or None.
+    """
+    data, encoding = table.data, table.encoding
+    texts: list[str] = []
+    error = None
+    for start, stop, line in rows.tolist():
+        try:
+            texts.append(data[start:stop].decode(encoding))
+        except UnicodeDecodeError as exc:
+            error = (line, _rejected(exc))
+            break
+    numbers = rows[:, 2].tolist()
+    flows: list[FlowRecord] = []
+    reader = csv.reader(texts)
+    try:
+        for row, line in zip(reader, numbers):
+            flows.append(parse_flow_row(row, line, first_line))
+    except csv.Error as exc:
+        return flows, texts, (numbers[reader.line_num - 1], str(exc))
+    except ValueError as exc:
+        return flows, texts, (numbers[len(flows)], str(exc))
+    return flows, texts, error
+
+
+def write_flow_lines(
+    file: str | Path, table: FlowTableLines, kept: list[tuple[np.ndarray, dict[int, str]]]
+) -> None:
+    """Write a table of table's lines as write_flow_table writes their rows.
+
+    kept holds, per app, entries of table.rows and the text of the rows
+    whose line is not as format_flow_row writes it, keyed by position;
+    every other row is its line plus CRLF.
+    """
+    data = memoryview(table.data)
+    with open(file, "wb") as fh:
+        fh.write(_HEADER_ROW.encode(table.encoding))
+        for rows, texts in kept:
+            for at, (start, stop) in enumerate(rows[:, :2].tolist()):
+                text = texts.get(at)
+                if text is None:
+                    fh.write(data[start:stop])
+                    fh.write(b"\r\n")
+                else:
+                    fh.write(text.encode(table.encoding))

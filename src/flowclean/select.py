@@ -13,7 +13,9 @@ clean() runs the whole pipeline per app: payload-prefix filtering,
 feature extraction and standardization, clustering, cluster
 selection. Each app's run returns the positions of its kept flows,
 its counts and its stage times; the kept flows of every app form the
-cleaned dataset.
+cleaned dataset. clean_table() does the same for a flow table's lines,
+each app's worker parsing its own rows, so that the caller never holds
+the table's records.
 """
 
 from __future__ import annotations
@@ -24,20 +26,29 @@ import logging
 import math
 import operator
 import time
+from collections.abc import Callable
 # Unused: perfbench's tracer patches this attribute. It goes once perfbench
 # stops patching it (see ROADMAP.md).
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .cluster import Algorithm, Linkage, hierarchical, kmeans
 from .dpi import Blocklist, DEFAULT_BLOCKLIST, filter_flows
-from .errors import InvariantViolation
+from .errors import FlowcleanError, InvariantViolation, SchemaMismatch
 from .features import CLUSTER_FEATURES, destandardize, feature_matrix, standardize
-from .ingest import FlowRecord, parse_lines, read_text
+from .ingest import (
+    FlowRecord,
+    FlowTableLines,
+    format_flow_row,
+    parse_lines,
+    read_flow_lines,
+    read_text,
+)
 from .parallel import fork_map
 
 logger = logging.getLogger(__name__)
@@ -245,6 +256,31 @@ class CleanReport:
 _STAGES = ("dpi", "features", "cluster", "select")
 
 
+def _check_sizes(k: int, threads: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
+def _merge(
+    labels: list[str], results: list[tuple[np.ndarray, AppCounts, dict]], k: int
+) -> CleanReport:
+    """The report of apps' (kept, counts, stage times), in label order."""
+    report = CleanReport(timings_ms=dict.fromkeys(_STAGES, 0.0))
+    for label, (_, counts, timings) in zip(labels, results):
+        if counts.skipped:
+            logger.warning(
+                "%s: %d flows after filtering, need at least %d",
+                label, counts.flows_dropped, max(k, 2),
+            )
+        counts.check(label)
+        report.apps[label] = counts
+        for stage in _STAGES:
+            report.timings_ms[stage] += timings[stage]
+    return report
+
+
 def clean(
     flows: list[FlowRecord],
     blocklist: Blocklist = DEFAULT_BLOCKLIST,
@@ -269,12 +305,10 @@ def clean(
     by the app count and the CPUs this process may run on (see
     parallel.fork_map); apps are independent and results are merged in
     sorted label order, so the worker count never changes the output.
-    threads must be >= 1. Stage times in the report are summed over
-    apps, while total is wall time.
+    k and threads must be >= 1. Stage times in the report are summed
+    over apps, while total is wall time.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    report = CleanReport(timings_ms=dict.fromkeys(_STAGES, 0.0))
+    _check_sizes(k, threads)
     by_app: dict[str, list[FlowRecord]] = {}
     for flow in flows:
         if not flow.app_label:
@@ -295,23 +329,79 @@ def clean(
     total_start = time.perf_counter()
     # results come in label order; the first failing app's error re-raises
     results = fork_map(lambda i: run(by_app[labels[i]]), len(labels), threads)
-
+    report = _merge(labels, results, k)
     cleaned: list[FlowRecord] = []
-    for label, (kept, counts, timings) in zip(labels, results):
-        if counts.skipped:
-            logger.warning(
-                "%s: %d flows after filtering, need at least %d",
-                label, counts.flows_dropped, max(k, 2),
-            )
-        counts.check(label)
-        report.apps[label] = counts
-        for stage in _STAGES:
-            report.timings_ms[stage] += timings[stage]
+    for label, (kept, _, _) in zip(labels, results):
         app_flows = by_app[label]
         cleaned.extend(app_flows[i] for i in kept.tolist())
     report.timings_ms["total"] = (time.perf_counter() - total_start) * 1e3
     cleaned.sort(key=lambda f: (f.app_label or "", f.flow_id))
     return cleaned, report
+
+
+def clean_table(
+    table: FlowTableLines,
+    blocklist: Blocklist = DEFAULT_BLOCKLIST,
+    policy: SelectionPolicy = DEFAULT_POLICY,
+    algorithm: Algorithm = Algorithm.KMEANS,
+    k: int = 4,
+    seed: int = 42,
+    linkage: Linkage = Linkage.WARD,
+    skip_dpi: bool = False,
+    threads: int = 1,
+) -> tuple[list[tuple[np.ndarray, dict[int, str]]], CleanReport]:
+    """clean() on an indexed flow table, without its records in this process.
+
+    Each label's worker parses that label's lines (read_flow_lines),
+    cleans them as clean() cleans an app, and returns its flow ids, its
+    first bad line, its kept rows in flow_id order and the text of each
+    kept row whose line is not as write_flow_table writes it. Returns
+    what write_flow_lines writes the cleaned table from, in label
+    order, and the report.
+
+    Raises what read_flow_table and then clean() would raise: the bad
+    row or duplicate flow_id on the lowest line, then the first flow
+    without a label, then the first app's error in label order.
+    """
+    _check_sizes(k, threads)
+    # a label its encoding rejects fails on its first line, before any sorting shows
+    decoded = {
+        label: label.decode(table.encoding, "surrogateescape") for label in table.rows if label
+    }
+    labels = sorted(decoded, key=decoded.__getitem__)
+    unlabeled = [label for label in table.rows if not label]
+    # a line without a label fails the table, so then no app is cleaned
+    run = None if unlabeled else functools.partial(
+        _clean_app,
+        blocklist=blocklist,
+        policy=policy,
+        algorithm=algorithm,
+        k=k,
+        seed=seed,
+        linkage=linkage,
+        skip_dpi=skip_dpi,
+    )
+    keys = labels + unlabeled
+    total_start = time.perf_counter()
+    results = fork_map(
+        lambda i: _clean_lines(table, table.rows[keys[i]], run), len(keys), threads
+    )
+    bad = _first_bad_line(results)
+    if bad is not None:
+        raise SchemaMismatch(f"{table.file}: line {bad[0]}: {bad[1]}")
+    if b"" in table.rows:
+        raise ValueError(f"flow {int(results[keys.index(b'')].ids[0])} has no app label")
+    for result in results:
+        if isinstance(result.outcome, Exception):
+            raise result.outcome
+    report = _merge(
+        [decoded[label] for label in labels], [r.outcome[:3] for r in results], k
+    )
+    kept = [
+        (table.rows[label][r.outcome[0]], r.outcome[3]) for label, r in zip(labels, results)
+    ]
+    report.timings_ms["total"] = (time.perf_counter() - total_start) * 1e3
+    return kept, report
 
 
 def _clean_app(
@@ -369,3 +459,65 @@ def _clean_app(
     counts.flows_dropped = len(survivors) - len(kept)
     timings["select"] = (time.perf_counter() - t3) * 1e3
     return kept, counts, timings
+
+
+class _Lines(NamedTuple):
+    """What clean_table's worker sends back for one label's lines."""
+
+    ids: np.ndarray  # the flow_ids parse_flow_row took, in line order
+    lines: np.ndarray  # their line numbers
+    error: tuple[int, str] | None  # the first bad line's number and error
+    # None where the lines are not cleaned, the app's error, or its kept
+    # positions in rows sorted by flow_id, counts, stage times and the
+    # text of each kept row whose line is not as format_flow_row writes it
+    outcome: Exception | tuple | None
+
+
+def _clean_lines(table: FlowTableLines, rows: np.ndarray, run: Callable | None) -> _Lines:
+    """One label of clean_table: parse the lines at rows, then clean them with run."""
+    first_line: dict[int, int] = {}
+    flows, lines, error = read_flow_lines(table, rows, first_line)
+    try:
+        ids = np.array(list(first_line), dtype=np.int64)
+    except OverflowError:
+        ids = np.array(list(first_line), dtype=object)
+    numbers = np.array(list(first_line.values()), dtype=np.int64)
+    if error is not None or run is None:
+        return _Lines(ids, numbers, error, None)
+    try:
+        kept, counts, timings = run(flows)
+    except (FlowcleanError, ValueError) as exc:  # raised once every app's rows are checked
+        return _Lines(ids, numbers, None, exc)
+    kept = kept[np.argsort(ids[kept])]
+    texts = {}
+    for at, i in enumerate(kept.tolist()):
+        text = format_flow_row(flows[i])
+        if text != lines[i] + "\r\n":
+            texts[at] = text
+    return _Lines(ids, numbers, None, (kept, counts, timings, texts))
+
+
+def _first_bad_line(results: list[_Lines]) -> tuple[int, str] | None:
+    """The lowest line that read_flow_table would reject, and why, or None.
+
+    That is each label's first bad line, or a flow_id already on an
+    earlier line of another label. On one line the repeat wins: a row
+    whose flow_id repeats is rejected before its hex fields are read.
+    """
+    if not results:
+        return None
+    ids = np.concatenate([r.ids for r in results])
+    lines = np.concatenate([r.lines for r in results])
+    order = np.argsort(lines)
+    ids, lines = ids[order], lines[order]
+    _, first = np.unique(ids, return_index=True)
+    again = np.ones(len(ids), dtype=bool)
+    again[first] = False
+    bad = []
+    if again.any():
+        at = int(np.argmax(again))
+        flow_id = int(ids[at])
+        first_on = int(lines[np.argmax(ids == ids[at])])
+        bad.append((int(lines[at]), f"duplicate flow_id {flow_id}, first on line {first_on}"))
+    bad += [r.error for r in results if r.error is not None]
+    return min(bad, key=lambda error: error[0], default=None)

@@ -7,20 +7,23 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import flowclean.cli as cli_mod
 import flowclean.cluster as cluster_mod
 from flowclean.cli import _canonical_sha256, main, read_config, run_compare
 from flowclean.cluster import Algorithm
 from flowclean.errors import ParseError
-from flowclean.ingest import read_flow_table
+from flowclean.ingest import FLOW_TABLE_HEADER, format_flow_row, read_flow_table
 from flowclean.select import clean
 from flowclean.synth import read_scenario
 
-from conftest import TCP_ACK, TCP_SYN, ethernet, pcap_bytes, tcp4_frame
+from conftest import TCP_ACK, TCP_SYN, ethernet, make_flow, pcap_bytes, tcp4_frame
+from test_ingest import table_flows
 
 SCENARIO = """\
 # two small apps for CLI runs
@@ -263,6 +266,163 @@ def test_clean_config_file_and_flag_override(tmp_path, scenario_file):
     assert rc == 0
     report2 = json.loads((out2 / "clean_report.json").read_text())
     assert all(e["clusters_formed"] == 2 for e in report2["apps"].values())
+
+
+def test_clean_unknown_linkage(tmp_path, scenario_file, capsys):
+    flows = synth_into(tmp_path, scenario_file) / "flows.csv"
+    capsys.readouterr()
+    rc = main(["clean", "--flows", str(flows), "--algorithm", "hier",
+               "--linkage", "bogus", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: unknown linkage 'bogus', expected ward, average or complete\n"
+    )
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_clean_checks_k_before_reading_the_table(tmp_path, capsys, k):
+    # reading the absent table would exit 2
+    rc = main(["clean", "--flows", str(tmp_path / "absent.csv"), "--k", k,
+               "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: k must be >= 1, got {k}\n"
+
+
+# --- clean: each app's lines parsed, cleaned and formatted by its worker --
+
+_ENCODING = locale.getpreferredencoding(False)
+
+
+def _rejected_byte() -> bytes:
+    """A byte the locale's encoding rejects, or 0xff where it takes them all."""
+    for value in range(255, -1, -1):
+        try:
+            bytes([value]).decode(_ENCODING)
+        except UnicodeDecodeError:
+            return bytes([value])
+    return b"\xff"
+
+
+def _row(flow_id: int, label: str | None = "a", **fields) -> bytes:
+    """A table row, line end excluded, with features that differ per flow."""
+    fields = {"bytes_in": 1000 * (flow_id % 7 + 1), "packets_in": flow_id % 5 + 1, **fields}
+    flow = make_flow(flow_id=flow_id, app_label=label, **fields)
+    return format_flow_row(flow)[:-2].encode(_ENCODING)
+
+
+def _table(*rows: bytes, end: bytes = b"\r\n") -> bytes:
+    return b"".join(line + end for line in (",".join(FLOW_TABLE_HEADER).encode(), *rows))
+
+
+def _noncanonical(line: bytes) -> bytes:
+    """line with a zero-padded client_port and upper-case hex: the same row, other bytes."""
+    fields = line.split(b",")
+    fields[4] = b"0" + fields[4]
+    fields[16] = fields[16].upper()
+    return b",".join(fields)
+
+
+_APPS = [_row(i, "ab"[i % 2], client_payload_prefix=bytes([i])) for i in range(10)]
+
+
+# line 5 of app b and line 6 of app a are bad; app a's worker names line 6
+_BAD_ROWS = _table(*_APPS[:3], _row(20, "b", bytes_in=-1), _row(21, "a", last_ts_us=0))
+_BAD_ROW_AND_NO_LABEL = _table(*_APPS[:4], _row(20, "a", first_ts_us=9, last_ts_us=1), b"1,a")
+# line 5 repeats line 2's flow_id and has a bad hex field: the repeat is found first
+_REPEAT_AND_BAD_HEX = _table(*_APPS[:3], b",".join(_row(0, "b").split(b",")[:16] + [b"zz", b""]))
+_QUOTED_LABEL = _table(*_APPS, _row(20, "b").replace(b",b,", b',"say ""hi"", b",'))
+_REJECTED_BYTE = _table(*_APPS[:5], _row(20, "b").replace(b"tcp", b"t" + _rejected_byte()))
+
+
+@st.composite
+def flow_table_bytes(draw):
+    """Tables of table_flows' rows, often with few labels, no field that
+    needs quotes, other line ends, blank lines, or rows whose bytes are
+    not those write_flow_table writes."""
+    # two draws, for apps of several flows; table_flows' ids are within 2**40
+    flows = draw(table_flows())
+    flows += [flow._replace(flow_id=flow.flow_id + 2**41) for flow in draw(table_flows())]
+    if draw(st.integers(0, 3)):
+        labels = st.sampled_from(["a", "b", "ünï"])
+        flows = [flow._replace(app_label=draw(labels)) for flow in flows]
+    if draw(st.booleans()):
+        plain = str.maketrans("", "", ',"\r\n')
+        flows = [
+            flow._replace(
+                app_label=flow.app_label and flow.app_label.translate(plain) or None,
+                key=flow.key._replace(
+                    transport=flow.key.transport.translate(plain),
+                    client_ip=flow.key.client_ip.translate(plain),
+                    server_ip=flow.key.server_ip.translate(plain),
+                ),
+            )
+            for flow in flows
+        ]
+    try:
+        rows = [format_flow_row(flow)[:-2].encode(_ENCODING) for flow in flows]
+    except UnicodeEncodeError:
+        assume(False)
+    if any(b'"' in row for row in rows):
+        return _table(*rows)
+    rows = [_noncanonical(row) if draw(st.booleans()) else row for row in rows]
+    for at in draw(st.lists(st.integers(0, len(rows)), max_size=2)):
+        rows.insert(at, b"")
+    end = draw(st.sampled_from([b"\r\n", b"\n", b"\r"]))
+    data = _table(*rows, end=end)
+    return data if draw(st.booleans()) else data[: -len(end)]
+
+
+def _clean_run(capsys, flows: Path, out: Path, threads: int):
+    # keeps some clusters of table_flows' random counters, and drops others
+    policy = flows.with_name("policy.txt")
+    policy.write_text("keep ratio > 0.5\n")
+    capsys.readouterr()
+    rc = main(["clean", "--flows", str(flows), "--out", str(out), "--k", "2",
+               "--policy", str(policy), "--threads", str(threads)])
+    err = capsys.readouterr().err
+    if rc != 0:
+        return rc, err, None, None
+    apps = json.loads((out / "clean_report.json").read_text())["apps"]
+    return rc, err, (out / "cleaned.csv").read_bytes(), apps
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+          max_examples=100, deadline=None)
+@given(flow_table_bytes())
+@example(_table(*_APPS)).via("CRLF")
+@example(_table(*_APPS, end=b"\n")).via("LF")
+@example(_table(*_APPS, end=b"\r")).via("CR")
+@example(_table(_APPS[0], b"", *_APPS[1:5], b"", b"", *_APPS[5:])).via("blank lines")
+@example(_table()).via("header only")
+@example(_table(*map(_noncanonical, _APPS))).via("rows written otherwise")
+@example(_table(*_APPS[:3], _row(20, None), _row(21, None))).via("unlabeled rows")
+@example(_table(*_APPS[:3], _row(1, "c"))).via("flow_id repeated across apps")
+@example(_BAD_ROWS).via("bad rows in two apps: the lower line wins")
+@example(_BAD_ROW_AND_NO_LABEL).via("a bad row and a line without a label")
+@example(_REPEAT_AND_BAD_HEX).via("a flow_id repeated on a row with bad hex")
+@example(_QUOTED_LABEL).via("a quoted label")
+@example(_REJECTED_BYTE).via("a byte the locale's encoding rejects")
+def test_clean_matches_read_clean_write(capsys, data):
+    """The same exit code, stderr, cleaned table and per-app report as
+    read_flow_table, clean and write_flow_table, at one or two workers."""
+    with tempfile.TemporaryDirectory() as tmp:
+        flows = Path(tmp) / "flows.csv"
+        flows.write_bytes(data)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli_mod, "index_flow_table", lambda file: None)
+            expected = _clean_run(capsys, flows, Path(tmp) / "composed", 1)
+        for threads in (1, 2):
+            assert _clean_run(capsys, flows, Path(tmp) / f"t{threads}", threads) == expected
+
+
+def test_clean_names_the_lowest_bad_line_before_a_rejected_byte(tmp_path, capsys):
+    # read_flow_table decodes ahead in 8 KB chunks, so on a table this
+    # small it would name the byte on line 6 first
+    flows = tmp_path / "flows.csv"
+    flows.write_bytes(_table(*_APPS[:3], _row(20, "b", bytes_in=-1), b"x" + _rejected_byte()))
+    capsys.readouterr()
+    assert main(["clean", "--flows", str(flows), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {flows}: line 5: bytes_in is negative: -1\n"
 
 
 # --- train / eval -------------------------------------------------------

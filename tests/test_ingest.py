@@ -14,6 +14,7 @@ from flowclean.ingest import (
     FlowRecord,
     TagMap,
     assemble_flows,
+    index_flow_table,
     parse_mac,
     read_flow_table,
     read_packets,
@@ -606,6 +607,33 @@ def test_read_flow_table_on_any_bytes_raises_only_schema_mismatch(tmp_path, data
         assert str(exc).startswith(f"{path}: ")
     else:
         assert all(isinstance(f, FlowRecord) for f in flows)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=200)
+@given(st.lists(st.sampled_from([b"a", b"b", b",", b"\r", b"\n", b"\r\n"]), max_size=40))
+def test_index_flow_table_finds_the_lines_and_labels_csv_reads(tmp_path, parts):
+    path = tmp_path / "lines.csv"
+    path.write_bytes(",".join(FLOW_TABLE_HEADER).encode() + b"\r\n" + b"".join(parts))
+    table = index_flow_table(path)
+    indexed = sorted(
+        (line, table.data[start:stop], label)
+        for label, rows in table.rows.items()
+        for start, stop, line in rows.tolist()
+    )
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = [(reader.line_num, row) for row in reader if row]
+    assert indexed == [
+        (line, ",".join(row).encode(), row[1].encode() if len(row) > 2 else None)
+        for line, row in rows
+    ]
+
+
+def test_index_flow_table_leaves_quoted_tables_to_csv(tmp_path):
+    path = tmp_path / "quoted.csv"
+    write_flow_table([make_flow(flow_id=1, app_label="a,b")], path)
+    assert index_flow_table(path) is None
 
 
 def test_flow_records_are_immutable_hashable_tuples():

@@ -415,6 +415,14 @@ def test_clean_rejects_fewer_than_one_thread(small_capture, threads):
         clean(flows, seed=7, threads=threads)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_clean_rejects_k_below_one_before_any_app_runs(monkeypatch, k):
+    monkeypatch.setattr(select_mod, "fork_map", lambda *args: pytest.fail("apps ran"))
+    with pytest.raises(ValueError, match=rf"^k must be >= 1, got {k}$"):
+        # the unlabeled flow fails later than the k check
+        clean([make_flow(flow_id=1, app_label=None)], k=k)
+
+
 def test_clean_skip_dpi(small_capture):
     flows, _ = small_capture
     _, report = clean(flows, seed=7, skip_dpi=True)
