@@ -217,6 +217,15 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def pair_matrices_that_fit(rows: int) -> int:
+    """How many hierarchical() pair matrices of `rows` rows fit in physical memory together.
+
+    At least one: a matrix that cannot fit alone fails in its own call
+    with MatrixTooLarge.
+    """
+    return max(1, _physical_memory_bytes() // max(1, rows * rows * 8))
+
+
 # rows of the pair matrix per norm-sum temporary, a small share of n x n
 _PAIR_BLOCK_ROWS = 64
 

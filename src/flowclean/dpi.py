@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .ingest import FlowRecord, TCP, parse_lines, read_text
 
+# select logs each app's DPI counts here, in label order, once the app is cleaned
 logger = logging.getLogger(__name__)
 
 
@@ -252,5 +253,4 @@ def filter_flows(
             discarded.append((flow, ProtocolVerdict(kind, sni)))
         else:
             kept.append(flow)
-    logger.info("dpi: kept %d flows, discarded %d", len(kept), len(discarded))
     return kept, discarded

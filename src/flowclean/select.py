@@ -9,13 +9,19 @@ very different traffic volumes. evaluate() resolves each threshold
 once and compares whole centroid columns, returning per cluster the
 index of the rule that decided it, or -1 where the default did.
 
-clean() runs the whole pipeline per app: payload-prefix filtering,
-feature extraction and standardization, clustering, cluster
-selection. Each app's run returns the positions of its kept flows,
-its counts and its stage times; the kept flows of every app form the
-cleaned dataset. clean_table() does the same for a flow table's lines,
-each app's worker parsing its own rows, so that the caller never holds
-the table's records.
+Cleaning an app has a per-flow part, _flow_rows (each flow's
+payload-prefix verdict, and the feature row of each flow it keeps),
+and a per-app part, _clean_app (standardize, cluster and select those
+rows). The app's run returns the positions of its kept flows, its
+counts and its stage times; the kept flows of every app form the
+cleaned dataset. clean() runs both parts of an app in one fork-pool
+item, on the caller's records. clean_table() runs them in two pools
+on a flow table's lines: phase-1 workers parse equal chunks of each
+app's lines, about _CHUNKS_PER_WORKER per worker, and send back
+arrays, not records, so the caller never holds the table's records;
+phase-2 workers cluster one app each from its chunks joined in line
+order. Verdicts and feature rows depend on nothing but their own
+flow, so neither the chunks nor the worker count change the output.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ import logging
 import math
 import operator
 import time
-from collections.abc import Callable
 # Unused: perfbench's tracer patches this attribute. It goes once perfbench
 # stops patching it (see ROADMAP.md).
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -37,9 +42,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cluster import Algorithm, Linkage, hierarchical, kmeans
+from .cluster import Algorithm, Linkage, hierarchical, kmeans, pair_matrices_that_fit
 from .dpi import Blocklist, DEFAULT_BLOCKLIST, filter_flows
-from .errors import FlowcleanError, InvariantViolation, SchemaMismatch
+from .dpi import logger as dpi_logger
+from .errors import EmptyFlow, InvariantViolation, SchemaMismatch
 from .features import CLUSTER_FEATURES, destandardize, feature_matrix, standardize
 from .ingest import (
     FlowRecord,
@@ -49,6 +55,7 @@ from .ingest import (
     read_flow_lines,
     read_text,
 )
+from . import parallel
 from .parallel import fork_map
 
 logger = logging.getLogger(__name__)
@@ -264,11 +271,23 @@ def _check_sizes(k: int, threads: int) -> None:
 
 
 def _merge(
-    labels: list[str], results: list[tuple[np.ndarray, AppCounts, dict]], k: int
+    labels: list[str],
+    results: list[tuple[np.ndarray, AppCounts, dict]],
+    k: int,
+    skip_dpi: bool,
 ) -> CleanReport:
-    """The report of apps' (kept, counts, stage times), in label order."""
+    """The report of apps' (kept, counts, stage times), in label order.
+
+    Logs each app's DPI counts at info, unless DPI was skipped, and warns
+    of each skipped app.
+    """
     report = CleanReport(timings_ms=dict.fromkeys(_STAGES, 0.0))
     for label, (_, counts, timings) in zip(labels, results):
+        if not skip_dpi:
+            dpi_logger.info(
+                "dpi: kept %d flows, discarded %d",
+                counts.input - counts.dpi_discarded, counts.dpi_discarded,
+            )
         if counts.skipped:
             logger.warning(
                 "%s: %d flows after filtering, need at least %d",
@@ -279,6 +298,148 @@ def _merge(
         for stage in _STAGES:
             report.timings_ms[stage] += timings[stage]
     return report
+
+
+# Phase-1 chunks per worker. A worker that finishes a chunk takes the
+# next one, so the workers end at most one chunk apart.
+_CHUNKS_PER_WORKER = 8
+
+
+def _chunk_size(flows: int, workers: int) -> int:
+    """The most flows of one phase-1 chunk, for `flows` flows on `workers` workers."""
+    return max(1, -(-flows // (workers * _CHUNKS_PER_WORKER)))
+
+
+def _chunks(sizes: list[int], threads: int) -> list[tuple[int, slice]]:
+    """(group, slice) of each phase-1 chunk of groups of these sizes, in group order.
+
+    Each group is cut into equal runs of at most _chunk_size flows, so
+    no chunk crosses a group and each holds its flows in their order:
+    a chunk stops parsing at its first bad line, and that line must be
+    the lowest bad one among the lines it holds.
+    """
+    most = _chunk_size(sum(sizes), min(threads, parallel.usable_cpus()))
+    chunks = []
+    for group, size in enumerate(sizes):
+        count = -(-size // most)
+        cuts = [size * i // count for i in range(count + 1)]
+        chunks += [(group, slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+    return chunks
+
+
+class _FlowRows(NamedTuple):
+    """The per-flow part of cleaning, for a run of one app's flows."""
+
+    keep: np.ndarray  # each flow's DPI verdict: True where it is kept
+    raw: np.ndarray | EmptyFlow  # the kept flows' feature rows, or why they have none
+    timings: dict[str, float]  # dpi and features
+
+
+def _flow_rows(flows: list[FlowRecord], blocklist: Blocklist, skip_dpi: bool) -> _FlowRows:
+    """The per-flow part of cleaning a run of one app's flows: DPI verdicts and feature rows.
+
+    Both are per flow, so the runs of an app give, joined in order, what
+    the whole app gives. feature_matrix's EmptyFlow is kept, not raised:
+    it is the app's error only if the app is clustered.
+    """
+    t0 = time.perf_counter()
+    if skip_dpi:
+        survivors, keep = flows, np.ones(len(flows), dtype=bool)
+    else:
+        survivors, discarded = filter_flows(flows, blocklist)
+        # filter_flows keeps order: the survivors are the flows not discarded
+        gone = {id(flow) for flow, _ in discarded}
+        keep = np.array([id(flow) not in gone for flow in flows], dtype=bool)
+    t1 = time.perf_counter()
+    try:
+        raw = feature_matrix(survivors)
+    except EmptyFlow as exc:
+        raw = exc
+    t2 = time.perf_counter()
+    return _FlowRows(keep, raw, {"dpi": (t1 - t0) * 1e3, "features": (t2 - t1) * 1e3})
+
+
+def _join(parts: list[_FlowRows]) -> _FlowRows:
+    """An app's phase-1 chunks, in flow order, as one; the first error wins."""
+    errors = [part.raw for part in parts if isinstance(part.raw, EmptyFlow)]
+    return _FlowRows(
+        np.concatenate([part.keep for part in parts]),
+        errors[0] if errors else np.concatenate([part.raw for part in parts]),
+        {stage: sum(part.timings[stage] for part in parts) for stage in ("dpi", "features")},
+    )
+
+
+def _by_group(chunks: list[tuple[int, slice]], items: list, groups: int) -> list[list]:
+    """items, one per chunk, gathered by the chunk's group."""
+    gathered: list[list] = [[] for _ in range(groups)]
+    for (group, _), item in zip(chunks, items):
+        gathered[group].append(item)
+    return gathered
+
+
+def _clean_app(
+    app: _FlowRows,
+    *,
+    policy: SelectionPolicy,
+    algorithm: Algorithm,
+    k: int,
+    seed: int,
+    linkage: Linkage,
+) -> tuple[np.ndarray, AppCounts, dict[str, float]]:
+    """The per-app part: standardize, cluster and select the rows of the flows DPI kept.
+
+    Returns the positions of the flows it keeps, in flow order, its
+    counts and its stage times, phase 1's included. An app with fewer
+    than max(k, 2) flows after DPI is skipped: all of them are dropped.
+    """
+    timings = dict.fromkeys(_STAGES, 0.0) | app.timings
+    at = np.flatnonzero(app.keep)
+    counts = AppCounts(input=len(app.keep), dpi_discarded=len(app.keep) - len(at))
+    if len(at) < max(k, 2):
+        counts.skipped = True
+        counts.flows_dropped = len(at)
+        return at[:0], counts, timings
+    if isinstance(app.raw, EmptyFlow):
+        raise app.raw
+
+    t1 = time.perf_counter()
+    z, means, stds = standardize(app.raw[:, : len(CLUSTER_FEATURES)])
+    t2 = time.perf_counter()
+    timings["features"] += (t2 - t1) * 1e3
+
+    if algorithm is Algorithm.KMEANS:
+        model = kmeans(z, k, seed)
+    else:
+        model = hierarchical(z, k, linkage)
+    counts.clusters_formed = model.k
+    t3 = time.perf_counter()
+    timings["cluster"] = (t3 - t2) * 1e3
+
+    rule_index = evaluate(policy, destandardize(model.centroids, means, stds), app.raw)
+    # index -1 picks the last entry, the default action
+    keeps = np.array(
+        [rule.action is Action.KEEP for rule in policy.rules]
+        + [policy.default_action is Action.KEEP]
+    )
+    kept = at[keeps[rule_index][model.assignments]]
+    counts.flows_kept = len(kept)
+    counts.flows_dropped = len(at) - len(kept)
+    timings["select"] = (time.perf_counter() - t3) * 1e3
+    return kept, counts, timings
+
+
+def _workers(threads: int, algorithm: Algorithm, k: int, rows: list[int]) -> int:
+    """threads, capped for hierarchical clustering at the number of the
+    largest clustered app's n x n matrices that fit in physical memory together.
+
+    rows holds each app's rows after DPI, or a bound on them; an app with
+    fewer than max(k, 2) is skipped and clusters nothing. The worker count
+    does not change the results.
+    """
+    largest = max((n for n in rows if n >= max(k, 2)), default=0)
+    if algorithm is Algorithm.HIERARCHICAL and largest:
+        return min(threads, pair_matrices_that_fit(largest))
+    return threads
 
 
 def clean(
@@ -302,11 +463,14 @@ def clean(
     report. Returns kept flows sorted by (app_label, flow_id).
 
     threads caps the worker processes that clean apps, further capped
-    by the app count and the CPUs this process may run on (see
-    parallel.fork_map); apps are independent and results are merged in
-    sorted label order, so the worker count never changes the output.
-    k and threads must be >= 1. Stage times in the report are summed
-    over apps, while total is wall time.
+    by the app count, the CPUs this process may run on (see
+    parallel.fork_map) and, for hierarchical clustering, the largest
+    app's distance matrices that fit in physical memory together; apps
+    are independent and results are merged in sorted label order, so
+    the worker count never changes the output, and the first failing
+    app's error in label order is raised. k and threads must be >= 1.
+    Stage times in the report are summed over apps, while total is
+    wall time.
     """
     _check_sizes(k, threads)
     by_app: dict[str, list[FlowRecord]] = {}
@@ -317,19 +481,18 @@ def clean(
 
     labels = sorted(by_app)
     run = functools.partial(
-        _clean_app,
-        blocklist=blocklist,
-        policy=policy,
-        algorithm=algorithm,
-        k=k,
-        seed=seed,
-        linkage=linkage,
-        skip_dpi=skip_dpi,
+        _clean_app, policy=policy, algorithm=algorithm, k=k, seed=seed, linkage=linkage
     )
+    # an app's flow count bounds its rows after DPI
+    workers = _workers(threads, algorithm, k, [len(by_app[label]) for label in labels])
     total_start = time.perf_counter()
-    # results come in label order; the first failing app's error re-raises
-    results = fork_map(lambda i: run(by_app[labels[i]]), len(labels), threads)
-    report = _merge(labels, results, k)
+    # The records are this process's, and a worker walking them copies
+    # their pages, so each app runs both parts in one item: chunks and a
+    # second pool cost more than they balance on records in memory.
+    results = fork_map(
+        lambda i: run(_flow_rows(by_app[labels[i]], blocklist, skip_dpi)), len(labels), workers
+    )
+    report = _merge(labels, results, k, skip_dpi)
     cleaned: list[FlowRecord] = []
     for label, (kept, _, _) in zip(labels, results):
         app_flows = by_app[label]
@@ -337,6 +500,40 @@ def clean(
     report.timings_ms["total"] = (time.perf_counter() - total_start) * 1e3
     cleaned.sort(key=lambda f: (f.app_label or "", f.flow_id))
     return cleaned, report
+
+
+class _Lines(NamedTuple):
+    """What clean_table's phase-1 worker sends back for a chunk of one label's lines."""
+
+    ids: np.ndarray  # the flow_ids parse_flow_row took, in line order
+    lines: np.ndarray  # their line numbers
+    error: tuple[int, str] | None  # the first bad line's number and error
+    rows: _FlowRows | None  # None after a bad line
+    # by position in the chunk, the text of each row DPI keeps whose line
+    # is not as format_flow_row writes it
+    texts: dict[int, str]
+
+
+def _read_chunk(
+    table: FlowTableLines, rows: np.ndarray, blocklist: Blocklist, skip_dpi: bool
+) -> _Lines:
+    """Phase 1 on the lines at rows, a run of one label's lines in file order."""
+    first_line: dict[int, int] = {}
+    flows, lines, error = read_flow_lines(table, rows, first_line)
+    try:
+        ids = np.array(list(first_line), dtype=np.int64)
+    except OverflowError:
+        ids = np.array(list(first_line), dtype=object)
+    numbers = np.array(list(first_line.values()), dtype=np.int64)
+    if error is not None:
+        return _Lines(ids, numbers, error, None, {})
+    part = _flow_rows(flows, blocklist, skip_dpi)
+    texts = {}
+    for i in np.flatnonzero(part.keep).tolist():
+        text = format_flow_row(flows[i])
+        if text != lines[i] + "\r\n":
+            texts[i] = text
+    return _Lines(ids, numbers, None, part, texts)
 
 
 def clean_table(
@@ -352,12 +549,17 @@ def clean_table(
 ) -> tuple[list[tuple[np.ndarray, dict[int, str]]], CleanReport]:
     """clean() on an indexed flow table, without its records in this process.
 
-    Each label's worker parses that label's lines (read_flow_lines),
-    cleans them as clean() cleans an app, and returns its flow ids, its
-    first bad line, its kept rows in flow_id order and the text of each
-    kept row whose line is not as write_flow_table writes it. Returns
-    what write_flow_lines writes the cleaned table from, in label
-    order, and the report.
+    Phase 1 cuts each label's lines into equal chunks in file order
+    (_chunks). A chunk's worker parses its lines (read_flow_lines),
+    takes their DPI verdicts and feature rows, and sends back its flow
+    ids and line numbers, its first bad line, those verdicts and rows,
+    and the text of each row DPI keeps whose line is not as
+    write_flow_table writes it; it sends no records. Phase 2 cleans
+    each app from its chunks' rows, joined in line order, as clean()
+    cleans an app. Stage times in the report are summed over chunks
+    and apps. Returns what write_flow_lines writes the cleaned table
+    from, in label order: each app's kept rows in flow_id order and
+    their texts; and the report.
 
     Raises what read_flow_table and then clean() would raise: the bad
     row or duplicate flow_id on the lowest line, then the first flow
@@ -369,139 +571,50 @@ def clean_table(
         label: label.decode(table.encoding, "surrogateescape") for label in table.rows if label
     }
     labels = sorted(decoded, key=decoded.__getitem__)
-    unlabeled = [label for label in table.rows if not label]
-    # a line without a label fails the table, so then no app is cleaned
-    run = None if unlabeled else functools.partial(
-        _clean_app,
-        blocklist=blocklist,
-        policy=policy,
-        algorithm=algorithm,
-        k=k,
-        seed=seed,
-        linkage=linkage,
-        skip_dpi=skip_dpi,
-    )
-    keys = labels + unlabeled
+    keys = labels + [label for label in table.rows if not label]
+    chunks = _chunks([len(table.rows[key]) for key in keys], threads)
     total_start = time.perf_counter()
-    results = fork_map(
-        lambda i: _clean_lines(table, table.rows[keys[i]], run), len(keys), threads
+    parsed = fork_map(
+        lambda i: _read_chunk(
+            table, table.rows[keys[chunks[i][0]]][chunks[i][1]], blocklist, skip_dpi
+        ),
+        len(chunks),
+        threads,
     )
-    bad = _first_bad_line(results)
+    bad = _first_bad_line(parsed)
     if bad is not None:
         raise SchemaMismatch(f"{table.file}: line {bad[0]}: {bad[1]}")
+    groups = _by_group(chunks, parsed, len(keys))
     if b"" in table.rows:
-        raise ValueError(f"flow {int(results[keys.index(b'')].ids[0])} has no app label")
-    for result in results:
-        if isinstance(result.outcome, Exception):
-            raise result.outcome
-    report = _merge(
-        [decoded[label] for label in labels], [r.outcome[:3] for r in results], k
+        raise ValueError(f"flow {int(groups[keys.index(b'')][0].ids[0])} has no app label")
+    apps = [_join([chunk.rows for chunk in group]) for group in groups[: len(labels)]]
+    run = functools.partial(
+        _clean_app, policy=policy, algorithm=algorithm, k=k, seed=seed, linkage=linkage
     )
-    kept = [
-        (table.rows[label][r.outcome[0]], r.outcome[3]) for label, r in zip(labels, results)
-    ]
+    workers = _workers(threads, algorithm, k, [int(np.count_nonzero(app.keep)) for app in apps])
+    # the apps' rows reach the workers through the fork
+    results = fork_map(lambda i: run(apps[i]), len(apps), workers)
+    report = _merge([decoded[label] for label in labels], results, k, skip_dpi)
+    kept = []
+    for label, group, (at, _, _) in zip(labels, groups, results):
+        ids = np.concatenate([chunk.ids for chunk in group])
+        at = at[np.argsort(ids[at])]
+        texts, start = {}, 0
+        for chunk in group:
+            texts.update((start + i, text) for i, text in chunk.texts.items())
+            start += len(chunk.ids)
+        if texts:
+            texts = {j: texts[i] for j, i in enumerate(at.tolist()) if i in texts}
+        kept.append((table.rows[label][at], texts))
     report.timings_ms["total"] = (time.perf_counter() - total_start) * 1e3
     return kept, report
-
-
-def _clean_app(
-    app_flows: list[FlowRecord],
-    *,
-    blocklist: Blocklist,
-    policy: SelectionPolicy,
-    algorithm: Algorithm,
-    k: int,
-    seed: int,
-    linkage: Linkage,
-    skip_dpi: bool,
-) -> tuple[np.ndarray, AppCounts, dict[str, float]]:
-    """Clean one app: its kept flows' positions in app_flows, counts, stage times."""
-    counts = AppCounts(input=len(app_flows))
-    timings = dict.fromkeys(_STAGES, 0.0)
-    t0 = time.perf_counter()
-    if skip_dpi:
-        survivors, at = app_flows, np.arange(len(app_flows))
-    else:
-        survivors, discarded = filter_flows(app_flows, blocklist)
-        counts.dpi_discarded = len(discarded)
-        # filter_flows keeps order: the survivors are the flows not discarded
-        gone = {id(flow) for flow, _ in discarded}
-        at = np.flatnonzero([id(flow) not in gone for flow in app_flows])
-    t1 = time.perf_counter()
-    timings["dpi"] = (t1 - t0) * 1e3
-
-    if len(survivors) < max(k, 2):
-        counts.skipped = True
-        counts.flows_dropped = len(survivors)
-        return at[:0], counts, timings
-
-    raw = feature_matrix(survivors)
-    z, means, stds = standardize(raw[:, : len(CLUSTER_FEATURES)])
-    t2 = time.perf_counter()
-    timings["features"] = (t2 - t1) * 1e3
-
-    if algorithm is Algorithm.KMEANS:
-        model = kmeans(z, k, seed)
-    else:
-        model = hierarchical(z, k, linkage)
-    counts.clusters_formed = model.k
-    t3 = time.perf_counter()
-    timings["cluster"] = (t3 - t2) * 1e3
-
-    rule_index = evaluate(policy, destandardize(model.centroids, means, stds), raw)
-    # index -1 picks the last entry, the default action
-    keeps = np.array(
-        [rule.action is Action.KEEP for rule in policy.rules]
-        + [policy.default_action is Action.KEEP]
-    )
-    kept = at[keeps[rule_index][model.assignments]]
-    counts.flows_kept = len(kept)
-    counts.flows_dropped = len(survivors) - len(kept)
-    timings["select"] = (time.perf_counter() - t3) * 1e3
-    return kept, counts, timings
-
-
-class _Lines(NamedTuple):
-    """What clean_table's worker sends back for one label's lines."""
-
-    ids: np.ndarray  # the flow_ids parse_flow_row took, in line order
-    lines: np.ndarray  # their line numbers
-    error: tuple[int, str] | None  # the first bad line's number and error
-    # None where the lines are not cleaned, the app's error, or its kept
-    # positions in rows sorted by flow_id, counts, stage times and the
-    # text of each kept row whose line is not as format_flow_row writes it
-    outcome: Exception | tuple | None
-
-
-def _clean_lines(table: FlowTableLines, rows: np.ndarray, run: Callable | None) -> _Lines:
-    """One label of clean_table: parse the lines at rows, then clean them with run."""
-    first_line: dict[int, int] = {}
-    flows, lines, error = read_flow_lines(table, rows, first_line)
-    try:
-        ids = np.array(list(first_line), dtype=np.int64)
-    except OverflowError:
-        ids = np.array(list(first_line), dtype=object)
-    numbers = np.array(list(first_line.values()), dtype=np.int64)
-    if error is not None or run is None:
-        return _Lines(ids, numbers, error, None)
-    try:
-        kept, counts, timings = run(flows)
-    except (FlowcleanError, ValueError) as exc:  # raised once every app's rows are checked
-        return _Lines(ids, numbers, None, exc)
-    kept = kept[np.argsort(ids[kept])]
-    texts = {}
-    for at, i in enumerate(kept.tolist()):
-        text = format_flow_row(flows[i])
-        if text != lines[i] + "\r\n":
-            texts[at] = text
-    return _Lines(ids, numbers, None, (kept, counts, timings, texts))
 
 
 def _first_bad_line(results: list[_Lines]) -> tuple[int, str] | None:
     """The lowest line that read_flow_table would reject, and why, or None.
 
-    That is each label's first bad line, or a flow_id already on an
-    earlier line of another label. On one line the repeat wins: a row
+    That is each chunk's first bad line, or a flow_id already on an
+    earlier line of another chunk. On one line the repeat wins: a row
     whose flow_id repeats is rejected before its hex fields are read.
     """
     if not results:

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import struct
 
+import pytest
+
+from flowclean import parallel
 from flowclean.ingest import FlowKey, FlowRecord
 
 PCAP_MAGIC_US = 0xA1B2C3D4
@@ -123,3 +126,9 @@ def make_flow(
         client_payload_prefix=client_payload_prefix,
         server_payload_prefix=server_payload_prefix,
     )
+
+
+@pytest.fixture
+def many_cpus(monkeypatch):
+    """Let clean and train start up to 8 workers even on a host with fewer CPUs."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)

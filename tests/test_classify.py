@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowclean.classify as classify_mod
-from flowclean import parallel
 from flowclean.classify import (
     ForestModel,
     _Tree,
@@ -696,12 +695,6 @@ needs_fork_and_proc = pytest.mark.skipif(
     or not Path("/proc/self/stat").exists(),
     reason="needs the fork start method and /proc",
 )
-
-
-@pytest.fixture
-def many_cpus(monkeypatch):
-    """Let train start up to 8 workers even on a host with fewer CPUs."""
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
 
 
 @pytest.mark.parametrize(

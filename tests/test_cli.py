@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import csv
 import json
 import locale
 import os
@@ -15,9 +16,10 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 import flowclean.cli as cli_mod
 import flowclean.cluster as cluster_mod
+import flowclean.select as select_mod
 from flowclean.cli import _canonical_sha256, main, read_config, run_compare
 from flowclean.cluster import Algorithm
-from flowclean.errors import ParseError
+from flowclean.errors import ParseError, UnclusterableMatrix
 from flowclean.ingest import FLOW_TABLE_HEADER, format_flow_row, read_flow_table
 from flowclean.select import clean
 from flowclean.synth import read_scenario
@@ -372,13 +374,13 @@ def flow_table_bytes(draw):
     return data if draw(st.booleans()) else data[: -len(end)]
 
 
-def _clean_run(capsys, flows: Path, out: Path, threads: int):
+def _clean_run(capsys, flows: Path, out: Path, threads: int, algorithm: str = "kmeans"):
     # keeps some clusters of table_flows' random counters, and drops others
     policy = flows.with_name("policy.txt")
     policy.write_text("keep ratio > 0.5\n")
     capsys.readouterr()
     rc = main(["clean", "--flows", str(flows), "--out", str(out), "--k", "2",
-               "--policy", str(policy), "--threads", str(threads)])
+               "--policy", str(policy), "--threads", str(threads), "--algorithm", algorithm])
     err = capsys.readouterr().err
     if rc != 0:
         return rc, err, None, None
@@ -423,6 +425,163 @@ def test_clean_names_the_lowest_bad_line_before_a_rejected_byte(tmp_path, capsys
     capsys.readouterr()
     assert main(["clean", "--flows", str(flows), "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err == f"error: {flows}: line 5: bytes_in is negative: -1\n"
+
+
+# --- clean: phase-1 chunks ----------------------------------------------
+
+# three apps of 12 rows, interleaved, every fifth row written otherwise: a
+# chunk of 7 rows cuts each app in two, and a chunk of 1 row cuts every row
+_MANY = [
+    _row(i, "cab"[i % 3], bytes_out=300 * (i % 4), client_payload_prefix=bytes([i]))
+    for i in range(36)
+]
+_MANY = [_noncanonical(row) if i % 5 == 0 else row for i, row in enumerate(_MANY)]
+
+
+def _chunks_of(patch, size: int) -> None:
+    patch.setattr(select_mod, "_chunk_size", lambda flows, workers: size)
+
+
+@pytest.mark.parametrize("algorithm", ["kmeans", "hier"])
+def test_clean_output_does_not_depend_on_chunks(
+    tmp_path, scenario_file, capsys, many_cpus, algorithm
+):
+    """Chunks of 1 row, of 7 rows and of a whole app, at one to three
+    workers, give the cleaned table and per-app report that
+    read_flow_table, clean and write_flow_table give."""
+    rows = tmp_path / "rows.csv"
+    rows.write_bytes(_table(*_MANY))
+    for flows in (rows, synth_into(tmp_path, scenario_file) / "flows.csv"):
+        out = flows.parent / "out"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli_mod, "index_flow_table", lambda file: None)
+            expected = _clean_run(capsys, flows, out / "oracle", 1, algorithm)
+        assert expected[0] == 0 and expected[2].count(b"\r\n") > 1
+        for size in (1, 7, 10**9):
+            for threads in (1, 2, 3):
+                with pytest.MonkeyPatch.context() as patch:
+                    _chunks_of(patch, size)
+                    run = out / f"{size}-{threads}"
+                    assert _clean_run(capsys, flows, run, threads, algorithm) == expected
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+          max_examples=30, deadline=None)
+@given(flow_table_bytes())
+def test_clean_matches_read_clean_write_in_small_chunks(capsys, many_cpus, data):
+    """As test_clean_matches_read_clean_write, with chunks that cut
+    every app: bad rows and repeated flow_ids land in any chunk."""
+    with tempfile.TemporaryDirectory() as tmp:
+        flows = Path(tmp) / "flows.csv"
+        flows.write_bytes(data)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli_mod, "index_flow_table", lambda file: None)
+            expected = _clean_run(capsys, flows, Path(tmp) / "composed", 1)
+        for size in (1, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                _chunks_of(patch, size)
+                assert _clean_run(capsys, flows, Path(tmp) / f"c{size}", 2) == expected
+
+
+def test_chunks_cut_each_app_into_equal_runs_in_order(monkeypatch):
+    assert select_mod._chunk_size(100_000, 2) == 6250
+    monkeypatch.setattr(select_mod, "_chunk_size", lambda flows, workers: 7)
+    assert select_mod._chunks([12, 3, 15], 2) == [
+        (0, slice(0, 6)), (0, slice(6, 12)),
+        (1, slice(0, 3)),
+        (2, slice(0, 5)), (2, slice(5, 10)), (2, slice(10, 15)),
+    ]
+
+
+# line 13 repeats line 3's flow_id: both are app a's, in its first and second chunk of 7
+_REPEAT_ACROSS_CHUNKS = _table(*[_row(i, "a") for i in range(11)], _row(1, "a"), _row(11, "a"))
+# line 3 has no label and line 14 of app a is bad: the bad row wins
+_NO_LABEL_THEN_BAD_ROW = _table(
+    _row(0, "a"), _row(1, ""), *[_row(i, "a") for i in range(2, 12)], _row(12, "a", bytes_out=-5)
+)
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (_REPEAT_ACROSS_CHUNKS, "line 13: duplicate flow_id 1, first on line 3"),
+        (_NO_LABEL_THEN_BAD_ROW, "line 14: bytes_out is negative: -5"),
+    ],
+    ids=["repeat across chunks", "no label, then a bad row"],
+)
+def test_clean_names_the_error_read_flow_table_names_across_chunks(
+    tmp_path, capsys, many_cpus, data, error
+):
+    flows = tmp_path / "flows.csv"
+    flows.write_bytes(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli_mod, "index_flow_table", lambda file: None)
+        expected = _clean_run(capsys, flows, tmp_path / "oracle", 1)
+    assert expected == (1, f"error: {flows}: {error}\n", None, None)
+    for threads in (1, 2):
+        with pytest.MonkeyPatch.context() as patch:
+            _chunks_of(patch, 7)
+            assert _clean_run(capsys, flows, tmp_path / f"t{threads}", threads) == expected
+
+
+def test_clean_reads_a_nul_and_a_long_field_as_csv_reads_them(tmp_path, capsys):
+    flows = tmp_path / "flows.csv"
+    flows.write_bytes(_table(
+        *_APPS[:3],
+        _row(20, "a").replace(b",tcp,", b",t\0cp,"),
+        _row(21, "b", client_payload_prefix=bytes(40)),
+    ))
+    # csv.reader refuses a field longer than this: line 6's 80 hex digits
+    limit = csv.field_size_limit(64)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli_mod, "index_flow_table", lambda file: None)
+            expected = _clean_run(capsys, flows, tmp_path / "oracle", 1)
+        assert expected[0] == 1
+        for threads in (1, 2):
+            assert _clean_run(capsys, flows, tmp_path / f"t{threads}", threads) == expected
+    finally:
+        csv.field_size_limit(limit)
+
+
+def _unclusterable(values, *args):
+    raise UnclusterableMatrix(f"{len(values)} rows")
+
+
+def test_clean_raises_the_lower_labels_clustering_error(tmp_path, capsys, many_cpus, monkeypatch):
+    # app b's 9 rows come first in the file, app a's 12 after them
+    flows = tmp_path / "flows.csv"
+    flows.write_bytes(_table(*[_row(i, "b") for i in range(9)], *[_row(i, "a") for i in range(9, 21)]))
+    # patched before the pools fork, so every worker inherits it
+    monkeypatch.setattr(select_mod, "kmeans", _unclusterable)
+    _chunks_of(monkeypatch, 7)
+    for threads in (1, 2):
+        assert _clean_run(capsys, flows, tmp_path / f"t{threads}", threads) == (
+            1, "error: 12 rows\n", None, None
+        )
+
+
+@pytest.mark.parametrize("algorithm", ["hier", "kmeans"])
+def test_concurrent_hier_matrices_are_capped_by_physical_memory(
+    tmp_path, scenario_file, capsys, many_cpus, monkeypatch, algorithm
+):
+    flows = synth_into(tmp_path, scenario_file) / "flows.csv"
+    expected = _clean_run(capsys, flows, tmp_path / "free", 3, algorithm)
+    # the largest app's rows after DPI: hier holds an n x n float64 matrix of them
+    largest = max(app["input"] - app["dpi_discarded"] for app in expected[3].values())
+    workers = []
+    fork_map = select_mod.fork_map
+    monkeypatch.setattr(
+        select_mod,
+        "fork_map",
+        lambda task, n_items, count: workers.append(count) or fork_map(task, n_items, count),
+    )
+    for fit, cap in ((1, 1), (2, 2), (5, 3)):
+        monkeypatch.setattr(cluster_mod, "_physical_memory_bytes", lambda: fit * largest**2 * 8)
+        workers.clear()
+        assert _clean_run(capsys, flows, tmp_path / f"fit{fit}", 3, algorithm) == expected
+        # phase 1, then phase 2
+        assert workers == [3, cap if algorithm == "hier" else 3]
 
 
 # --- train / eval -------------------------------------------------------

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import flowclean.select as select_mod
-from flowclean import parallel
 from flowclean.cluster import Algorithm, Linkage
 from flowclean.dpi import Blocklist
-from flowclean.errors import InvariantViolation, ParseError
+from flowclean.errors import EmptyFlow, InvariantViolation, ParseError, UnclusterableMatrix
 from flowclean.features import CLUSTER_FEATURES, feature_matrix
 from flowclean.ingest import write_flow_table
 from flowclean.select import (
@@ -350,12 +349,6 @@ def test_clean_output_sorted_and_subset(small_capture):
     assert all(f.flow_id in all_ids for f in cleaned)
 
 
-@pytest.fixture
-def many_cpus(monkeypatch):
-    """Let clean start up to 8 workers even on a host with fewer CPUs."""
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
-
-
 def test_clean_thread_count_does_not_change_output(small_capture, many_cpus):
     flows, _ = small_capture
     # a third app that is skipped after filtering
@@ -406,6 +399,43 @@ def test_worker_error_reaches_clean_and_no_child_is_left(
     # the traceback came back from a worker process
     assert type(exc_info.value.__cause__).__name__ == "_RemoteTraceback"
     assert multiprocessing.active_children() == []
+
+
+def _unclusterable(values, *args):
+    raise UnclusterableMatrix(f"{len(values)} rows")
+
+
+def _app(label: str, first_id: int, n: int, empty_at: int | None = None) -> list:
+    """n flows of app label with features that differ per flow; the flow at
+    empty_at has no packets, which feature_matrix rejects."""
+    return [
+        make_flow(
+            flow_id=first_id + i,
+            app_label=label,
+            bytes_in=1000 * (i % 7 + 1),
+            packets_in=0 if i == empty_at else i % 5 + 1,
+            packets_out=0 if i == empty_at else 3,
+        )
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_clean_raises_the_first_apps_error_in_label_order(many_cpus, monkeypatch, threads):
+    monkeypatch.setattr(select_mod, "kmeans", _unclusterable)
+    # app a fails in clustering, app b in its features; b comes first in the input
+    with pytest.raises(UnclusterableMatrix, match="^9 rows$"):
+        clean(_app("b", 100, 8, empty_at=6) + _app("a", 0, 9), threads=threads)
+    # app a fails in its features, app b in clustering
+    with pytest.raises(EmptyFlow, match="^flow 7 has no packets$"):
+        clean(_app("b", 100, 8) + _app("a", 0, 9, empty_at=7), threads=threads)
+    # a flow without packets is no error in an app too small to cluster
+    cleaned, report = clean(
+        _app("b", 100, 3, empty_at=2) + _app("a", 0, 9), k=4, threads=threads, seed=7,
+        policy=parse_rules("default keep"), algorithm=Algorithm.HIERARCHICAL,
+    )
+    assert report.apps["b"].skipped and report.apps["b"].flows_dropped == 3
+    assert [f.flow_id for f in cleaned] == list(range(9))
 
 
 @pytest.mark.parametrize("threads", [0, -3])
