@@ -14,7 +14,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import logging
@@ -190,14 +189,9 @@ def cmd_clean(args: argparse.Namespace) -> int:
         threads=_count(args, "threads"),
     )
     table = index_flow_table(args.flows)
-    if table is None:  # quoted fields, or an encoding the line index does not take
-        cleaned, report = clean(read_flow_table(args.flows), **options)
-        write = functools.partial(write_flow_table, cleaned)
-    else:
-        kept, report = clean_table(table, **options)
-        write = functools.partial(write_flow_lines, table=table, kept=kept)
+    kept, report = clean_table(table, **options)
     out = _out_dir(args)
-    write(out / "cleaned.csv")
+    write_flow_lines(out / "cleaned.csv", table, kept)
     report.write_json(out / "clean_report.json")
     totals = report.totals()
     print(

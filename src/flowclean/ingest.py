@@ -3,10 +3,12 @@
 Reads classic Ethernet pcaps (both endiannesses, microsecond and
 nanosecond resolution) and groups packets into bidirectional flows keyed
 by the canonical 5-tuple, labelled from a MAC/VLAN tag map. Flows can be
-persisted to and restored from a CSV flow table losslessly, and a
-table's lines can be indexed by label (index_flow_table) so that each
-app's rows are parsed on their own (read_flow_lines). read_text and
-parse_lines own the line format the five text inputs share.
+persisted to and restored from a CSV flow table losslessly. One reader
+reads every table: index_flow_table finds its records and groups them
+by label, and read_flow_lines parses any run of them, so that each
+app's rows can be parsed on their own; read_flow_table parses them all.
+read_text and parse_lines own the line format the five text inputs
+share.
 """
 
 from __future__ import annotations
@@ -453,21 +455,18 @@ def assemble_flows(
     return [state.to_record(flow_id, tags) for flow_id, state in enumerate(finished)]
 
 
-def _undecodable(file: str | Path, encoding: str) -> tuple[int, str]:
-    """The line of the first byte of file that encoding rejects, and why.
+def _line_ends_in(text: bytes) -> int:
+    """How many lines end in text: at each LF, CRLF or CR."""
+    return text.count(b"\n") + text.count(b"\r") - text.count(b"\r\n")
 
-    Readers decode ahead in chunks, so neither their line count nor the
-    error's offset gives the line.
-    """
-    data = Path(file).read_bytes()
+
+def _decoded(data: bytes, encoding: str) -> tuple[str, tuple[int, str] | None]:
+    """data's text up to the first byte encoding rejects, and that byte's line and why, or None."""
     try:
-        data.decode(encoding)
+        return data.decode(encoding), None
     except UnicodeDecodeError as exc:
-        before = data[: exc.start].replace(b"\r\n", b"\n")
-        line = before.count(b"\n") + before.count(b"\r") + 1  # LF, CRLF or CR end lines
-        return line, _rejected(exc)
-    # it decodes now: the file changed after the failed read, so blame its first line
-    return 1, f"not valid {encoding} when first read"
+        error = (_line_ends_in(data[: exc.start]) + 1, _rejected(exc, encoding))
+        return data[: exc.start].decode(encoding), error
 
 
 def read_text(file: str | Path) -> str:
@@ -476,11 +475,10 @@ def read_text(file: str | Path) -> str:
     file and the line.
     """
     with open(file) as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError:
-            line, reason = _undecodable(file, fh.encoding)
-            raise ParseError(reason, line, str(file)) from None
+        text, error = _decoded(fh.buffer.read(), codecs.lookup(fh.encoding).name)
+    if error is not None:
+        raise ParseError(error[1], error[0], str(file))
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_lines(text: str, handle: Callable[[int, str], None], file: str | None) -> None:
@@ -601,8 +599,13 @@ def write_flow_table(flows: list[FlowRecord], file: str | Path) -> None:
             fh.write(format_flow_row(f))
 
 
-def _impossible_row(row: list[str], first_line: dict[int, int]) -> str:
-    """Why a row of well-formed fields cannot describe a flow."""
+# features converts counters and timestamps to float64; every int below
+# this does, and float() raises OverflowError only at or above it
+_FLOAT_SAFE = 2**1023
+
+
+def _impossible_row(row: list[str], line: int, first_line: dict[int, int]) -> str | None:
+    """Why a row of well-formed fields cannot describe a flow, or None if it can."""
     first_ts_us, last_ts_us = int(row[7]), int(row[8])
     if last_ts_us < first_ts_us:
         return f"last_ts_us {last_ts_us} is before first_ts_us {first_ts_us}"
@@ -612,7 +615,14 @@ def _impossible_row(row: list[str], first_line: dict[int, int]) -> str:
     flow_id = int(row[0])
     if int(row[11]) + int(row[12]) == 0:
         return f"flow {flow_id} has no packets"
-    return f"duplicate flow_id {flow_id}, first on line {first_line[flow_id]}"
+    if first_line[flow_id] != line:
+        return f"duplicate flow_id {flow_id}, first on line {first_line[flow_id]}"
+    for col in range(7, 15):
+        try:
+            float(int(row[col]))
+        except OverflowError:
+            return f"{FLOW_TABLE_HEADER[col]} is out of float64's range"
+    return None
 
 
 def parse_flow_row(row: list[str], line: int, first_line: dict[int, int]) -> FlowRecord:
@@ -620,10 +630,11 @@ def parse_flow_row(row: list[str], line: int, first_line: dict[int, int]) -> Flo
 
     Raises ValueError for a malformed field, a dst_port that disagrees
     with server_port, a last_ts_us before first_ts_us, a negative
-    counter, no packets either way, or a flow_id that first_line maps
-    to another line. first_line maps each flow_id seen so far to its
-    line; a row's flow_id is added once it passes that check, before
-    the hex fields are read.
+    counter, no packets either way, a flow_id that first_line maps to
+    another line, or a counter or timestamp too large for a float64.
+    first_line maps each flow_id seen so far to its line; a row's
+    flow_id is added once it passes that check, before the size check
+    and the hex fields are read.
     """
     if len(row) != len(FLOW_TABLE_HEADER):
         raise ValueError(f"row has {len(row)} columns, expected {len(FLOW_TABLE_HEADER)}")
@@ -636,16 +647,17 @@ def parse_flow_row(row: list[str], line: int, first_line: dict[int, int]) -> Flo
     bytes_in, bytes_out = int(row[9]), int(row[10])
     packets_in, packets_out = int(row[11]), int(row[12])
     header_bytes, payload_bytes = int(row[13]), int(row[14])
-    # an OR of ints is negative when any of them is
+    # an OR of ints is negative when any of them is, else at least the largest
+    counters = bytes_in | bytes_out | packets_in | packets_out | header_bytes | payload_bytes
     if (
-        (
-            bytes_in | bytes_out | packets_in | packets_out
-            | header_bytes | payload_bytes | (last_ts_us - first_ts_us)
-        ) < 0
+        (counters | (last_ts_us - first_ts_us)) < 0
         or not (packets_in or packets_out)
         or first_line.setdefault(flow_id, line) != line
+        or (counters | abs(first_ts_us) | abs(last_ts_us)) >= _FLOAT_SAFE
     ):
-        raise ValueError(_impossible_row(row, first_line))
+        reason = _impossible_row(row, line, first_line)
+        if reason is not None:
+            raise ValueError(reason)
     return FlowRecord(
         flow_id,
         key,
@@ -675,37 +687,19 @@ def _check_header(header: list[str], file: str | Path) -> None:
 
 
 def read_flow_table(file: str | Path) -> list[FlowRecord]:
-    """Read a table written by write_flow_table.
+    """Read a table written by write_flow_table: index_flow_table, then
+    read_flow_lines over every record in line order.
 
-    Raises SchemaMismatch, naming the file and line, for a bad header,
-    bytes that are not valid text, or a row parse_flow_row rejects.
+    Raises SchemaMismatch naming the file for an empty file or a bad
+    header, and else the lowest bad line: a bad row, a misplaced quote,
+    or a byte the encoding rejects.
     """
-    with open(file, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            return _parse_flow_table(reader, file)
-        except UnicodeDecodeError:
-            line, reason = _undecodable(file, fh.encoding)
-            raise SchemaMismatch(f"{file}: line {line}: {reason}") from None
-        except csv.Error as exc:
-            raise SchemaMismatch(f"{file}: line {reader.line_num}: {exc}") from None
-
-
-def _parse_flow_table(reader, file: str | Path) -> list[FlowRecord]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaMismatch(f"{file}: empty file") from None
-    _check_header(header, file)
-    flows = []
-    first_line: dict[int, int] = {}
-    for row in reader:
-        if not row:
-            continue
-        try:
-            flows.append(parse_flow_row(row, reader.line_num, first_line))
-        except ValueError as exc:
-            raise SchemaMismatch(f"{file}: line {reader.line_num}: {exc}") from exc
+    table = index_flow_table(file)
+    rows = np.concatenate([np.empty((0, 3), np.int64), *table.rows.values()])
+    flows, error = read_flow_lines(table, rows[np.argsort(rows[:, 2])], {})
+    error = error or table.error
+    if error is not None:
+        raise SchemaMismatch(f"{file}: line {error[0]}: {error[1]}")
     return flows
 
 
@@ -719,19 +713,23 @@ _LINE_BLOCK = 4096
 
 
 class FlowTableLines(NamedTuple):
-    """A flow table's bytes with its rows' lines grouped by app label.
+    """A flow table's bytes with its records grouped by app label.
 
-    rows maps the bytes of each label, the text between a line's first
-    two commas, to an int64 array with one (start, stop, line) entry
-    per line in file order: the line's offsets in data, line end
-    excluded, and its 1-based number. Lines with fewer than two commas
-    are under None; blank lines and the header are left out.
+    data is the file's bytes or, where the locale's encoding is not one
+    of _LINE_CODECS, its text re-encoded in UTF-8; encoding is data's.
+    rows maps each label, a record's field between its first two commas
+    outside quotes, unquoted, to an int64 array with one (start, stop,
+    line) entry per record in file order (_records). Records with fewer
+    than two such commas are under None; blank lines and the header are
+    left out. error is the first line the index could not read, and
+    why, or None; rows stop before that line.
     """
 
     file: str
     data: bytes
     encoding: str
     rows: dict[bytes | None, np.ndarray]
+    error: tuple[int, str] | None
 
 
 def _offsets(buf: np.ndarray, byte: int) -> np.ndarray:
@@ -742,138 +740,194 @@ def _offsets(buf: np.ndarray, byte: int) -> np.ndarray:
     )
 
 
-def _line_bounds(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and stop offsets of buf's lines, ended by CRLF, CR or LF as csv ends them."""
+def _records(buf: np.ndarray, quotes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets and line of each record of buf, whose quotes are at quotes, as csv reads them.
+
+    Lines end at each LF and each CR not before an LF. A record ends at
+    a line end with an even number of quotes before it, or at the end
+    of buf. Its start and stop offsets exclude its line end, and its
+    line is the number of its last line, as csv's line_num counts it.
+    """
     cr, lf = _offsets(buf, 13), _offsets(buf, 10)
-    # a CRLF ends its line at the LF
-    lone_cr = cr[buf[np.minimum(cr + 1, len(buf) - 1)] != 10]
-    ends = np.sort(np.concatenate([lf, lone_cr]))
+    ends = np.sort(np.concatenate([lf, cr[buf[np.minimum(cr + 1, len(buf) - 1)] != 10]]))
+    last_line = len(ends) + bool(len(buf) and buf[-1] not in (10, 13))
+    even = (np.searchsorted(quotes, ends) & 1) == 0
+    ends, lines = ends[even], np.append(np.flatnonzero(even) + 1, last_line)
     starts = np.concatenate([[0], ends + 1])
+    # a CRLF's CR is not part of the record
     stops = np.append(ends - ((buf[ends] == 10) & (buf[ends - 1] == 13) & (ends > 0)), len(buf))
-    if starts[-1] == len(buf):  # no line after the last line end
-        starts, stops = starts[:-1], stops[:-1]
-    return starts, stops
+    if starts[-1] == len(buf):  # no record after the last line end
+        return starts[:-1], stops[:-1], lines[:-1]
+    return starts, stops, lines
+
+
+# What may come before a field's opening quote and after its closing one,
+# besides the start or end of buf: a comma, a line end, or a doubled quote
+_QUOTE_NEIGHBOURS = np.array([44, 10, 13, 34], np.uint8)
+
+
+def _misplaced_quote(buf: np.ndarray, quotes: np.ndarray) -> tuple[int, str] | None:
+    """The offset of the first quote that csv reads as a literal, and why, or None.
+
+    A quote with an even number of quotes before it opens a field, and
+    the next one closes it. While each quote has the neighbour it may
+    have, the quotes' parity says where csv is inside a quoted field.
+    """
+    neighbour = quotes - 1 + 2 * (np.arange(len(quotes)) & 1)  # the byte before or after
+    misplaced = (neighbour >= 0) & (neighbour < len(buf))
+    misplaced &= ~np.isin(buf[np.clip(neighbour, 0, len(buf) - 1)], _QUOTE_NEIGHBOURS)
+    if not misplaced.any():
+        return None
+    at = int(np.argmax(misplaced))
+    reason = "text follows a closing quote" if at & 1 else "an unquoted field holds a quote"
+    return int(quotes[at]), f"misplaced quote: {reason}"
 
 
 def _labels(
-    data: bytes, buf: np.ndarray, starts: np.ndarray, stops: np.ndarray
+    data: bytes, buf: np.ndarray, starts: np.ndarray, stops: np.ndarray, quotes: np.ndarray
 ) -> list[bytes | None]:
-    """The bytes between each line's first two commas, None where it has fewer.
+    """Each record's bytes between its first two commas outside quotes,
+    unquoted as csv unquotes them, or None where it has fewer.
 
-    Commas are found a block of lines at a time: a table has about 17
-    per line, too many to hold all their offsets at once.
+    Commas are found a block of records at a time: a table has about
+    17 per line, too many to hold all their offsets at once.
     """
     labels: list[bytes | None] = []
     for lo in range(0, len(starts), _LINE_BLOCK):
         block_starts, block_stops = starts[lo : lo + _LINE_BLOCK], stops[lo : lo + _LINE_BLOCK]
         first, last = block_starts[0], block_stops[-1]
-        # two commas past the block, for lines with fewer than two
-        commas = np.append(np.flatnonzero(buf[first:last] == 44) + first, [last, last])
+        commas = np.flatnonzero(buf[first:last] == 44) + first
+        if len(quotes):
+            commas = commas[(np.searchsorted(quotes, commas) & 1) == 0]
+        # two commas past the block, for records with fewer than two
+        commas = np.append(commas, [last, last])
         at = np.searchsorted(commas, block_starts)
         after, end = commas[at] + 1, commas[at + 1]
         labels += [
             data[a:b] if labeled else None
             for a, b, labeled in zip(after.tolist(), end.tolist(), (end < block_stops).tolist())
         ]
+    if len(quotes):  # a quoted label is its text with each quote doubled, between quotes
+        labels = [
+            label[1:-1].replace(b'""', b'"') if label and label[0] == 34 else label
+            for label in labels
+        ]
     return labels
 
 
-def _rejected(exc: UnicodeDecodeError) -> str:
-    return f"byte {exc.object[exc.start]:#04x} is not valid {exc.encoding}"
+def _rejected(exc: UnicodeDecodeError, codec: str) -> str:
+    return f"byte {exc.object[exc.start]:#04x} is not valid {codec}"
 
 
-def index_flow_table(file: str | Path) -> FlowTableLines | None:
-    """file's bytes and the lines of its rows by label, for per-app parsing.
+def _byte_line(exc: UnicodeDecodeError, line: int) -> int:
+    """The line of the byte exc rejects, in a record whose last line is line."""
+    return line - _line_ends_in(exc.object[exc.start :])
+
+
+def index_flow_table(file: str | Path) -> FlowTableLines:
+    """file's bytes and its records by label, for per-app parsing.
 
     The header is checked here, as read_flow_table checks it; rows are
-    not parsed. Returns None where a label cannot be found without
-    parsing: the bytes hold a quote, so a field may hold a comma or a
-    line end, or the locale's encoding is not one of _LINE_CODECS.
+    not parsed. An encoding outside _LINE_CODECS is decoded here and
+    re-encoded in UTF-8. The index stops at the first byte such an
+    encoding rejects or quote that csv reads as a literal, and names
+    its line in error; where that leaves no header, it raises
+    SchemaMismatch.
     """
     with open(file, newline="") as fh:
-        encoding = fh.encoding
+        encoding = codecs.lookup(fh.encoding).name
         data = fh.buffer.read()
-    if b'"' in data or codecs.lookup(encoding).name not in _LINE_CODECS:
-        return None
+    error = cut = None
+    if encoding not in _LINE_CODECS:
+        text, error = _decoded(data, encoding)
+        data, encoding = text.encode(), "utf-8"
+        cut = len(data) if error else None
     buf = np.frombuffer(data, np.uint8)
-    starts, stops = _line_bounds(buf)
+    quotes = _offsets(buf, 34) if b'"' in data else np.empty(0, np.intp)
+    misplaced = _misplaced_quote(buf, quotes)
+    if misplaced is not None:  # before any rejected byte, where data stops
+        cut, reason = misplaced
+        error = (_line_ends_in(data[:cut]) + 1, reason)
+    starts, stops, lines = _records(buf, quotes)
+    if cut is not None:
+        kept = stops < cut
+        starts, stops, lines = starts[kept], stops[kept], lines[kept]
     if not len(starts):
-        raise SchemaMismatch(f"{file}: empty file")
+        where = f"line {error[0]}: {error[1]}" if error else "empty file"
+        raise SchemaMismatch(f"{file}: {where}")
     try:
         header = next(csv.reader([data[starts[0] : stops[0]].decode(encoding)]))
     except UnicodeDecodeError as exc:
-        raise SchemaMismatch(f"{file}: line 1: {_rejected(exc)}") from None
+        line = _byte_line(exc, int(lines[0]))
+        raise SchemaMismatch(f"{file}: line {line}: {_rejected(exc, encoding)}") from None
     except csv.Error as exc:
-        raise SchemaMismatch(f"{file}: line 1: {exc}") from None
+        raise SchemaMismatch(f"{file}: line {lines[0]}: {exc}") from None
     _check_header(header, file)
 
-    lines = np.arange(1, len(starts) + 1)
     filled = stops > starts
     filled[0] = False
     starts, stops, lines = starts[filled], stops[filled], lines[filled]
-    labels = _labels(data, buf, starts, stops)
+    labels = _labels(data, buf, starts, stops, quotes)
     codes = {label: code for code, label in enumerate(dict.fromkeys(labels))}
     code = np.fromiter(map(codes.__getitem__, labels), np.intp, len(labels))
     order = np.argsort(code, kind="stable")
     cuts = np.searchsorted(code[order], np.arange(len(codes) + 1))
     table = np.column_stack([starts, stops, lines]).astype(np.int64)[order]
     rows = {label: table[cuts[c] : cuts[c + 1]] for label, c in codes.items()}
-    return FlowTableLines(str(file), data, encoding, rows)
+    return FlowTableLines(str(file), data, encoding, rows, error)
 
 
 def read_flow_lines(
     table: FlowTableLines, rows: np.ndarray, first_line: dict[int, int]
-) -> tuple[list[FlowRecord], list[str], tuple[int, str] | None]:
-    """Parse the lines at rows, entries of one label's table.rows in file order.
+) -> tuple[list[FlowRecord], tuple[int, str] | None]:
+    """Parse the records at rows, entries of table.rows in line order.
 
-    Each line is decoded, split into fields as csv splits a line of a
-    table without quotes, and read by parse_flow_row, which finds
-    repeats of the flow_ids in first_line and adds the new ones, so its
-    fields read as read_flow_table reads them. Returns the flows and
-    text of the lines before the first bad one, and that line's number
-    and error, or None.
+    Each record is decoded, split into fields as csv splits it, and
+    read by parse_flow_row, which finds repeats of the flow_ids in
+    first_line and adds the new ones. Returns the flows of the records
+    before the first bad one, and that record's line and error, or
+    None; a rejected byte is named on its own line.
     """
     data, encoding = table.data, table.encoding
-    texts: list[str] = []
-    error = None
-    for start, stop, line in rows.tolist():
-        try:
-            texts.append(data[start:stop].decode(encoding))
-        except UnicodeDecodeError as exc:
-            error = (line, _rejected(exc))
-            break
-    numbers = rows[:, 2].tolist()
     flows: list[FlowRecord] = []
     limit = csv.field_size_limit()
-    try:
-        for text, line in zip(texts, numbers):
-            # the table holds no quote, so csv splits a line at its commas,
-            # unless it holds a NUL or a field over csv's size limit
-            if "\0" in text or len(text) > limit:
+    for start, stop, line in rows.tolist():
+        try:
+            text = data[start:stop].decode(encoding)
+            # csv splits a record at its commas, unless it holds a quote,
+            # a NUL or a field over csv's size limit
+            if '"' in text or "\0" in text or len(text) > limit:
                 row = next(csv.reader([text]))
             else:
                 row = text.split(",")
             flows.append(parse_flow_row(row, line, first_line))
-    except (csv.Error, ValueError) as exc:
-        return flows, texts, (numbers[len(flows)], str(exc))
-    return flows, texts, error
+        except UnicodeDecodeError as exc:
+            return flows, (_byte_line(exc, line), _rejected(exc, encoding))
+        except (csv.Error, ValueError) as exc:
+            return flows, (line, str(exc))
+    return flows, None
 
 
 def write_flow_lines(
-    file: str | Path, table: FlowTableLines, kept: list[tuple[np.ndarray, dict[int, str]]]
+    file: str | Path, table: FlowTableLines, kept: list[tuple[np.ndarray, dict[int, bytes]]]
 ) -> None:
-    """Write a table of table's lines as write_flow_table writes their rows.
+    """Write a table of table's records as write_flow_table writes their rows.
 
-    kept holds, per app, entries of table.rows and the text of the rows
-    whose line is not as format_flow_row writes it, keyed by position;
-    every other row is its line plus CRLF.
+    kept holds, per app, entries of table.rows and, keyed by position,
+    the row (in table.encoding, line end excluded) of each record that
+    is not as format_flow_row writes it; every other row is its record
+    plus CRLF. The file is written in the locale's encoding, as
+    write_flow_table writes it.
     """
     data = table.data
-    with open(file, "wb") as fh:
-        fh.write(_HEADER_ROW.encode(table.encoding))
+    with open(file, "w", newline="") as fh:
+        out, encoding = fh.buffer, fh.encoding  # bytes go past the text layer, which stays empty
+        recode = codecs.lookup(encoding).name != table.encoding
+        out.write(_HEADER_ROW.encode(encoding))
         for rows, texts in kept:
             lines = [data[start:stop] for start, stop in rows[:, :2].tolist()]
             for at, text in texts.items():
-                lines[at] = text[:-2].encode(table.encoding)  # the CRLF is joined on below
+                lines[at] = text
             lines.append(b"")
-            fh.write(b"\r\n".join(lines))
+            block = b"\r\n".join(lines)
+            out.write(block.decode(table.encoding).encode(encoding) if recode else block)

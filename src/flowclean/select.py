@@ -509,9 +509,9 @@ class _Lines(NamedTuple):
     lines: np.ndarray  # their line numbers
     error: tuple[int, str] | None  # the first bad line's number and error
     rows: _FlowRows | None  # None after a bad line
-    # by position in the chunk, the text of each row DPI keeps whose line
-    # is not as format_flow_row writes it
-    texts: dict[int, str]
+    # by position in the chunk, the row (in table.encoding, no line end) of
+    # each flow DPI keeps whose record is not as format_flow_row writes it
+    texts: dict[int, bytes]
 
 
 def _read_chunk(
@@ -519,7 +519,7 @@ def _read_chunk(
 ) -> _Lines:
     """Phase 1 on the lines at rows, a run of one label's lines in file order."""
     first_line: dict[int, int] = {}
-    flows, lines, error = read_flow_lines(table, rows, first_line)
+    flows, error = read_flow_lines(table, rows, first_line)
     try:
         ids = np.array(list(first_line), dtype=np.int64)
     except OverflowError:
@@ -529,9 +529,11 @@ def _read_chunk(
         return _Lines(ids, numbers, error, None, {})
     part = _flow_rows(flows, blocklist, skip_dpi)
     texts = {}
+    spans = rows[:, :2].tolist()
     for i in np.flatnonzero(part.keep).tolist():
-        text = format_flow_row(flows[i])
-        if text != lines[i] + "\r\n":
+        start, stop = spans[i]
+        text = format_flow_row(flows[i])[:-2].encode(table.encoding)
+        if text != table.data[start:stop]:
             texts[i] = text
     return _Lines(ids, numbers, None, part, texts)
 
@@ -546,14 +548,14 @@ def clean_table(
     linkage: Linkage = Linkage.WARD,
     skip_dpi: bool = False,
     threads: int = 1,
-) -> tuple[list[tuple[np.ndarray, dict[int, str]]], CleanReport]:
+) -> tuple[list[tuple[np.ndarray, dict[int, bytes]]], CleanReport]:
     """clean() on an indexed flow table, without its records in this process.
 
-    Phase 1 cuts each label's lines into equal chunks in file order
-    (_chunks). A chunk's worker parses its lines (read_flow_lines),
+    Phase 1 cuts each label's records into equal chunks in file order
+    (_chunks). A chunk's worker parses its records (read_flow_lines),
     takes their DPI verdicts and feature rows, and sends back its flow
     ids and line numbers, its first bad line, those verdicts and rows,
-    and the text of each row DPI keeps whose line is not as
+    and the row of each flow DPI keeps whose record is not as
     write_flow_table writes it; it sends no records. Phase 2 cleans
     each app from its chunks' rows, joined in line order, as clean()
     cleans an app. Stage times in the report are summed over chunks
@@ -562,8 +564,9 @@ def clean_table(
     their texts; and the report.
 
     Raises what read_flow_table and then clean() would raise: the bad
-    row or duplicate flow_id on the lowest line, then the first flow
-    without a label, then the first app's error in label order.
+    row, duplicate flow_id or line the index could not read (the
+    table's error) on the lowest line, then the first flow without a
+    label, then the first app's error in label order.
     """
     _check_sizes(k, threads)
     # a label its encoding rejects fails on its first line, before any sorting shows
@@ -581,7 +584,7 @@ def clean_table(
         len(chunks),
         threads,
     )
-    bad = _first_bad_line(parsed)
+    bad = _first_bad_line(parsed) or table.error
     if bad is not None:
         raise SchemaMismatch(f"{table.file}: line {bad[0]}: {bad[1]}")
     groups = _by_group(chunks, parsed, len(keys))

@@ -16,16 +16,17 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 import flowclean.cli as cli_mod
 import flowclean.cluster as cluster_mod
+import flowclean.ingest as ingest_mod
 import flowclean.select as select_mod
 from flowclean.cli import _canonical_sha256, main, read_config, run_compare
 from flowclean.cluster import Algorithm
 from flowclean.errors import ParseError, UnclusterableMatrix
-from flowclean.ingest import FLOW_TABLE_HEADER, format_flow_row, read_flow_table
+from flowclean.ingest import FLOW_TABLE_HEADER, format_flow_row, read_flow_table, write_flow_table
 from flowclean.select import clean
 from flowclean.synth import read_scenario
 
 from conftest import TCP_ACK, TCP_SYN, ethernet, make_flow, pcap_bytes, tcp4_frame
-from test_ingest import table_flows
+from test_ingest import forced_open, reference_read_flow_table, table_flows
 
 SCENARIO = """\
 # two small apps for CLI runs
@@ -340,7 +341,7 @@ _REJECTED_BYTE = _table(*_APPS[:5], _row(20, "b").replace(b"tcp", b"t" + _reject
 def flow_table_bytes(draw):
     """Tables of table_flows' rows, often with few labels, no field that
     needs quotes, other line ends, blank lines, or rows whose bytes are
-    not those write_flow_table writes."""
+    not those write_flow_table writes (rows without quotes only)."""
     # two draws, for apps of several flows; table_flows' ids are within 2**40
     flows = draw(table_flows())
     flows += [flow._replace(flow_id=flow.flow_id + 2**41) for flow in draw(table_flows())]
@@ -364,9 +365,9 @@ def flow_table_bytes(draw):
         rows = [format_flow_row(flow)[:-2].encode(_ENCODING) for flow in flows]
     except UnicodeEncodeError:
         assume(False)
-    if any(b'"' in row for row in rows):
-        return _table(*rows)
-    rows = [_noncanonical(row) if draw(st.booleans()) else row for row in rows]
+    rows = [
+        _noncanonical(row) if b'"' not in row and draw(st.booleans()) else row for row in rows
+    ]
     for at in draw(st.lists(st.integers(0, len(rows)), max_size=2)):
         rows.insert(at, b"")
     end = draw(st.sampled_from([b"\r\n", b"\n", b"\r"]))
@@ -374,10 +375,24 @@ def flow_table_bytes(draw):
     return data if draw(st.booleans()) else data[: -len(end)]
 
 
-def _clean_run(capsys, flows: Path, out: Path, threads: int, algorithm: str = "kmeans"):
+def _compose(patch, encoding: str | None = None) -> None:
+    """Make `flowclean clean` the composition its table path must match:
+    reference_read_flow_table, then clean, then write_flow_table."""
+    patch.setattr(cli_mod, "index_flow_table", Path)  # clean_table gets the file
+    patch.setattr(
+        cli_mod,
+        "clean_table",
+        lambda file, **options: clean(reference_read_flow_table(file, encoding), **options),
+    )
+    patch.setattr(cli_mod, "write_flow_lines", lambda file, table, kept: write_flow_table(kept, file))
+
+
+def _clean_run(
+    capsys, flows: Path, out: Path, threads: int, algorithm: str = "kmeans", encoding=None
+):
     # keeps some clusters of table_flows' random counters, and drops others
     policy = flows.with_name("policy.txt")
-    policy.write_text("keep ratio > 0.5\n")
+    policy.write_text("keep ratio > 0.5\n", encoding=encoding)
     capsys.readouterr()
     rc = main(["clean", "--flows", str(flows), "--out", str(out), "--k", "2",
                "--policy", str(policy), "--threads", str(threads), "--algorithm", algorithm])
@@ -406,25 +421,99 @@ def _clean_run(capsys, flows: Path, out: Path, threads: int, algorithm: str = "k
 @example(_REJECTED_BYTE).via("a byte the locale's encoding rejects")
 def test_clean_matches_read_clean_write(capsys, data):
     """The same exit code, stderr, cleaned table and per-app report as
-    read_flow_table, clean and write_flow_table, at one or two workers."""
+    reference_read_flow_table, clean and write_flow_table (_compose), at
+    one or two workers."""
     with tempfile.TemporaryDirectory() as tmp:
         flows = Path(tmp) / "flows.csv"
         flows.write_bytes(data)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli_mod, "index_flow_table", lambda file: None)
+            _compose(patch)
             expected = _clean_run(capsys, flows, Path(tmp) / "composed", 1)
         for threads in (1, 2):
             assert _clean_run(capsys, flows, Path(tmp) / f"t{threads}", threads) == expected
 
 
 def test_clean_names_the_lowest_bad_line_before_a_rejected_byte(tmp_path, capsys):
-    # read_flow_table decodes ahead in 8 KB chunks, so on a table this
-    # small it would name the byte on line 6 first
+    # reference_read_flow_table decodes ahead in 8 KB chunks, so on a
+    # table this small it names the byte on line 6 first
     flows = tmp_path / "flows.csv"
     flows.write_bytes(_table(*_APPS[:3], _row(20, "b", bytes_in=-1), b"x" + _rejected_byte()))
     capsys.readouterr()
     assert main(["clean", "--flows", str(flows), "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err == f"error: {flows}: line 5: bytes_in is negative: -1\n"
+
+
+def _reads_table(tmp_path, command: str, flows: Path) -> list[str]:
+    """Arguments of a command that reads the table flows; eval gets a model first."""
+    args = [command, "--flows", str(flows), "--out", str(tmp_path / command)]
+    if command == "eval":
+        good = tmp_path / "good.csv"
+        good.write_bytes(_table(*_APPS))
+        assert main(["train", "--flows", str(good), "--trees", "1", "--out", str(tmp_path)]) == 0
+        args += ["--model", str(tmp_path / "model.json")]
+    return args
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_train_and_eval_name_the_lowest_bad_line_before_a_rejected_byte(
+    tmp_path, capsys, command
+):
+    flows = tmp_path / "flows.csv"
+    flows.write_bytes(_table(*_APPS[:3], _row(20, "b", bytes_in=-1), b"x" + _rejected_byte()))
+    args = _reads_table(tmp_path, command, flows)
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {flows}: line 5: bytes_in is negative: -1\n"
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        # features would convert it to float64, which raised OverflowError
+        (_row(7, "b", bytes_in=10**400), "bytes_in is out of float64's range"),
+        # csv reads it as a literal; the rows before it are read, not cleaned
+        (_row(7, "b").replace(b",tcp,", b',t"cp,'),
+         "misplaced quote: an unquoted field holds a quote"),
+    ],
+    ids=["huge counter", "misplaced quote"],
+)
+@pytest.mark.parametrize("command", ["clean", "train", "eval"])
+def test_every_command_refuses_the_table_at_a_bad_row(tmp_path, capsys, command, row, error):
+    flows = tmp_path / "flows.csv"
+    flows.write_bytes(_table(*_APPS[:7], row))
+    args = _reads_table(tmp_path, command, flows)
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {flows}: line 9: {error}\n"
+
+
+@pytest.mark.parametrize("algorithm", ["kmeans", "hier"])
+def test_clean_in_an_encoding_outside_the_line_codecs_matches_the_oracle(
+    tmp_path, capsys, monkeypatch, algorithm
+):
+    # cp037 (EBCDIC) has other bytes than ASCII for comma, quote and LF,
+    # and reads each byte as some character
+    monkeypatch.setattr(ingest_mod, "open", forced_open("cp037"), raising=False)
+    labels = ["a", 'say "hi"', "x,y", "ünï"]
+    rows = [
+        format_flow_row(
+            make_flow(flow_id=i, app_label=labels[i % 4], bytes_in=1000 * (i % 7 + 1),
+                      packets_in=i % 5 + 1, client_payload_prefix=bytes([i]))
+        )
+        for i in range(24)
+    ]
+    rows[4] = rows[4].replace(",a,", ',"a",')  # a quoted spelling of label a
+    rows[5] = rows[5].replace(",443,", ",0443,")  # a padded port
+    flows = tmp_path / "flows.csv"
+    flows.write_bytes((",".join(FLOW_TABLE_HEADER) + "\r\n" + "".join(rows)).encode("cp037"))
+    with pytest.MonkeyPatch.context() as patch:
+        _compose(patch, "cp037")
+        expected = _clean_run(capsys, flows, tmp_path / "oracle", 1, algorithm, "cp037")
+    assert expected[0] == 0 and set(expected[3]) == set(labels)
+    assert expected[2].decode("cp037").startswith(",".join(FLOW_TABLE_HEADER) + "\r\n")
+    for threads in (1, 2):
+        run = _clean_run(capsys, flows, tmp_path / f"t{threads}", threads, algorithm, "cp037")
+        assert run == expected
 
 
 # --- clean: phase-1 chunks ----------------------------------------------
@@ -448,13 +537,13 @@ def test_clean_output_does_not_depend_on_chunks(
 ):
     """Chunks of 1 row, of 7 rows and of a whole app, at one to three
     workers, give the cleaned table and per-app report that
-    read_flow_table, clean and write_flow_table give."""
+    reference_read_flow_table, clean and write_flow_table give."""
     rows = tmp_path / "rows.csv"
     rows.write_bytes(_table(*_MANY))
     for flows in (rows, synth_into(tmp_path, scenario_file) / "flows.csv"):
         out = flows.parent / "out"
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli_mod, "index_flow_table", lambda file: None)
+            _compose(patch)
             expected = _clean_run(capsys, flows, out / "oracle", 1, algorithm)
         assert expected[0] == 0 and expected[2].count(b"\r\n") > 1
         for size in (1, 7, 10**9):
@@ -475,7 +564,7 @@ def test_clean_matches_read_clean_write_in_small_chunks(capsys, many_cpus, data)
         flows = Path(tmp) / "flows.csv"
         flows.write_bytes(data)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli_mod, "index_flow_table", lambda file: None)
+            _compose(patch)
             expected = _clean_run(capsys, flows, Path(tmp) / "composed", 1)
         for size in (1, 3):
             with pytest.MonkeyPatch.context() as patch:
@@ -515,7 +604,7 @@ def test_clean_names_the_error_read_flow_table_names_across_chunks(
     flows = tmp_path / "flows.csv"
     flows.write_bytes(data)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli_mod, "index_flow_table", lambda file: None)
+        _compose(patch)
         expected = _clean_run(capsys, flows, tmp_path / "oracle", 1)
     assert expected == (1, f"error: {flows}: {error}\n", None, None)
     for threads in (1, 2):
@@ -535,7 +624,7 @@ def test_clean_reads_a_nul_and_a_long_field_as_csv_reads_them(tmp_path, capsys):
     limit = csv.field_size_limit(64)
     try:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli_mod, "index_flow_table", lambda file: None)
+            _compose(patch)
             expected = _clean_run(capsys, flows, tmp_path / "oracle", 1)
         assert expected[0] == 1
         for threads in (1, 2):

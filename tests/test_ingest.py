@@ -1,20 +1,25 @@
 """Tests for pcap reading, flow assembly, tagging, and flow tables."""
 
+import builtins
 import csv
+import functools
 import math
 import struct
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import flowclean.ingest as ingest_mod
 from flowclean.errors import MalformedCapture, ParseError, SchemaMismatch
 from flowclean.ingest import (
     FLOW_TABLE_HEADER,
     FlowKey,
     FlowRecord,
     TagMap,
+    _check_header,
     assemble_flows,
     index_flow_table,
+    parse_flow_row,
     parse_mac,
     read_flow_table,
     read_packets,
@@ -494,9 +499,16 @@ def test_flow_table_bad_row_names_file_and_line(tmp_path, column, value, message
         (dict(first_ts_us=5_000_000, last_ts_us=4_000_000),
          "line 3: last_ts_us 4000000 is before first_ts_us 5000000"),
         (dict(flow_id=0), "line 3: duplicate flow_id 0, first on line 2"),
+        # float() raises OverflowError at 2**1024 - 2**970 and above
+        (dict(bytes_in=10**400), "line 3: bytes_in is out of float64's range"),
+        (dict(header_bytes_total=2**1024 - 2**970),
+         "line 3: header_bytes_total is out of float64's range"),
+        (dict(first_ts_us=-(2**1024)), "line 3: first_ts_us is out of float64's range"),
+        (dict(flow_id=0, last_ts_us=10**400), "line 3: duplicate flow_id 0, first on line 2"),
     ],
     ids=["no-packets", "negative-bytes", "negative-packets", "ends-before-start",
-         "duplicate-id"],
+         "duplicate-id", "huge-counter", "float64-overflow", "huge-timestamp",
+         "duplicate-before-huge"],
 )
 def test_flow_table_rejects_impossible_rows(tmp_path, fields, message):
     path = tmp_path / "flows.csv"
@@ -535,6 +547,67 @@ def write_flow_table_oracle(flows, file):
                     f.server_payload_prefix.hex(),
                 ]
             )
+
+
+def reference_read_flow_table(file, encoding=None):
+    """The flow-table reader before the line index read every table: csv
+    over the decoded file, kept verbatim as the oracle.
+
+    It reads a misplaced quote as a literal, where read_flow_table
+    refuses it, and a rejected byte wins over a lower bad row when both
+    fall in the 8 KB chunk being decoded. encoding stands in for the
+    locale's.
+    """
+    with open(file, newline="", encoding=encoding) as fh:
+        reader = csv.reader(fh)
+        try:
+            return _reference_parse_flow_table(reader, file)
+        except UnicodeDecodeError:
+            line, reason = _reference_undecodable(file, fh.encoding)
+            raise SchemaMismatch(f"{file}: line {line}: {reason}") from None
+        except csv.Error as exc:
+            raise SchemaMismatch(f"{file}: line {reader.line_num}: {exc}") from None
+
+
+def _reference_undecodable(file, encoding):
+    with open(file, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].replace(b"\r\n", b"\n")
+        line = before.count(b"\n") + before.count(b"\r") + 1  # LF, CRLF or CR end lines
+        return line, f"byte {exc.object[exc.start]:#04x} is not valid {exc.encoding}"
+    return 1, f"not valid {encoding} when first read"
+
+
+def _reference_parse_flow_table(reader, file):
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaMismatch(f"{file}: empty file") from None
+    _check_header(header, file)
+    flows = []
+    first_line: dict[int, int] = {}
+    for row in reader:
+        if not row:
+            continue
+        try:
+            flows.append(parse_flow_row(row, reader.line_num, first_line))
+        except ValueError as exc:
+            raise SchemaMismatch(f"{file}: line {reader.line_num}: {exc}") from exc
+    return flows
+
+
+def forced_open(encoding):
+    """ingest's open, with encoding standing in for the locale's in text mode."""
+
+    def opener(file, mode="r", *args, **kwargs):
+        if "b" not in mode:
+            kwargs.setdefault("encoding", encoding)
+        return builtins.open(file, mode, *args, **kwargs)
+
+    return opener
 
 
 _counter = st.integers(min_value=0, max_value=2**64)
@@ -609,14 +682,22 @@ def test_read_flow_table_on_any_bytes_raises_only_schema_mismatch(tmp_path, data
         assert all(isinstance(f, FlowRecord) for f in flows)
 
 
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=200)
-@given(st.lists(st.sampled_from([b"a", b"b", b",", b"\r", b"\n", b"\r\n"]), max_size=40))
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=300)
+@given(st.lists(st.sampled_from([b"a", b"b", b",", b"\r", b"\n", b"\r\n", b'"']), max_size=40))
+@example([b'"', b"a", b"\r\n", b",", b'"', b",", b'"', b'"', b",", b"\r"]).via(
+    "a record over two lines"
+)
+@example([b"a", b",", b'"', b"b", b'"', b",", b"\n", b"b", b",", b"b", b",", b'"']).via(
+    "labels a and \"b\""
+)
 def test_index_flow_table_finds_the_lines_and_labels_csv_reads(tmp_path, parts):
+    """Below the line of a misplaced quote, or everywhere if there is
+    none, the index holds csv's records, lines and labels."""
     path = tmp_path / "lines.csv"
     path.write_bytes(",".join(FLOW_TABLE_HEADER).encode() + b"\r\n" + b"".join(parts))
     table = index_flow_table(path)
     indexed = sorted(
-        (line, table.data[start:stop], label)
+        (line, next(csv.reader([table.data[start:stop].decode()])), label)
         for label, rows in table.rows.items()
         for start, stop, line in rows.tolist()
     )
@@ -624,16 +705,103 @@ def test_index_flow_table_finds_the_lines_and_labels_csv_reads(tmp_path, parts):
         reader = csv.reader(fh)
         next(reader)
         rows = [(reader.line_num, row) for row in reader if row]
+    if table.error is not None:
+        assert table.error[1].startswith("misplaced quote")
+        rows = [(line, row) for line, row in rows if line < table.error[0]]
     assert indexed == [
-        (line, ",".join(row).encode(), row[1].encode() if len(row) > 2 else None)
-        for line, row in rows
+        (line, row, row[1].encode() if len(row) > 2 else None) for line, row in rows
     ]
 
 
-def test_index_flow_table_leaves_quoted_tables_to_csv(tmp_path):
+def test_index_flow_table_groups_quoted_labels_with_their_plain_spelling(tmp_path):
     path = tmp_path / "quoted.csv"
-    write_flow_table([make_flow(flow_id=1, app_label="a,b")], path)
-    assert index_flow_table(path) is None
+    flows = [make_flow(flow_id=i, app_label=label) for i, label in enumerate(["a,b", "c", "a,b"])]
+    write_flow_table(flows, path)
+    lines = path.read_bytes().split(b"\r\n")
+    # line 3 spells label c quoted, as csv.writer does not
+    lines[2] = lines[2].replace(b",c,", b',"c",')
+    path.write_bytes(b"\r\n".join(lines))
+    table = index_flow_table(path)
+    assert table.error is None
+    assert {label: rows[:, 2].tolist() for label, rows in table.rows.items()} == {
+        b"a,b": [2, 4], b"c": [3]
+    }
+    assert read_flow_table(path) == reference_read_flow_table(path) == flows
+
+
+@pytest.mark.parametrize(
+    "field, reason",
+    [
+        (b't"cp', "misplaced quote: an unquoted field holds a quote"),
+        (b'"t"cp', "misplaced quote: text follows a closing quote"),
+        (b'"tcp" ', "misplaced quote: text follows a closing quote"),
+    ],
+)
+@pytest.mark.parametrize("lower_bad_row", [False, True])
+def test_flow_table_refuses_a_misplaced_quote(tmp_path, field, reason, lower_bad_row):
+    path = tmp_path / "flows.csv"
+    flows = [make_flow(flow_id=i, app_label="a\r\nb") for i in range(4)]
+    if lower_bad_row:
+        flows[0] = flows[0]._replace(bytes_in=-1)
+    write_flow_table(flows, path)
+    # each row spans two lines: the third row is on lines 6 and 7
+    lines = path.read_bytes().split(b"\r\n")
+    lines[6] = lines[6].replace(b",tcp,", b"," + field + b",")
+    path.write_bytes(b"\r\n".join(lines))
+    error = "line 3: bytes_in is negative: -1" if lower_bad_row else f"line 7: {reason}"
+    with pytest.raises(SchemaMismatch) as exc_info:
+        read_flow_table(path)
+    assert str(exc_info.value) == f"{path}: {error}"
+    table = index_flow_table(path)
+    assert table.error == (7, reason)
+    assert sorted(line for rows in table.rows.values() for line in rows[:, 2].tolist()) == [3, 5]
+    if not lower_bad_row:
+        # csv reads the quote as a literal
+        transport = field.decode().replace('"tcp" ', "tcp ").replace('"t"cp', "tcp")
+        assert reference_read_flow_table(path)[2].key.transport == transport
+
+
+def test_a_rejected_byte_in_a_record_over_two_lines_is_named_on_its_own_line(tmp_path):
+    path = tmp_path / "flows.csv"
+    write_flow_table([make_flow(flow_id=i, app_label="a\r\nb") for i in range(3)], path)
+    # the second row's label starts on line 4 and ends on line 5
+    path.write_bytes(path.read_bytes().replace(b'1,"a', b'1,"\xff', 1))
+    message = f"{path}: line 4: byte 0xff is not valid utf-8"
+    for read in (read_flow_table, reference_read_flow_table):
+        with pytest.raises(SchemaMismatch) as exc_info:
+            read(path)
+        assert str(exc_info.value) == message
+
+
+def test_index_flow_table_stops_at_a_byte_such_an_encoding_rejects(tmp_path, monkeypatch):
+    # cp1253 is not one of the line codecs, and has no character at 0xff
+    monkeypatch.setattr(ingest_mod, "open", forced_open("cp1253"), raising=False)
+    path = tmp_path / "flows.csv"
+    flows = [make_flow(flow_id=i, app_label="αβ") for i in range(5)]
+    write_flow_table(flows, path)
+    lines = path.read_bytes().split(b"\r\n")
+    lines[4] = lines[4].replace(b",tcp,", b",t\xffcp,")
+    path.write_bytes(b"\r\n".join(lines))
+    table = index_flow_table(path)
+    assert table.encoding == "utf-8" and "αβ".encode() in table.data
+    assert table.error == (5, "byte 0xff is not valid cp1253")
+    assert table.rows["αβ".encode()][:, 2].tolist() == [2, 3, 4]
+    with pytest.raises(SchemaMismatch, match=r": line 5: byte 0xff is not valid cp1253$"):
+        read_flow_table(path)
+    lines[3] = lines[3].replace(b",tcp,", b",")
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(SchemaMismatch, match=r": line 4: row has 17 columns, expected 18$"):
+        read_flow_table(path)
+
+
+def test_parse_flow_row_takes_every_counter_a_float64_holds(tmp_path):
+    path = tmp_path / "flows.csv"
+    most = 2**1024 - 2**970 - 1  # float() rounds this down to the largest float64
+    flows = [
+        make_flow(bytes_in=most, payload_bytes_total=2**64, first_ts_us=-most, last_ts_us=most)
+    ]
+    write_flow_table(flows, path)
+    assert read_flow_table(path) == flows
 
 
 def test_flow_records_are_immutable_hashable_tuples():
