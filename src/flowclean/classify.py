@@ -82,6 +82,12 @@ from .ingest import FlowRecord
 from .rng import SplitMix64, derive, stream_draws
 
 
+def check_train_frac(train_frac: float) -> None:
+    """Raise ValueError unless 0 < train_frac < 1, as split() needs."""
+    if not 0.0 < train_frac < 1.0:
+        raise ValueError("train_frac must be in (0, 1)")
+
+
 def split(
     flows: list[FlowRecord], train_frac: float = 0.75, seed: int = 42
 ) -> tuple[list[FlowRecord], list[FlowRecord]]:
@@ -91,8 +97,7 @@ def split(
     training set (round half up) after a seeded shuffle; the rest go
     to test. Every label needs at least 4 flows.
     """
-    if not 0.0 < train_frac < 1.0:
-        raise ValueError("train_frac must be in (0, 1)")
+    check_train_frac(train_frac)
     by_label: dict[str, list[FlowRecord]] = {}
     for flow in flows:
         if not flow.app_label:
@@ -486,6 +491,21 @@ def _grow_block(trees: range, job: tuple) -> list[_Tree]:
     return blocks
 
 
+def check_forest(
+    n_trees: int, max_depth: int, min_leaf: int, features_per_split: int, workers: int
+) -> None:
+    """Raise ValueError, naming the parameter, unless n_trees, max_depth,
+    min_leaf and workers are >= 1 and 1 <= features_per_split <= 8.
+    """
+    counts = {"n_trees": n_trees, "max_depth": max_depth, "min_leaf": min_leaf, "workers": workers}
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if not 1 <= features_per_split <= len(ALL_FEATURES):
+        raise ValueError(f"features_per_split must be in [1, {len(ALL_FEATURES)}], "
+                         f"got {features_per_split}")
+
+
 def train(
     flows: list[FlowRecord],
     n_trees: int = 100,
@@ -503,23 +523,9 @@ def train(
     workers caps the processes that grow trees, further capped by
     n_trees and the CPUs this process may run on; the model is the
     same for every worker count. Where the platform cannot fork, trees
-    grow in this process. Raises ValueError, naming the parameter,
-    unless n_trees, max_depth, min_leaf and workers are >= 1 and
-    1 <= features_per_split <= 8.
+    grow in this process. Raises what check_forest raises.
     """
-    for name, value in (
-        ("n_trees", n_trees),
-        ("max_depth", max_depth),
-        ("min_leaf", min_leaf),
-        ("workers", workers),
-    ):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    if not 1 <= features_per_split <= len(ALL_FEATURES):
-        raise ValueError(
-            f"features_per_split must be in [1, {len(ALL_FEATURES)}], "
-            f"got {features_per_split}"
-        )
+    check_forest(n_trees, max_depth, min_leaf, features_per_split, workers)
     labels = sorted({f.app_label for f in flows if f.app_label})
     if len(labels) < 2:
         raise SingleClass(f"need >= 2 classes, got {labels}")

@@ -38,7 +38,7 @@ from .ingest import (
     write_flow_lines,
     write_flow_table,
 )
-from .select import DEFAULT_POLICY, clean, clean_table, read_rules
+from .select import DEFAULT_POLICY, check_sizes, clean, clean_table, read_rules
 
 _DEFAULT_SEED = 42
 
@@ -182,12 +182,13 @@ def cmd_clean(args: argparse.Namespace) -> int:
         blocklist=_load_blocklist(args),
         policy=_load_policy(args),
         algorithm=_algorithm(args.algorithm),
-        k=_count(args, "k"),
+        k=args.k,
         seed=args.seed,
         linkage=_linkage(args.linkage),
         skip_dpi=args.skip_dpi,
-        threads=_count(args, "threads"),
+        threads=args.threads,
     )
+    check_sizes(args.k, args.threads)
     table = index_flow_table(args.flows)
     kept, report = clean_table(table, **options)
     out = _out_dir(args)
@@ -205,19 +206,20 @@ def cmd_clean(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     if not args.flows:
         raise ValueError("train requires --flows")
-    flows = read_flow_table(args.flows)
-    train_flows, test_flows = classify.split(
-        flows, train_frac=args.train_frac, seed=args.seed
-    )
-    model = classify.train(
-        train_flows,
+    forest = dict(
         n_trees=args.trees,
         max_depth=args.max_depth,
         min_leaf=args.min_leaf,
         features_per_split=args.features_per_split,
-        seed=args.seed,
         workers=_count(args, "threads"),
     )
+    classify.check_forest(**forest)
+    classify.check_train_frac(args.train_frac)
+    flows = read_flow_table(args.flows)
+    train_flows, test_flows = classify.split(
+        flows, train_frac=args.train_frac, seed=args.seed
+    )
+    model = classify.train(train_flows, seed=args.seed, **forest)
     out = _out_dir(args)
     classify.write_model(model, out / "model.json")
     write_flow_table(test_flows, out / "holdout.csv")
@@ -274,11 +276,14 @@ def run_compare(
     tree, node and leaf counts and the depth of its deepest leaf. The
     report's content_sha256 covers config and arms: everything except
     timings_ms, forest and the generation timestamp. An algorithm given
-    twice raises ValueError.
+    twice raises ValueError, as do the checks of k, threads and
+    train_frac, before any flow is generated.
     """
     for i, algorithm in enumerate(algorithms):
         if algorithm in algorithms[:i]:
             raise ValueError(f"algorithm {algorithm.value!r} is given twice")
+    check_sizes(k, threads)
+    classify.check_train_frac(train_frac)
     flows, roles = synth.generate(scenario)
     arms: dict[str, list] = {
         "uncleaned": flows,
@@ -396,7 +401,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         blocklist=_load_blocklist(args),
         train_frac=args.train_frac,
         skip_dpi=args.skip_dpi,
-        threads=_count(args, "threads"),
+        threads=args.threads,
     )
     out = _out_dir(args)
     path = out / "compare_report.json"

@@ -3,10 +3,12 @@
 Reads classic Ethernet pcaps (both endiannesses, microsecond and
 nanosecond resolution) and groups packets into bidirectional flows keyed
 by the canonical 5-tuple, labelled from a MAC/VLAN tag map. Flows can be
-persisted to and restored from a CSV flow table losslessly. One reader
-reads every table: index_flow_table finds its records and groups them
-by label, and read_flow_lines parses any run of them, so that each
-app's rows can be parsed on their own; read_flow_table parses them all.
+persisted to and restored from a CSV flow table losslessly. This
+module owns the table's format. index_flow_table decodes a table once
+and groups its records by label; read_flow_lines parses any run of
+them, so that each app's rows can be parsed on their own; and
+check_flow_lines names the lowest bad line over any number of runs.
+read_flow_table is the three over one run of every record.
 read_text and parse_lines own the line format the five text inputs
 share.
 """
@@ -460,13 +462,23 @@ def _line_ends_in(text: bytes) -> int:
     return text.count(b"\n") + text.count(b"\r") - text.count(b"\r\n")
 
 
-def _decoded(data: bytes, encoding: str) -> tuple[str, tuple[int, str] | None]:
-    """data's text up to the first byte encoding rejects, and that byte's line and why, or None."""
+def _utf8(data: bytes, encoding: str) -> tuple[bytes, tuple[int, str] | None]:
+    """data's text in UTF-8 up to the first byte encoding rejects, and that
+    byte's line and why, or None. ASCII data is returned as it is where
+    encoding reads each ASCII byte on its own as that character, as all
+    but shifting encodings (ISO-2022, UTF-7, HZ), EBCDIC and UTF-16/32 do.
+    """
+    if data.isascii() and all(bytes([b]).decode(encoding, "replace") == chr(b) for b in range(128)):
+        return data, None
     try:
-        return data.decode(encoding), None
+        return data.decode(encoding).encode(), None
     except UnicodeDecodeError as exc:
         error = (_line_ends_in(data[: exc.start]) + 1, _rejected(exc, encoding))
-        return data[: exc.start].decode(encoding), error
+        return data[: exc.start].decode(encoding).encode(), error
+
+
+def _rejected(exc: UnicodeDecodeError, codec: str) -> str:
+    return f"byte {exc.object[exc.start]:#04x} is not valid {codec}"
 
 
 def read_text(file: str | Path) -> str:
@@ -475,10 +487,10 @@ def read_text(file: str | Path) -> str:
     file and the line.
     """
     with open(file) as fh:
-        text, error = _decoded(fh.buffer.read(), codecs.lookup(fh.encoding).name)
+        data, error = _utf8(fh.buffer.read(), codecs.lookup(fh.encoding).name)
     if error is not None:
         raise ParseError(error[1], error[0], str(file))
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return data.decode().replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_lines(text: str, handle: Callable[[int, str], None], file: str | None) -> None:
@@ -599,9 +611,25 @@ def write_flow_table(flows: list[FlowRecord], file: str | Path) -> None:
             fh.write(format_flow_row(f))
 
 
+def rewritten_rows(
+    table: FlowTableLines, rows: np.ndarray, flows: list[FlowRecord]
+) -> dict[int, bytes]:
+    """By line, the row format_flow_row writes (UTF-8, line end excluded)
+    of each of flows, read from table's records at rows, whose record
+    is not that row.
+    """
+    return {
+        line: text
+        for (start, stop, line), flow in zip(rows.tolist(), flows)
+        if (text := format_flow_row(flow)[:-2].encode()) != table.data[start:stop]
+    }
+
+
 # features converts counters and timestamps to float64; every int below
 # this does, and float() raises OverflowError only at or above it
 _FLOAT_SAFE = 2**1023
+# a repeat within a run of rows (parse_flow_row) or across runs (check_flow_lines)
+_DUPLICATE = "duplicate flow_id {}, first on line {}"
 
 
 def _impossible_row(row: list[str], line: int, first_line: dict[int, int]) -> str | None:
@@ -616,7 +644,7 @@ def _impossible_row(row: list[str], line: int, first_line: dict[int, int]) -> st
     if int(row[11]) + int(row[12]) == 0:
         return f"flow {flow_id} has no packets"
     if first_line[flow_id] != line:
-        return f"duplicate flow_id {flow_id}, first on line {first_line[flow_id]}"
+        return _DUPLICATE.format(flow_id, first_line[flow_id])
     for col in range(7, 15):
         try:
             float(int(row[col]))
@@ -691,44 +719,35 @@ def read_flow_table(file: str | Path) -> list[FlowRecord]:
     read_flow_lines over every record in line order.
 
     Raises SchemaMismatch naming the file for an empty file or a bad
-    header, and else the lowest bad line: a bad row, a misplaced quote,
-    or a byte the encoding rejects.
+    header, and else, through check_flow_lines, the lowest bad line: a
+    bad row, a misplaced quote, or a byte the encoding rejects.
     """
     table = index_flow_table(file)
     rows = np.concatenate([np.empty((0, 3), np.int64), *table.rows.values()])
-    flows, error = read_flow_lines(table, rows[np.argsort(rows[:, 2])], {})
-    error = error or table.error
-    if error is not None:
-        raise SchemaMismatch(f"{file}: line {error[0]}: {error[1]}")
-    return flows
+    run = read_flow_lines(table, rows[np.argsort(rows[:, 2])])
+    check_flow_lines(table, [run])
+    return run.flows
 
-
-# Encodings in which CR, LF, comma and quote are one byte each that no
-# other character contains, and which decode each line on its own as
-# the whole text decodes it.
-_LINE_CODECS = frozenset({"utf-8", "ascii", "iso8859-1", "cp1252"})
 
 _CHUNK = 1 << 20
 _LINE_BLOCK = 4096
 
 
 class FlowTableLines(NamedTuple):
-    """A flow table's bytes with its records grouped by app label.
+    """A flow table's UTF-8 bytes with its records grouped by app label.
 
-    data is the file's bytes or, where the locale's encoding is not one
-    of _LINE_CODECS, its text re-encoded in UTF-8; encoding is data's.
     rows maps each label, a record's field between its first two commas
     outside quotes, unquoted, to an int64 array with one (start, stop,
-    line) entry per record in file order (_records). Records with fewer
-    than two such commas are under None; blank lines and the header are
-    left out. error is the first line the index could not read, and
-    why, or None; rows stop before that line.
+    line) entry per record of data in file order (_records). Records
+    with fewer than two such commas are under None, and blank labels
+    under ""; blank lines and the header are left out. error is the
+    first line the index could not read, and why, or None; rows stop
+    before that line.
     """
 
     file: str
     data: bytes
-    encoding: str
-    rows: dict[bytes | None, np.ndarray]
+    rows: dict[str | None, np.ndarray]
     error: tuple[int, str] | None
 
 
@@ -815,33 +834,18 @@ def _labels(
     return labels
 
 
-def _rejected(exc: UnicodeDecodeError, codec: str) -> str:
-    return f"byte {exc.object[exc.start]:#04x} is not valid {codec}"
-
-
-def _byte_line(exc: UnicodeDecodeError, line: int) -> int:
-    """The line of the byte exc rejects, in a record whose last line is line."""
-    return line - _line_ends_in(exc.object[exc.start :])
-
-
 def index_flow_table(file: str | Path) -> FlowTableLines:
-    """file's bytes and its records by label, for per-app parsing.
+    """file's text in UTF-8 and its records by label, for per-app parsing.
 
-    The header is checked here, as read_flow_table checks it; rows are
-    not parsed. An encoding outside _LINE_CODECS is decoded here and
-    re-encoded in UTF-8. The index stops at the first byte such an
-    encoding rejects or quote that csv reads as a literal, and names
-    its line in error; where that leaves no header, it raises
-    SchemaMismatch.
+    The file is decoded once, in the locale's encoding (_utf8). The
+    header is checked here, as read_flow_table checks it; rows are not
+    parsed. The index stops at the first byte the encoding rejects or
+    quote that csv reads as a literal, and names its line in error;
+    where that leaves no header, it raises SchemaMismatch.
     """
     with open(file, newline="") as fh:
-        encoding = codecs.lookup(fh.encoding).name
-        data = fh.buffer.read()
-    error = cut = None
-    if encoding not in _LINE_CODECS:
-        text, error = _decoded(data, encoding)
-        data, encoding = text.encode(), "utf-8"
-        cut = len(data) if error else None
+        data, error = _utf8(fh.buffer.read(), codecs.lookup(fh.encoding).name)
+    cut = len(data) if error else None
     buf = np.frombuffer(data, np.uint8)
     quotes = _offsets(buf, 34) if b'"' in data else np.empty(0, np.intp)
     misplaced = _misplaced_quote(buf, quotes)
@@ -856,10 +860,7 @@ def index_flow_table(file: str | Path) -> FlowTableLines:
         where = f"line {error[0]}: {error[1]}" if error else "empty file"
         raise SchemaMismatch(f"{file}: {where}")
     try:
-        header = next(csv.reader([data[starts[0] : stops[0]].decode(encoding)]))
-    except UnicodeDecodeError as exc:
-        line = _byte_line(exc, int(lines[0]))
-        raise SchemaMismatch(f"{file}: line {line}: {_rejected(exc, encoding)}") from None
+        header = next(csv.reader([data[starts[0] : stops[0]].decode()]))
     except csv.Error as exc:
         raise SchemaMismatch(f"{file}: line {lines[0]}: {exc}") from None
     _check_header(header, file)
@@ -873,27 +874,36 @@ def index_flow_table(file: str | Path) -> FlowTableLines:
     order = np.argsort(code, kind="stable")
     cuts = np.searchsorted(code[order], np.arange(len(codes) + 1))
     table = np.column_stack([starts, stops, lines]).astype(np.int64)[order]
-    rows = {label: table[cuts[c] : cuts[c + 1]] for label, c in codes.items()}
-    return FlowTableLines(str(file), data, encoding, rows, error)
+    names = [label if label is None else label.decode() for label in codes]
+    rows = {name: table[cuts[c] : cuts[c + 1]] for c, name in enumerate(names)}
+    return FlowTableLines(str(file), data, rows, error)
 
 
-def read_flow_lines(
-    table: FlowTableLines, rows: np.ndarray, first_line: dict[int, int]
-) -> tuple[list[FlowRecord], tuple[int, str] | None]:
+class FlowLines(NamedTuple):
+    """A run of a table's records, parsed by read_flow_lines."""
+
+    flows: list[FlowRecord]  # the flows of the records before the first bad one
+    ids: np.ndarray  # the flow_ids parse_flow_row took, in line order
+    lines: np.ndarray  # their lines
+    error: tuple[int, str] | None  # the first bad record's line and why, or None
+
+
+def read_flow_lines(table: FlowTableLines, rows: np.ndarray) -> FlowLines:
     """Parse the records at rows, entries of table.rows in line order.
 
-    Each record is decoded, split into fields as csv splits it, and
-    read by parse_flow_row, which finds repeats of the flow_ids in
-    first_line and adds the new ones. Returns the flows of the records
-    before the first bad one, and that record's line and error, or
-    None; a rejected byte is named on its own line.
+    Each record is split into fields as csv splits it and read by
+    parse_flow_row, which finds the flow_ids that repeat within the run.
+    Parsing stops at the first bad record. ids is int64 unless a
+    flow_id does not fit.
     """
-    data, encoding = table.data, table.encoding
+    data = table.data
     flows: list[FlowRecord] = []
+    first_line: dict[int, int] = {}
+    error = None
     limit = csv.field_size_limit()
     for start, stop, line in rows.tolist():
+        text = data[start:stop].decode()
         try:
-            text = data[start:stop].decode(encoding)
             # csv splits a record at its commas, unless it holds a quote,
             # a NUL or a field over csv's size limit
             if '"' in text or "\0" in text or len(text) > limit:
@@ -901,11 +911,40 @@ def read_flow_lines(
             else:
                 row = text.split(",")
             flows.append(parse_flow_row(row, line, first_line))
-        except UnicodeDecodeError as exc:
-            return flows, (_byte_line(exc, line), _rejected(exc, encoding))
         except (csv.Error, ValueError) as exc:
-            return flows, (line, str(exc))
-    return flows, None
+            error = (line, str(exc))
+            break
+    try:
+        ids = np.array(list(first_line), dtype=np.int64)
+    except OverflowError:
+        ids = np.array(list(first_line), dtype=object)
+    return FlowLines(flows, ids, np.array(list(first_line.values()), dtype=np.int64), error)
+
+
+def check_flow_lines(table: FlowTableLines, runs: list[FlowLines]) -> None:
+    """Raise SchemaMismatch, naming table's file, for the lowest bad line
+    that runs of its records, each in line order, or its index found.
+
+    Those are a flow_id already on an earlier line of another run, each
+    run's first bad line, then table.error, below which all runs lie.
+    On one line the repeat wins: parse_flow_row rejects a repeated
+    flow_id before it reads the hex fields.
+    """
+    bad = [run.error for run in runs if run.error is not None]
+    if runs:
+        ids = np.concatenate([run.ids for run in runs])
+        lines = np.concatenate([run.lines for run in runs])
+        order = np.argsort(lines)
+        ids, lines = ids[order], lines[order]
+        by_id = np.argsort(ids, kind="stable")
+        again = by_id[1:][ids[by_id[1:]] == ids[by_id[:-1]]]  # each id's lines after its first
+        if len(again):
+            at = int(again.min())
+            first_on = int(lines[np.argmax(ids == ids[at])])
+            bad.insert(0, (int(lines[at]), _DUPLICATE.format(int(ids[at]), first_on)))
+    error = min(bad, key=lambda error: error[0], default=None) or table.error
+    if error is not None:
+        raise SchemaMismatch(f"{table.file}: line {error[0]}: {error[1]}")
 
 
 def write_flow_lines(
@@ -913,21 +952,19 @@ def write_flow_lines(
 ) -> None:
     """Write a table of table's records as write_flow_table writes their rows.
 
-    kept holds, per app, entries of table.rows and, keyed by position,
-    the row (in table.encoding, line end excluded) of each record that
-    is not as format_flow_row writes it; every other row is its record
-    plus CRLF. The file is written in the locale's encoding, as
-    write_flow_table writes it.
+    kept holds, per app, entries of table.rows and, by line, the row of
+    each record that is not as format_flow_row writes it
+    (rewritten_rows); every other row is its record plus CRLF. The file
+    is written in the locale's encoding, as write_flow_table writes it.
     """
     data = table.data
     with open(file, "w", newline="") as fh:
         out, encoding = fh.buffer, fh.encoding  # bytes go past the text layer, which stays empty
-        recode = codecs.lookup(encoding).name != table.encoding
-        out.write(_HEADER_ROW.encode(encoding))
+        recode = codecs.lookup(encoding).name != "utf-8"
+        encode = codecs.getincrementalencoder(encoding)().encode  # a BOM, if any, once
+        out.write(encode(_HEADER_ROW))
         for rows, texts in kept:
-            lines = [data[start:stop] for start, stop in rows[:, :2].tolist()]
-            for at, text in texts.items():
-                lines[at] = text
+            lines = [texts.get(line, data[start:stop]) for start, stop, line in rows.tolist()]
             lines.append(b"")
             block = b"\r\n".join(lines)
-            out.write(block.decode(table.encoding).encode(encoding) if recode else block)
+            out.write(encode(block.decode()) if recode else block)

@@ -22,6 +22,8 @@ arrays, not records, so the caller never holds the table's records;
 phase-2 workers cluster one app each from its chunks joined in line
 order. Verdicts and feature rows depend on nothing but their own
 flow, so neither the chunks nor the worker count change the output.
+The table's format stays in ingest: read_flow_lines, check_flow_lines
+and rewritten_rows parse chunks, find bad lines and rewrite rows.
 """
 
 from __future__ import annotations
@@ -45,15 +47,17 @@ import numpy as np
 from .cluster import Algorithm, Linkage, hierarchical, kmeans, pair_matrices_that_fit
 from .dpi import Blocklist, DEFAULT_BLOCKLIST, filter_flows
 from .dpi import logger as dpi_logger
-from .errors import EmptyFlow, InvariantViolation, SchemaMismatch
+from .errors import EmptyFlow, InvariantViolation
 from .features import CLUSTER_FEATURES, destandardize, feature_matrix, standardize
 from .ingest import (
+    FlowLines,
     FlowRecord,
     FlowTableLines,
-    format_flow_row,
+    check_flow_lines,
     parse_lines,
     read_flow_lines,
     read_text,
+    rewritten_rows,
 )
 from . import parallel
 from .parallel import fork_map
@@ -263,7 +267,8 @@ class CleanReport:
 _STAGES = ("dpi", "features", "cluster", "select")
 
 
-def _check_sizes(k: int, threads: int) -> None:
+def check_sizes(k: int, threads: int) -> None:
+    """Raise ValueError unless k and threads are >= 1, as clean() and clean_table() need."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if threads < 1:
@@ -472,7 +477,7 @@ def clean(
     Stage times in the report are summed over apps, while total is
     wall time.
     """
-    _check_sizes(k, threads)
+    check_sizes(k, threads)
     by_app: dict[str, list[FlowRecord]] = {}
     for flow in flows:
         if not flow.app_label:
@@ -505,37 +510,22 @@ def clean(
 class _Lines(NamedTuple):
     """What clean_table's phase-1 worker sends back for a chunk of one label's lines."""
 
-    ids: np.ndarray  # the flow_ids parse_flow_row took, in line order
-    lines: np.ndarray  # their line numbers
-    error: tuple[int, str] | None  # the first bad line's number and error
+    run: FlowLines  # without its flows
     rows: _FlowRows | None  # None after a bad line
-    # by position in the chunk, the row (in table.encoding, no line end) of
-    # each flow DPI keeps whose record is not as format_flow_row writes it
-    texts: dict[int, bytes]
+    texts: dict[int, bytes]  # rewritten_rows of the flows DPI keeps
 
 
 def _read_chunk(
     table: FlowTableLines, rows: np.ndarray, blocklist: Blocklist, skip_dpi: bool
 ) -> _Lines:
     """Phase 1 on the lines at rows, a run of one label's lines in file order."""
-    first_line: dict[int, int] = {}
-    flows, error = read_flow_lines(table, rows, first_line)
-    try:
-        ids = np.array(list(first_line), dtype=np.int64)
-    except OverflowError:
-        ids = np.array(list(first_line), dtype=object)
-    numbers = np.array(list(first_line.values()), dtype=np.int64)
-    if error is not None:
-        return _Lines(ids, numbers, error, None, {})
+    run = read_flow_lines(table, rows)
+    flows, run = run.flows, run._replace(flows=[])  # records stay in the worker
+    if run.error is not None:
+        return _Lines(run, None, {})
     part = _flow_rows(flows, blocklist, skip_dpi)
-    texts = {}
-    spans = rows[:, :2].tolist()
-    for i in np.flatnonzero(part.keep).tolist():
-        start, stop = spans[i]
-        text = format_flow_row(flows[i])[:-2].encode(table.encoding)
-        if text != table.data[start:stop]:
-            texts[i] = text
-    return _Lines(ids, numbers, None, part, texts)
+    kept = np.flatnonzero(part.keep).tolist()
+    return _Lines(run, part, rewritten_rows(table, rows[kept], [flows[i] for i in kept]))
 
 
 def clean_table(
@@ -554,26 +544,20 @@ def clean_table(
     Phase 1 cuts each label's records into equal chunks in file order
     (_chunks). A chunk's worker parses its records (read_flow_lines),
     takes their DPI verdicts and feature rows, and sends back its flow
-    ids and line numbers, its first bad line, those verdicts and rows,
-    and the row of each flow DPI keeps whose record is not as
-    write_flow_table writes it; it sends no records. Phase 2 cleans
-    each app from its chunks' rows, joined in line order, as clean()
-    cleans an app. Stage times in the report are summed over chunks
-    and apps. Returns what write_flow_lines writes the cleaned table
-    from, in label order: each app's kept rows in flow_id order and
-    their texts; and the report.
+    ids, lines and first bad line, those verdicts and rows, and the
+    rewritten_rows of the flows DPI keeps; it sends no records. Phase 2
+    cleans each app from its chunks' rows, joined in line order, as
+    clean() cleans an app. Stage times in the report are summed over
+    chunks and apps. Returns what write_flow_lines writes the cleaned
+    table from, in label order: each app's kept rows in flow_id order
+    and their rewritten rows; and the report.
 
-    Raises what read_flow_table and then clean() would raise: the bad
-    row, duplicate flow_id or line the index could not read (the
-    table's error) on the lowest line, then the first flow without a
+    Raises what read_flow_table and then clean() would raise: the
+    lowest bad line (check_flow_lines), then the first flow without a
     label, then the first app's error in label order.
     """
-    _check_sizes(k, threads)
-    # a label its encoding rejects fails on its first line, before any sorting shows
-    decoded = {
-        label: label.decode(table.encoding, "surrogateescape") for label in table.rows if label
-    }
-    labels = sorted(decoded, key=decoded.__getitem__)
+    check_sizes(k, threads)
+    labels = sorted(label for label in table.rows if label)
     keys = labels + [label for label in table.rows if not label]
     chunks = _chunks([len(table.rows[key]) for key in keys], threads)
     total_start = time.perf_counter()
@@ -584,12 +568,10 @@ def clean_table(
         len(chunks),
         threads,
     )
-    bad = _first_bad_line(parsed) or table.error
-    if bad is not None:
-        raise SchemaMismatch(f"{table.file}: line {bad[0]}: {bad[1]}")
+    check_flow_lines(table, [chunk.run for chunk in parsed])
     groups = _by_group(chunks, parsed, len(keys))
-    if b"" in table.rows:
-        raise ValueError(f"flow {int(groups[keys.index(b'')][0].ids[0])} has no app label")
+    if "" in table.rows:
+        raise ValueError(f"flow {int(groups[keys.index('')][0].run.ids[0])} has no app label")
     apps = [_join([chunk.rows for chunk in group]) for group in groups[: len(labels)]]
     run = functools.partial(
         _clean_app, policy=policy, algorithm=algorithm, k=k, seed=seed, linkage=linkage
@@ -597,43 +579,11 @@ def clean_table(
     workers = _workers(threads, algorithm, k, [int(np.count_nonzero(app.keep)) for app in apps])
     # the apps' rows reach the workers through the fork
     results = fork_map(lambda i: run(apps[i]), len(apps), workers)
-    report = _merge([decoded[label] for label in labels], results, k, skip_dpi)
+    report = _merge(labels, results, k, skip_dpi)
     kept = []
     for label, group, (at, _, _) in zip(labels, groups, results):
-        ids = np.concatenate([chunk.ids for chunk in group])
-        at = at[np.argsort(ids[at])]
-        texts, start = {}, 0
-        for chunk in group:
-            texts.update((start + i, text) for i, text in chunk.texts.items())
-            start += len(chunk.ids)
-        if texts:
-            texts = {j: texts[i] for j, i in enumerate(at.tolist()) if i in texts}
-        kept.append((table.rows[label][at], texts))
+        ids = np.concatenate([chunk.run.ids for chunk in group])
+        texts = {line: text for chunk in group for line, text in chunk.texts.items()}
+        kept.append((table.rows[label][at[np.argsort(ids[at])]], texts))
     report.timings_ms["total"] = (time.perf_counter() - total_start) * 1e3
     return kept, report
-
-
-def _first_bad_line(results: list[_Lines]) -> tuple[int, str] | None:
-    """The lowest line that read_flow_table would reject, and why, or None.
-
-    That is each chunk's first bad line, or a flow_id already on an
-    earlier line of another chunk. On one line the repeat wins: a row
-    whose flow_id repeats is rejected before its hex fields are read.
-    """
-    if not results:
-        return None
-    ids = np.concatenate([r.ids for r in results])
-    lines = np.concatenate([r.lines for r in results])
-    order = np.argsort(lines)
-    ids, lines = ids[order], lines[order]
-    _, first = np.unique(ids, return_index=True)
-    again = np.ones(len(ids), dtype=bool)
-    again[first] = False
-    bad = []
-    if again.any():
-        at = int(np.argmax(again))
-        flow_id = int(ids[at])
-        first_on = int(lines[np.argmax(ids == ids[at])])
-        bad.append((int(lines[at]), f"duplicate flow_id {flow_id}, first on line {first_on}"))
-    bad += [r.error for r in results if r.error is not None]
-    return min(bad, key=lambda error: error[0], default=None)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import codecs
 import csv
 import json
 import locale
@@ -20,7 +21,7 @@ import flowclean.ingest as ingest_mod
 import flowclean.select as select_mod
 from flowclean.cli import _canonical_sha256, main, read_config, run_compare
 from flowclean.cluster import Algorithm
-from flowclean.errors import ParseError, UnclusterableMatrix
+from flowclean.errors import ParseError, SchemaMismatch, UnclusterableMatrix
 from flowclean.ingest import FLOW_TABLE_HEADER, format_flow_row, read_flow_table, write_flow_table
 from flowclean.select import clean
 from flowclean.synth import read_scenario
@@ -291,6 +292,49 @@ def test_clean_checks_k_before_reading_the_table(tmp_path, capsys, k):
     assert capsys.readouterr().err == f"error: k must be >= 1, got {k}\n"
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("reached before the options were checked")
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--trees", "0", "n_trees must be >= 1, got 0"),
+        ("--max-depth", "-1", "max_depth must be >= 1, got -1"),
+        ("--min-leaf", "0", "min_leaf must be >= 1, got 0"),
+        ("--features-per-split", "9", "features_per_split must be in [1, 8], got 9"),
+        ("--threads", "0", "threads must be >= 1, got 0"),
+        ("--train-frac", "1.5", "train_frac must be in (0, 1)"),
+    ],
+)
+def test_train_checks_its_options_before_reading_the_table(
+    tmp_path, capsys, monkeypatch, option, value, message
+):
+    monkeypatch.setattr(cli_mod, "read_flow_table", _unreachable)
+    rc = main(["train", "--flows", str(tmp_path / "absent.csv"), option, value,
+               "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--k", "0", "k must be >= 1, got 0"),
+        ("--threads", "0", "threads must be >= 1, got 0"),
+        ("--train-frac", "1.5", "train_frac must be in (0, 1)"),
+        ("--train-frac", "0", "train_frac must be in (0, 1)"),
+    ],
+)
+def test_compare_checks_its_options_before_generating_flows(
+    tmp_path, capsys, monkeypatch, option, value, message
+):
+    monkeypatch.setattr(cli_mod.synth, "generate", _unreachable)
+    rc = main(["compare", option, value, "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # --- clean: each app's lines parsed, cleaned and formatted by its worker --
 
 _ENCODING = locale.getpreferredencoding(False)
@@ -403,7 +447,8 @@ def _clean_run(
     return rc, err, (out / "cleaned.csv").read_bytes(), apps
 
 
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+# too_slow: hypothesis builds its Unicode tables on a run's first st.text() draw
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
           max_examples=100, deadline=None)
 @given(flow_table_bytes())
 @example(_table(*_APPS)).via("CRLF")
@@ -431,6 +476,35 @@ def test_clean_matches_read_clean_write(capsys, data):
             expected = _clean_run(capsys, flows, Path(tmp) / "composed", 1)
         for threads in (1, 2):
             assert _clean_run(capsys, flows, Path(tmp) / f"t{threads}", threads) == expected
+
+
+@settings(suppress_health_check=[HealthCheck.too_slow], max_examples=200, deadline=None)
+@given(flow_table_bytes())
+@example(_table(*_APPS)).via("CRLF")
+@example(_table(*_APPS, end=b"\n")).via("LF")
+@example(_table(*_APPS, end=b"\r")).via("CR")
+@example(_table(_APPS[0], b"", *_APPS[1:5], b"", b"", *_APPS[5:])).via("blank lines")
+@example(_table()).via("header only")
+@example(_table(*map(_noncanonical, _APPS))).via("rows written otherwise")
+@example(_table(*_APPS[:3], _row(20, None), _row(21, None))).via("unlabeled rows")
+@example(_table(*_APPS[:3], _row(1, "c"))).via("flow_id repeated across apps")
+@example(_BAD_ROWS).via("bad rows in two apps: the lower line wins")
+@example(_BAD_ROW_AND_NO_LABEL).via("a bad row and a line without a label")
+@example(_REPEAT_AND_BAD_HEX).via("a flow_id repeated on a row with bad hex")
+@example(_QUOTED_LABEL).via("a quoted label")
+@example(_REJECTED_BYTE).via("a byte the locale's encoding rejects")
+def test_read_flow_table_matches_the_reference_reader(data):
+    """The same records as reference_read_flow_table, or the same SchemaMismatch."""
+    with tempfile.TemporaryDirectory() as tmp:
+        flows = Path(tmp) / "flows.csv"
+        flows.write_bytes(data)
+        outcomes = []
+        for read in (read_flow_table, reference_read_flow_table):
+            try:
+                outcomes.append(read(flows))
+            except SchemaMismatch as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 def test_clean_names_the_lowest_bad_line_before_a_rejected_byte(tmp_path, capsys):
@@ -516,6 +590,20 @@ def test_clean_in_an_encoding_outside_the_line_codecs_matches_the_oracle(
         assert run == expected
 
 
+def test_clean_in_utf_16_writes_one_byte_order_mark(tmp_path, capsys, monkeypatch):
+    # the header and each app's rows are encoded apart; UTF-16 starts its text with a BOM
+    monkeypatch.setattr(ingest_mod, "open", forced_open("utf-16"), raising=False)
+    flows = tmp_path / "flows.csv"
+    flows.write_bytes(_table(*_APPS).decode(_ENCODING).encode("utf-16"))
+    with pytest.MonkeyPatch.context() as patch:
+        _compose(patch, "utf-16")
+        expected = _clean_run(capsys, flows, tmp_path / "oracle", 1, "kmeans", "utf-16")
+    assert expected[0] == 0 and expected[2].count(codecs.BOM_UTF16) == 1
+    for threads in (1, 2):
+        run = _clean_run(capsys, flows, tmp_path / f"t{threads}", threads, "kmeans", "utf-16")
+        assert run == expected
+
+
 # --- clean: phase-1 chunks ----------------------------------------------
 
 # three apps of 12 rows, interleaved, every fifth row written otherwise: a
@@ -554,7 +642,7 @@ def test_clean_output_does_not_depend_on_chunks(
                     assert _clean_run(capsys, flows, run, threads, algorithm) == expected
 
 
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
           max_examples=30, deadline=None)
 @given(flow_table_bytes())
 def test_clean_matches_read_clean_write_in_small_chunks(capsys, many_cpus, data):

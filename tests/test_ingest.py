@@ -648,7 +648,11 @@ def table_flows(draw):
     return flows
 
 
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=200)
+# too_slow: hypothesis builds its Unicode tables on a run's first st.text() draw
+@settings(
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    max_examples=200,
+)
 @given(table_flows())
 @example(
     [
@@ -709,7 +713,7 @@ def test_index_flow_table_finds_the_lines_and_labels_csv_reads(tmp_path, parts):
         assert table.error[1].startswith("misplaced quote")
         rows = [(line, row) for line, row in rows if line < table.error[0]]
     assert indexed == [
-        (line, row, row[1].encode() if len(row) > 2 else None) for line, row in rows
+        (line, row, row[1] if len(row) > 2 else None) for line, row in rows
     ]
 
 
@@ -724,7 +728,7 @@ def test_index_flow_table_groups_quoted_labels_with_their_plain_spelling(tmp_pat
     table = index_flow_table(path)
     assert table.error is None
     assert {label: rows[:, 2].tolist() for label, rows in table.rows.items()} == {
-        b"a,b": [2, 4], b"c": [3]
+        "a,b": [2, 4], "c": [3]
     }
     assert read_flow_table(path) == reference_read_flow_table(path) == flows
 
@@ -774,7 +778,7 @@ def test_a_rejected_byte_in_a_record_over_two_lines_is_named_on_its_own_line(tmp
 
 
 def test_index_flow_table_stops_at_a_byte_such_an_encoding_rejects(tmp_path, monkeypatch):
-    # cp1253 is not one of the line codecs, and has no character at 0xff
+    # cp1253 has no character at 0xff
     monkeypatch.setattr(ingest_mod, "open", forced_open("cp1253"), raising=False)
     path = tmp_path / "flows.csv"
     flows = [make_flow(flow_id=i, app_label="αβ") for i in range(5)]
@@ -783,9 +787,9 @@ def test_index_flow_table_stops_at_a_byte_such_an_encoding_rejects(tmp_path, mon
     lines[4] = lines[4].replace(b",tcp,", b",t\xffcp,")
     path.write_bytes(b"\r\n".join(lines))
     table = index_flow_table(path)
-    assert table.encoding == "utf-8" and "αβ".encode() in table.data
+    assert "αβ".encode() in table.data
     assert table.error == (5, "byte 0xff is not valid cp1253")
-    assert table.rows["αβ".encode()][:, 2].tolist() == [2, 3, 4]
+    assert table.rows["αβ"][:, 2].tolist() == [2, 3, 4]
     with pytest.raises(SchemaMismatch, match=r": line 5: byte 0xff is not valid cp1253$"):
         read_flow_table(path)
     lines[3] = lines[3].replace(b",tcp,", b",")
