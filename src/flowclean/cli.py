@@ -492,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", default="kmeans", help="kmeans or hier")
     p.add_argument("--linkage", default="ward", help="ward, average, or complete")
     cleaner(p)
-    p.add_argument("--threads", type=int, default=1, help="max app worker processes")
+    p.add_argument("--threads", type=int, default=1,
+                   help="max worker processes, for chunks of the table and then apps")
 
     p = command("train", cmd_train, "split a flow table and train the classifier")
     p.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="PRNG seed")

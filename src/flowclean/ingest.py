@@ -4,11 +4,12 @@ Reads classic Ethernet pcaps (both endiannesses, microsecond and
 nanosecond resolution) and groups packets into bidirectional flows keyed
 by the canonical 5-tuple, labelled from a MAC/VLAN tag map. Flows can be
 persisted to and restored from a CSV flow table losslessly. This
-module owns the table's format. index_flow_table decodes a table once
-and groups its records by label; read_flow_lines parses any run of
-them, so that each app's rows can be parsed on their own; and
-check_flow_lines names the lowest bad line over any number of runs.
-read_flow_table is the three over one run of every record.
+module owns the table's format. index_flow_table reads a table once
+and finds its records in file order; read_flow_lines parses any run of
+them, and it and parse_flow_row are the only code that reads a
+record's fields, its label included; and check_flow_lines names the
+lowest bad line over any number of runs. read_flow_table is the three
+over one run of every record.
 read_text and parse_lines own the line format the five text inputs
 share.
 """
@@ -466,15 +467,35 @@ def _utf8(data: bytes, encoding: str) -> tuple[bytes, tuple[int, str] | None]:
     """data's text in UTF-8 up to the first byte encoding rejects, and that
     byte's line and why, or None. ASCII data is returned as it is where
     encoding reads each ASCII byte on its own as that character, as all
-    but shifting encodings (ISO-2022, UTF-7, HZ), EBCDIC and UTF-16/32 do.
+    but shifting encodings (ISO-2022, UTF-7, HZ), EBCDIC and UTF-16/32 do;
+    so is UTF-8 data, which is only checked.
     """
     if data.isascii() and all(bytes([b]).decode(encoding, "replace") == chr(b) for b in range(128)):
         return data, None
     try:
-        return data.decode(encoding).encode(), None
+        if encoding != "utf-8":
+            return data.decode(encoding).encode(), None
+        _check_utf8(data)
+        return data, None
     except UnicodeDecodeError as exc:
         error = (_line_ends_in(data[: exc.start]) + 1, _rejected(exc, encoding))
         return data[: exc.start].decode(encoding).encode(), error
+
+
+def _check_utf8(data: bytes) -> None:
+    """Raise UnicodeDecodeError, at its offset in data, for the first byte
+    of data that UTF-8 rejects. data is decoded a _CHUNK at a time, so at
+    most a _CHUNK of its text is held at once.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    for at in range(0, len(data), _CHUNK):
+        chunk = data[at : at + _CHUNK]
+        try:
+            decoder.decode(chunk, final=at + _CHUNK >= len(data))
+        except UnicodeDecodeError as exc:
+            # exc.object is the bytes the last chunk left undecoded, then chunk
+            start = at + len(chunk) - len(exc.object) + exc.start
+            raise UnicodeDecodeError("utf-8", data, start, start + 1, exc.reason) from None
 
 
 def _rejected(exc: UnicodeDecodeError, codec: str) -> str:
@@ -716,38 +737,33 @@ def _check_header(header: list[str], file: str | Path) -> None:
 
 def read_flow_table(file: str | Path) -> list[FlowRecord]:
     """Read a table written by write_flow_table: index_flow_table, then
-    read_flow_lines over every record in line order.
+    read_flow_lines over every record.
 
     Raises SchemaMismatch naming the file for an empty file or a bad
     header, and else, through check_flow_lines, the lowest bad line: a
     bad row, a misplaced quote, or a byte the encoding rejects.
     """
     table = index_flow_table(file)
-    rows = np.concatenate([np.empty((0, 3), np.int64), *table.rows.values()])
-    run = read_flow_lines(table, rows[np.argsort(rows[:, 2])])
+    run = read_flow_lines(table, table.records)
     check_flow_lines(table, [run])
     return run.flows
 
 
 _CHUNK = 1 << 20
-_LINE_BLOCK = 4096
 
 
 class FlowTableLines(NamedTuple):
-    """A flow table's UTF-8 bytes with its records grouped by app label.
+    """A flow table's UTF-8 bytes and where its records are in them.
 
-    rows maps each label, a record's field between its first two commas
-    outside quotes, unquoted, to an int64 array with one (start, stop,
-    line) entry per record of data in file order (_records). Records
-    with fewer than two such commas are under None, and blank labels
-    under ""; blank lines and the header are left out. error is the
-    first line the index could not read, and why, or None; rows stop
-    before that line.
+    records is an int64 array with one (start, stop, line) row per
+    record of data, in file order (_records); blank lines and the header
+    are left out. error is the first line the index could not read, and
+    why, or None; records stop before that line.
     """
 
     file: str
     data: bytes
-    rows: dict[str | None, np.ndarray]
+    records: np.ndarray
     error: tuple[int, str] | None
 
 
@@ -802,46 +818,15 @@ def _misplaced_quote(buf: np.ndarray, quotes: np.ndarray) -> tuple[int, str] | N
     return int(quotes[at]), f"misplaced quote: {reason}"
 
 
-def _labels(
-    data: bytes, buf: np.ndarray, starts: np.ndarray, stops: np.ndarray, quotes: np.ndarray
-) -> list[bytes | None]:
-    """Each record's bytes between its first two commas outside quotes,
-    unquoted as csv unquotes them, or None where it has fewer.
-
-    Commas are found a block of records at a time: a table has about
-    17 per line, too many to hold all their offsets at once.
-    """
-    labels: list[bytes | None] = []
-    for lo in range(0, len(starts), _LINE_BLOCK):
-        block_starts, block_stops = starts[lo : lo + _LINE_BLOCK], stops[lo : lo + _LINE_BLOCK]
-        first, last = block_starts[0], block_stops[-1]
-        commas = np.flatnonzero(buf[first:last] == 44) + first
-        if len(quotes):
-            commas = commas[(np.searchsorted(quotes, commas) & 1) == 0]
-        # two commas past the block, for records with fewer than two
-        commas = np.append(commas, [last, last])
-        at = np.searchsorted(commas, block_starts)
-        after, end = commas[at] + 1, commas[at + 1]
-        labels += [
-            data[a:b] if labeled else None
-            for a, b, labeled in zip(after.tolist(), end.tolist(), (end < block_stops).tolist())
-        ]
-    if len(quotes):  # a quoted label is its text with each quote doubled, between quotes
-        labels = [
-            label[1:-1].replace(b'""', b'"') if label and label[0] == 34 else label
-            for label in labels
-        ]
-    return labels
-
-
 def index_flow_table(file: str | Path) -> FlowTableLines:
-    """file's text in UTF-8 and its records by label, for per-app parsing.
+    """file's text in UTF-8 and where its records are, for parsing in runs.
 
-    The file is decoded once, in the locale's encoding (_utf8). The
-    header is checked here, as read_flow_table checks it; rows are not
-    parsed. The index stops at the first byte the encoding rejects or
-    quote that csv reads as a literal, and names its line in error;
-    where that leaves no header, it raises SchemaMismatch.
+    The file is read once, and decoded or checked in the locale's
+    encoding (_utf8). The header is checked here, as read_flow_table
+    checks it; rows are not parsed. The index stops at the first byte
+    the encoding rejects or quote that csv reads as a literal, and
+    names its line in error; where that leaves no header, it raises
+    SchemaMismatch.
     """
     with open(file, newline="") as fh:
         data, error = _utf8(fh.buffer.read(), codecs.lookup(fh.encoding).name)
@@ -867,16 +852,8 @@ def index_flow_table(file: str | Path) -> FlowTableLines:
 
     filled = stops > starts
     filled[0] = False
-    starts, stops, lines = starts[filled], stops[filled], lines[filled]
-    labels = _labels(data, buf, starts, stops, quotes)
-    codes = {label: code for code, label in enumerate(dict.fromkeys(labels))}
-    code = np.fromiter(map(codes.__getitem__, labels), np.intp, len(labels))
-    order = np.argsort(code, kind="stable")
-    cuts = np.searchsorted(code[order], np.arange(len(codes) + 1))
-    table = np.column_stack([starts, stops, lines]).astype(np.int64)[order]
-    names = [label if label is None else label.decode() for label in codes]
-    rows = {name: table[cuts[c] : cuts[c + 1]] for c, name in enumerate(names)}
-    return FlowTableLines(str(file), data, rows, error)
+    records = np.column_stack([starts[filled], stops[filled], lines[filled]])
+    return FlowTableLines(str(file), data, records.astype(np.int64, copy=False), error)
 
 
 class FlowLines(NamedTuple):
@@ -889,7 +866,7 @@ class FlowLines(NamedTuple):
 
 
 def read_flow_lines(table: FlowTableLines, rows: np.ndarray) -> FlowLines:
-    """Parse the records at rows, entries of table.rows in line order.
+    """Parse the records at rows, entries of table.records in line order.
 
     Each record is split into fields as csv splits it and read by
     parse_flow_row, which finds the flow_ids that repeat within the run.
@@ -948,22 +925,24 @@ def check_flow_lines(table: FlowTableLines, runs: list[FlowLines]) -> None:
 
 
 def write_flow_lines(
-    file: str | Path, table: FlowTableLines, kept: list[tuple[np.ndarray, dict[int, bytes]]]
+    file: str | Path, table: FlowTableLines, kept: tuple[list[np.ndarray], dict[int, bytes]]
 ) -> None:
     """Write a table of table's records as write_flow_table writes their rows.
 
-    kept holds, per app, entries of table.rows and, by line, the row of
-    each record that is not as format_flow_row writes it
-    (rewritten_rows); every other row is its record plus CRLF. The file
-    is written in the locale's encoding, as write_flow_table writes it.
+    kept holds runs of entries of table.records, written in order, and,
+    by line, the row of each record that is not as format_flow_row
+    writes it (rewritten_rows); every other row is its record plus CRLF.
+    The file is written in the locale's encoding, as write_flow_table
+    writes it.
     """
+    runs, texts = kept
     data = table.data
     with open(file, "w", newline="") as fh:
         out, encoding = fh.buffer, fh.encoding  # bytes go past the text layer, which stays empty
         recode = codecs.lookup(encoding).name != "utf-8"
         encode = codecs.getincrementalencoder(encoding)().encode  # a BOM, if any, once
         out.write(encode(_HEADER_ROW))
-        for rows, texts in kept:
+        for rows in runs:
             lines = [texts.get(line, data[start:stop]) for start, stop, line in rows.tolist()]
             lines.append(b"")
             block = b"\r\n".join(lines)

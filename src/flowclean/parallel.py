@@ -1,9 +1,9 @@
 """One pool of forked worker processes for independent items.
 
 train grows blocks of trees on it and clean cleans apps on it; on a
-flow table, clean runs it twice, once over equal chunks of each app's
-lines for their DPI verdicts and feature rows, then once over the apps
-to cluster them. A worker is started
+flow table, clean runs it twice, once over equal chunks of the table's
+records for their DPI verdicts and feature rows, then once over the
+apps to cluster them. A worker is started
 with the `fork` method and inherits the task, and whatever the task
 refers to, from the calling process; it is sent only item indices and
 sends back the task's results, so those should be small. A worker
@@ -11,8 +11,8 @@ should not walk many of the caller's Python objects either: each touch
 writes the object's refcount, which copies its page. On a 100k-flow
 table on 2 vCPUs, DPI summed over apps took 0.33-0.54 s in one
 process, 0.47-1.13 s in two workers walking the caller's records, and
-0.32-0.48 s in two workers that parsed their own app's rows, as
-`clean`'s table path has them do.
+0.32-0.48 s in two workers that parsed the rows they took, as the
+phase-1 workers of `clean`'s table path do.
 `spawn` and `forkserver` are not used because they start helper
 processes (the resource tracker and the fork server) that outlive the
 pool. A fork copies only the calling thread, so no other thread of the

@@ -16,14 +16,15 @@ rows). The app's run returns the positions of its kept flows, its
 counts and its stage times; the kept flows of every app form the
 cleaned dataset. clean() runs both parts of an app in one fork-pool
 item, on the caller's records. clean_table() runs them in two pools
-on a flow table's lines: phase-1 workers parse equal chunks of each
-app's lines, about _CHUNKS_PER_WORKER per worker, and send back
-arrays, not records, so the caller never holds the table's records;
-phase-2 workers cluster one app each from its chunks joined in line
-order. Verdicts and feature rows depend on nothing but their own
-flow, so neither the chunks nor the worker count change the output.
-The table's format stays in ingest: read_flow_lines, check_flow_lines
-and rewritten_rows parse chunks, find bad lines and rewrite rows.
+on a flow table's records: phase-1 workers parse equal chunks of the
+table in file order, about _CHUNKS_PER_WORKER per worker, and send
+back arrays, not records, so the caller never holds the table's
+records; each phase-2 worker gathers one app's rows from the chunks,
+by label, and clusters them. Verdicts and feature rows depend on
+nothing but their own flow, so neither the chunks nor the worker count
+change the output. The table's format stays in ingest:
+read_flow_lines, check_flow_lines and rewritten_rows parse chunks,
+find bad lines and rewrite rows.
 """
 
 from __future__ import annotations
@@ -315,25 +316,19 @@ def _chunk_size(flows: int, workers: int) -> int:
     return max(1, -(-flows // (workers * _CHUNKS_PER_WORKER)))
 
 
-def _chunks(sizes: list[int], threads: int) -> list[tuple[int, slice]]:
-    """(group, slice) of each phase-1 chunk of groups of these sizes, in group order.
+def _chunks(n: int, threads: int) -> list[slice]:
+    """The phase-1 chunks of n records: equal runs of at most _chunk_size records, in order.
 
-    Each group is cut into equal runs of at most _chunk_size flows, so
-    no chunk crosses a group and each holds its flows in their order:
-    a chunk stops parsing at its first bad line, and that line must be
-    the lowest bad one among the lines it holds.
+    A chunk stops parsing at its first bad line, so it holds its records
+    in their order: that line must be the lowest bad one it holds.
     """
-    most = _chunk_size(sum(sizes), min(threads, parallel.usable_cpus()))
-    chunks = []
-    for group, size in enumerate(sizes):
-        count = -(-size // most)
-        cuts = [size * i // count for i in range(count + 1)]
-        chunks += [(group, slice(a, b)) for a, b in zip(cuts, cuts[1:])]
-    return chunks
+    most = _chunk_size(n, min(threads, parallel.usable_cpus()))
+    count = -(-n // most)
+    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
 class _FlowRows(NamedTuple):
-    """The per-flow part of cleaning, for a run of one app's flows."""
+    """The per-flow part of cleaning, for a run of flows."""
 
     keep: np.ndarray  # each flow's DPI verdict: True where it is kept
     raw: np.ndarray | EmptyFlow  # the kept flows' feature rows, or why they have none
@@ -341,11 +336,13 @@ class _FlowRows(NamedTuple):
 
 
 def _flow_rows(flows: list[FlowRecord], blocklist: Blocklist, skip_dpi: bool) -> _FlowRows:
-    """The per-flow part of cleaning a run of one app's flows: DPI verdicts and feature rows.
+    """The per-flow part of cleaning a run of flows: DPI verdicts and feature rows.
 
-    Both are per flow, so the runs of an app give, joined in order, what
-    the whole app gives. feature_matrix's EmptyFlow is kept, not raised:
-    it is the app's error only if the app is clustered.
+    Both are per flow, so an app's flows, gathered in order from runs,
+    give what the app's run gives. feature_matrix's EmptyFlow is kept,
+    not raised: it is the app's error only if the app is clustered. A
+    table's rows always have packets (parse_flow_row), so it never
+    arises on them.
     """
     t0 = time.perf_counter()
     if skip_dpi:
@@ -362,24 +359,6 @@ def _flow_rows(flows: list[FlowRecord], blocklist: Blocklist, skip_dpi: bool) ->
         raw = exc
     t2 = time.perf_counter()
     return _FlowRows(keep, raw, {"dpi": (t1 - t0) * 1e3, "features": (t2 - t1) * 1e3})
-
-
-def _join(parts: list[_FlowRows]) -> _FlowRows:
-    """An app's phase-1 chunks, in flow order, as one; the first error wins."""
-    errors = [part.raw for part in parts if isinstance(part.raw, EmptyFlow)]
-    return _FlowRows(
-        np.concatenate([part.keep for part in parts]),
-        errors[0] if errors else np.concatenate([part.raw for part in parts]),
-        {stage: sum(part.timings[stage] for part in parts) for stage in ("dpi", "features")},
-    )
-
-
-def _by_group(chunks: list[tuple[int, slice]], items: list, groups: int) -> list[list]:
-    """items, one per chunk, gathered by the chunk's group."""
-    gathered: list[list] = [[] for _ in range(groups)]
-    for (group, _), item in zip(chunks, items):
-        gathered[group].append(item)
-    return gathered
 
 
 def _clean_app(
@@ -508,24 +487,54 @@ def clean(
 
 
 class _Lines(NamedTuple):
-    """What clean_table's phase-1 worker sends back for a chunk of one label's lines."""
+    """What clean_table's phase-1 worker sends back for a chunk of the table's records."""
 
     run: FlowLines  # without its flows
     rows: _FlowRows | None  # None after a bad line
     texts: dict[int, bytes]  # rewritten_rows of the flows DPI keeps
+    labels: list[str | None]  # the chunk's app labels, in the order they first appear
+    codes: np.ndarray  # each flow's label, as its index in labels
 
 
 def _read_chunk(
     table: FlowTableLines, rows: np.ndarray, blocklist: Blocklist, skip_dpi: bool
 ) -> _Lines:
-    """Phase 1 on the lines at rows, a run of one label's lines in file order."""
+    """Phase 1 on the records at rows, a run of the table's records in file order."""
     run = read_flow_lines(table, rows)
     flows, run = run.flows, run._replace(flows=[])  # records stay in the worker
     if run.error is not None:
-        return _Lines(run, None, {})
+        return _Lines(run, None, {}, [], np.empty(0, np.intp))
+    labels: dict[str | None, int] = {}
+    codes = np.fromiter(
+        (labels.setdefault(flow.app_label, len(labels)) for flow in flows), np.intp, len(flows)
+    )
     part = _flow_rows(flows, blocklist, skip_dpi)
     kept = np.flatnonzero(part.keep).tolist()
-    return _Lines(run, part, rewritten_rows(table, rows[kept], [flows[i] for i in kept]))
+    texts = rewritten_rows(table, rows[kept], [flows[i] for i in kept])
+    return _Lines(run, part, texts, list(labels), codes)
+
+
+def _clean_chunked_app(
+    table: FlowTableLines, chunks: list[slice], parsed: list[_Lines], label: str, run
+) -> tuple[np.ndarray, AppCounts, dict[str, float]]:
+    """Phase 2 for the app of this label: its flows' verdicts and feature
+    rows gathered from the chunks in file order, cleaned by run (_clean_app).
+
+    Returns the records of the flows it keeps, in flow_id order, its
+    counts and its stage times.
+    """
+    mine = [
+        chunk.codes == (chunk.labels.index(label) if label in chunk.labels else -1)
+        for chunk in parsed
+    ]
+    at, counts, timings = run(_FlowRows(
+        np.concatenate([chunk.rows.keep[m] for chunk, m in zip(parsed, mine)]),
+        np.concatenate([chunk.rows.raw[m[chunk.rows.keep]] for chunk, m in zip(parsed, mine)]),
+        {},  # phase 1's times are the chunks', which clean_table adds up
+    ))
+    ids = np.concatenate([chunk.run.ids[m] for chunk, m in zip(parsed, mine)])
+    records = np.concatenate([table.records[c][m] for c, m in zip(chunks, mine)])
+    return records[at[np.argsort(ids[at])]], counts, timings
 
 
 def clean_table(
@@ -538,52 +547,53 @@ def clean_table(
     linkage: Linkage = Linkage.WARD,
     skip_dpi: bool = False,
     threads: int = 1,
-) -> tuple[list[tuple[np.ndarray, dict[int, bytes]]], CleanReport]:
+) -> tuple[tuple[list[np.ndarray], dict[int, bytes]], CleanReport]:
     """clean() on an indexed flow table, without its records in this process.
 
-    Phase 1 cuts each label's records into equal chunks in file order
+    Phase 1 cuts the table's records into equal chunks in file order
     (_chunks). A chunk's worker parses its records (read_flow_lines),
     takes their DPI verdicts and feature rows, and sends back its flow
-    ids, lines and first bad line, those verdicts and rows, and the
-    rewritten_rows of the flows DPI keeps; it sends no records. Phase 2
-    cleans each app from its chunks' rows, joined in line order, as
-    clean() cleans an app. Stage times in the report are summed over
-    chunks and apps. Returns what write_flow_lines writes the cleaned
-    table from, in label order: each app's kept rows in flow_id order
-    and their rewritten rows; and the report.
+    ids, lines and first bad line, those verdicts and rows, its flows'
+    labels, and the rewritten_rows of the flows DPI keeps; it sends no
+    records. Phase 2 cleans each app, as clean() cleans an app, from
+    its rows gathered from the chunks. Stage times in the report are
+    summed over chunks and apps. Returns what write_flow_lines writes
+    the cleaned table from: each app's kept records in flow_id order,
+    in label order, and the rewritten rows by line; and the report.
 
     Raises what read_flow_table and then clean() would raise: the
     lowest bad line (check_flow_lines), then the first flow without a
     label, then the first app's error in label order.
     """
     check_sizes(k, threads)
-    labels = sorted(label for label in table.rows if label)
-    keys = labels + [label for label in table.rows if not label]
-    chunks = _chunks([len(table.rows[key]) for key in keys], threads)
+    chunks = _chunks(len(table.records), threads)
     total_start = time.perf_counter()
     parsed = fork_map(
-        lambda i: _read_chunk(
-            table, table.rows[keys[chunks[i][0]]][chunks[i][1]], blocklist, skip_dpi
-        ),
+        lambda i: _read_chunk(table, table.records[chunks[i]], blocklist, skip_dpi),
         len(chunks),
         threads,
     )
     check_flow_lines(table, [chunk.run for chunk in parsed])
-    groups = _by_group(chunks, parsed, len(keys))
-    if "" in table.rows:
-        raise ValueError(f"flow {int(groups[keys.index('')][0].run.ids[0])} has no app label")
-    apps = [_join([chunk.rows for chunk in group]) for group in groups[: len(labels)]]
+    survivors: dict[str, int] = {}  # each app's flows that DPI keeps
+    for chunk in parsed:
+        if None in chunk.labels:
+            at = int(np.argmax(chunk.codes == chunk.labels.index(None)))
+            raise ValueError(f"flow {int(chunk.run.ids[at])} has no app label")
+        kept = np.bincount(chunk.codes[chunk.rows.keep], minlength=len(chunk.labels))
+        for label, n in zip(chunk.labels, kept.tolist()):
+            survivors[label] = survivors.get(label, 0) + n
+    labels = sorted(survivors)
     run = functools.partial(
         _clean_app, policy=policy, algorithm=algorithm, k=k, seed=seed, linkage=linkage
     )
-    workers = _workers(threads, algorithm, k, [int(np.count_nonzero(app.keep)) for app in apps])
-    # the apps' rows reach the workers through the fork
-    results = fork_map(lambda i: run(apps[i]), len(apps), workers)
+    workers = _workers(threads, algorithm, k, [survivors[label] for label in labels])
+    # the chunks reach the workers through the fork
+    results = fork_map(
+        lambda i: _clean_chunked_app(table, chunks, parsed, labels[i], run), len(labels), workers
+    )
     report = _merge(labels, results, k, skip_dpi)
-    kept = []
-    for label, group, (at, _, _) in zip(labels, groups, results):
-        ids = np.concatenate([chunk.run.ids for chunk in group])
-        texts = {line: text for chunk in group for line, text in chunk.texts.items()}
-        kept.append((table.rows[label][at[np.argsort(ids[at])]], texts))
+    for stage in ("dpi", "features"):
+        report.timings_ms[stage] += sum(chunk.rows.timings[stage] for chunk in parsed)
+    texts = {line: text for chunk in parsed for line, text in chunk.texts.items()}
     report.timings_ms["total"] = (time.perf_counter() - total_start) * 1e3
-    return kept, report
+    return ([records for records, _, _ in results], texts), report

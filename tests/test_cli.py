@@ -335,7 +335,7 @@ def test_compare_checks_its_options_before_generating_flows(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-# --- clean: each app's lines parsed, cleaned and formatted by its worker --
+# --- clean: the table's records parsed, cleaned and formatted by workers --
 
 _ENCODING = locale.getpreferredencoding(False)
 
@@ -369,6 +369,13 @@ def _noncanonical(line: bytes) -> bytes:
     return b",".join(fields)
 
 
+def _quoted_label(line: bytes) -> bytes:
+    """line, which holds no quote, with its label quoted: the same row, other bytes."""
+    fields = line.split(b",")
+    fields[1] = b'"' + fields[1] + b'"'
+    return b",".join(fields)
+
+
 _APPS = [_row(i, "ab"[i % 2], client_payload_prefix=bytes([i])) for i in range(10)]
 
 
@@ -385,7 +392,8 @@ _REJECTED_BYTE = _table(*_APPS[:5], _row(20, "b").replace(b"tcp", b"t" + _reject
 def flow_table_bytes(draw):
     """Tables of table_flows' rows, often with few labels, no field that
     needs quotes, other line ends, blank lines, or rows whose bytes are
-    not those write_flow_table writes (rows without quotes only)."""
+    not those write_flow_table writes (rows without quotes only): with
+    a padded port and upper-case hex, or a quoted label."""
     # two draws, for apps of several flows; table_flows' ids are within 2**40
     flows = draw(table_flows())
     flows += [flow._replace(flow_id=flow.flow_id + 2**41) for flow in draw(table_flows())]
@@ -409,9 +417,13 @@ def flow_table_bytes(draw):
         rows = [format_flow_row(flow)[:-2].encode(_ENCODING) for flow in flows]
     except UnicodeEncodeError:
         assume(False)
-    rows = [
-        _noncanonical(row) if b'"' not in row and draw(st.booleans()) else row for row in rows
-    ]
+    for i, row in enumerate(rows):
+        if b'"' not in row:
+            if draw(st.booleans()):
+                row = _noncanonical(row)
+            if draw(st.booleans()):
+                row = _quoted_label(row)
+        rows[i] = row
     for at in draw(st.lists(st.integers(0, len(rows)), max_size=2)):
         rows.insert(at, b"")
     end = draw(st.sampled_from([b"\r\n", b"\n", b"\r"]))
@@ -606,8 +618,8 @@ def test_clean_in_utf_16_writes_one_byte_order_mark(tmp_path, capsys, monkeypatc
 
 # --- clean: phase-1 chunks ----------------------------------------------
 
-# three apps of 12 rows, interleaved, every fifth row written otherwise: a
-# chunk of 7 rows cuts each app in two, and a chunk of 1 row cuts every row
+# three apps of 12 rows, interleaved, every fifth row written otherwise:
+# chunks of 7 rows hold rows of every app, and a chunk of 1 row cuts every row
 _MANY = [
     _row(i, "cab"[i % 3], bytes_out=300 * (i % 4), client_payload_prefix=bytes([i]))
     for i in range(36)
@@ -660,14 +672,35 @@ def test_clean_matches_read_clean_write_in_small_chunks(capsys, many_cpus, data)
                 assert _clean_run(capsys, flows, Path(tmp) / f"c{size}", 2) == expected
 
 
-def test_chunks_cut_each_app_into_equal_runs_in_order(monkeypatch):
+def test_chunks_cut_the_table_into_equal_runs_in_order(monkeypatch):
     assert select_mod._chunk_size(100_000, 2) == 6250
     monkeypatch.setattr(select_mod, "_chunk_size", lambda flows, workers: 7)
-    assert select_mod._chunks([12, 3, 15], 2) == [
-        (0, slice(0, 6)), (0, slice(6, 12)),
-        (1, slice(0, 3)),
-        (2, slice(0, 5)), (2, slice(5, 10)), (2, slice(10, 15)),
+    assert select_mod._chunks(30, 2) == [
+        slice(0, 6), slice(6, 12), slice(12, 18), slice(18, 24), slice(24, 30)
     ]
+    assert select_mod._chunks(7, 2) == [slice(0, 7)]
+    assert select_mod._chunks(0, 2) == []
+
+
+# runs of labels b, a and c in the file: of the chunks of 4 of these 18
+# rows, one starts inside b's run and one holds the end of a's and the
+# start of c's
+_RUNS = [_row(i, "b" if i < 7 else "a" if i < 12 else "c") for i in range(18)]
+
+
+def test_clean_gathers_each_app_from_chunks_that_cut_its_run(tmp_path, capsys, many_cpus):
+    flows = tmp_path / "flows.csv"
+    flows.write_bytes(_table(*_RUNS))
+    with pytest.MonkeyPatch.context() as patch:
+        _compose(patch)
+        expected = _clean_run(capsys, flows, tmp_path / "oracle", 1)
+    assert expected[0] == 0 and set(expected[3]) == {"a", "b", "c"}
+    for threads in (1, 2):
+        with pytest.MonkeyPatch.context() as patch:
+            _chunks_of(patch, 4)
+            chunks = select_mod._chunks(len(_RUNS), threads)
+            assert chunks[:4] == [slice(0, 3), slice(3, 7), slice(7, 10), slice(10, 14)]
+            assert _clean_run(capsys, flows, tmp_path / f"t{threads}", threads) == expected
 
 
 # line 13 repeats line 3's flow_id: both are app a's, in its first and second chunk of 7

@@ -694,17 +694,16 @@ def test_read_flow_table_on_any_bytes_raises_only_schema_mismatch(tmp_path, data
 @example([b"a", b",", b'"', b"b", b'"', b",", b"\n", b"b", b",", b"b", b",", b'"']).via(
     "labels a and \"b\""
 )
-def test_index_flow_table_finds_the_lines_and_labels_csv_reads(tmp_path, parts):
+def test_index_flow_table_finds_the_records_and_lines_csv_reads(tmp_path, parts):
     """Below the line of a misplaced quote, or everywhere if there is
-    none, the index holds csv's records, lines and labels."""
+    none, the index holds csv's records and lines, in file order."""
     path = tmp_path / "lines.csv"
     path.write_bytes(",".join(FLOW_TABLE_HEADER).encode() + b"\r\n" + b"".join(parts))
     table = index_flow_table(path)
-    indexed = sorted(
-        (line, next(csv.reader([table.data[start:stop].decode()])), label)
-        for label, rows in table.rows.items()
-        for start, stop, line in rows.tolist()
-    )
+    indexed = [
+        (line, next(csv.reader([table.data[start:stop].decode()])))
+        for start, stop, line in table.records.tolist()
+    ]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -712,25 +711,32 @@ def test_index_flow_table_finds_the_lines_and_labels_csv_reads(tmp_path, parts):
     if table.error is not None:
         assert table.error[1].startswith("misplaced quote")
         rows = [(line, row) for line, row in rows if line < table.error[0]]
-    assert indexed == [
-        (line, row, row[1] if len(row) > 2 else None) for line, row in rows
-    ]
+    assert indexed == rows
 
 
-def test_index_flow_table_groups_quoted_labels_with_their_plain_spelling(tmp_path):
+def test_index_flow_table_groups_quoted_labels_with_their_plain_spelling(tmp_path, capsys):
+    from test_cli import _clean_run, _compose
+
     path = tmp_path / "quoted.csv"
-    flows = [make_flow(flow_id=i, app_label=label) for i, label in enumerate(["a,b", "c", "a,b"])]
+    flows = [
+        make_flow(flow_id=i, app_label=["a,b", "c"][i % 2], bytes_in=1000 * (i % 7 + 1),
+                  packets_in=i % 5 + 1)
+        for i in range(12)
+    ]
     write_flow_table(flows, path)
     lines = path.read_bytes().split(b"\r\n")
-    # line 3 spells label c quoted, as csv.writer does not
-    lines[2] = lines[2].replace(b",c,", b',"c",')
+    # lines 3, 7 and 11 spell label c quoted, as csv.writer does not
+    for at in (2, 6, 10):
+        lines[at] = lines[at].replace(b",c,", b',"c",')
     path.write_bytes(b"\r\n".join(lines))
-    table = index_flow_table(path)
-    assert table.error is None
-    assert {label: rows[:, 2].tolist() for label, rows in table.rows.items()} == {
-        "a,b": [2, 4], "c": [3]
-    }
+    assert index_flow_table(path).error is None
     assert read_flow_table(path) == reference_read_flow_table(path) == flows
+    with pytest.MonkeyPatch.context() as patch:
+        _compose(patch)
+        expected = _clean_run(capsys, path, tmp_path / "composed", 1)
+    assert expected[0] == 0 and expected[3]["c"]["input"] == 6
+    for threads in (1, 2):
+        assert _clean_run(capsys, path, tmp_path / f"t{threads}", threads) == expected
 
 
 @pytest.mark.parametrize(
@@ -758,7 +764,7 @@ def test_flow_table_refuses_a_misplaced_quote(tmp_path, field, reason, lower_bad
     assert str(exc_info.value) == f"{path}: {error}"
     table = index_flow_table(path)
     assert table.error == (7, reason)
-    assert sorted(line for rows in table.rows.values() for line in rows[:, 2].tolist()) == [3, 5]
+    assert table.records[:, 2].tolist() == [3, 5]
     if not lower_bad_row:
         # csv reads the quote as a literal
         transport = field.decode().replace('"tcp" ', "tcp ").replace('"t"cp', "tcp")
@@ -777,6 +783,32 @@ def test_a_rejected_byte_in_a_record_over_two_lines_is_named_on_its_own_line(tmp
         assert str(exc_info.value) == message
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 64, 333])
+@pytest.mark.parametrize(
+    "line, bad, byte",
+    [(5, b"t\xffcp", "0xff"), (5, b"t\xe2\x82cp", "0xe2"), (8, b"\xc3", "0xc3")],
+    ids=["invalid byte", "cut-off sequence", "cut off at the end"],
+)
+def test_a_rejected_utf8_byte_past_the_first_chunk_is_named_on_its_line(
+    tmp_path, monkeypatch, chunk, line, bad, byte
+):
+    # UTF-8 tables are checked a chunk at a time; ü's two bytes straddle some cuts
+    monkeypatch.setattr(ingest_mod, "_CHUNK", chunk)
+    monkeypatch.setattr(ingest_mod, "open", forced_open("utf-8"), raising=False)
+    path = tmp_path / "flows.csv"
+    write_flow_table([make_flow(flow_id=i, app_label="ünï") for i in range(6)], path)
+    lines = path.read_bytes().split(b"\r\n")
+    lines[line - 1] = lines[line - 1].replace(b"tcp", bad) if line < len(lines) else bad
+    path.write_bytes(b"\r\n".join(lines))
+    messages = []
+    for read in (read_flow_table, functools.partial(reference_read_flow_table, encoding="utf-8")):
+        with pytest.raises(SchemaMismatch) as exc_info:
+            read(path)
+        messages.append(str(exc_info.value))
+    assert messages[0] == messages[1]
+    assert messages[0] == f"{path}: line {line}: byte {byte} is not valid utf-8"
+
+
 def test_index_flow_table_stops_at_a_byte_such_an_encoding_rejects(tmp_path, monkeypatch):
     # cp1253 has no character at 0xff
     monkeypatch.setattr(ingest_mod, "open", forced_open("cp1253"), raising=False)
@@ -789,7 +821,7 @@ def test_index_flow_table_stops_at_a_byte_such_an_encoding_rejects(tmp_path, mon
     table = index_flow_table(path)
     assert "αβ".encode() in table.data
     assert table.error == (5, "byte 0xff is not valid cp1253")
-    assert table.rows["αβ"][:, 2].tolist() == [2, 3, 4]
+    assert table.records[:, 2].tolist() == [2, 3, 4]
     with pytest.raises(SchemaMismatch, match=r": line 5: byte 0xff is not valid cp1253$"):
         read_flow_table(path)
     lines[3] = lines[3].replace(b",tcp,", b",")
