@@ -4,7 +4,9 @@ The forest measures cleaning quality: train it on a cleaned dataset,
 score it on held-out flows, and compare against a forest trained on
 ground-truth-cleaned data. Trees use axis-aligned splits chosen by
 Gini impurity over the 6 clustering features plus the 2 auxiliary
-mean-size features.
+mean-size features. dataset() turns flows into those feature rows and
+their app labels, and is the only reader of a flow here: split, train
+and evaluate take rows and labels.
 
 A tree is defined node by node in preorder. A node is a leaf at
 max_depth, with fewer than 2 * min_leaf rows or with one class;
@@ -19,12 +21,11 @@ x <= threshold, the midpoint of the values either side of the cut, go
 left. Without such a cut the node is a leaf. A node's id is its place
 in preorder, so a left child's is its parent's plus 1.
 
-Tree t draws from SplitMix64(derive(seed, t)): with bootstrap, draws
-1..n pick its rows (draw % n); then split call m, counted in preorder
-from 0, takes the F draws after draw B + m * F, where B is n with
-bootstrap and 0 without, as a partial Fisher-Yates over the 8 features
-(rng.py gives the draws). A call draws F numbers whether or not it
-splits.
+Tree t draws from SplitMix64(derive(seed, t)): draws 1..n pick its
+rows (draw % n), a bootstrap sample; then split call m, counted in
+preorder from 0, takes the F draws after draw n + m * F as a partial
+Fisher-Yates over the 8 features (rng.py gives the draws). A call draws
+F numbers whether or not it splits.
 
 Trees grow in blocks of up to _BLOCK_TREES (50) in lockstep, so the
 default 100 trees on 2 workers are one block per worker. A block keeps
@@ -70,6 +71,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -88,34 +90,45 @@ def check_train_frac(train_frac: float) -> None:
         raise ValueError("train_frac must be in (0, 1)")
 
 
-def split(
-    flows: list[FlowRecord], train_frac: float = 0.75, seed: int = 42
-) -> tuple[list[FlowRecord], list[FlowRecord]]:
-    """Stratified train/test split by app label.
+def dataset(flows: list[FlowRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """The forest's input: feature_matrix(flows) and the app labels.
 
-    Each label contributes floor(n * train_frac + 0.5) flows to the
-    training set (round half up) after a seeded shuffle; the rest go
-    to test. Every label needs at least 4 flows.
+    Labels come back as an object array of str, one per row: a
+    fixed-width numpy string would drop a trailing NUL and merge two
+    labels. Raises ValueError for the first flow with no app label,
+    before feature_matrix raises anything.
     """
-    check_train_frac(train_frac)
-    by_label: dict[str, list[FlowRecord]] = {}
     for flow in flows:
         if not flow.app_label:
             raise ValueError(f"flow {flow.flow_id} has no app label")
-        by_label.setdefault(flow.app_label, []).append(flow)
-    for label, group in sorted(by_label.items()):
+    labels = np.array([flow.app_label for flow in flows], dtype=object)
+    return feature_matrix(flows), labels
+
+
+def split(
+    labels: Sequence[str], train_frac: float = 0.75, seed: int = 42
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified train/test split by label; returns the two sets' positions.
+
+    Each label contributes floor(n * train_frac + 0.5) positions to the
+    training set (round half up) after a seeded shuffle of its
+    positions; the rest go to test. Every label needs at least 4 rows.
+    """
+    check_train_frac(train_frac)
+    by_label: dict[str, list[int]] = {}
+    for i, label in enumerate(labels):
+        by_label.setdefault(label, []).append(i)
+    train: list[int] = []
+    test: list[int] = []
+    for idx, (label, group) in enumerate(sorted(by_label.items())):
         if len(group) < 4:
             raise LabelTooSmall(f"label {label!r} has {len(group)} flows, need >= 4")
-    train: list[FlowRecord] = []
-    test: list[FlowRecord] = []
-    for idx, (label, group) in enumerate(sorted(by_label.items())):
         rng = SplitMix64(derive(seed, idx))
-        order = list(range(len(group)))
-        rng.shuffle(order)
+        rng.shuffle(group)
         n_train = math.floor(len(group) * train_frac + 0.5)
-        train.extend(group[i] for i in order[:n_train])
-        test.extend(group[i] for i in order[n_train:])
-    return train, test
+        train.extend(group[:n_train])
+        test.extend(group[n_train:])
+    return np.array(train, dtype=np.intp), np.array(test, dtype=np.intp)
 
 
 @dataclass
@@ -186,9 +199,6 @@ class ForestModel:
         # argmax takes the first maximum: lexicographically smallest label
         winners = np.argmax(votes, axis=1)
         return [self.labels[w] for w in winners]
-
-    def predict(self, flows: list[FlowRecord]) -> list[str]:
-        return self.predict_matrix(feature_matrix(flows))
 
 
 # At most this many rows are scored in one pass of a growth step; a node
@@ -375,24 +385,21 @@ def _grow_block(trees: range, job: tuple) -> list[_Tree]:
     """Grow trees `trees` of the forest in lockstep; see the module docstring.
 
     job is (x, ranks, y, n_classes, max_depth, min_leaf, features_per_split,
-    seed, bootstrap).
+    seed).
     """
-    x, ranks, y, n_classes, max_depth, min_leaf, k, seed, bootstrap = job
+    x, ranks, y, n_classes, max_depth, min_leaf, k, seed = job
     n, n_features = x.shape
     seeds = np.array([derive(seed, t) for t in trees], dtype=np.uint64)
     # Every tree still growing makes one split call per pass, so pass m is
     # split call m of each tree in it, and draws its features from draw
-    # drawn + m * k + 1 on: a bootstrap sample draws n numbers first. The
+    # n + m * k + 1 on: the bootstrap sample draws n numbers first. The
     # features of the next `ahead` passes are drawn at once.
-    drawn, ahead = n if bootstrap else 0, 64
-    # Tree i's rows fill buffer[i * n:(i + 1) * n]. A pending node owns a run
-    # of the buffer; a pass writes each scored node's rows back in its split
+    ahead = 64
+    # Tree i's bootstrap sample fills buffer[i * n:(i + 1) * n]. A pending node owns
+    # a run of the buffer; a pass writes each scored node's rows back in its split
     # feature's order, so the children own the two parts of their parent's run.
-    if bootstrap:
-        draws = stream_draws(seeds[:, None], np.arange(1, n + 1, dtype=np.uint64))
-        buffer = (draws % np.uint64(n)).astype(np.int64).reshape(-1)
-    else:
-        buffer = np.tile(np.arange(n), len(trees))
+    draws = stream_draws(seeds[:, None], np.arange(1, n + 1, dtype=np.uint64))
+    buffer = (draws % np.uint64(n)).astype(np.int64).reshape(-1)
     # counts[h] is node h's class counts, h counting nodes as their parents
     # split; roots come first
     counts = np.bincount(
@@ -432,7 +439,7 @@ def _grow_block(trees: range, job: tuple) -> list[_Tree]:
         if passes % ahead == 0:
             calls = np.arange(passes, passes + ahead, dtype=np.uint64)
             upcoming = _sample_features(
-                np.repeat(seeds, ahead), np.tile(drawn + calls * k, len(trees)),
+                np.repeat(seeds, ahead), np.tile(n + calls * k, len(trees)),
                 n_features, k,
             ).reshape(len(trees), ahead, k)
         scored = np.array(nodes)
@@ -507,37 +514,32 @@ def check_forest(
 
 
 def train(
-    flows: list[FlowRecord],
+    x: np.ndarray,
+    labels: Sequence[str],
     n_trees: int = 100,
     max_depth: int = 16,
     min_leaf: int = 2,
     features_per_split: int = 3,
     seed: int = 42,
-    bootstrap: bool = True,
     workers: int = 1,
 ) -> ForestModel:
-    """Fit a random forest on labeled flows.
+    """Fit a random forest on feature rows x and their labels (str).
 
-    Each tree trains on a bootstrap resample of the full training set
-    (disabled with bootstrap=False, where every tree sees all rows).
+    Each tree trains on a bootstrap resample of the full training set.
     workers caps the processes that grow trees, further capped by
     n_trees and the CPUs this process may run on; the model is the
     same for every worker count. Where the platform cannot fork, trees
     grow in this process. Raises what check_forest raises.
     """
     check_forest(n_trees, max_depth, min_leaf, features_per_split, workers)
-    labels = sorted({f.app_label for f in flows if f.app_label})
-    if len(labels) < 2:
-        raise SingleClass(f"need >= 2 classes, got {labels}")
-    label_idx = {label: i for i, label in enumerate(labels)}
-    x = feature_matrix(flows)
-    y = np.array([label_idx[f.app_label] for f in flows], dtype=np.int64)
+    classes, y = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
+    if len(classes) < 2:
+        raise SingleClass(f"need >= 2 classes, got {classes.tolist()}")
     # dense rank of every value in its column, one row per feature
     ranks = np.array(
         [np.unique(column, return_inverse=True)[1] for column in x.T], dtype=np.int64
     )
-    job = (x, ranks, y, len(labels), max_depth, min_leaf, features_per_split, seed,
-           bootstrap)
+    job = (x, ranks, y, len(classes), max_depth, min_leaf, features_per_split, seed)
     workers = min(workers, n_trees, parallel.usable_cpus())
     # at least one block per worker
     size = min(_BLOCK_TREES, -(-n_trees // workers))
@@ -545,7 +547,7 @@ def train(
     grown = parallel.fork_map(lambda i: _grow_block(blocks[i], job), len(blocks), workers)
     trees = [tree for block in grown for tree in block]
     return ForestModel(
-        labels=labels,
+        labels=classes.tolist(),
         feature_names=list(ALL_FEATURES),
         trees=trees,
         n_trees=n_trees,
@@ -612,14 +614,13 @@ def compute_metrics(
     )
 
 
-def evaluate(model: ForestModel, test_flows: list[FlowRecord]) -> Metrics:
-    """Score the model on held-out flows; see compute_metrics."""
-    if not test_flows:
+def evaluate(model: ForestModel, x: np.ndarray, labels: Sequence[str]) -> Metrics:
+    """Score the model on held-out rows x and their labels; see compute_metrics."""
+    if not len(labels):
         raise EmptyTest("test set is empty")
-    actual = [f.app_label or "" for f in test_flows]
-    predicted = model.predict(test_flows)
     return compute_metrics(
-        actual, predicted, extra_labels=model.labels, config=model.config_dict()
+        list(labels), model.predict_matrix(x), extra_labels=model.labels,
+        config=model.config_dict(),
     )
 
 

@@ -216,15 +216,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     classify.check_forest(**forest)
     classify.check_train_frac(args.train_frac)
     flows = read_flow_table(args.flows)
-    train_flows, test_flows = classify.split(
-        flows, train_frac=args.train_frac, seed=args.seed
-    )
-    model = classify.train(train_flows, seed=args.seed, **forest)
+    x, labels = classify.dataset(flows)
+    train_rows, test_rows = classify.split(labels, train_frac=args.train_frac, seed=args.seed)
+    model = classify.train(x[train_rows], labels[train_rows], seed=args.seed, **forest)
     out = _out_dir(args)
     classify.write_model(model, out / "model.json")
-    write_flow_table(test_flows, out / "holdout.csv")
+    write_flow_table([flows[i] for i in test_rows], out / "holdout.csv")
     print(
-        f"train: {len(train_flows)} train / {len(test_flows)} holdout flows, "
+        f"train: {len(train_rows)} train / {len(test_rows)} holdout flows, "
         f"{model.n_trees} trees -> {out / 'model.json'}"
     )
     return 0
@@ -234,8 +233,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not args.model or not args.flows:
         raise ValueError("eval requires --model and --flows")
     model = classify.read_model(args.model)
-    test_flows = read_flow_table(args.flows)
-    metrics = classify.evaluate(model, test_flows)
+    metrics = classify.evaluate(model, *classify.dataset(read_flow_table(args.flows)))
     out = _out_dir(args)
     metrics.write_json(out / "metrics.json")
     print(
@@ -265,7 +263,8 @@ def run_compare(
     """Run the four-arm comparison and return the report document.
 
     Every arm shares the same split seed, forest seed, and forest
-    hyperparameters; each arm is split 75/25 within its own flow set.
+    hyperparameters; each arm's flows become feature rows and labels
+    once (classify.dataset), which are split 75/25 within the arm.
     Each cleaner runs once. threads caps both the worker processes that
     clean apps and those that grow each forest; neither changes the
     report outside its timings. timings_ms holds milliseconds: each
@@ -308,19 +307,18 @@ def run_compare(
     arm_results: dict[str, dict] = {}
     forest: dict[str, dict] = {}
     for name, arm_flows in arms.items():
-        train_flows, test_flows = classify.split(
-            arm_flows, train_frac=train_frac, seed=seed
-        )
+        x, labels = classify.dataset(arm_flows)
+        train_rows, test_rows = classify.split(labels, train_frac=train_frac, seed=seed)
         t0 = time.perf_counter()
-        model = classify.train(train_flows, seed=seed, workers=threads)
+        model = classify.train(x[train_rows], labels[train_rows], seed=seed, workers=threads)
         t1 = time.perf_counter()
-        metrics = classify.evaluate(model, test_flows)
+        metrics = classify.evaluate(model, x[test_rows], labels[test_rows])
         timings_ms[f"train_{name}"] = (t1 - t0) * 1e3
         timings_ms[f"eval_{name}"] = (time.perf_counter() - t1) * 1e3
         arm_results[name] = {
             "flows": len(arm_flows),
-            "train": len(train_flows),
-            "test": len(test_flows),
+            "train": len(train_rows),
+            "test": len(test_rows),
             "metrics": metrics.to_json_dict(),
         }
         forest[name] = {

@@ -8,7 +8,7 @@ or a row too large to keep distances finite (see _coerce). K-means is
 the fast path; hierarchical clustering (Ward by default) trades speed
 for merge-quality and needs no seed.
 
-Determinism contract: identical inputs, k, seed, and tolerance yield
+Determinism contract: identical inputs, k and seed yield
 bit-identical assignments and centroids. Nearest-centroid ties go to
 the lowest cluster id. Hierarchical clustering follows nearest-neighbor
 chains: a chain starts at the lowest-numbered live cluster,
@@ -62,6 +62,7 @@ class ClusterModel:
 # largest squared row norm either algorithm accepts; see _coerce
 MAX_SQ_NORM = 1e280
 KMEANS_MAX_ITER = 100  # Lloyd passes before kmeans stops unconverged
+KMEANS_TOL = 1e-6  # kmeans stops once a pass moves no centroid coordinate this far
 
 
 def _coerce(matrix: np.ndarray) -> np.ndarray:
@@ -159,7 +160,6 @@ def kmeans(
     matrix: np.ndarray,
     k: int,
     seed: int,
-    tol: float = 1e-6,
 ) -> ClusterModel:
     """Lloyd's algorithm with k-means++ seeding.
 
@@ -203,7 +203,7 @@ def kmeans(
         prev_sse = cur_sse
         shift = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     return ClusterModel(
         k=k,

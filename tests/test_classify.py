@@ -20,13 +20,14 @@ from flowclean.classify import (
     _Tree,
     _sample_features,
     compute_metrics,
+    dataset,
     evaluate,
     read_model,
     split,
     train,
     write_model,
 )
-from flowclean.errors import EmptyTest, LabelTooSmall, SingleClass
+from flowclean.errors import EmptyFlow, EmptyTest, LabelTooSmall, SingleClass
 from flowclean.features import ALL_FEATURES, feature_matrix
 from flowclean.rng import derive
 
@@ -50,12 +51,18 @@ def separable_flows(n_per_class: int = 20):
     return dl + ul
 
 
+def split_flows(flows, **kwargs):
+    """split's train and test positions of flows' labels, as the flows there."""
+    train_rows, test_rows = split(dataset(flows)[1], **kwargs)
+    return [flows[i] for i in train_rows], [flows[i] for i in test_rows]
+
+
 # --- split --------------------------------------------------------------
 
 
 def test_split_sizes_single_label():
     flows = labeled_flows("a", 100)
-    train_set, test_set = split(flows, train_frac=0.75, seed=1)
+    train_set, test_set = split_flows(flows, train_frac=0.75, seed=1)
     assert len(train_set) == 75
     assert len(test_set) == 25
 
@@ -65,19 +72,19 @@ def test_split_round_half_up_per_label():
     flows = []
     for i, label in enumerate("abcd"):
         flows += labeled_flows(label, 5, base_id=10 * i)
-    train_set, test_set = split(flows, train_frac=0.75, seed=0)
+    train_set, test_set = split_flows(flows, train_frac=0.75, seed=0)
     assert len(train_set) == 16 and len(test_set) == 4
     for label in "abcd":
         assert sum(f.app_label == label for f in train_set) == 4
         assert sum(f.app_label == label for f in test_set) == 1
     # 6 * 0.75 + 0.5 = 5.0 -> 5 train
-    train6, test6 = split(labeled_flows("a", 6), train_frac=0.75, seed=0)
+    train6, test6 = split_flows(labeled_flows("a", 6), train_frac=0.75, seed=0)
     assert (len(train6), len(test6)) == (5, 1)
 
 
 def test_split_partition_is_disjoint_and_complete():
     flows = separable_flows(10)
-    train_set, test_set = split(flows, seed=3)
+    train_set, test_set = split_flows(flows, seed=3)
     train_ids = {f.flow_id for f in train_set}
     test_ids = {f.flow_id for f in test_set}
     assert train_ids.isdisjoint(test_ids)
@@ -86,29 +93,36 @@ def test_split_partition_is_disjoint_and_complete():
 
 def test_split_deterministic_and_seed_sensitive():
     flows = labeled_flows("a", 40)
-    first = split(flows, seed=9)
-    second = split(flows, seed=9)
+    first = split_flows(flows, seed=9)
+    second = split_flows(flows, seed=9)
     assert [f.flow_id for f in first[0]] == [f.flow_id for f in second[0]]
-    other = split(flows, seed=10)
+    other = split_flows(flows, seed=10)
     assert [f.flow_id for f in other[0]] != [f.flow_id for f in first[0]]
 
 
 def test_split_label_too_small():
     flows = labeled_flows("a", 4) + labeled_flows("b", 3, base_id=10)
     with pytest.raises(LabelTooSmall):
-        split(flows)
+        split_flows(flows)
 
 
 def test_split_bad_fraction():
     flows = labeled_flows("a", 10)
     for frac in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
-            split(flows, train_frac=frac)
+            split_flows(flows, train_frac=frac)
 
 
-def test_split_unlabeled_flow():
-    with pytest.raises(ValueError):
-        split([make_flow(app_label=None)] * 5)
+def test_dataset_refuses_the_first_unlabeled_flow():
+    with pytest.raises(ValueError, match="^flow 0 has no app label$"):
+        dataset([make_flow(app_label=None)] * 5)
+    # before feature_matrix refuses flow 0, which has no packets
+    flows = [make_flow(flow_id=0, app_label="a", packets_in=0, packets_out=0),
+             make_flow(flow_id=1, app_label=""), make_flow(flow_id=2, app_label=None)]
+    with pytest.raises(ValueError, match="^flow 1 has no app label$"):
+        dataset(flows)
+    with pytest.raises(EmptyFlow):
+        dataset(flows[:1])
 
 
 # --- train / predict ----------------------------------------------------
@@ -116,9 +130,9 @@ def test_split_unlabeled_flow():
 
 def test_train_separable_classes():
     flows = separable_flows()
-    model = train(flows, n_trees=5, max_depth=4, seed=0)
+    model = train(*dataset(flows), n_trees=5, max_depth=4, seed=0)
     assert model.labels == ["dl", "ul"]
-    predicted = model.predict(flows)
+    predicted = model.predict_matrix(feature_matrix(flows))
     actual = [f.app_label for f in flows]
     assert predicted == actual
 
@@ -131,21 +145,22 @@ def test_single_stump_uses_the_only_informative_feature():
     long_ = [make_flow(flow_id=100 + i, app_label="long",
                        first_ts_us=0, last_ts_us=10_000_000 + i * 1_000_000)
              for i in range(8)]
-    model = train(short + long_, n_trees=1, max_depth=1,
-                  features_per_split=8, seed=5, bootstrap=False)
+    model = train(*dataset(short + long_), n_trees=1, max_depth=1,
+                  features_per_split=8, seed=5)
     tree = model.trees[0]
     duration_col = ALL_FEATURES.index("duration_s")
     assert tree.feature[0] == duration_col
     assert 0.8 < tree.threshold[0] < 10.0
     probe_short = make_flow(flow_id=500, first_ts_us=0, last_ts_us=2_000_000)
     probe_long = make_flow(flow_id=501, first_ts_us=0, last_ts_us=50_000_000)
-    assert model.predict([probe_short, probe_long]) == ["short", "long"]
+    probes = feature_matrix([probe_short, probe_long])
+    assert model.predict_matrix(probes) == ["short", "long"]
 
 
 def test_train_deterministic():
     flows = separable_flows(15)
-    a = train(flows, n_trees=8, seed=77)
-    b = train(flows, n_trees=8, seed=77)
+    a = train(*dataset(flows), n_trees=8, seed=77)
+    b = train(*dataset(flows), n_trees=8, seed=77)
     for ta, tb in zip(a.trees, b.trees):
         assert np.array_equal(ta.feature, tb.feature)
         assert np.array_equal(ta.threshold, tb.threshold)
@@ -154,8 +169,8 @@ def test_train_deterministic():
 
 def test_train_seed_changes_forest():
     flows = separable_flows(15)
-    a = train(flows, n_trees=4, seed=1)
-    b = train(flows, n_trees=4, seed=2)
+    a = train(*dataset(flows), n_trees=4, seed=1)
+    b = train(*dataset(flows), n_trees=4, seed=2)
     assert any(
         not np.array_equal(ta.threshold, tb.threshold)
         or not np.array_equal(ta.feature, tb.feature)
@@ -165,22 +180,12 @@ def test_train_seed_changes_forest():
 
 def test_train_single_class_raises():
     with pytest.raises(SingleClass):
-        train(labeled_flows("only", 10))
-
-
-def test_bootstrap_flag_changes_trees():
-    flows = separable_flows(15)
-    with_bs = train(flows, n_trees=3, seed=4, bootstrap=True)
-    without = train(flows, n_trees=3, seed=4, bootstrap=False)
-    assert any(
-        not np.array_equal(ta.histogram, tb.histogram)
-        for ta, tb in zip(with_bs.trees, without.trees)
-    )
+        train(*dataset(labeled_flows("only", 10)))
 
 
 def test_min_leaf_respected():
     flows = separable_flows(10)
-    model = train(flows, n_trees=3, min_leaf=5, seed=0, bootstrap=False)
+    model = train(*dataset(flows), n_trees=3, min_leaf=5, seed=0)
     for tree in model.trees:
         for node in range(len(tree.feature)):
             if tree.feature[node] >= 0:
@@ -202,7 +207,7 @@ def test_min_leaf_respected():
 )
 def test_train_rejects_bad_hyperparameters(param, value):
     with pytest.raises(ValueError, match=rf"{param} .*got {value}$"):
-        train(separable_flows(5), **{param: value})
+        train(*dataset(separable_flows(5)), **{param: value})
 
 
 class _TreeBuilder:
@@ -302,7 +307,7 @@ class _TreeBuilder:
 
 
 def oracle_trees(flows, n_trees, max_depth=16, min_leaf=2, features_per_split=3,
-                 seed=42, bootstrap=True, builder=_TreeBuilder):
+                 seed=42, builder=_TreeBuilder):
     """train's trees, each grown by builder from its stream derive(seed, t)."""
     labels = sorted({f.app_label for f in flows})
     x = feature_matrix(flows)
@@ -311,10 +316,7 @@ def oracle_trees(flows, n_trees, max_depth=16, min_leaf=2, features_per_split=3,
     trees = []
     for t in range(n_trees):
         rng = ScalarStream(derive(seed, t))
-        if bootstrap:
-            sample = np.array([rng.next_u64() % n for _ in range(n)], dtype=np.int64)
-        else:
-            sample = np.arange(n)
+        sample = np.array([rng.next_u64() % n for _ in range(n)], dtype=np.int64)
         tree = builder(x[sample], y[sample], len(labels), max_depth, min_leaf,
                        features_per_split, rng)
         tree.build(np.arange(n), 0)
@@ -406,22 +408,20 @@ def tie_heavy_flows(draw):
     flows=tie_heavy_flows(),
     min_leaf=st.integers(1, 4),
     features_per_split=st.integers(1, len(ALL_FEATURES)),
-    bootstrap=st.booleans(),
     seed=st.integers(0, 2**32),
     block_trees=st.integers(1, 3),
     chunk_rows=st.integers(1, 100),
 )
 def test_batched_split_search_matches_per_feature_oracle(
-    flows, min_leaf, features_per_split, bootstrap, seed, block_trees, chunk_rows
+    flows, min_leaf, features_per_split, seed, block_trees, chunk_rows
 ):
     kwargs = dict(n_trees=3, min_leaf=min_leaf,
-                  features_per_split=features_per_split,
-                  seed=seed, bootstrap=bootstrap)
+                  features_per_split=features_per_split, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
         # small chunks split a step between nodes and put a large node alone
         mp.setattr(classify_mod, "_BLOCK_TREES", block_trees)
         mp.setattr(classify_mod, "_CHUNK_ROWS", chunk_rows)
-        model = train(flows, **kwargs)
+        model = train(*dataset(flows), **kwargs)
     for builder in (_TreeBuilder, _PerFeatureBuilder):
         oracle = oracle_trees(flows, builder=builder, **kwargs)
         for got, want in zip(model.trees, oracle, strict=True):
@@ -439,9 +439,8 @@ def test_threshold_rounded_onto_the_upper_value_sends_its_rows_left():
     flows = [make_flow(flow_id=i, app_label=f"c{i % 2}",
                        bytes_in=2**53 + 2 + 2 * (i % 2), bytes_out=0)
              for i in range(8)]
-    kwargs = dict(n_trees=2, max_depth=2, min_leaf=1, features_per_split=8,
-                  seed=0, bootstrap=False)
-    model = train(flows, **kwargs)
+    kwargs = dict(n_trees=2, max_depth=2, min_leaf=1, features_per_split=8, seed=0)
+    model = train(*dataset(flows), **kwargs)
     for got, want in zip(model.trees, oracle_trees(flows, **kwargs), strict=True):
         assert got.threshold[0] == 2**53 + 4
         assert got.histogram[got.right[0]].sum() == 0
@@ -501,7 +500,7 @@ def test_tree_depth_is_its_deepest_leaf(max_depth):
         return (leaf_depths(tree, tree.left[node], depth + 1)
                 + leaf_depths(tree, tree.right[node], depth + 1))
 
-    model = train(overlapping_flows(), n_trees=4, max_depth=max_depth, seed=1)
+    model = train(*dataset(overlapping_flows()), n_trees=4, max_depth=max_depth, seed=1)
     for tree in model.trees:
         assert tree.depth() == max(leaf_depths(tree)) <= max_depth
     assert max(tree.depth() for tree in model.trees) == max_depth
@@ -511,7 +510,7 @@ def test_predict_tie_breaks_to_first_label():
     # two trees voting for different classes: argmax picks the first
     # (lexicographically smallest) label
     flows = separable_flows(10)
-    model = train(flows, n_trees=2, seed=0)
+    model = train(*dataset(flows), n_trees=2, seed=0)
     votes = np.array([[1, 1]])
     assert model.labels[int(np.argmax(votes))] == model.labels[0]
 
@@ -521,9 +520,9 @@ def test_flow_features_shape():
     flows = separable_flows(5)
     x = feature_matrix(flows)
     assert x.shape == (10, len(ALL_FEATURES))
-    model = train(flows, n_trees=3, seed=0)
+    model = train(*dataset(flows), n_trees=3, seed=0)
     assert model.feature_names == list(ALL_FEATURES)
-    assert model.predict(flows) == model.predict_matrix(x)
+    assert np.array_equal(dataset(flows)[0], x)
 
 
 # --- metrics ------------------------------------------------------------
@@ -608,19 +607,19 @@ def test_metrics_json_keys(tmp_path):
 
 
 def test_evaluate_end_to_end():
-    flows = separable_flows(20)
-    train_set, test_set = split(flows, seed=2)
-    model = train(train_set, n_trees=5, seed=2)
-    metrics = evaluate(model, test_set)
+    x, labels = dataset(separable_flows(20))
+    train_rows, test_rows = split(labels, seed=2)
+    model = train(x[train_rows], labels[train_rows], n_trees=5, seed=2)
+    metrics = evaluate(model, x[test_rows], labels[test_rows])
     assert metrics.accuracy == 1.0
     assert metrics.labels == ["dl", "ul"]
     assert metrics.config["n_trees"] == 5
 
 
 def test_evaluate_empty_test():
-    model = train(separable_flows(10), n_trees=2, seed=0)
+    model = train(*dataset(separable_flows(10)), n_trees=2, seed=0)
     with pytest.raises(EmptyTest):
-        evaluate(model, [])
+        evaluate(model, *dataset([]))
 
 
 # --- model persistence --------------------------------------------------
@@ -628,22 +627,22 @@ def test_evaluate_empty_test():
 
 def test_model_json_round_trip(tmp_path):
     flows = separable_flows(15)
-    model = train(flows, n_trees=6, seed=3)
+    model = train(*dataset(flows), n_trees=6, seed=3)
     path = tmp_path / "model.json"
     write_model(model, path)
     loaded = read_model(path)
     assert isinstance(loaded, ForestModel)
     assert loaded.labels == model.labels
     assert loaded.config_dict() == model.config_dict()
-    probes = separable_flows(7)
-    assert loaded.predict(probes) == model.predict(probes)
+    probes = feature_matrix(separable_flows(7))
+    assert loaded.predict_matrix(probes) == model.predict_matrix(probes)
 
 
 def test_model_dump_deterministic(tmp_path):
     flows = separable_flows(12)
     p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
-    write_model(train(flows, n_trees=4, seed=11), p1)
-    write_model(train(flows, n_trees=4, seed=11), p2)
+    write_model(train(*dataset(flows), n_trees=4, seed=11), p1)
+    write_model(train(*dataset(flows), n_trees=4, seed=11), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -697,17 +696,13 @@ needs_fork_and_proc = pytest.mark.skipif(
 )
 
 
-@pytest.mark.parametrize(
-    "n_trees, bootstrap", [(12, True), (12, False), (1, True)],
-    ids=["bootstrap", "no-bootstrap", "one-tree"],
-)
-def test_model_bytes_do_not_depend_on_workers(tmp_path, many_cpus, n_trees, bootstrap):
-    flows = overlapping_flows()
+@pytest.mark.parametrize("n_trees", [12, 1], ids=["bootstrap", "one-tree"])
+def test_model_bytes_do_not_depend_on_workers(tmp_path, many_cpus, n_trees):
+    x, labels = dataset(overlapping_flows())
     dumps = []
     for workers in (1, 2, 3):
         path = tmp_path / f"model{workers}.json"
-        write_model(train(flows, n_trees=n_trees, seed=9, bootstrap=bootstrap,
-                          workers=workers), path)
+        write_model(train(x, labels, n_trees=n_trees, seed=9, workers=workers), path)
         dumps.append(path.read_bytes())
     assert dumps[1] == dumps[0]
     assert dumps[2] == dumps[0]
@@ -716,12 +711,12 @@ def test_model_bytes_do_not_depend_on_workers(tmp_path, many_cpus, n_trees, boot
 def test_model_bytes_do_not_depend_on_the_block_layout(tmp_path, many_cpus, monkeypatch):
     # 120 trees as 120 blocks of one; as 50, 50 and an uneven 20 on 1 and 2
     # workers; as 3 blocks of 40 on 3 workers; and as 2 blocks of 60
-    flows = overlapping_flows()
+    x, labels = dataset(overlapping_flows())
     dumps = set()
     for block_trees, workers in ((1, 1), (50, 1), (50, 2), (50, 3), (120, 2)):
         monkeypatch.setattr(classify_mod, "_BLOCK_TREES", block_trees)
         path = tmp_path / f"model-{block_trees}-{workers}.json"
-        write_model(train(flows, n_trees=120, seed=4, workers=workers), path)
+        write_model(train(x, labels, n_trees=120, seed=4, workers=workers), path)
         dumps.add(path.read_bytes())
     assert len(dumps) == 1
 
@@ -729,7 +724,7 @@ def test_model_bytes_do_not_depend_on_the_block_layout(tmp_path, many_cpus, monk
 @needs_fork_and_proc
 def test_no_child_process_outlives_train(many_cpus):
     before = child_processes()
-    model = train(overlapping_flows(), n_trees=6, seed=2, workers=2)
+    model = train(*dataset(overlapping_flows()), n_trees=6, seed=2, workers=2)
     assert len(model.trees) == 6
     assert_no_child_left(before)
 
@@ -754,7 +749,7 @@ def test_worker_error_reaches_caller_and_no_child_is_left(many_cpus, monkeypatch
     monkeypatch.setattr(classify_mod, "_grow_block", _broken_block)
     before = child_processes()
     with pytest.raises(RuntimeError, match="^tree builder failed$") as exc_info:
-        train(overlapping_flows(), n_trees=8, workers=2)
+        train(*dataset(overlapping_flows()), n_trees=8, workers=2)
     # the traceback came back from a worker process
     assert type(exc_info.value.__cause__).__name__ == "_RemoteTraceback"
     assert_no_child_left(before)
@@ -772,7 +767,7 @@ def test_interrupt_cancels_unstarted_trees_and_no_child_is_left(many_cpus, monke
     timer.start()
     try:
         with pytest.raises(KeyboardInterrupt):
-            train(overlapping_flows(), n_trees=40, workers=2)
+            train(*dataset(overlapping_flows()), n_trees=40, workers=2)
     finally:
         timer.cancel()
     assert time.monotonic() - start < 3.0

@@ -3,6 +3,7 @@
 import argparse
 import codecs
 import csv
+import hashlib
 import json
 import locale
 import os
@@ -874,6 +875,59 @@ def test_eval_empty_flow_table(tmp_path, scenario_file):
 
 def test_eval_requires_both_flags(tmp_path):
     assert main(["eval", "--out", str(tmp_path)]) == 1
+
+
+def test_eval_refuses_a_flow_without_a_label(tmp_path, scenario_file, capsys):
+    flows = synth_into(tmp_path, scenario_file) / "flows.csv"
+    model_dir = tmp_path / "model"
+    assert main(["train", "--flows", str(flows), "--trees", "10", "--out", str(model_dir)]) == 0
+    holdout = model_dir / "holdout.csv"
+    lines = holdout.read_bytes().split(b"\r\n")
+    blanked = []
+    for i in (3, 8):
+        fields = lines[i].split(b",")
+        fields[1] = b""
+        lines[i] = b",".join(fields)
+        blanked.append(int(fields[0]))
+    holdout.write_bytes(b"\r\n".join(lines))
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model_dir / "model.json"), "--flows", str(holdout),
+               "--out", str(tmp_path / "e")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: flow {blanked[0]} has no app label\n"
+    assert not (tmp_path / "e" / "metrics.json").exists()
+
+
+def test_labels_that_differ_by_a_trailing_nul_stay_two_classes(tmp_path):
+    flows = tmp_path / "flows.csv"
+    flows.write_bytes(_table(*[_row(i, "a" if i % 2 else "a\0") for i in range(24)]))
+    out = tmp_path / "out"
+    assert main(["train", "--flows", str(flows), "--trees", "2", "--out", str(out)]) == 0
+    assert main(["eval", "--model", str(out / "model.json"), "--flows", str(out / "holdout.csv"),
+                 "--out", str(out)]) == 0
+    for name in ("model.json", "metrics.json"):
+        assert json.loads((out / name).read_text())["labels"] == ["a", "a\0"]
+
+
+# sha256 of what train --trees 20 and then eval write for the default scenario
+_PINNED_CLASSIFIER_FILES = {
+    "model.json": "cf1cd29418be85b6f8d4f3fee2c83424a93b50e4b93140d32e767f15d9f0f62a",
+    "holdout.csv": "9a323ed9f41f4fcf5aec36f2f286dcfb90628de6aeef8dd7d2ca5048e08b9760",
+    "metrics.json": "0d9bccbf00b429d03016ef3f956550e8ee318c17a313d77bfcbc794802df401d",
+}
+
+
+def test_train_and_eval_write_the_pinned_bytes(tmp_path, many_cpus):
+    assert main(["synth", "--out", str(tmp_path)]) == 0
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        assert main(["train", "--flows", str(tmp_path / "flows.csv"), "--trees", "20",
+                     "--threads", threads, "--out", str(out)]) == 0
+        assert main(["eval", "--model", str(out / "model.json"),
+                     "--flows", str(out / "holdout.csv"), "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in _PINNED_CLASSIFIER_FILES}
+        assert digests == _PINNED_CLASSIFIER_FILES
 
 
 @pytest.fixture()

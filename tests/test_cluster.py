@@ -125,8 +125,9 @@ def test_kmeans_rising_sse_raises(monkeypatch):
         return float(len(calls))
 
     monkeypatch.setattr(cluster_mod, "sse", rising)
+    monkeypatch.setattr(cluster_mod, "KMEANS_TOL", 0.0)
     with pytest.raises(InvariantViolation, match="at Lloyd iteration 2"):
-        kmeans(values, k=3, seed=0, tol=0.0)
+        kmeans(values, k=3, seed=0)
     assert len(calls) == 2  # one sse call per Lloyd iteration
 
 
