@@ -31,14 +31,14 @@ from .ingest import (
     assemble_flows,
     index_flow_table,
     parse_lines,
-    read_flow_table,
+    read_flow_table,  # noqa: F401  unused: perfbench's tracer patches it (see ROADMAP.md)
     read_packets,
     read_tag_map,
     read_text,
     write_flow_lines,
     write_flow_table,
 )
-from .select import DEFAULT_POLICY, check_sizes, clean, clean_table, read_rules
+from .select import DEFAULT_POLICY, check_sizes, clean, clean_table, read_dataset, read_rules
 
 _DEFAULT_SEED = 42
 
@@ -204,6 +204,7 @@ def cmd_clean(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    """Train on a split of a table read as clean reads it, and write the rest as holdout.csv."""
     if not args.flows:
         raise ValueError("train requires --flows")
     forest = dict(
@@ -215,13 +216,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     classify.check_forest(**forest)
     classify.check_train_frac(args.train_frac)
-    flows = read_flow_table(args.flows)
-    x, labels = classify.dataset(flows)
+    table = index_flow_table(args.flows)
+    x, labels, texts = read_dataset(table, forest["workers"])
     train_rows, test_rows = classify.split(labels, train_frac=args.train_frac, seed=args.seed)
     model = classify.train(x[train_rows], labels[train_rows], seed=args.seed, **forest)
     out = _out_dir(args)
     classify.write_model(model, out / "model.json")
-    write_flow_table([flows[i] for i in test_rows], out / "holdout.csv")
+    write_flow_lines(out / "holdout.csv", table, ([table.records[test_rows]], texts))
     print(
         f"train: {len(train_rows)} train / {len(test_rows)} holdout flows, "
         f"{model.n_trees} trees -> {out / 'model.json'}"
@@ -233,7 +234,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not args.model or not args.flows:
         raise ValueError("eval requires --model and --flows")
     model = classify.read_model(args.model)
-    metrics = classify.evaluate(model, *classify.dataset(read_flow_table(args.flows)))
+    metrics = classify.evaluate(model, *read_dataset(index_flow_table(args.flows), 1)[:2])
     out = _out_dir(args)
     metrics.write_json(out / "metrics.json")
     print(
@@ -502,7 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-leaf", type=int, default=2, help="fewest rows in a leaf")
     p.add_argument("--features-per-split", type=int, default=3,
                    help="features sampled per split, 1-8")
-    p.add_argument("--threads", type=int, default=1, help="max forest worker processes")
+    p.add_argument("--threads", type=int, default=1,
+                   help="max worker processes, for chunks of the table and then trees")
 
     p = command("eval", cmd_eval, "score a trained model on a flow table")
     p.add_argument("--model", help="model JSON from train")

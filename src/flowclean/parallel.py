@@ -1,9 +1,7 @@
 """One pool of forked worker processes for independent items.
 
-train grows blocks of trees on it and clean cleans apps on it; on a
-flow table, clean runs it twice, once over equal chunks of the table's
-records for their DPI verdicts and feature rows, then once over the
-apps to cluster them. A worker is started
+clean, train and eval parse a flow table on it in chunks; then apps
+are cleaned and trees grown on it. A worker is started
 with the `fork` method and inherits the task, and whatever the task
 refers to, from the calling process; it is sent only item indices and
 sends back the task's results, so those should be small. A worker
@@ -12,7 +10,7 @@ writes the object's refcount, which copies its page. On a 100k-flow
 table on 2 vCPUs, DPI summed over apps took 0.33-0.54 s in one
 process, 0.47-1.13 s in two workers walking the caller's records, and
 0.32-0.48 s in two workers that parsed the rows they took, as the
-phase-1 workers of `clean`'s table path do.
+phase-1 workers of the table path do.
 `spawn` and `forkserver` are not used because they start helper
 processes (the resource tracker and the fork server) that outlive the
 pool. A fork copies only the calling thread, so no other thread of the

@@ -20,7 +20,8 @@ on a flow table's records: phase-1 workers parse equal chunks of the
 table in file order, about _CHUNKS_PER_WORKER per worker, and send
 back arrays, not records, so the caller never holds the table's
 records; each phase-2 worker gathers one app's rows from the chunks,
-by label, and clusters them. Verdicts and feature rows depend on
+by label, and clusters them. read_dataset reads a table for train and
+eval by phase 1 alone, without DPI. Verdicts and feature rows depend on
 nothing but their own flow, so neither the chunks nor the worker count
 change the output. The table's format stays in ingest:
 read_flow_lines, check_flow_lines and rewritten_rows parse chunks,
@@ -49,7 +50,7 @@ from .cluster import Algorithm, Linkage, hierarchical, kmeans, pair_matrices_tha
 from .dpi import Blocklist, DEFAULT_BLOCKLIST, filter_flows
 from .dpi import logger as dpi_logger
 from .errors import EmptyFlow, InvariantViolation
-from .features import CLUSTER_FEATURES, destandardize, feature_matrix, standardize
+from .features import ALL_FEATURES, CLUSTER_FEATURES, destandardize, feature_matrix, standardize
 from .ingest import (
     FlowLines,
     FlowRecord,
@@ -487,7 +488,7 @@ def clean(
 
 
 class _Lines(NamedTuple):
-    """What clean_table's phase-1 worker sends back for a chunk of the table's records."""
+    """What a phase-1 worker (_parse_table) sends back for a chunk of the table's records."""
 
     run: FlowLines  # without its flows
     rows: _FlowRows | None  # None after a bad line
@@ -512,6 +513,36 @@ def _read_chunk(
     kept = np.flatnonzero(part.keep).tolist()
     texts = rewritten_rows(table, rows[kept], [flows[i] for i in kept])
     return _Lines(run, part, texts, list(labels), codes)
+
+
+def _parse_table(
+    table: FlowTableLines, blocklist: Blocklist, skip_dpi: bool, threads: int
+) -> tuple[list[slice], list[_Lines], dict[int, bytes]]:
+    """Phase 1 on every record of table, on up to `threads` workers: its
+    chunks, each chunk's _read_chunk, and their rewritten rows by line.
+    Raises what read_flow_table and then clean() would raise first: the
+    lowest bad line, then the first flow without a label."""
+    chunks = _chunks(len(table.records), threads)
+    parsed = fork_map(
+        lambda i: _read_chunk(table, table.records[chunks[i]], blocklist, skip_dpi),
+        len(chunks),
+        threads,
+    )
+    check_flow_lines(table, [chunk.run for chunk in parsed])
+    for chunk in parsed:
+        if None in chunk.labels:
+            at = int(np.argmax(chunk.codes == chunk.labels.index(None)))
+            raise ValueError(f"flow {int(chunk.run.ids[at])} has no app label")
+    return chunks, parsed, {line: text for chunk in parsed for line, text in chunk.texts.items()}
+
+
+def read_dataset(table: FlowTableLines, threads: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """classify.dataset's rows and labels of table's records, in file order,
+    and their rewritten rows by line: phase 1 without DPI (_parse_table)."""
+    _, parsed, texts = _parse_table(table, DEFAULT_BLOCKLIST, True, threads)
+    x = np.concatenate([np.empty((0, len(ALL_FEATURES))), *(c.rows.raw for c in parsed)])
+    labels = [np.empty(0, object), *(np.array(c.labels, dtype=object)[c.codes] for c in parsed)]
+    return x, np.concatenate(labels), texts
 
 
 def _clean_chunked_app(
@@ -550,35 +581,22 @@ def clean_table(
 ) -> tuple[tuple[list[np.ndarray], dict[int, bytes]], CleanReport]:
     """clean() on an indexed flow table, without its records in this process.
 
-    Phase 1 cuts the table's records into equal chunks in file order
-    (_chunks). A chunk's worker parses its records (read_flow_lines),
-    takes their DPI verdicts and feature rows, and sends back its flow
-    ids, lines and first bad line, those verdicts and rows, its flows'
-    labels, and the rewritten_rows of the flows DPI keeps; it sends no
-    records. Phase 2 cleans each app, as clean() cleans an app, from
-    its rows gathered from the chunks. Stage times in the report are
-    summed over chunks and apps. Returns what write_flow_lines writes
-    the cleaned table from: each app's kept records in flow_id order,
-    in label order, and the rewritten rows by line; and the report.
+    Phase 1 (_parse_table) parses the table's records in chunks, on
+    workers that send back arrays (_Lines), not records; phase 2 cleans
+    each app, as clean() cleans an app, from its rows gathered from the
+    chunks. Stage times in the report are summed over chunks and apps.
+    Returns what write_flow_lines writes the cleaned table from: each
+    app's kept records in flow_id order, in label order, and the
+    rewritten rows by line; and the report.
 
-    Raises what read_flow_table and then clean() would raise: the
-    lowest bad line (check_flow_lines), then the first flow without a
-    label, then the first app's error in label order.
+    Raises what _parse_table raises, then the first app's error in
+    label order, as read_flow_table and then clean() would.
     """
     check_sizes(k, threads)
-    chunks = _chunks(len(table.records), threads)
     total_start = time.perf_counter()
-    parsed = fork_map(
-        lambda i: _read_chunk(table, table.records[chunks[i]], blocklist, skip_dpi),
-        len(chunks),
-        threads,
-    )
-    check_flow_lines(table, [chunk.run for chunk in parsed])
+    chunks, parsed, texts = _parse_table(table, blocklist, skip_dpi, threads)
     survivors: dict[str, int] = {}  # each app's flows that DPI keeps
     for chunk in parsed:
-        if None in chunk.labels:
-            at = int(np.argmax(chunk.codes == chunk.labels.index(None)))
-            raise ValueError(f"flow {int(chunk.run.ids[at])} has no app label")
         kept = np.bincount(chunk.codes[chunk.rows.keep], minlength=len(chunk.labels))
         for label, n in zip(chunk.labels, kept.tolist()):
             survivors[label] = survivors.get(label, 0) + n
@@ -594,6 +612,5 @@ def clean_table(
     report = _merge(labels, results, k, skip_dpi)
     for stage in ("dpi", "features"):
         report.timings_ms[stage] += sum(chunk.rows.timings[stage] for chunk in parsed)
-    texts = {line: text for chunk in parsed for line, text in chunk.texts.items()}
     report.timings_ms["total"] = (time.perf_counter() - total_start) * 1e3
     return ([records for records, _, _ in results], texts), report

@@ -311,7 +311,7 @@ def _unreachable(*args, **kwargs):
 def test_train_checks_its_options_before_reading_the_table(
     tmp_path, capsys, monkeypatch, option, value, message
 ):
-    monkeypatch.setattr(cli_mod, "read_flow_table", _unreachable)
+    monkeypatch.setattr(cli_mod, "index_flow_table", _unreachable)
     rc = main(["train", "--flows", str(tmp_path / "absent.csv"), option, value,
                "--out", str(tmp_path / "x")])
     assert rc == 1
@@ -712,16 +712,24 @@ _NO_LABEL_THEN_BAD_ROW = _table(
 )
 
 
-@pytest.mark.parametrize(
-    "data, error",
-    [
+_ACROSS_CHUNKS = {
+    "repeat across chunks":
         (_REPEAT_ACROSS_CHUNKS, "line 13: duplicate flow_id 1, first on line 3"),
-        (_NO_LABEL_THEN_BAD_ROW, "line 14: bytes_out is negative: -5"),
+    "no label, then a bad row": (_NO_LABEL_THEN_BAD_ROW, "line 14: bytes_out is negative: -5"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, data, error",
+    [
+        # clean's cases keep their plain names
+        pytest.param(command, data, error, id=name if command == "clean" else f"{command}: {name}")
+        for command in ("clean", "train", "eval")
+        for name, (data, error) in _ACROSS_CHUNKS.items()
     ],
-    ids=["repeat across chunks", "no label, then a bad row"],
 )
 def test_clean_names_the_error_read_flow_table_names_across_chunks(
-    tmp_path, capsys, many_cpus, data, error
+    tmp_path, capsys, many_cpus, command, data, error
 ):
     flows = tmp_path / "flows.csv"
     flows.write_bytes(data)
@@ -732,7 +740,15 @@ def test_clean_names_the_error_read_flow_table_names_across_chunks(
     for threads in (1, 2):
         with pytest.MonkeyPatch.context() as patch:
             _chunks_of(patch, 7)
-            assert _clean_run(capsys, flows, tmp_path / f"t{threads}", threads) == expected
+            if command == "clean":
+                run = _clean_run(capsys, flows, tmp_path / f"t{threads}", threads)
+            else:
+                args = _reads_table(tmp_path, command, flows)
+                if command == "train":  # eval has no --threads: it parses in process
+                    args += ["--threads", str(threads)]
+                capsys.readouterr()
+                run = (main(args), capsys.readouterr().err, None, None)
+            assert run == expected
 
 
 def test_clean_reads_a_nul_and_a_long_field_as_csv_reads_them(tmp_path, capsys):
@@ -859,7 +875,7 @@ def test_train_rejects_bad_hyperparameter(tmp_path, scenario_file, capsys):
     assert not (tmp_path / "m" / "model.json").exists()
 
 
-def test_eval_empty_flow_table(tmp_path, scenario_file):
+def test_eval_empty_flow_table(tmp_path, scenario_file, capsys):
     synth_dir = synth_into(tmp_path, scenario_file)
     model_dir = tmp_path / "model"
     assert main(["train", "--flows", str(synth_dir / "flows.csv"),
@@ -868,9 +884,21 @@ def test_eval_empty_flow_table(tmp_path, scenario_file):
 
     empty = tmp_path / "empty.csv"
     write_flow_table([], empty)
+    capsys.readouterr()
     rc = main(["eval", "--model", str(model_dir / "model.json"),
                "--flows", str(empty), "--out", str(tmp_path / "e")])
     assert rc == 1
+    assert capsys.readouterr().err == "error: test set is empty\n"
+
+
+def test_train_empty_flow_table(tmp_path, capsys):
+    # a header-only table has no phase-1 chunks, and so no rows and no labels
+    empty = tmp_path / "empty.csv"
+    write_flow_table([], empty)
+    rc = main(["train", "--flows", str(empty), "--out", str(tmp_path / "m")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: need >= 2 classes, got []\n"
+    assert not (tmp_path / "m" / "model.json").exists()
 
 
 def test_eval_requires_both_flags(tmp_path):
@@ -896,6 +924,42 @@ def test_eval_refuses_a_flow_without_a_label(tmp_path, scenario_file, capsys):
     assert rc == 1
     assert capsys.readouterr().err == f"error: flow {blanked[0]} has no app label\n"
     assert not (tmp_path / "e" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_train_and_eval_hold_no_records(tmp_path, scenario_file, many_cpus, monkeypatch, threads):
+    # both read the table as clean does: its records are parsed in phase-1 chunks
+    monkeypatch.setattr(cli_mod, "read_flow_table", _unreachable)
+    monkeypatch.setattr(cli_mod.classify, "dataset", _unreachable)
+    flows = synth_into(tmp_path, scenario_file) / "flows.csv"
+    out = tmp_path / "out"
+    assert main(["train", "--flows", str(flows), "--trees", "3", "--threads", threads,
+                 "--out", str(out)]) == 0
+    assert main(["eval", "--model", str(out / "model.json"), "--flows", str(out / "holdout.csv"),
+                 "--out", str(out)]) == 0
+    assert (out / "metrics.json").is_file()
+
+
+def test_train_writes_holdout_rows_as_write_flow_table_writes_them(tmp_path, many_cpus):
+    # _MANY pads a port and upper-cases hex on every fifth row; every third
+    # row also gets a label quoted without need
+    rows = [_quoted_label(row) if i % 3 == 0 else row for i, row in enumerate(_MANY)]
+    flows = tmp_path / "flows.csv"
+    flows.write_bytes(_table(*rows))
+    records = reference_read_flow_table(flows)
+    labels = [flow.app_label for flow in records]
+    _, test_rows = cli_mod.classify.split(labels, train_frac=0.75, seed=42)
+    expected = tmp_path / "expected.csv"
+    write_flow_table([records[i] for i in test_rows], expected)
+    # some held-out rows are rewritten
+    assert not set(expected.read_bytes().split(b"\r\n")) <= set(flows.read_bytes().split(b"\r\n"))
+    for threads in ("1", "2"):
+        with pytest.MonkeyPatch.context() as patch:
+            _chunks_of(patch, 7)
+            out = tmp_path / f"t{threads}"
+            assert main(["train", "--flows", str(flows), "--trees", "2", "--threads", threads,
+                         "--out", str(out)]) == 0
+        assert (out / "holdout.csv").read_bytes() == expected.read_bytes()
 
 
 def test_labels_that_differ_by_a_trailing_nul_stay_two_classes(tmp_path):
