@@ -649,7 +649,8 @@ def read_model(path: str | Path) -> ForestModel:
     Raises SchemaMismatch naming the file, and the tree and node where
     there is one, unless the file parses with every key, labels are 2 or
     more sorted distinct names, feature_names is ALL_FEATURES, config
-    n_trees counts the trees, and every tree has equal-length arrays,
+    holds integers that check_forest takes, n_trees of them counting
+    the trees, and every tree has equal-length arrays,
     features in [-1, 8), each internal node i's children following it
     in preorder (left i + 1, i + 1 < right < nodes) and histogram rows
     one count per label wide. So predicting with the model ends: every
@@ -661,13 +662,20 @@ def read_model(path: str | Path) -> ForestModel:
     try:
         doc = json.loads(Path(path).read_text())
         labels, feature_names = list(doc["labels"]), list(doc["feature_names"])
-        config = {key: int(doc["config"][key]) for key in (
+        config = {key: doc["config"][key] for key in (
             "n_trees", "max_depth", "min_leaf", "features_per_split", "seed")}
         arrays = [{name: t[name] for name in _TREE_ARRAYS} for t in doc["trees"]]
     except KeyError as exc:
         raise mismatch(f"missing key {exc}") from exc
     except (TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
         raise mismatch(f"not a forest model: {exc}") from exc
+    try:
+        for key, value in config.items():
+            if type(value) is not int:  # a bool is an int to isinstance
+                raise ValueError(f"{key} is {json.dumps(value)}, not an integer")
+        check_forest(workers=1, **{key: n for key, n in config.items() if key != "seed"})
+    except ValueError as exc:
+        raise mismatch(f"config: {exc}") from None
     if len(labels) < 2 or labels != sorted(set(map(str, labels))):
         raise mismatch(f"labels {labels} are not 2 or more sorted distinct names")
     if feature_names != list(ALL_FEATURES):

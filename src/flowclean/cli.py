@@ -275,10 +275,12 @@ def run_compare(
     (train_<arm>) and scoring (eval_<arm>). forest holds each arm's
     tree, node and leaf counts and the depth of its deepest leaf. The
     report's content_sha256 covers config and arms: everything except
-    timings_ms, forest and the generation timestamp. An algorithm given
-    twice raises ValueError, as do the checks of k, threads and
-    train_frac, before any flow is generated.
+    timings_ms, forest and the generation timestamp. No algorithm, or
+    one given twice, raises ValueError, as do the checks of k, threads
+    and train_frac, before any flow is generated.
     """
+    if not algorithms:
+        raise ValueError("compare needs at least one algorithm")
     for i, algorithm in enumerate(algorithms):
         if algorithm in algorithms[:i]:
             raise ValueError(f"algorithm {algorithm.value!r} is given twice")

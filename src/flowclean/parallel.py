@@ -1,7 +1,9 @@
 """One pool of forked worker processes for independent items.
 
-clean, train and eval parse a flow table on it in chunks; then apps
-are cleaned and trees grown on it. A worker is started
+Cleaning's phase 1 runs on it in chunks, of the caller's flows
+(select.clean) or of a flow table's records that the workers parse
+(clean, train and eval); then apps are cleaned and trees grown on
+it. A worker is started
 with the `fork` method and inherits the task, and whatever the task
 refers to, from the calling process; it is sent only item indices and
 sends back the task's results, so those should be small. A worker
@@ -10,7 +12,8 @@ writes the object's refcount, which copies its page. On a 100k-flow
 table on 2 vCPUs, DPI summed over apps took 0.33-0.54 s in one
 process, 0.47-1.13 s in two workers walking the caller's records, and
 0.32-0.48 s in two workers that parsed the rows they took, as the
-phase-1 workers of the table path do.
+phase-1 workers of the table path do; select.clean's phase-1 workers
+walk the caller's records.
 `spawn` and `forkserver` are not used because they start helper
 processes (the resource tracker and the fork server) that outlive the
 pool. A fork copies only the calling thread, so no other thread of the

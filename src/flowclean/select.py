@@ -9,18 +9,17 @@ very different traffic volumes. evaluate() resolves each threshold
 once and compares whole centroid columns, returning per cluster the
 index of the rule that decided it, or -1 where the default did.
 
-Cleaning an app has a per-flow part, _flow_rows (each flow's
-payload-prefix verdict, and the feature row of each flow it keeps),
-and a per-app part, _clean_app (standardize, cluster and select those
-rows). The app's run returns the positions of its kept flows, its
-counts and its stage times; the kept flows of every app form the
-cleaned dataset. clean() runs both parts of an app in one fork-pool
-item, on the caller's records. clean_table() runs them in two pools
-on a flow table's records: phase-1 workers parse equal chunks of the
-table in file order, about _CHUNKS_PER_WORKER per worker, and send
-back arrays, not records, so the caller never holds the table's
-records; each phase-2 worker gathers one app's rows from the chunks,
-by label, and clusters them. read_dataset reads a table for train and
+Cleaning runs in two phases, each on a fork pool. Phase 1,
+_flow_rows, is per flow: on equal chunks of the input, in order, about
+_CHUNKS_PER_WORKER per worker, it gives each flow's payload-prefix
+verdict, label and flow_id, and the feature row of each flow it keeps.
+Phase 2, _clean_apps, is per app: each worker gathers one app's rows
+from the chunks, by label, and standardizes, clusters and selects them
+(_clean_app). It returns each app's kept positions in the input, its
+counts and its stage times. clean() runs phase 1 on the caller's flows;
+clean_table() runs it on a flow table's records, on workers that parse
+their chunk and send back arrays, not records, so the caller never
+holds the table's records. read_dataset reads a table for train and
 eval by phase 1 alone, without DPI. Verdicts and feature rows depend on
 nothing but their own flow, so neither the chunks nor the worker count
 change the output. The table's format stays in ingest:
@@ -30,7 +29,6 @@ find bad lines and rewrite rows.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import math
@@ -277,18 +275,188 @@ def check_sizes(k: int, threads: int) -> None:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
 
-def _merge(
-    labels: list[str],
-    results: list[tuple[np.ndarray, AppCounts, dict]],
-    k: int,
-    skip_dpi: bool,
-) -> CleanReport:
-    """The report of apps' (kept, counts, stage times), in label order.
+# Phase-1 chunks per worker. A worker that finishes a chunk takes the
+# next one, so the workers end at most one chunk apart.
+_CHUNKS_PER_WORKER = 8
 
-    Logs each app's DPI counts at info, unless DPI was skipped, and warns
-    of each skipped app.
+
+def _chunk_size(flows: int, workers: int) -> int:
+    """The most flows of one phase-1 chunk, for `flows` flows on `workers` workers."""
+    return max(1, -(-flows // (workers * _CHUNKS_PER_WORKER)))
+
+
+def _chunks(n: int, threads: int) -> list[slice]:
+    """The phase-1 chunks of n flows: equal runs of at most _chunk_size flows, in order.
+
+    A chunk of a table's records stops parsing at its first bad line, so
+    it holds its records in their order: that line must be the lowest
+    bad one it holds.
     """
+    most = _chunk_size(n, min(threads, parallel.usable_cpus()))
+    count = -(-n // most)
+    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
+
+
+class _FlowRows(NamedTuple):
+    """Phase 1's result for a run of flows, from which phase 2 gathers each app's flows."""
+
+    keep: np.ndarray  # each flow's DPI verdict: True where it is kept
+    raw: np.ndarray  # the kept flows' feature rows: NaN for one without packets
+    labels: list[str | None]  # the run's app labels, in the order they first appear
+    codes: np.ndarray  # each flow's label, as its index in labels
+    ids: np.ndarray  # each flow's flow_id
+    timings: dict[str, float]  # dpi and features
+
+
+def _flow_rows(flows: list[FlowRecord], blocklist: Blocklist, skip_dpi: bool) -> _FlowRows:
+    """Phase 1 on a run of flows: each one's DPI verdict, label and
+    flow_id, and the feature row of each flow DPI keeps.
+
+    All are per flow, so an app's flows, gathered in order from runs,
+    give what the app's run gives. A kept flow without packets, which
+    feature_matrix rejects, gets a row of NaN: it is its app's error
+    only if the app is clustered (_clean_app). A table's rows always
+    have packets (parse_flow_row).
+    """
+    t0 = time.perf_counter()
+    if skip_dpi:
+        survivors, keep = flows, np.ones(len(flows), dtype=bool)
+    else:
+        survivors, discarded = filter_flows(flows, blocklist)
+        # filter_flows keeps order: the survivors are the flows not discarded
+        gone = {id(flow) for flow, _ in discarded}
+        keep = np.array([id(flow) not in gone for flow in flows], dtype=bool)
+    t1 = time.perf_counter()
+    try:
+        raw = feature_matrix(survivors)
+    except EmptyFlow:
+        full = [flow.packets_in + flow.packets_out != 0 for flow in survivors]
+        raw = np.full((len(survivors), len(ALL_FEATURES)), np.nan)
+        raw[full] = feature_matrix([flow for flow, f in zip(survivors, full) if f])
+    t2 = time.perf_counter()
+    labels: dict[str | None, int] = {}
+    codes = np.fromiter(
+        (labels.setdefault(flow.app_label, len(labels)) for flow in flows), np.intp, len(flows)
+    )
+    try:
+        ids = np.array([flow.flow_id for flow in flows], dtype=np.int64)
+    except OverflowError:  # a flow_id past int64, as read_flow_lines allows
+        ids = np.array([flow.flow_id for flow in flows], dtype=object)
+    timings = {"dpi": (t1 - t0) * 1e3, "features": (t2 - t1) * 1e3}
+    return _FlowRows(keep, raw, list(labels), codes, ids, timings)
+
+
+def _check_labels(parts: list[_FlowRows]) -> None:
+    """Raise ValueError for the first flow of the parts, in order, with no app label."""
+    for part in parts:
+        missing = np.isin(part.codes, [code for code, label in enumerate(part.labels) if not label])
+        if missing.any():
+            raise ValueError(f"flow {part.ids[np.argmax(missing)]} has no app label")
+
+
+def _clean_app(
+    parts: list[_FlowRows],
+    label: str,
+    *,
+    policy: SelectionPolicy,
+    algorithm: Algorithm,
+    k: int,
+    seed: int,
+    linkage: Linkage,
+) -> tuple[np.ndarray, AppCounts, dict[str, float]]:
+    """Phase 2 for the app of this label: standardize, cluster and select
+    the rows of its flows that DPI kept, gathered from the parts in order.
+
+    Returns the positions of the flows it keeps in the parts' flows, by
+    flow_id (a flow_id that repeats keeps its flows' order), its counts
+    and its stage times besides phase 1's. An app with fewer than
+    max(k, 2) flows after DPI is skipped: all of them are dropped. Else a
+    kept flow without packets raises EmptyFlow.
+    """
+    mine = [
+        part.codes == (part.labels.index(label) if label in part.labels else -1)
+        for part in parts
+    ]
+    starts = np.cumsum([0] + [len(part.keep) for part in parts])
+    where = np.concatenate([np.flatnonzero(m) + start for m, start in zip(mine, starts)])
+    keep = np.concatenate([part.keep[m] for part, m in zip(parts, mine)])
+    raw = np.concatenate([part.raw[m[part.keep]] for part, m in zip(parts, mine)])
+    ids = np.concatenate([part.ids[m] for part, m in zip(parts, mine)])
+
+    timings = dict.fromkeys(_STAGES, 0.0)
+    at = np.flatnonzero(keep)
+    counts = AppCounts(input=len(keep), dpi_discarded=len(keep) - len(at))
+    if len(at) < max(k, 2):
+        counts.skipped = True
+        counts.flows_dropped = len(at)
+        return at[:0], counts, timings
+    empty = np.isnan(raw[:, 0])
+    if empty.any():
+        raise EmptyFlow(f"flow {ids[at[np.argmax(empty)]]} has no packets")
+
+    t1 = time.perf_counter()
+    z, means, stds = standardize(raw[:, : len(CLUSTER_FEATURES)])
+    t2 = time.perf_counter()
+    timings["features"] = (t2 - t1) * 1e3
+
+    if algorithm is Algorithm.KMEANS:
+        model = kmeans(z, k, seed)
+    else:
+        model = hierarchical(z, k, linkage)
+    counts.clusters_formed = model.k
+    t3 = time.perf_counter()
+    timings["cluster"] = (t3 - t2) * 1e3
+
+    rule_index = evaluate(policy, destandardize(model.centroids, means, stds), raw)
+    # index -1 picks the last entry, the default action
+    keeps = np.array(
+        [rule.action is Action.KEEP for rule in policy.rules]
+        + [policy.default_action is Action.KEEP]
+    )
+    kept = at[keeps[rule_index][model.assignments]]
+    counts.flows_kept = len(kept)
+    counts.flows_dropped = len(at) - len(kept)
+    timings["select"] = (time.perf_counter() - t3) * 1e3
+    return where[kept[np.argsort(ids[kept], kind="stable")]], counts, timings
+
+
+def _clean_apps(
+    parts: list[_FlowRows], *, k: int, threads: int, algorithm: Algorithm, skip_dpi: bool,
+    **options,
+) -> tuple[list[np.ndarray], CleanReport]:
+    """Phase 2 on the parts phase 1 gave for an input's runs of flows, in
+    order: each app cleaned by _clean_app, on up to `threads` workers.
+
+    For hierarchical clustering, the workers are further capped at the
+    number of the largest clustered app's n x n matrices that fit in
+    physical memory together. Returns each app's kept positions in the
+    input, in label order, and the report, whose stage times are summed
+    over parts and apps. Logs each app's DPI counts at info, unless DPI
+    was skipped, and warns of each skipped app. Raises ValueError for the
+    first flow with no app label, then the first app's error in label order.
+    """
+    _check_labels(parts)
+    survivors: dict[str, int] = {}  # each app's flows that DPI keeps
+    for part in parts:
+        kept = np.bincount(part.codes[part.keep], minlength=len(part.labels))
+        for label, n in zip(part.labels, kept.tolist()):
+            survivors[label] = survivors.get(label, 0) + n
+    labels = sorted(survivors)
+    # an app with fewer than max(k, 2) flows after DPI is skipped and clusters nothing
+    largest = max((n for n in survivors.values() if n >= max(k, 2)), default=0)
+    workers = threads
+    if algorithm is Algorithm.HIERARCHICAL and largest:
+        workers = min(threads, pair_matrices_that_fit(largest))
+    # the parts reach the workers through the fork
+    results = fork_map(
+        lambda i: _clean_app(parts, labels[i], algorithm=algorithm, k=k, **options),
+        len(labels),
+        workers,
+    )
     report = CleanReport(timings_ms=dict.fromkeys(_STAGES, 0.0))
+    for part in parts:
+        for stage, ms in part.timings.items():
+            report.timings_ms[stage] += ms
     for label, (_, counts, timings) in zip(labels, results):
         if not skip_dpi:
             dpi_logger.info(
@@ -304,127 +472,7 @@ def _merge(
         report.apps[label] = counts
         for stage in _STAGES:
             report.timings_ms[stage] += timings[stage]
-    return report
-
-
-# Phase-1 chunks per worker. A worker that finishes a chunk takes the
-# next one, so the workers end at most one chunk apart.
-_CHUNKS_PER_WORKER = 8
-
-
-def _chunk_size(flows: int, workers: int) -> int:
-    """The most flows of one phase-1 chunk, for `flows` flows on `workers` workers."""
-    return max(1, -(-flows // (workers * _CHUNKS_PER_WORKER)))
-
-
-def _chunks(n: int, threads: int) -> list[slice]:
-    """The phase-1 chunks of n records: equal runs of at most _chunk_size records, in order.
-
-    A chunk stops parsing at its first bad line, so it holds its records
-    in their order: that line must be the lowest bad one it holds.
-    """
-    most = _chunk_size(n, min(threads, parallel.usable_cpus()))
-    count = -(-n // most)
-    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
-
-
-class _FlowRows(NamedTuple):
-    """The per-flow part of cleaning, for a run of flows."""
-
-    keep: np.ndarray  # each flow's DPI verdict: True where it is kept
-    raw: np.ndarray | EmptyFlow  # the kept flows' feature rows, or why they have none
-    timings: dict[str, float]  # dpi and features
-
-
-def _flow_rows(flows: list[FlowRecord], blocklist: Blocklist, skip_dpi: bool) -> _FlowRows:
-    """The per-flow part of cleaning a run of flows: DPI verdicts and feature rows.
-
-    Both are per flow, so an app's flows, gathered in order from runs,
-    give what the app's run gives. feature_matrix's EmptyFlow is kept,
-    not raised: it is the app's error only if the app is clustered. A
-    table's rows always have packets (parse_flow_row), so it never
-    arises on them.
-    """
-    t0 = time.perf_counter()
-    if skip_dpi:
-        survivors, keep = flows, np.ones(len(flows), dtype=bool)
-    else:
-        survivors, discarded = filter_flows(flows, blocklist)
-        # filter_flows keeps order: the survivors are the flows not discarded
-        gone = {id(flow) for flow, _ in discarded}
-        keep = np.array([id(flow) not in gone for flow in flows], dtype=bool)
-    t1 = time.perf_counter()
-    try:
-        raw = feature_matrix(survivors)
-    except EmptyFlow as exc:
-        raw = exc
-    t2 = time.perf_counter()
-    return _FlowRows(keep, raw, {"dpi": (t1 - t0) * 1e3, "features": (t2 - t1) * 1e3})
-
-
-def _clean_app(
-    app: _FlowRows,
-    *,
-    policy: SelectionPolicy,
-    algorithm: Algorithm,
-    k: int,
-    seed: int,
-    linkage: Linkage,
-) -> tuple[np.ndarray, AppCounts, dict[str, float]]:
-    """The per-app part: standardize, cluster and select the rows of the flows DPI kept.
-
-    Returns the positions of the flows it keeps, in flow order, its
-    counts and its stage times, phase 1's included. An app with fewer
-    than max(k, 2) flows after DPI is skipped: all of them are dropped.
-    """
-    timings = dict.fromkeys(_STAGES, 0.0) | app.timings
-    at = np.flatnonzero(app.keep)
-    counts = AppCounts(input=len(app.keep), dpi_discarded=len(app.keep) - len(at))
-    if len(at) < max(k, 2):
-        counts.skipped = True
-        counts.flows_dropped = len(at)
-        return at[:0], counts, timings
-    if isinstance(app.raw, EmptyFlow):
-        raise app.raw
-
-    t1 = time.perf_counter()
-    z, means, stds = standardize(app.raw[:, : len(CLUSTER_FEATURES)])
-    t2 = time.perf_counter()
-    timings["features"] += (t2 - t1) * 1e3
-
-    if algorithm is Algorithm.KMEANS:
-        model = kmeans(z, k, seed)
-    else:
-        model = hierarchical(z, k, linkage)
-    counts.clusters_formed = model.k
-    t3 = time.perf_counter()
-    timings["cluster"] = (t3 - t2) * 1e3
-
-    rule_index = evaluate(policy, destandardize(model.centroids, means, stds), app.raw)
-    # index -1 picks the last entry, the default action
-    keeps = np.array(
-        [rule.action is Action.KEEP for rule in policy.rules]
-        + [policy.default_action is Action.KEEP]
-    )
-    kept = at[keeps[rule_index][model.assignments]]
-    counts.flows_kept = len(kept)
-    counts.flows_dropped = len(at) - len(kept)
-    timings["select"] = (time.perf_counter() - t3) * 1e3
-    return kept, counts, timings
-
-
-def _workers(threads: int, algorithm: Algorithm, k: int, rows: list[int]) -> int:
-    """threads, capped for hierarchical clustering at the number of the
-    largest clustered app's n x n matrices that fit in physical memory together.
-
-    rows holds each app's rows after DPI, or a bound on them; an app with
-    fewer than max(k, 2) is skipped and clusters nothing. The worker count
-    does not change the results.
-    """
-    largest = max((n for n in rows if n >= max(k, 2)), default=0)
-    if algorithm is Algorithm.HIERARCHICAL and largest:
-        return min(threads, pair_matrices_that_fit(largest))
-    return threads
+    return [kept for kept, _, _ in results], report
 
 
 def clean(
@@ -440,61 +488,42 @@ def clean(
 ) -> tuple[list[FlowRecord], CleanReport]:
     """Run the full cleaning pipeline over labeled flows.
 
-    Flows are grouped by app label and each app is cleaned on its own:
-    payload filtering, per-app feature standardization, clustering
-    into k groups, and policy-based cluster selection. Apps whose
-    post-filter flow count is below max(k, 2) cannot be clustered;
-    they are skipped (all surviving flows dropped) and flagged in the
-    report. Returns kept flows sorted by (app_label, flow_id).
+    Each app is cleaned on its own: payload filtering, per-app feature
+    standardization, clustering into k groups, and policy-based cluster
+    selection. Apps whose post-filter flow count is below max(k, 2)
+    cannot be clustered; they are skipped (all surviving flows dropped)
+    and flagged in the report. Returns kept flows sorted by (app_label,
+    flow_id), stably.
 
-    threads caps the worker processes that clean apps, further capped
-    by the app count, the CPUs this process may run on (see
-    parallel.fork_map) and, for hierarchical clustering, the largest
-    app's distance matrices that fit in physical memory together; apps
-    are independent and results are merged in sorted label order, so
-    the worker count never changes the output, and the first failing
-    app's error in label order is raised. k and threads must be >= 1.
-    Stage times in the report are summed over apps, while total is
-    wall time.
+    threads caps the worker processes of phase 1 (_flow_rows, on equal
+    chunks of flows in order) and then of phase 2 (_clean_apps, on
+    apps); see parallel.fork_map. Neither the chunks nor the worker
+    count change the output. The first flow with no app label raises
+    ValueError, then the first failing app's error in label order is
+    raised. k and threads must be >= 1. Stage times in the report are
+    summed over chunks and apps, while total is wall time.
     """
     check_sizes(k, threads)
-    by_app: dict[str, list[FlowRecord]] = {}
-    for flow in flows:
-        if not flow.app_label:
-            raise ValueError(f"flow {flow.flow_id} has no app label")
-        by_app.setdefault(flow.app_label, []).append(flow)
-
-    labels = sorted(by_app)
-    run = functools.partial(
-        _clean_app, policy=policy, algorithm=algorithm, k=k, seed=seed, linkage=linkage
-    )
-    # an app's flow count bounds its rows after DPI
-    workers = _workers(threads, algorithm, k, [len(by_app[label]) for label in labels])
     total_start = time.perf_counter()
-    # The records are this process's, and a worker walking them copies
-    # their pages, so each app runs both parts in one item: chunks and a
-    # second pool cost more than they balance on records in memory.
-    results = fork_map(
-        lambda i: run(_flow_rows(by_app[labels[i]], blocklist, skip_dpi)), len(labels), workers
+    chunks = _chunks(len(flows), threads)
+    parts = fork_map(
+        lambda i: _flow_rows(flows[chunks[i]], blocklist, skip_dpi), len(chunks), threads
     )
-    report = _merge(labels, results, k, skip_dpi)
-    cleaned: list[FlowRecord] = []
-    for label, (kept, _, _) in zip(labels, results):
-        app_flows = by_app[label]
-        cleaned.extend(app_flows[i] for i in kept.tolist())
+    apps, report = _clean_apps(
+        parts, policy=policy, algorithm=algorithm, k=k, seed=seed, linkage=linkage,
+        skip_dpi=skip_dpi, threads=threads,
+    )
+    cleaned = [flows[i] for kept in apps for i in kept.tolist()]
     report.timings_ms["total"] = (time.perf_counter() - total_start) * 1e3
-    cleaned.sort(key=lambda f: (f.app_label or "", f.flow_id))
     return cleaned, report
 
 
 class _Lines(NamedTuple):
-    """What a phase-1 worker (_parse_table) sends back for a chunk of the table's records."""
+    """What a phase-1 worker (_read_chunk) sends back for a chunk of the table's records."""
 
     run: FlowLines  # without its flows
     rows: _FlowRows | None  # None after a bad line
     texts: dict[int, bytes]  # rewritten_rows of the flows DPI keeps
-    labels: list[str | None]  # the chunk's app labels, in the order they first appear
-    codes: np.ndarray  # each flow's label, as its index in labels
 
 
 def _read_chunk(
@@ -504,24 +533,18 @@ def _read_chunk(
     run = read_flow_lines(table, rows)
     flows, run = run.flows, run._replace(flows=[])  # records stay in the worker
     if run.error is not None:
-        return _Lines(run, None, {}, [], np.empty(0, np.intp))
-    labels: dict[str | None, int] = {}
-    codes = np.fromiter(
-        (labels.setdefault(flow.app_label, len(labels)) for flow in flows), np.intp, len(flows)
-    )
+        return _Lines(run, None, {})
     part = _flow_rows(flows, blocklist, skip_dpi)
     kept = np.flatnonzero(part.keep).tolist()
-    texts = rewritten_rows(table, rows[kept], [flows[i] for i in kept])
-    return _Lines(run, part, texts, list(labels), codes)
+    return _Lines(run, part, rewritten_rows(table, rows[kept], [flows[i] for i in kept]))
 
 
 def _parse_table(
     table: FlowTableLines, blocklist: Blocklist, skip_dpi: bool, threads: int
-) -> tuple[list[slice], list[_Lines], dict[int, bytes]]:
-    """Phase 1 on every record of table, on up to `threads` workers: its
-    chunks, each chunk's _read_chunk, and their rewritten rows by line.
-    Raises what read_flow_table and then clean() would raise first: the
-    lowest bad line, then the first flow without a label."""
+) -> tuple[list[_FlowRows], dict[int, bytes]]:
+    """Phase 1 on every record of table, on up to `threads` workers: each
+    chunk's _flow_rows, in file order, and their rewritten rows by line.
+    Raises what read_flow_table would raise: the lowest bad line."""
     chunks = _chunks(len(table.records), threads)
     parsed = fork_map(
         lambda i: _read_chunk(table, table.records[chunks[i]], blocklist, skip_dpi),
@@ -529,43 +552,20 @@ def _parse_table(
         threads,
     )
     check_flow_lines(table, [chunk.run for chunk in parsed])
-    for chunk in parsed:
-        if None in chunk.labels:
-            at = int(np.argmax(chunk.codes == chunk.labels.index(None)))
-            raise ValueError(f"flow {int(chunk.run.ids[at])} has no app label")
-    return chunks, parsed, {line: text for chunk in parsed for line, text in chunk.texts.items()}
+    texts = {line: text for chunk in parsed for line, text in chunk.texts.items()}
+    return [chunk.rows for chunk in parsed], texts
 
 
 def read_dataset(table: FlowTableLines, threads: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """classify.dataset's rows and labels of table's records, in file order,
-    and their rewritten rows by line: phase 1 without DPI (_parse_table)."""
-    _, parsed, texts = _parse_table(table, DEFAULT_BLOCKLIST, True, threads)
-    x = np.concatenate([np.empty((0, len(ALL_FEATURES))), *(c.rows.raw for c in parsed)])
-    labels = [np.empty(0, object), *(np.array(c.labels, dtype=object)[c.codes] for c in parsed)]
+    and their rewritten rows by line: phase 1 without DPI (_parse_table).
+    Raises what read_flow_table and then clean() would raise first: the
+    lowest bad line, then the first flow with no app label."""
+    parts, texts = _parse_table(table, DEFAULT_BLOCKLIST, True, threads)
+    _check_labels(parts)
+    x = np.concatenate([np.empty((0, len(ALL_FEATURES))), *(part.raw for part in parts)])
+    labels = [np.empty(0, object), *(np.array(p.labels, dtype=object)[p.codes] for p in parts)]
     return x, np.concatenate(labels), texts
-
-
-def _clean_chunked_app(
-    table: FlowTableLines, chunks: list[slice], parsed: list[_Lines], label: str, run
-) -> tuple[np.ndarray, AppCounts, dict[str, float]]:
-    """Phase 2 for the app of this label: its flows' verdicts and feature
-    rows gathered from the chunks in file order, cleaned by run (_clean_app).
-
-    Returns the records of the flows it keeps, in flow_id order, its
-    counts and its stage times.
-    """
-    mine = [
-        chunk.codes == (chunk.labels.index(label) if label in chunk.labels else -1)
-        for chunk in parsed
-    ]
-    at, counts, timings = run(_FlowRows(
-        np.concatenate([chunk.rows.keep[m] for chunk, m in zip(parsed, mine)]),
-        np.concatenate([chunk.rows.raw[m[chunk.rows.keep]] for chunk, m in zip(parsed, mine)]),
-        {},  # phase 1's times are the chunks', which clean_table adds up
-    ))
-    ids = np.concatenate([chunk.run.ids[m] for chunk, m in zip(parsed, mine)])
-    records = np.concatenate([table.records[c][m] for c, m in zip(chunks, mine)])
-    return records[at[np.argsort(ids[at])]], counts, timings
 
 
 def clean_table(
@@ -582,35 +582,20 @@ def clean_table(
     """clean() on an indexed flow table, without its records in this process.
 
     Phase 1 (_parse_table) parses the table's records in chunks, on
-    workers that send back arrays (_Lines), not records; phase 2 cleans
-    each app, as clean() cleans an app, from its rows gathered from the
-    chunks. Stage times in the report are summed over chunks and apps.
-    Returns what write_flow_lines writes the cleaned table from: each
-    app's kept records in flow_id order, in label order, and the
-    rewritten rows by line; and the report.
+    workers that send back arrays (_Lines), not records; phase 2
+    (_clean_apps) is clean()'s. Returns what write_flow_lines writes the
+    cleaned table from: each app's kept records in flow_id order, in
+    label order, and the rewritten rows by line; and the report.
 
-    Raises what _parse_table raises, then the first app's error in
-    label order, as read_flow_table and then clean() would.
+    Raises what _parse_table raises, then what clean() raises, as
+    read_flow_table and then clean() would.
     """
     check_sizes(k, threads)
     total_start = time.perf_counter()
-    chunks, parsed, texts = _parse_table(table, blocklist, skip_dpi, threads)
-    survivors: dict[str, int] = {}  # each app's flows that DPI keeps
-    for chunk in parsed:
-        kept = np.bincount(chunk.codes[chunk.rows.keep], minlength=len(chunk.labels))
-        for label, n in zip(chunk.labels, kept.tolist()):
-            survivors[label] = survivors.get(label, 0) + n
-    labels = sorted(survivors)
-    run = functools.partial(
-        _clean_app, policy=policy, algorithm=algorithm, k=k, seed=seed, linkage=linkage
+    parts, texts = _parse_table(table, blocklist, skip_dpi, threads)
+    apps, report = _clean_apps(
+        parts, policy=policy, algorithm=algorithm, k=k, seed=seed, linkage=linkage,
+        skip_dpi=skip_dpi, threads=threads,
     )
-    workers = _workers(threads, algorithm, k, [survivors[label] for label in labels])
-    # the chunks reach the workers through the fork
-    results = fork_map(
-        lambda i: _clean_chunked_app(table, chunks, parsed, labels[i], run), len(labels), workers
-    )
-    report = _merge(labels, results, k, skip_dpi)
-    for stage in ("dpi", "features"):
-        report.timings_ms[stage] += sum(chunk.rows.timings[stage] for chunk in parsed)
     report.timings_ms["total"] = (time.perf_counter() - total_start) * 1e3
-    return ([records for records, _, _ in results], texts), report
+    return ([table.records[kept] for kept in apps], texts), report

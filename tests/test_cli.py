@@ -325,6 +325,7 @@ def test_train_checks_its_options_before_reading_the_table(
         ("--threads", "0", "threads must be >= 1, got 0"),
         ("--train-frac", "1.5", "train_frac must be in (0, 1)"),
         ("--train-frac", "0", "train_frac must be in (0, 1)"),
+        ("--algorithm", ",", "compare needs at least one algorithm"),
     ],
 )
 def test_compare_checks_its_options_before_generating_flows(
@@ -1042,6 +1043,16 @@ def _wide_histogram_row(doc):
     doc["trees"][0]["histogram"][0].append(0)
 
 
+def _no_trees(doc):
+    doc["trees"], doc["config"]["n_trees"] = [], 0
+
+
+def _config(key, value):
+    def edit(doc):
+        doc["config"][key] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     pytest.param(None, "not a forest model: Expecting value", id="not-json"),
     pytest.param(_drop_config, "missing key 'config'", id="missing-key"),
@@ -1054,6 +1065,16 @@ def _wide_histogram_row(doc):
     pytest.param(_wide_histogram_row,
                  "tree 0 node 0: histogram row has 3 counts for 2 labels",
                  id="histogram"),
+    pytest.param(_no_trees, "config: n_trees must be >= 1, got 0", id="no-trees"),
+    pytest.param(_config("max_depth", -5), "config: max_depth must be >= 1, got -5",
+                 id="max-depth"),
+    pytest.param(_config("features_per_split", 99),
+                 "config: features_per_split must be in [1, 8], got 99", id="features-per-split"),
+    pytest.param(_config("seed", 1.7), "config: seed is 1.7, not an integer", id="seed"),
+    pytest.param(_config("min_leaf", True), "config: min_leaf is true, not an integer",
+                 id="bool"),
+    pytest.param(_config("n_trees", "2"), 'config: n_trees is "2", not an integer',
+                 id="string"),
 ])
 def test_eval_rejects_a_malformed_model(trained, tmp_path, capsys, edit, message):
     model, holdout, doc = trained

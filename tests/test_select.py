@@ -11,14 +11,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import flowclean.select as select_mod
-from flowclean.cluster import Algorithm, Linkage
-from flowclean.dpi import Blocklist
+from flowclean.cluster import Algorithm, Linkage, hierarchical, kmeans
+from flowclean.dpi import Blocklist, DEFAULT_BLOCKLIST, filter_flows
 from flowclean.errors import EmptyFlow, InvariantViolation, ParseError, UnclusterableMatrix
-from flowclean.features import CLUSTER_FEATURES, feature_matrix
+from flowclean.features import CLUSTER_FEATURES, destandardize, feature_matrix, standardize
 from flowclean.ingest import write_flow_table
 from flowclean.select import (
     Action,
     AppCounts,
+    CleanReport,
     DEFAULT_POLICY,
     Predicate,
     Rule,
@@ -420,8 +421,17 @@ def _app(label: str, first_id: int, n: int, empty_at: int | None = None) -> list
     ]
 
 
+def _chunks_of(patch, size: int) -> None:
+    patch.setattr(select_mod, "_chunk_size", lambda flows, workers: size)
+
+
+@pytest.mark.parametrize("chunk_size", [None, 1])
 @pytest.mark.parametrize("threads", [1, 2])
-def test_clean_raises_the_first_apps_error_in_label_order(many_cpus, monkeypatch, threads):
+def test_clean_raises_the_first_apps_error_in_label_order(
+    many_cpus, monkeypatch, threads, chunk_size
+):
+    if chunk_size is not None:
+        _chunks_of(monkeypatch, chunk_size)
     monkeypatch.setattr(select_mod, "kmeans", _unclusterable)
     # app a fails in clustering, app b in its features; b comes first in the input
     with pytest.raises(UnclusterableMatrix, match="^9 rows$"):
@@ -436,6 +446,99 @@ def test_clean_raises_the_first_apps_error_in_label_order(many_cpus, monkeypatch
     )
     assert report.apps["b"].skipped and report.apps["b"].flows_dropped == 3
     assert [f.flow_id for f in cleaned] == list(range(9))
+
+
+def reference_clean(
+    flows,
+    blocklist=DEFAULT_BLOCKLIST,
+    policy=DEFAULT_POLICY,
+    algorithm=Algorithm.KMEANS,
+    k=4,
+    seed=42,
+    linkage=Linkage.WARD,
+    skip_dpi=False,
+):
+    """The flows clean keeps and a report of its per-app counts, as clean
+    made them with one item per app: the flows grouped by label, each app
+    in label order filtered, featurized, standardized, clustered and
+    selected, and the kept flows sorted by (app_label, flow_id)."""
+    by_app = {}
+    for flow in flows:
+        if not flow.app_label:
+            raise ValueError(f"flow {flow.flow_id} has no app label")
+        by_app.setdefault(flow.app_label, []).append(flow)
+    cleaned, apps = [], {}
+    keeps = [rule.action is Action.KEEP for rule in policy.rules]
+    keeps.append(policy.default_action is Action.KEEP)  # index -1: the default
+    for label in sorted(by_app):
+        app = by_app[label]
+        survivors = app if skip_dpi else filter_flows(app, blocklist)[0]
+        counts = apps[label] = AppCounts(input=len(app), dpi_discarded=len(app) - len(survivors))
+        if len(survivors) < max(k, 2):
+            counts.skipped, counts.flows_dropped = True, len(survivors)
+            continue
+        raw = feature_matrix(survivors)  # an app too small to cluster never gets here
+        z, means, stds = standardize(raw[:, : len(CLUSTER_FEATURES)])
+        model = kmeans(z, k, seed) if algorithm is Algorithm.KMEANS else hierarchical(z, k, linkage)
+        decided = evaluate(policy, destandardize(model.centroids, means, stds), raw)
+        kept = [flow for flow, c in zip(survivors, model.assignments) if keeps[decided[c]]]
+        counts.clusters_formed = model.k
+        counts.flows_kept, counts.flows_dropped = len(kept), len(survivors) - len(kept)
+        cleaned.extend(kept)
+    cleaned.sort(key=lambda flow: (flow.app_label, flow.flow_id))
+    return cleaned, CleanReport(apps=apps)
+
+
+def _outcome(run, flows, **options):
+    """run's kept flows and per-app counts, or the type and text of its error."""
+    try:
+        cleaned, report = run(flows, **options)
+    except (ValueError, EmptyFlow) as exc:
+        return type(exc), str(exc)
+    return cleaned, report.apps
+
+
+def _ids_repeat(label: str, n: int) -> list:
+    """n flows of app label whose flow_ids repeat: 0, 1, 2, 0, 1, 2, ..."""
+    return [make_flow(flow_id=i % 3, app_label=label, bytes_in=1000 * (i % 7 + 1),
+                      packets_in=i % 5 + 1) for i in range(n)]
+
+
+def _interleave(*apps: list) -> list:
+    return [flow for group in zip(*apps) for flow in group]
+
+
+# the no-packet flow of a skipped app (b) sits between flows of a clustered one
+_SKIPPED_EMPTY = _interleave(_app("a", 0, 3), _app("b", 100, 3, empty_at=1)) + _app("a", 3, 6)
+_ENGINE_CASES = {
+    "runs cut by chunks": _app("b", 0, 9) + _app("a", 9, 6) + _app("c", 15, 8),
+    "interleaved apps": _interleave(_app("b", 0, 9), _app("a", 100, 9), _app("c", 50, 9)),
+    "no packets in a skipped app": _SKIPPED_EMPTY,
+    "no packets in a clustered app": _app("a", 0, 9) + _app("b", 100, 9, empty_at=4),
+    "flow_ids that repeat": _interleave(_ids_repeat("b", 40), _ids_repeat("a", 40)),
+    # flow_ids past int64 and below 0, which no 64-bit integer type holds, in falling order
+    "flow_ids past int64": _app("b", 2**63, 9)[::-1] + _app("a", -9, 9)[::-1],
+    "no label": _app("b", 0, 9) + [make_flow(flow_id=77, app_label=None)] + _app("a", 9, 5),
+    "empty label": _app("b", 0, 9, empty_at=2) + [make_flow(flow_id=78, app_label="")],
+}
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+@pytest.mark.parametrize("case", ["small_capture", *_ENGINE_CASES])
+def test_clean_matches_the_reference_at_any_chunk_size(
+    small_capture, many_cpus, monkeypatch, case, algorithm
+):
+    """Chunks of 1 flow, of 7 flows and of the whole input, at one to
+    three workers, give reference_clean's kept flows and per-app counts,
+    or its error."""
+    flows = small_capture[0] if case == "small_capture" else _ENGINE_CASES[case]
+    options = dict(algorithm=algorithm, seed=7, policy=parse_rules("keep ratio > 0.5"))
+    expected = _outcome(reference_clean, flows, **options)
+    assert _outcome(clean, flows, **options) == expected
+    for size in (1, 7, 10**9):
+        _chunks_of(monkeypatch, size)
+        for threads in (1, 2, 3):
+            assert _outcome(clean, flows, threads=threads, **options) == expected
 
 
 @pytest.mark.parametrize("threads", [0, -3])
