@@ -5,8 +5,8 @@ score it on held-out flows, and compare against a forest trained on
 ground-truth-cleaned data. Trees use axis-aligned splits chosen by
 Gini impurity over the 6 clustering features plus the 2 auxiliary
 mean-size features. dataset() turns flows into those feature rows and
-their app labels, and is the only reader of a flow here: split, train
-and evaluate take rows and labels.
+their app labels, and is the only reader of a flow here: split, train,
+evaluate and train_and_evaluate take rows and labels.
 
 A tree is defined node by node in preorder. A node is a leaf at
 max_depth, with fewer than 2 * min_leaf rows or with one class;
@@ -64,6 +64,14 @@ training set once and is sent only block indices, and the pool is shut
 down before train returns, so no process outlives the call. The model
 is the same for every worker count and block size.
 Prediction ties break toward the lexicographically smallest label.
+
+Scoring: evaluate scores a ForestModel in the calling process, as
+`flowclean eval` does. train_and_evaluate, which `flowclean compare`
+uses, scores the test rows in the workers that grow the trees: each
+block sends back its trees' class votes per test row, their node and
+leaf counts and depth, and the parent sums the votes, so no tree
+crosses the pool. Votes are integers, so the sum, and the Metrics, are
+those of train then evaluate, for every worker count and block size.
 """
 
 from __future__ import annotations
@@ -71,7 +79,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Sequence
+import time
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -192,13 +201,22 @@ class ForestModel:
 
     def predict_matrix(self, x: np.ndarray) -> list[str]:
         x = np.asarray(x, dtype=np.float64)
-        votes = np.zeros((x.shape[0], len(self.labels)), dtype=np.int64)
-        for tree in self.trees:
-            pred = tree.predict_class(x)
-            votes[np.arange(x.shape[0]), pred] += 1
-        # argmax takes the first maximum: lexicographically smallest label
-        winners = np.argmax(votes, axis=1)
-        return [self.labels[w] for w in winners]
+        return _winners(self.labels, _votes(self.trees, x, len(self.labels)))
+
+
+def _votes(trees: Sequence[_Tree], x: np.ndarray, n_classes: int) -> np.ndarray:
+    """How many of trees predict each class for each row of x: one int64
+    row per row of x, one column per class."""
+    votes = np.zeros((x.shape[0], n_classes), dtype=np.int64)
+    for tree in trees:
+        votes[np.arange(x.shape[0]), tree.predict_class(x)] += 1
+    return votes
+
+
+def _winners(labels: list[str], votes: np.ndarray) -> list[str]:
+    """Each row's most voted label."""
+    # argmax takes the first maximum: lexicographically smallest label
+    return [labels[w] for w in np.argmax(votes, axis=1).tolist()]
 
 
 # At most this many rows are scored in one pass of a growth step; a node
@@ -513,6 +531,42 @@ def check_forest(
                          f"got {features_per_split}")
 
 
+def _grow_blocks(
+    task: Callable[[range, tuple], object],
+    x: np.ndarray,
+    labels: Sequence[str],
+    n_trees: int,
+    max_depth: int,
+    min_leaf: int,
+    features_per_split: int,
+    seed: int,
+    workers: int,
+) -> tuple[list[str], list]:
+    """Run task(trees, job) for each block of the forest's trees, on up
+    to `workers` processes; see train for the arguments.
+
+    job is what _grow_block takes. Returns the sorted distinct labels and
+    the blocks' results in block order. Raises what check_forest raises,
+    then SingleClass for fewer than 2 distinct labels.
+    """
+    check_forest(n_trees, max_depth, min_leaf, features_per_split, workers)
+    classes, y = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
+    if len(classes) < 2:
+        raise SingleClass(f"need >= 2 classes, got {classes.tolist()}")
+    # dense rank of every value in its column, one row per feature
+    ranks = np.array(
+        [np.unique(column, return_inverse=True)[1] for column in x.T], dtype=np.int64
+    )
+    job = (x, ranks, y, len(classes), max_depth, min_leaf, features_per_split, seed)
+    workers = min(workers, n_trees, parallel.usable_cpus())
+    # at least one block per worker
+    size = min(_BLOCK_TREES, -(-n_trees // workers))
+    blocks = [range(t, min(t + size, n_trees)) for t in range(0, n_trees, size)]
+    return classes.tolist(), parallel.fork_map(
+        lambda i: task(blocks[i], job), len(blocks), workers
+    )
+
+
 def train(
     x: np.ndarray,
     labels: Sequence[str],
@@ -531,25 +585,13 @@ def train(
     same for every worker count. Where the platform cannot fork, trees
     grow in this process. Raises what check_forest raises.
     """
-    check_forest(n_trees, max_depth, min_leaf, features_per_split, workers)
-    classes, y = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
-    if len(classes) < 2:
-        raise SingleClass(f"need >= 2 classes, got {classes.tolist()}")
-    # dense rank of every value in its column, one row per feature
-    ranks = np.array(
-        [np.unique(column, return_inverse=True)[1] for column in x.T], dtype=np.int64
+    classes, grown = _grow_blocks(
+        _grow_block, x, labels, n_trees, max_depth, min_leaf, features_per_split, seed, workers
     )
-    job = (x, ranks, y, len(classes), max_depth, min_leaf, features_per_split, seed)
-    workers = min(workers, n_trees, parallel.usable_cpus())
-    # at least one block per worker
-    size = min(_BLOCK_TREES, -(-n_trees // workers))
-    blocks = [range(t, min(t + size, n_trees)) for t in range(0, n_trees, size)]
-    grown = parallel.fork_map(lambda i: _grow_block(blocks[i], job), len(blocks), workers)
-    trees = [tree for block in grown for tree in block]
     return ForestModel(
-        labels=classes.tolist(),
+        labels=classes,
         feature_names=list(ALL_FEATURES),
-        trees=trees,
+        trees=[tree for block in grown for tree in block],
         n_trees=n_trees,
         max_depth=max_depth,
         min_leaf=min_leaf,
@@ -624,23 +666,90 @@ def evaluate(model: ForestModel, x: np.ndarray, labels: Sequence[str]) -> Metric
     )
 
 
+def _score_block(trees: range, job: tuple, x: np.ndarray) -> tuple:
+    """Grow trees `trees` (_grow_block) and vote with them on the rows x.
+
+    Returns the votes (_votes), the trees' node and leaf counts, the
+    depth of their deepest leaf and the seconds the voting took.
+    """
+    grown = _grow_block(trees, job)
+    start = time.perf_counter()
+    votes = _votes(grown, x, job[3])
+    score_s = time.perf_counter() - start
+    return (
+        votes,
+        sum(len(tree.feature) for tree in grown),
+        sum(int((tree.feature < 0).sum()) for tree in grown),
+        max(tree.depth() for tree in grown),
+        score_s,
+    )
+
+
+def train_and_evaluate(
+    x: np.ndarray,
+    labels: Sequence[str],
+    x_test: np.ndarray,
+    labels_test: Sequence[str],
+    n_trees: int = 100,
+    max_depth: int = 16,
+    min_leaf: int = 2,
+    features_per_split: int = 3,
+    seed: int = 42,
+    workers: int = 1,
+) -> tuple[Metrics, dict[str, int], float]:
+    """evaluate(train(x, labels, ...), x_test, labels_test), with no model.
+
+    Each worker grows its blocks of trees and scores x_test with them,
+    and sends back only each row's class votes and the trees' sizes, so
+    no tree leaves the worker. Votes are integers, so their sum over
+    blocks does not depend on the block layout. Returns the Metrics; the
+    forest's size as {"trees", "nodes", "leaves", "depth"}, depth being
+    that of its deepest leaf (a lone root leaf has depth 0); and the
+    seconds spent voting, summed over blocks. Raises what train raises,
+    then EmptyTest for no test rows.
+    """
+    x_test = np.asarray(x_test, dtype=np.float64)
+    classes, scored = _grow_blocks(
+        lambda trees, job: _score_block(trees, job, x_test),
+        x, labels, n_trees, max_depth, min_leaf, features_per_split, seed, workers,
+    )
+    if not len(labels_test):
+        raise EmptyTest("test set is empty")
+    votes, nodes, leaves, depth, score_s = zip(*scored)
+    metrics = compute_metrics(
+        list(labels_test), _winners(classes, sum(votes)), extra_labels=classes,
+        config={"n_trees": n_trees, "max_depth": max_depth, "min_leaf": min_leaf,
+                "features_per_split": features_per_split, "seed": seed},
+    )
+    size = {"trees": n_trees, "nodes": sum(nodes), "leaves": sum(leaves), "depth": max(depth)}
+    return metrics, size, sum(score_s)
+
+
 # A dumped tree's node arrays and their dtypes.
 _TREE_ARRAYS = {"feature": np.int64, "threshold": np.float64, "left": np.int64,
                 "right": np.int64, "histogram": np.int64}
 
 
 def write_model(model: ForestModel, path: str | Path) -> None:
-    """Dump the forest as JSON: config, labels, and per-tree arrays."""
-    doc = {
+    """Dump the forest as JSON: config, labels, and per-tree arrays.
+
+    The file is json.dumps of one document with a "trees" list after
+    the rest, and a newline; it is written one tree at a time, so only
+    one tree's text is held at once.
+    """
+    head = json.dumps({
         "labels": model.labels,
         "feature_names": model.feature_names,
         "config": model.config_dict(),
-        "trees": [
-            {name: getattr(tree, name).tolist() for name in _TREE_ARRAYS}
-            for tree in model.trees
-        ],
-    }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    })
+    with open(path, "w") as fh:
+        # json.dumps separates items with ", " and a key from its value with ": "
+        fh.write(head[:-1] + ', "trees": [')
+        for t, tree in enumerate(model.trees):
+            if t:
+                fh.write(", ")
+            fh.write(json.dumps({name: getattr(tree, name).tolist() for name in _TREE_ARRAYS}))
+        fh.write("]}\n")
 
 
 def read_model(path: str | Path) -> ForestModel:

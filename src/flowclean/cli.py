@@ -268,11 +268,14 @@ def run_compare(
     once (classify.dataset), which are split 75/25 within the arm.
     Each cleaner runs once. threads caps both the worker processes that
     clean apps and those that grow each forest; neither changes the
-    report outside its timings. timings_ms holds milliseconds: each
+    report outside its timings. Each arm's forest is scored in the
+    workers that grow it (classify.train_and_evaluate), which send back
+    the test rows' votes, not trees. timings_ms holds milliseconds: each
     clean's own stage times (clean_<alg>_<stage> for dpi, features,
     cluster, select and total; stage times are summed over worker
-    processes, total is wall time) and each arm's forest training
-    (train_<arm>) and scoring (eval_<arm>). forest holds each arm's
+    processes, total is wall time), each arm's forest training and
+    scoring in wall time (train_<arm>) and its scoring alone, summed
+    over workers (eval_<arm>). forest holds each arm's
     tree, node and leaf counts and the depth of its deepest leaf. The
     report's content_sha256 covers config and arms: everything except
     timings_ms, forest and the generation timestamp. No algorithm, or
@@ -313,25 +316,18 @@ def run_compare(
         x, labels = classify.dataset(arm_flows)
         train_rows, test_rows = classify.split(labels, train_frac=train_frac, seed=seed)
         t0 = time.perf_counter()
-        model = classify.train(x[train_rows], labels[train_rows], seed=seed, workers=threads)
-        t1 = time.perf_counter()
-        metrics = classify.evaluate(model, x[test_rows], labels[test_rows])
-        timings_ms[f"train_{name}"] = (t1 - t0) * 1e3
-        timings_ms[f"eval_{name}"] = (time.perf_counter() - t1) * 1e3
+        metrics, forest[name], score_s = classify.train_and_evaluate(
+            x[train_rows], labels[train_rows], x[test_rows], labels[test_rows],
+            seed=seed, workers=threads,
+        )
+        timings_ms[f"train_{name}"] = (time.perf_counter() - t0) * 1e3
+        timings_ms[f"eval_{name}"] = score_s * 1e3
         arm_results[name] = {
             "flows": len(arm_flows),
             "train": len(train_rows),
             "test": len(test_rows),
             "metrics": metrics.to_json_dict(),
         }
-        forest[name] = {
-            "trees": len(model.trees),
-            "nodes": sum(len(tree.feature) for tree in model.trees),
-            "leaves": sum(int((tree.feature < 0).sum()) for tree in model.trees),
-            "depth": max(tree.depth() for tree in model.trees),
-        }
-        # freed before the next arm's trees arrive
-        del model
     oracle = arm_results["oracle"]["metrics"]
     for name, result in arm_results.items():
         m = result["metrics"]

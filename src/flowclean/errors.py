@@ -20,6 +20,10 @@ class EmptyFlow(FlowcleanError):
     """Feature extraction was asked to process a flow with zero packets."""
 
 
+class CounterOutOfRange(FlowcleanError):
+    """Feature extraction was given a flow counter or timestamp beyond float64's range."""
+
+
 class TooFewRows(FlowcleanError):
     """An operation needs more rows than the matrix provides."""
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyFlow, TooFewRows
+from .errors import CounterOutOfRange, EmptyFlow, TooFewRows
 from .ingest import FlowRecord
 
 CLUSTER_FEATURES = (
@@ -29,33 +29,57 @@ CLUSTER_FEATURES = (
 )
 AUX_FEATURES = ("mean_header_size", "mean_payload_size")
 ALL_FEATURES = CLUSTER_FEATURES + AUX_FEATURES
+# the FlowRecord fields feature_matrix reads, in the order it reads them
+_COUNTERS = (
+    "bytes_in",
+    "bytes_out",
+    "packets_in",
+    "packets_out",
+    "first_ts_us",
+    "last_ts_us",
+    "header_bytes_total",
+    "payload_bytes_total",
+)
 
 
 def feature_matrix(flows: list[FlowRecord]) -> np.ndarray:
     """n x 8 raw feature array in ALL_FEATURES order, rows in input order.
 
-    The ratio of a flow with no bytes either way is 0. Raises EmptyFlow
-    for the first flow with no packets. Counters and their sums below
-    2**53 convert to float64 exactly, so each value is what the same
-    arithmetic on Python ints gives.
+    The ratio of a flow with no bytes either way is 0. Raises
+    CounterOutOfRange for the first flow with a counter or timestamp
+    that float64 cannot hold (about 2**1024 or more in size), then
+    EmptyFlow for the first flow with no packets. Counters and their
+    sums below 2**53 convert to float64 exactly, so each value is what
+    the same arithmetic on Python ints gives.
     """
     n = len(flows)
-    counters = np.array(
-        [
-            (
-                f.bytes_in,
-                f.bytes_out,
-                f.packets_in,
-                f.packets_out,
-                f.first_ts_us,
-                f.last_ts_us,
-                f.header_bytes_total,
-                f.payload_bytes_total,
-            )
-            for f in flows
-        ],
-        dtype=np.float64,
-    ).reshape(n, 8)
+    try:
+        counters = np.array(
+            [
+                (
+                    f.bytes_in,
+                    f.bytes_out,
+                    f.packets_in,
+                    f.packets_out,
+                    f.first_ts_us,
+                    f.last_ts_us,
+                    f.header_bytes_total,
+                    f.payload_bytes_total,
+                )
+                for f in flows
+            ],
+            dtype=np.float64,
+        ).reshape(n, 8)
+    except OverflowError:
+        for f in flows:
+            for name in _COUNTERS:
+                try:
+                    float(getattr(f, name))
+                except OverflowError:
+                    raise CounterOutOfRange(
+                        f"flow {f.flow_id}: {name} is out of float64's range"
+                    ) from None
+        raise
     b_in, b_out, p_in, p_out, first, last, header, payload = counters.T
     packets = p_in + p_out
     empty = np.flatnonzero(packets == 0.0)

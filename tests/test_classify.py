@@ -25,9 +25,10 @@ from flowclean.classify import (
     read_model,
     split,
     train,
+    train_and_evaluate,
     write_model,
 )
-from flowclean.errors import EmptyFlow, EmptyTest, LabelTooSmall, SingleClass
+from flowclean.errors import CounterOutOfRange, EmptyFlow, EmptyTest, LabelTooSmall, SingleClass
 from flowclean.features import ALL_FEATURES, feature_matrix
 from flowclean.rng import derive
 
@@ -123,6 +124,15 @@ def test_dataset_refuses_the_first_unlabeled_flow():
         dataset(flows)
     with pytest.raises(EmptyFlow):
         dataset(flows[:1])
+
+
+def test_dataset_refuses_a_counter_out_of_float64_range():
+    flows = labeled_flows("a", 3) + [make_flow(flow_id=9, app_label="b", bytes_out=-(10**400))]
+    with pytest.raises(CounterOutOfRange, match="^flow 9: bytes_out is out of float64's range$"):
+        dataset(flows)
+    # after the first unlabeled flow
+    with pytest.raises(ValueError, match="^flow 4 has no app label$"):
+        dataset(flows + [make_flow(flow_id=4, app_label=None)])
 
 
 # --- train / predict ----------------------------------------------------
@@ -617,9 +627,62 @@ def test_evaluate_end_to_end():
 
 
 def test_evaluate_empty_test():
-    model = train(*dataset(separable_flows(10)), n_trees=2, seed=0)
+    x, labels = dataset(separable_flows(10))
+    model = train(x, labels, n_trees=2, seed=0)
     with pytest.raises(EmptyTest):
         evaluate(model, *dataset([]))
+    with pytest.raises(EmptyTest):
+        train_and_evaluate(x, labels, *dataset([]), n_trees=2, seed=0)
+    # train's errors come first
+    with pytest.raises(SingleClass):
+        train_and_evaluate(x[labels == "dl"], labels[labels == "dl"], *dataset([]))
+    with pytest.raises(ValueError, match="^n_trees must be >= 1, got 0$"):
+        train_and_evaluate(x, labels, x, labels, n_trees=0)
+
+
+def forest_size(model: ForestModel) -> dict:
+    return {
+        "trees": len(model.trees),
+        "nodes": sum(len(tree.feature) for tree in model.trees),
+        "leaves": sum(int((tree.feature < 0).sum()) for tree in model.trees),
+        "depth": max(tree.depth() for tree in model.trees),
+    }
+
+
+@pytest.mark.parametrize("n_trees", [1, 2, 7])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_train_and_evaluate_matches_train_then_evaluate(many_cpus, workers, n_trees):
+    # 7 trees on 3 workers are blocks of 3, 3 and 1; 2 trees on 3 workers, 2 blocks of 1
+    x, labels = dataset(overlapping_flows())
+    train_rows, test_rows = split(labels, seed=5)
+    options = dict(n_trees=n_trees, max_depth=6, seed=5)
+    model = train(x[train_rows], labels[train_rows], **options)
+    metrics, size, score_s = train_and_evaluate(
+        x[train_rows], labels[train_rows], x[test_rows], labels[test_rows],
+        workers=workers, **options,
+    )
+    assert metrics == evaluate(model, x[test_rows], labels[test_rows])
+    assert size == forest_size(model)
+    assert score_s >= 0.0
+
+
+def test_train_and_evaluate_breaks_tied_votes_toward_the_first_label(many_cpus):
+    x, labels = dataset(overlapping_flows())
+    train_rows, test_rows = split(labels, seed=3)
+    model = train(x[train_rows], labels[train_rows], n_trees=2, max_depth=3, seed=3)
+    first, second = (tree.predict_class(x[test_rows]) for tree in model.trees)
+    # the two trees disagree on some rows, whose votes tie 1 to 1
+    assert (first != second).any()
+    expected = [model.labels[c] for c in np.minimum(first, second).tolist()]
+    metrics, _, _ = train_and_evaluate(
+        x[train_rows], labels[train_rows], x[test_rows], labels[test_rows],
+        n_trees=2, max_depth=3, seed=3, workers=2,
+    )
+    assert metrics == compute_metrics(
+        list(labels[test_rows]), expected, extra_labels=model.labels,
+        config=model.config_dict(),
+    )
+    assert model.predict_matrix(x[test_rows]) == expected
 
 
 # --- model persistence --------------------------------------------------
@@ -636,6 +699,26 @@ def test_model_json_round_trip(tmp_path):
     assert loaded.config_dict() == model.config_dict()
     probes = feature_matrix(separable_flows(7))
     assert loaded.predict_matrix(probes) == model.predict_matrix(probes)
+
+
+@pytest.mark.parametrize("n_trees", [1, 3])
+def test_model_file_is_one_json_dump_of_the_whole_document(tmp_path, n_trees):
+    # write_model writes one tree at a time; the bytes are those of one dump
+    flows = labeled_flows('say"hi"', 6) + labeled_flows("ü", 6, base_id=10, bytes_in=90)
+    model = train(*dataset(flows), n_trees=n_trees, seed=1)
+    doc = {
+        "labels": model.labels,
+        "feature_names": model.feature_names,
+        "config": model.config_dict(),
+        "trees": [
+            {name: getattr(tree, name).tolist()
+             for name in ("feature", "threshold", "left", "right", "histogram")}
+            for tree in model.trees
+        ],
+    }
+    path = tmp_path / "model.json"
+    write_model(model, path)
+    assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
 
 
 def test_model_dump_deterministic(tmp_path):
@@ -729,8 +812,9 @@ def test_no_child_process_outlives_train(many_cpus):
     assert_no_child_left(before)
 
 
-# Stand-ins for classify._grow_block. train's task looks the name up when
-# it runs, so a patch made before the pool forks reaches every worker.
+# Stand-ins for classify._grow_block. train looks the name up when it is
+# called, before the pool forks, so a patch made before then reaches every
+# worker.
 _grow_block = classify_mod._grow_block
 
 

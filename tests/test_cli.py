@@ -1157,6 +1157,26 @@ def test_compare_report_and_hash_stability(tmp_path, scenario_file, capsys):
     assert second["forest"] == report["forest"]
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_compare_holds_no_forest(tmp_path, scenario_file, many_cpus, monkeypatch, threads):
+    # each arm's trees are grown and score its test rows in the same workers
+    for name in ("train", "evaluate", "ForestModel"):
+        monkeypatch.setattr(cli_mod.classify, name, _unreachable)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", str(scenario_file), "--algorithm", "kmeans",
+                 "--threads", threads, "--out", str(out)]) == 0
+    report = json.loads((out / "compare_report.json").read_text())
+    # what classify.train, then classify.evaluate, made of each arm
+    assert report["content_sha256"] == (
+        "c903bb242ae97a7396d8c2aab8fcd2c6db225a62757d4180de659c9f23dba710"
+    )
+    assert report["forest"] == {
+        "uncleaned": {"trees": 100, "nodes": 2870, "leaves": 1485, "depth": 10},
+        "oracle": {"trees": 100, "nodes": 1318, "leaves": 709, "depth": 7},
+        "kmeans": {"trees": 100, "nodes": 1318, "leaves": 709, "depth": 7},
+    }
+
+
 def test_compare_runs_each_cleaner_once(scenario_file, monkeypatch):
     calls = []
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from flowclean.errors import EmptyFlow, TooFewRows
+from flowclean.errors import CounterOutOfRange, EmptyFlow, TooFewRows
 from flowclean.features import (
     ALL_FEATURES,
     AUX_FEATURES,
@@ -90,6 +90,30 @@ def test_extract_zero_packets_raises():
              make_flow(flow_id=7, **empty)]
     with pytest.raises(EmptyFlow, match="^flow 5 has no packets$"):
         feature_matrix(flows)
+
+
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        (dict(bytes_in=10**400), "^flow 5: bytes_in is out of float64's range$"),
+        # the first such counter in feature_matrix's order is named
+        (dict(payload_bytes_total=2**1024, first_ts_us=-(2**1024)),
+         "^flow 5: first_ts_us is out of float64's range$"),
+        (dict(last_ts_us=10**309), "^flow 5: last_ts_us is out of float64's range$"),
+    ],
+)
+def test_extract_counter_out_of_float64_range_raises(overrides, error):
+    # flow 5 is named before flow 7, and before flow 0, which has no packets
+    empty = dict(bytes_in=0, bytes_out=0, packets_in=0, packets_out=0)
+    flows = [make_flow(flow_id=0, **empty), make_flow(flow_id=5, **overrides),
+             make_flow(flow_id=7, header_bytes_total=10**400)]
+    with pytest.raises(CounterOutOfRange, match=error):
+        feature_matrix(flows)
+
+
+def test_extract_the_largest_float64_counter():
+    largest = np.finfo(np.float64).max
+    assert feature_matrix([make_flow(bytes_in=int(largest))])[0, 0] == largest
 
 
 def test_extract_one_packet_zero_duration():

@@ -13,7 +13,13 @@ from hypothesis import given, strategies as st
 import flowclean.select as select_mod
 from flowclean.cluster import Algorithm, Linkage, hierarchical, kmeans
 from flowclean.dpi import Blocklist, DEFAULT_BLOCKLIST, filter_flows
-from flowclean.errors import EmptyFlow, InvariantViolation, ParseError, UnclusterableMatrix
+from flowclean.errors import (
+    CounterOutOfRange,
+    EmptyFlow,
+    InvariantViolation,
+    ParseError,
+    UnclusterableMatrix,
+)
 from flowclean.features import CLUSTER_FEATURES, destandardize, feature_matrix, standardize
 from flowclean.ingest import write_flow_table
 from flowclean.select import (
@@ -446,6 +452,23 @@ def test_clean_raises_the_first_apps_error_in_label_order(
     )
     assert report.apps["b"].skipped and report.apps["b"].flows_dropped == 3
     assert [f.flow_id for f in cleaned] == list(range(9))
+
+
+@pytest.mark.parametrize("chunk_size", [None, 1])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_clean_names_the_first_counter_out_of_float64_range(
+    many_cpus, monkeypatch, threads, chunk_size
+):
+    if chunk_size is not None:
+        _chunks_of(monkeypatch, chunk_size)
+    flows = _app("b", 100, 8) + _app("a", 0, 9)
+    flows[3] = flows[3]._replace(payload_bytes_total=10**400)
+    flows[12] = flows[12]._replace(bytes_in=2**1024)
+    with pytest.raises(CounterOutOfRange, match="^flow 103: payload_bytes_total is out of "
+                                                "float64's range$"):
+        clean(flows, threads=threads)
+    with pytest.raises(CounterOutOfRange, match="^flow 4: bytes_in is out of float64's range$"):
+        clean(flows[8:], threads=threads)
 
 
 def reference_clean(
