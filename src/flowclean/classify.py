@@ -89,7 +89,7 @@ import numpy as np
 from . import parallel
 from .errors import EmptyTest, LabelTooSmall, SchemaMismatch, SingleClass
 from .features import ALL_FEATURES, feature_matrix
-from .ingest import FlowRecord
+from .ingest import FlowRecord, check_labels
 from .rng import SplitMix64, derive, stream_draws
 
 
@@ -107,9 +107,7 @@ def dataset(flows: list[FlowRecord]) -> tuple[np.ndarray, np.ndarray]:
     labels. Raises ValueError for the first flow with no app label,
     before feature_matrix raises anything.
     """
-    for flow in flows:
-        if not flow.app_label:
-            raise ValueError(f"flow {flow.flow_id} has no app label")
+    check_labels(flows)
     labels = np.array([flow.app_label for flow in flows], dtype=object)
     return feature_matrix(flows), labels
 
@@ -179,6 +177,10 @@ class _Tree:
             level += 1
 
 
+# The forest's settings besides workers, as a model's config and a Metrics' config name them
+_CONFIG_KEYS = ("n_trees", "max_depth", "min_leaf", "features_per_split", "seed")
+
+
 @dataclass
 class ForestModel:
     labels: list[str]
@@ -191,13 +193,7 @@ class ForestModel:
     seed: int
 
     def config_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "features_per_split": self.features_per_split,
-            "seed": self.seed,
-        }
+        return {key: getattr(self, key) for key in _CONFIG_KEYS}
 
     def predict_matrix(self, x: np.ndarray) -> list[str]:
         x = np.asarray(x, dtype=np.float64)
@@ -656,14 +652,20 @@ def compute_metrics(
     )
 
 
-def evaluate(model: ForestModel, x: np.ndarray, labels: Sequence[str]) -> Metrics:
-    """Score the model on held-out rows x and their labels; see compute_metrics."""
+def _scored(classes: list[str], votes: np.ndarray, labels: Sequence[str], config: dict) -> Metrics:
+    """The Metrics of a forest over classes whose trees cast votes (_votes)
+    on rows whose labels are labels. Raises EmptyTest for no labels."""
     if not len(labels):
         raise EmptyTest("test set is empty")
     return compute_metrics(
-        list(labels), model.predict_matrix(x), extra_labels=model.labels,
-        config=model.config_dict(),
+        list(labels), _winners(classes, votes), extra_labels=classes, config=config
     )
+
+
+def evaluate(model: ForestModel, x: np.ndarray, labels: Sequence[str]) -> Metrics:
+    """Score the model on held-out rows x and their labels; see compute_metrics."""
+    votes = _votes(model.trees, np.asarray(x, dtype=np.float64), len(model.labels))
+    return _scored(model.labels, votes, labels, model.config_dict())
 
 
 def _score_block(trees: range, job: tuple, x: np.ndarray) -> tuple:
@@ -713,14 +715,9 @@ def train_and_evaluate(
         lambda trees, job: _score_block(trees, job, x_test),
         x, labels, n_trees, max_depth, min_leaf, features_per_split, seed, workers,
     )
-    if not len(labels_test):
-        raise EmptyTest("test set is empty")
     votes, nodes, leaves, depth, score_s = zip(*scored)
-    metrics = compute_metrics(
-        list(labels_test), _winners(classes, sum(votes)), extra_labels=classes,
-        config={"n_trees": n_trees, "max_depth": max_depth, "min_leaf": min_leaf,
-                "features_per_split": features_per_split, "seed": seed},
-    )
+    config = dict(zip(_CONFIG_KEYS, (n_trees, max_depth, min_leaf, features_per_split, seed)))
+    metrics = _scored(classes, sum(votes), labels_test, config)
     size = {"trees": n_trees, "nodes": sum(nodes), "leaves": sum(leaves), "depth": max(depth)}
     return metrics, size, sum(score_s)
 
@@ -771,8 +768,7 @@ def read_model(path: str | Path) -> ForestModel:
     try:
         doc = json.loads(Path(path).read_text())
         labels, feature_names = list(doc["labels"]), list(doc["feature_names"])
-        config = {key: doc["config"][key] for key in (
-            "n_trees", "max_depth", "min_leaf", "features_per_split", "seed")}
+        config = {key: doc["config"][key] for key in _CONFIG_KEYS}
         arrays = [{name: t[name] for name in _TREE_ARRAYS} for t in doc["trees"]]
     except KeyError as exc:
         raise mismatch(f"missing key {exc}") from exc
@@ -805,7 +801,8 @@ def read_model(path: str | Path) -> ForestModel:
                             for name, dtype in _TREE_ARRAYS.items()})
             if [getattr(tree, name).ndim for name in _TREE_ARRAYS] != [1, 1, 1, 1, 2]:
                 raise ValueError("node arrays must hold numbers, histogram rows counts")
-        except (TypeError, ValueError) as exc:
+        # OverflowError: a number past the array's dtype, as 10**30 is past int64
+        except (TypeError, ValueError, OverflowError) as exc:
             raise mismatch(f"tree {t}: {exc}") from exc
         node = np.arange(len(tree.feature))
         inner = tree.feature >= 0

@@ -7,9 +7,11 @@ persisted to and restored from a CSV flow table losslessly. This
 module owns the table's format. index_flow_table reads a table once
 and finds its records in file order; read_flow_lines parses any run of
 them, and it and parse_flow_row are the only code that reads a
-record's fields, its label included; and check_flow_lines names the
-lowest bad line over any number of runs. read_flow_table is the three
-over one run of every record.
+record's fields, its label included. read_flow_lines also finds the
+records that are not the rows write_flow_table writes of their flows,
+which write_flow_lines rewrites; check_flow_lines names the lowest bad
+line over any number of runs. read_flow_table is index_flow_table,
+read_flow_lines and check_flow_lines over one run of every record.
 read_text and parse_lines own the line format the five text inputs
 share.
 """
@@ -100,6 +102,13 @@ class FlowRecord(NamedTuple):
     payload_bytes_total: int
     client_payload_prefix: bytes
     server_payload_prefix: bytes
+
+
+def check_labels(flows: list[FlowRecord]) -> None:
+    """Raise ValueError for the first of flows with no app label."""
+    for flow in flows:
+        if not flow.app_label:
+            raise ValueError(f"flow {flow.flow_id} has no app label")
 
 
 @dataclass
@@ -632,20 +641,6 @@ def write_flow_table(flows: list[FlowRecord], file: str | Path) -> None:
             fh.write(format_flow_row(f))
 
 
-def rewritten_rows(
-    table: FlowTableLines, rows: np.ndarray, flows: list[FlowRecord]
-) -> dict[int, bytes]:
-    """By line, the row format_flow_row writes (UTF-8, line end excluded)
-    of each of flows, read from table's records at rows, whose record
-    is not that row.
-    """
-    return {
-        line: text
-        for (start, stop, line), flow in zip(rows.tolist(), flows)
-        if (text := format_flow_row(flow)[:-2].encode()) != table.data[start:stop]
-    }
-
-
 # features converts counters and timestamps to float64; every int below
 # this does, and float() raises OverflowError only at or above it
 _FLOAT_SAFE = 2**1023
@@ -863,19 +858,31 @@ class FlowLines(NamedTuple):
     ids: np.ndarray  # the flow_ids parse_flow_row took, in line order
     lines: np.ndarray  # their lines
     error: tuple[int, str] | None  # the first bad record's line and why, or None
+    # by line, the row format_flow_row writes (UTF-8, line end excluded) of
+    # each of flows whose record is not that row
+    rewritten: dict[int, bytes]
+
+
+def flow_id_array(ids: list[int]) -> np.ndarray:
+    """ids as an array: int64 unless a flow_id does not fit, then object."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array(ids, dtype=object)
 
 
 def read_flow_lines(table: FlowTableLines, rows: np.ndarray) -> FlowLines:
     """Parse the records at rows, entries of table.records in line order.
 
     Each record is split into fields as csv splits it and read by
-    parse_flow_row, which finds the flow_ids that repeat within the run.
-    Parsing stops at the first bad record. ids is int64 unless a
-    flow_id does not fit.
+    parse_flow_row, which finds the flow_ids that repeat within the run,
+    and each parsed record is compared with the row format_flow_row
+    writes of its flow. Parsing stops at the first bad record.
     """
     data = table.data
     flows: list[FlowRecord] = []
     first_line: dict[int, int] = {}
+    rewritten: dict[int, bytes] = {}
     error = None
     limit = csv.field_size_limit()
     for start, stop, line in rows.tolist():
@@ -887,15 +894,15 @@ def read_flow_lines(table: FlowTableLines, rows: np.ndarray) -> FlowLines:
                 row = next(csv.reader([text]))
             else:
                 row = text.split(",")
-            flows.append(parse_flow_row(row, line, first_line))
+            flow = parse_flow_row(row, line, first_line)
         except (csv.Error, ValueError) as exc:
             error = (line, str(exc))
             break
-    try:
-        ids = np.array(list(first_line), dtype=np.int64)
-    except OverflowError:
-        ids = np.array(list(first_line), dtype=object)
-    return FlowLines(flows, ids, np.array(list(first_line.values()), dtype=np.int64), error)
+        flows.append(flow)
+        if (canonical := format_flow_row(flow)[:-2]) != text:
+            rewritten[line] = canonical.encode()
+    lines = np.array(list(first_line.values()), dtype=np.int64)
+    return FlowLines(flows, flow_id_array(list(first_line)), lines, error, rewritten)
 
 
 def check_flow_lines(table: FlowTableLines, runs: list[FlowLines]) -> None:
@@ -931,7 +938,8 @@ def write_flow_lines(
 
     kept holds runs of entries of table.records, written in order, and,
     by line, the row of each record that is not as format_flow_row
-    writes it (rewritten_rows); every other row is its record plus CRLF.
+    writes it, as read_flow_lines found them (FlowLines.rewritten);
+    every other row is its record plus CRLF.
     The file is written in the locale's encoding, as write_flow_table
     writes it.
     """

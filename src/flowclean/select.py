@@ -23,8 +23,8 @@ holds the table's records. read_dataset reads a table for train and
 eval by phase 1 alone, without DPI. Verdicts and feature rows depend on
 nothing but their own flow, so neither the chunks nor the worker count
 change the output. The table's format stays in ingest:
-read_flow_lines, check_flow_lines and rewritten_rows parse chunks,
-find bad lines and rewrite rows.
+read_flow_lines parses a chunk and finds its rows to rewrite, and
+check_flow_lines finds the lowest bad line.
 """
 
 from __future__ import annotations
@@ -54,10 +54,11 @@ from .ingest import (
     FlowRecord,
     FlowTableLines,
     check_flow_lines,
+    check_labels,
+    flow_id_array,
     parse_lines,
     read_flow_lines,
     read_text,
-    rewritten_rows,
 )
 from . import parallel
 from .parallel import fork_map
@@ -338,10 +339,7 @@ def _flow_rows(flows: list[FlowRecord], blocklist: Blocklist, skip_dpi: bool) ->
     codes = np.fromiter(
         (labels.setdefault(flow.app_label, len(labels)) for flow in flows), np.intp, len(flows)
     )
-    try:
-        ids = np.array([flow.flow_id for flow in flows], dtype=np.int64)
-    except OverflowError:  # a flow_id past int64, as read_flow_lines allows
-        ids = np.array([flow.flow_id for flow in flows], dtype=object)
+    ids = flow_id_array([flow.flow_id for flow in flows])
     timings = {"dpi": (t1 - t0) * 1e3, "features": (t2 - t1) * 1e3}
     return _FlowRows(keep, raw, list(labels), codes, ids, timings)
 
@@ -432,10 +430,9 @@ def _clean_apps(
     physical memory together. Returns each app's kept positions in the
     input, in label order, and the report, whose stage times are summed
     over parts and apps. Logs each app's DPI counts at info, unless DPI
-    was skipped, and warns of each skipped app. Raises ValueError for the
-    first flow with no app label, then the first app's error in label order.
+    was skipped, and warns of each skipped app. Raises the first app's
+    error in label order; its callers have checked the labels.
     """
-    _check_labels(parts)
     survivors: dict[str, int] = {}  # each app's flows that DPI keeps
     for part in parts:
         kept = np.bincount(part.codes[part.keep], minlength=len(part.labels))
@@ -499,12 +496,14 @@ def clean(
     chunks of flows in order) and then of phase 2 (_clean_apps, on
     apps); see parallel.fork_map. Neither the chunks nor the worker
     count change the output. The first flow with no app label raises
-    ValueError, then the first failing app's error in label order is
-    raised. k and threads must be >= 1. Stage times in the report are
-    summed over chunks and apps, while total is wall time.
+    ValueError before phase 1 runs; then what phase 1 raises, then the
+    first failing app's error in label order, is raised.
+    k and threads must be >= 1. Stage times in the report are summed
+    over chunks and apps, while total is wall time.
     """
     check_sizes(k, threads)
     total_start = time.perf_counter()
+    check_labels(flows)
     chunks = _chunks(len(flows), threads)
     parts = fork_map(
         lambda i: _flow_rows(flows[chunks[i]], blocklist, skip_dpi), len(chunks), threads
@@ -518,51 +517,42 @@ def clean(
     return cleaned, report
 
 
-class _Lines(NamedTuple):
-    """What a phase-1 worker (_read_chunk) sends back for a chunk of the table's records."""
-
-    run: FlowLines  # without its flows
-    rows: _FlowRows | None  # None after a bad line
-    texts: dict[int, bytes]  # rewritten_rows of the flows DPI keeps
-
-
 def _read_chunk(
     table: FlowTableLines, rows: np.ndarray, blocklist: Blocklist, skip_dpi: bool
-) -> _Lines:
-    """Phase 1 on the records at rows, a run of the table's records in file order."""
+) -> tuple[FlowLines, _FlowRows | None]:
+    """Phase 1 on the records at rows, a run of the table's records in file
+    order: the run without its flows, which stay in the worker, and its
+    _flow_rows, or None after a bad line."""
     run = read_flow_lines(table, rows)
-    flows, run = run.flows, run._replace(flows=[])  # records stay in the worker
-    if run.error is not None:
-        return _Lines(run, None, {})
-    part = _flow_rows(flows, blocklist, skip_dpi)
-    kept = np.flatnonzero(part.keep).tolist()
-    return _Lines(run, part, rewritten_rows(table, rows[kept], [flows[i] for i in kept]))
+    part = None if run.error is not None else _flow_rows(run.flows, blocklist, skip_dpi)
+    return run._replace(flows=[]), part
 
 
 def _parse_table(
     table: FlowTableLines, blocklist: Blocklist, skip_dpi: bool, threads: int
 ) -> tuple[list[_FlowRows], dict[int, bytes]]:
     """Phase 1 on every record of table, on up to `threads` workers: each
-    chunk's _flow_rows, in file order, and their rewritten rows by line.
-    Raises what read_flow_table would raise: the lowest bad line."""
+    chunk's _flow_rows, in file order, and the rows to rewrite by line
+    (FlowLines.rewritten). Raises what read_flow_table and then clean()
+    would raise first: the lowest bad line, then the first flow with no
+    app label."""
     chunks = _chunks(len(table.records), threads)
     parsed = fork_map(
         lambda i: _read_chunk(table, table.records[chunks[i]], blocklist, skip_dpi),
         len(chunks),
         threads,
     )
-    check_flow_lines(table, [chunk.run for chunk in parsed])
-    texts = {line: text for chunk in parsed for line, text in chunk.texts.items()}
-    return [chunk.rows for chunk in parsed], texts
+    check_flow_lines(table, [run for run, _ in parsed])
+    parts = [part for _, part in parsed]
+    _check_labels(parts)
+    return parts, {line: text for run, _ in parsed for line, text in run.rewritten.items()}
 
 
 def read_dataset(table: FlowTableLines, threads: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """classify.dataset's rows and labels of table's records, in file order,
-    and their rewritten rows by line: phase 1 without DPI (_parse_table).
-    Raises what read_flow_table and then clean() would raise first: the
-    lowest bad line, then the first flow with no app label."""
+    and the rows to rewrite by line: phase 1 without DPI (_parse_table),
+    which raises what it raises."""
     parts, texts = _parse_table(table, DEFAULT_BLOCKLIST, True, threads)
-    _check_labels(parts)
     x = np.concatenate([np.empty((0, len(ALL_FEATURES))), *(part.raw for part in parts)])
     labels = [np.empty(0, object), *(np.array(p.labels, dtype=object)[p.codes] for p in parts)]
     return x, np.concatenate(labels), texts
@@ -582,10 +572,10 @@ def clean_table(
     """clean() on an indexed flow table, without its records in this process.
 
     Phase 1 (_parse_table) parses the table's records in chunks, on
-    workers that send back arrays (_Lines), not records; phase 2
+    workers that send back arrays (_read_chunk), not records; phase 2
     (_clean_apps) is clean()'s. Returns what write_flow_lines writes the
     cleaned table from: each app's kept records in flow_id order, in
-    label order, and the rewritten rows by line; and the report.
+    label order, and the rows to rewrite by line; and the report.
 
     Raises what _parse_table raises, then what clean() raises, as
     read_flow_table and then clean() would.

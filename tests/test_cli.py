@@ -23,12 +23,26 @@ import flowclean.select as select_mod
 from flowclean.cli import _canonical_sha256, main, read_config, run_compare
 from flowclean.cluster import Algorithm
 from flowclean.errors import ParseError, SchemaMismatch, UnclusterableMatrix
-from flowclean.ingest import FLOW_TABLE_HEADER, format_flow_row, read_flow_table, write_flow_table
+from flowclean.ingest import (
+    FLOW_TABLE_HEADER,
+    format_flow_row,
+    index_flow_table,
+    read_flow_lines,
+    read_flow_table,
+    write_flow_table,
+)
 from flowclean.select import clean
 from flowclean.synth import read_scenario
 
 from conftest import TCP_ACK, TCP_SYN, ethernet, make_flow, pcap_bytes, tcp4_frame
-from test_ingest import forced_open, reference_read_flow_table, table_flows
+from test_ingest import (
+    RESPELLINGS,
+    forced_open,
+    reference_read_flow_table,
+    respellable_flow,
+    respelled_row,
+    table_flows,
+)
 
 SCENARIO = """\
 # two small apps for CLI runs
@@ -674,6 +688,97 @@ def test_clean_matches_read_clean_write_in_small_chunks(capsys, many_cpus, data)
                 assert _clean_run(capsys, flows, Path(tmp) / f"c{size}", 2) == expected
 
 
+# three apps of 12 flows, then a DNS flow of app b, which DPI discards;
+# the rows of all but every fourth flow have a field respelled
+# a DNS header with one question for example.com
+_DNS_QUERY = bytes.fromhex("1234 0100 0001 0000 0000 0000") + b"\x07example\x03com\0\0\1\0\1"
+_RESPELLABLE = [
+    respellable_flow(i, app_label="cab"[i % 3], bytes_in=1000 * (i % 7 + 1),
+                     packets_in=i % 5 + 1, bytes_out=300 * (i % 4),
+                     client_payload_prefix=bytes([0xAB, i]))
+    for i in range(36)
+] + [respellable_flow(36, app_label="b", transport="udp", server_port=53,
+                      client_payload_prefix=_DNS_QUERY)]
+# the outputs clean and train wrote when only the rows of flows DPI keeps
+# were checked for rewriting, before read_flow_lines checked every row
+_RESPELLED_CLEANED = {
+    "kmeans": "6c907937c8b087b796ea9586e6ea847cbad9b5f948fc27501ef8285f1eb9a3cc",
+    "hier": "d199eea92e270511acfefc6cadeed622a6f3f27de3c740a3276c76748e6781a9",
+}
+_RESPELLED_TRAINED = [  # model.json, holdout.csv
+    "d96b554e7dd1b7a0b34635f0b0a911cf4382b174ba348fea6d50b192d85eb7ad",
+    "2686c41ca0895558e17e738d24bc4bfaaa217dc21836651148b556720998d268",
+]
+
+
+def _respelled_table(tmp_path, monkeypatch) -> Path:
+    """_RESPELLABLE's table, in UTF-8, which ingest then reads and writes."""
+    monkeypatch.setattr(ingest_mod, "open", forced_open("utf-8"), raising=False)
+    respellings = list(RESPELLINGS)
+    rows = [
+        format_flow_row(flow)[:-2].encode() if i % 4 == 3
+        else respelled_row(flow, respellings[i % len(respellings)])
+        for i, flow in enumerate(_RESPELLABLE)
+    ]
+    path = tmp_path / "respelled.csv"
+    path.write_bytes(_table(*rows))
+    return path
+
+
+def _sha256s(*blobs: bytes) -> list[str]:
+    return [hashlib.sha256(blob).hexdigest() for blob in blobs]
+
+
+@pytest.mark.parametrize("algorithm", ["kmeans", "hier"])
+def test_clean_rewrites_respelled_rows_at_any_chunk_size(
+    tmp_path, capsys, monkeypatch, many_cpus, algorithm
+):
+    """Chunks of 1 and 7 rows, at one and two workers, write the cleaned
+    table and report that reference_read_flow_table, clean and
+    write_flow_table give: each row as write_flow_table writes it, and no
+    row of the DNS flow, which DPI discards though its row is found."""
+    flows = _respelled_table(tmp_path, monkeypatch)
+    dns_line = len(_RESPELLABLE) + 1
+    table = index_flow_table(flows)
+    assert dns_line in read_flow_lines(table, table.records).rewritten
+    with pytest.MonkeyPatch.context() as patch:
+        _compose(patch, "utf-8")
+        expected = _clean_run(capsys, flows, tmp_path / "oracle", 1, algorithm, "utf-8")
+    assert expected[0] == 0 and expected[3]["b"]["dpi_discarded"] == 1
+    assert _sha256s(expected[2]) == [_RESPELLED_CLEANED[algorithm]]
+    rows = expected[2].split(b"\r\n")[1:-1]
+    canonical = {format_flow_row(flow)[:-2].encode() for flow in _RESPELLABLE[:-1]}
+    assert rows and set(rows) <= canonical
+    for size in (1, 7):
+        for threads in (1, 2):
+            with pytest.MonkeyPatch.context() as patch:
+                _chunks_of(patch, size)
+                run = tmp_path / f"{size}-{threads}"
+                assert _clean_run(capsys, flows, run, threads, algorithm, "utf-8") == expected
+
+
+def test_train_rewrites_respelled_rows_at_any_chunk_size(tmp_path, monkeypatch, many_cpus):
+    """Chunks of 1 and 7 rows, at one and two workers, write the model and
+    holdout that the table of the same flows, as write_flow_table writes
+    them, gives."""
+    flows = _respelled_table(tmp_path, monkeypatch)
+    canonical = tmp_path / "canonical.csv"
+    write_flow_table(_RESPELLABLE, canonical)
+
+    def train(table: Path, out: Path, threads: int) -> list[bytes]:
+        args = ["train", "--flows", str(table), "--trees", "3", "--threads", str(threads)]
+        assert main([*args, "--out", str(out)]) == 0
+        return [(out / name).read_bytes() for name in ("model.json", "holdout.csv")]
+
+    expected = train(canonical, tmp_path / "canonical", 1)
+    assert _sha256s(*expected) == _RESPELLED_TRAINED
+    for size in (1, 7):
+        for threads in (1, 2):
+            with pytest.MonkeyPatch.context() as patch:
+                _chunks_of(patch, size)
+                assert train(flows, tmp_path / f"{size}-{threads}", threads) == expected
+
+
 def test_chunks_cut_the_table_into_equal_runs_in_order(monkeypatch):
     assert select_mod._chunk_size(100_000, 2) == 6250
     monkeypatch.setattr(select_mod, "_chunk_size", lambda flows, workers: 7)
@@ -1043,6 +1148,14 @@ def _wide_histogram_row(doc):
     doc["trees"][0]["histogram"][0].append(0)
 
 
+def _huge_child(doc):
+    doc["trees"][0]["right"][0] = 10**30  # past int64
+
+
+def _huge_count(doc):
+    doc["trees"][0]["histogram"][0][0] = 10**30
+
+
 def _no_trees(doc):
     doc["trees"], doc["config"]["n_trees"] = [], 0
 
@@ -1065,6 +1178,9 @@ def _config(key, value):
     pytest.param(_wide_histogram_row,
                  "tree 0 node 0: histogram row has 3 counts for 2 labels",
                  id="histogram"),
+    # numpy's OverflowError says "too large" or "out of bounds", by version
+    pytest.param(_huge_child, "tree 0: ", id="huge-child"),
+    pytest.param(_huge_count, "tree 0: ", id="huge-count"),
     pytest.param(_no_trees, "config: n_trees must be >= 1, got 0", id="no-trees"),
     pytest.param(_config("max_depth", -5), "config: max_depth must be >= 1, got -5",
                  id="max-depth"),

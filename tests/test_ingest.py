@@ -18,9 +18,11 @@ from flowclean.ingest import (
     TagMap,
     _check_header,
     assemble_flows,
+    format_flow_row,
     index_flow_table,
     parse_flow_row,
     parse_mac,
+    read_flow_lines,
     read_flow_table,
     read_packets,
     read_tag_map,
@@ -737,6 +739,87 @@ def test_index_flow_table_groups_quoted_labels_with_their_plain_spelling(tmp_pat
     assert expected[0] == 0 and expected[3]["c"]["input"] == 6
     for threads in (1, 2):
         assert _clean_run(capsys, path, tmp_path / f"t{threads}", threads) == expected
+
+
+def reference_rewritten_rows(table, rows, flows):
+    """By line, the row format_flow_row writes (UTF-8, line end excluded)
+    of each of flows, read from table's records at rows, whose record is
+    not that row: the check select made on the flows DPI kept, before
+    read_flow_lines made it on every record it parses, kept as the oracle.
+    """
+    return {
+        line: text
+        for (start, stop, line), flow in zip(rows.tolist(), flows)
+        if (text := format_flow_row(flow)[:-2].encode()) != table.data[start:stop]
+    }
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+# Ways to spell a field of a row that parse_flow_row reads as the same
+# value and write_flow_table never writes: (column, respelling of the
+# field). On respellable_flow's row they give '"a"', 'ABCD', 'AB cd',
+# '+5', '007', '1_000', ' 5' and '٣'.
+RESPELLINGS = {
+    "quoted label": (1, lambda field: f'"{field}"'),
+    "upper-case hex": (16, str.upper),
+    "hex with a space": (16, lambda field: f"{field[:2].upper()} {field[2:]}"),
+    "plus sign": (11, lambda field: f"+{field}"),
+    "zero-padded": (12, lambda field: f"00{field}"),
+    "underscore": (9, lambda field: f"{field[0]}_{field[1:]}"),
+    "leading space": (11, lambda field: f" {field}"),
+    "non-ASCII digit": (0, lambda field: field.translate(_ARABIC_INDIC)),
+}
+
+
+def respellable_flow(flow_id: int, **fields) -> FlowRecord:
+    """A flow whose row every one of RESPELLINGS respells."""
+    fields = {"app_label": "a", "bytes_in": 1000, "packets_in": 5, "packets_out": 7,
+              "client_payload_prefix": b"\xab\xcd", **fields}
+    return make_flow(flow_id=flow_id, **fields)
+
+
+def respelled_row(flow: FlowRecord, respelling: str) -> bytes:
+    """flow's row, line end excluded, in UTF-8, with one field respelled."""
+    column, respell = RESPELLINGS[respelling]
+    fields = format_flow_row(flow)[:-2].split(",")
+    fields[column] = respell(fields[column])
+    return ",".join(fields).encode()
+
+
+@pytest.mark.parametrize("respelling", RESPELLINGS)
+def test_read_flow_lines_finds_a_respelled_row(tmp_path, monkeypatch, respelling):
+    monkeypatch.setattr(ingest_mod, "open", forced_open("utf-8"), raising=False)
+    path = tmp_path / "flows.csv"
+    flows = [respellable_flow(i) for i in range(1, 6)]
+    write_flow_table(flows, path)
+    lines = path.read_bytes().split(b"\r\n")
+    lines[3] = respelled_row(flows[2], respelling)  # line 4: flow 3
+    assert lines[3] != format_flow_row(flows[2])[:-2].encode()
+    path.write_bytes(b"\r\n".join(lines))
+    table = index_flow_table(path)
+    run = read_flow_lines(table, table.records)
+    assert run.error is None and run.flows == flows
+    assert run.rewritten == reference_rewritten_rows(table, table.records, run.flows)
+    assert run.rewritten == {4: format_flow_row(flows[2])[:-2].encode()}
+    # a run that holds its record finds it, and one after it finds nothing
+    assert read_flow_lines(table, table.records[3:]).rewritten == {}
+    assert read_flow_lines(table, table.records[:3]).rewritten == run.rewritten
+
+
+def test_read_flow_lines_finds_the_rows_to_rewrite_up_to_a_bad_row(tmp_path):
+    path = tmp_path / "flows.csv"
+    flows = [respellable_flow(i) for i in range(4)]
+    write_flow_table(flows, path)
+    lines = path.read_bytes().split(b"\r\n")
+    lines[1] = respelled_row(flows[0], "plus sign")
+    lines[4] = respelled_row(flows[3], "underscore")  # after the bad row
+    lines[3] = lines[3].replace(b",tcp,", b",")
+    path.write_bytes(b"\r\n".join(lines))
+    table = index_flow_table(path)
+    run = read_flow_lines(table, table.records)
+    assert run.error == (4, "row has 17 columns, expected 18")
+    assert run.rewritten == {2: format_flow_row(flows[0])[:-2].encode()}
+    assert run.rewritten == reference_rewritten_rows(table, table.records, run.flows)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import flowclean.select as select_mod
+from flowclean.classify import dataset
 from flowclean.cluster import Algorithm, Linkage, hierarchical, kmeans
 from flowclean.dpi import Blocklist, DEFAULT_BLOCKLIST, filter_flows
 from flowclean.errors import (
@@ -469,6 +470,20 @@ def test_clean_names_the_first_counter_out_of_float64_range(
         clean(flows, threads=threads)
     with pytest.raises(CounterOutOfRange, match="^flow 4: bytes_in is out of float64's range$"):
         clean(flows[8:], threads=threads)
+
+
+@pytest.mark.parametrize("chunk_size", [None, 1])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_clean_and_dataset_name_the_unlabeled_flow_before_a_counter_out_of_range(
+    many_cpus, monkeypatch, threads, chunk_size
+):
+    if chunk_size is not None:
+        _chunks_of(monkeypatch, chunk_size)
+    flows = _app("b", 0, 6) + [make_flow(flow_id=6, app_label="a", bytes_in=10**400),
+                               make_flow(flow_id=10, app_label=None)]
+    for run in (lambda: clean(flows, threads=threads), lambda: dataset(flows)):
+        with pytest.raises(ValueError, match="^flow 10 has no app label$"):
+            run()
 
 
 def reference_clean(
