@@ -27,17 +27,30 @@ preorder from 0, takes the F draws after draw n + m * F as a partial
 Fisher-Yates over the 8 features (rng.py gives the draws). A call draws
 F numbers whether or not it splits.
 
-Trees grow in blocks of up to _BLOCK_TREES (50) in lockstep, so the
-default 100 trees on 2 workers are one block per worker. A block keeps
-its trees' rows in one buffer, and each tree a stack of its pending
-nodes, each owning a run of the buffer; a step pops every tree's next
-node in preorder that needs a split call (leaves popped on the way take
-their ids and are done, as the class counts that made them leaves were
-known when their parent split), draws each one's features from its call
-index with stream_draws, one table lookup per node, and scores all of
-them in one pass of numpy calls, in chunks of at most _CHUNK_ROWS rows.
-So every tree is the one defined above, whatever the block and chunk
-sizes:
+Several forests can grow at once, each on a set of rows of one x: tree
+t of set a draws n = len(set a) rows of set a, as train(x[set a]) would.
+Labels become codes over all of x's labels, each value of x its dense
+rank in its column, and a set's trees count only its own classes in
+their histograms; ranks over the whole column keep the order and the
+ties of any subset, so a set's trees are those of train on it alone.
+train is the case of one set, every row of x.
+
+Trees grow in blocks in lockstep. A block holds the same range of trees
+of every set, at most _BLOCK_ROWS (2**22) bootstrap rows in all unless
+that is one tree of each set, and each worker gets a block at least; so
+the default 100 trees on 2 workers are one block per worker while the
+sets hold up to 83 886 rows in all. A block keeps its trees' rows in one
+buffer and its nodes in arrays: each node's start in the buffer, depth,
+children, feature, threshold and class counts. Each tree has an array
+stack of its pending split calls; leaves never enter it. A pass pops
+every tree's top node, its next node in preorder that makes a split
+call, draws each one's features from its call index with stream_draws,
+one table lookup per node, scores all of them in one pass of numpy
+calls, in chunks of at most _CHUNK_ROWS rows, and pushes the children
+that make a split call, right then left, with a few masked
+assignments. Once every stack is empty, subtree sizes, summed one depth
+level at a time, give each node its id. So every tree is the one
+defined above, whatever the sets, block and chunk sizes:
 
 - A pass sorts each (feature slot, node) segment of rows by the dense
   rank of the feature's values, with ties in row order. Counts at a cut
@@ -58,20 +71,21 @@ sizes:
   counts are searched for in the slot's (class, position) order, and
   the right child's are the rest.
 
-Determinism: with train(workers > 1) the blocks grow on
-parallel.fork_map's forked worker processes: each worker inherits the
-training set once and is sent only block indices, and the pool is shut
-down before train returns, so no process outlives the call. The model
+Determinism: with workers > 1 the blocks grow on parallel.fork_map's
+forked worker processes: each worker inherits x and the sets once and
+is sent only block indices, and the pool is shut down before train or
+train_and_evaluate returns, so no process outlives the call. The model
 is the same for every worker count and block size.
 Prediction ties break toward the lexicographically smallest label.
 
 Scoring: evaluate scores a ForestModel in the calling process, as
 `flowclean eval` does. train_and_evaluate, which `flowclean compare`
-uses, scores the test rows in the workers that grow the trees: each
-block sends back its trees' class votes per test row, their node and
-leaf counts and depth, and the parent sums the votes, so no tree
-crosses the pool. Votes are integers, so the sum, and the Metrics, are
-those of train then evaluate, for every worker count and block size.
+uses for all its arms at once, scores each set's test rows in the
+workers that grow its trees: each block sends back, per set, its
+trees' class votes per test row, their node and leaf counts and depth,
+and the parent sums the votes, so no tree crosses the pool. Votes are
+integers, so the sum, and the Metrics, are those of train then
+evaluate, for every worker count and block size.
 """
 
 from __future__ import annotations
@@ -195,10 +209,6 @@ class ForestModel:
     def config_dict(self) -> dict:
         return {key: getattr(self, key) for key in _CONFIG_KEYS}
 
-    def predict_matrix(self, x: np.ndarray) -> list[str]:
-        x = np.asarray(x, dtype=np.float64)
-        return _winners(self.labels, _votes(self.trees, x, len(self.labels)))
-
 
 def _votes(trees: Sequence[_Tree], x: np.ndarray, n_classes: int) -> np.ndarray:
     """How many of trees predict each class for each row of x: one int64
@@ -219,10 +229,11 @@ def _winners(labels: list[str], votes: np.ndarray) -> list[str]:
 # with more rows is scored alone. It bounds a pass's arrays (a few dozen
 # bytes per row and sampled feature) without changing any tree.
 _CHUNK_ROWS = 16_384
-# At most this many trees grow in lockstep in one _grow_block call, so the
-# default 100 trees on 2 workers are one block per worker. A block's rows
-# take one buffer of len(trees) * n * 8 bytes for n training rows.
-_BLOCK_TREES = 50
+# At most this many bootstrap rows, summed over a block's trees, grow in
+# lockstep in one _grow_block call, unless the block is one tree of each
+# set. They take one buffer of 8 bytes a row, and a pass's node records
+# follow the trees' sizes.
+_BLOCK_ROWS = 1 << 22
 
 
 @functools.cache
@@ -395,121 +406,184 @@ def _chunks(sizes: list[int]):
         yield start, len(sizes)
 
 
-def _grow_block(trees: range, job: tuple) -> list[_Tree]:
-    """Grow trees `trees` of the forest in lockstep; see the module docstring.
+def _resized(array: np.ndarray, cap: int) -> np.ndarray:
+    """array's rows followed by rows of -1, cap rows in all."""
+    out = np.full((cap, *array.shape[1:]), -1, dtype=array.dtype)
+    out[:len(array)] = array
+    return out
 
-    job is (x, ranks, y, n_classes, max_depth, min_leaf, features_per_split,
-    seed).
+
+def _grow_block(trees: range, job: tuple) -> list[list[_Tree]]:
+    """Grow trees `trees` of every set's forest in lockstep; see the module
+    docstring. Returns each set's trees, in set order.
+
+    job is (x, ranks, y, sets, max_depth, min_leaf, features_per_split,
+    seed); sets holds each set's rows of x and its classes, the sorted
+    codes of y that its rows take.
     """
-    x, ranks, y, n_classes, max_depth, min_leaf, k, seed = job
-    n, n_features = x.shape
+    x, ranks, y, sets, max_depth, min_leaf, k, seed = job
+    n_features = x.shape[1]
+    n_classes = 1 + max(int(classes[-1]) for _, classes in sets)
+    # block tree i is tree trees[i % m] of set i // m, and draws n[i] rows
+    m = len(trees)
     seeds = np.array([derive(seed, t) for t in trees], dtype=np.uint64)
+    n = np.repeat([len(rows) for rows, _ in sets], m)
+    n_trees = len(n)
+    # Node h's record: the start of its run of the buffer, its depth, its
+    # left child (the right is child[h] + 1; -1 for a leaf), its feature (-1
+    # for a leaf) and threshold, and its class counts. Roots come first, and
+    # a split appends its two children.
+    cap = 4 * n_trees
+    start, depth, child, feature = np.full((4, cap), -1, dtype=np.int64)
+    threshold = np.zeros(cap)
+    counts = np.zeros((cap, n_classes), dtype=np.int64)
+    # Tree i's bootstrap rows fill buffer[start[i]:start[i] + n[i]]. A node
+    # owns a run of the buffer; a pass writes each scored node's rows back in
+    # its split feature's order, so the children own the two parts of their
+    # parent's run.
+    start[:n_trees] = np.cumsum(n) - n
+    depth[:n_trees] = 0
+    buffer = np.empty(n.sum(), dtype=np.int64)
+    for a, (rows, _) in enumerate(sets):
+        draws = stream_draws(seeds[:, None], np.arange(1, len(rows) + 1, dtype=np.uint64))
+        draws %= np.uint64(len(rows))
+        sample = rows[draws]
+        del draws
+        buffer[start[a * m]:start[a * m] + sample.size] = sample.reshape(-1)
+        # each tree's classes counted in its own row of counts
+        sample = y[sample]
+        sample += np.arange(0, m * n_classes, n_classes)[:, None]
+        counts[a * m:(a + 1) * m] = np.bincount(
+            sample.reshape(-1), minlength=m * n_classes
+        ).reshape(m, n_classes)
+        del sample
+
+    def leaf(size, class_counts, node_depth):  # which nodes make no split call
+        return (
+            (size < 2 * min_leaf)
+            | (np.count_nonzero(class_counts, axis=-1) <= 1)
+            | (node_depth >= max_depth)
+        )
+
+    # Tree i's pending split calls, on a stack: stack[i, :top[i]]. A pass pops
+    # every tree's top node, the tree's next node in preorder that makes a
+    # split call, and pushes its children that make one, right then left;
+    # leaves never enter a stack. Under a pending node of depth d lies at
+    # most one right sibling of depth 1 to d, and none reaches max_depth.
+    stack = np.zeros((n_trees, max_depth), dtype=np.int64)
+    stack[:, 0] = np.arange(n_trees)
+    top = np.where(leaf(n, counts[:n_trees], 0), 0, 1)
     # Every tree still growing makes one split call per pass, so pass m is
     # split call m of each tree in it, and draws its features from draw
     # n + m * k + 1 on: the bootstrap sample draws n numbers first. The
     # features of the next `ahead` passes are drawn at once.
     ahead = 64
-    # Tree i's bootstrap sample fills buffer[i * n:(i + 1) * n]. A pending node owns
-    # a run of the buffer; a pass writes each scored node's rows back in its split
-    # feature's order, so the children own the two parts of their parent's run.
-    draws = stream_draws(seeds[:, None], np.arange(1, n + 1, dtype=np.uint64))
-    buffer = (draws % np.uint64(n)).astype(np.int64).reshape(-1)
-    # counts[h] is node h's class counts, h counting nodes as their parents
-    # split; roots come first
-    counts = np.bincount(
-        np.repeat(np.arange(0, len(trees) * n_classes, n_classes), n) + y[buffer],
-        minlength=len(trees) * n_classes,
-    ).reshape(-1, n_classes)
-    n_counts = len(trees)
-
-    def leaf(size, class_counts):  # at max_depth a node is a leaf as well
-        return (size < 2 * min_leaf) | (np.count_nonzero(class_counts, axis=-1) <= 1)
-
-    # A pending node is (start of its run, or -1 once it is known to be a
-    # leaf, size, depth, row of counts, the node whose right child it is or
-    # -1); a grown node is [feature, threshold, right child, row of counts].
-    root_leaf = leaf(n, counts).tolist()
-    stacks = [[(-1 if is_leaf else i * n, n, 0, i, -1)]
-              for i, is_leaf in enumerate(root_leaf)]
-    grown = [[] for _ in trees]
-    active = list(range(len(trees)))
     passes = 0
-    while active:
-        # every tree's next node in preorder that needs a split search;
-        # the leaves before it take their preorder ids on the way
-        nodes = []
-        for t in active:
-            stack, tree = stacks[t], grown[t]
-            while stack:
-                start, size, depth, h, parent = stack.pop()
-                if parent >= 0:
-                    tree[parent][2] = len(tree)
-                tree.append([-1, 0.0, -1, h])
-                if start >= 0:
-                    nodes.append((t, start, size, depth, h))
-                    break
-        if not nodes:
-            break
+    n_nodes = n_trees
+    while (active := np.flatnonzero(top)).size:
         if passes % ahead == 0:
-            calls = np.arange(passes, passes + ahead, dtype=np.uint64)
+            calls = np.arange(passes, passes + ahead, dtype=np.uint64) * np.uint64(k)
             upcoming = _sample_features(
-                np.repeat(seeds, ahead), np.tile(n + calls * k, len(trees)),
+                np.repeat(np.tile(seeds, len(sets)), ahead),
+                (n.astype(np.uint64)[:, None] + calls).reshape(-1),
                 n_features, k,
-            ).reshape(len(trees), ahead, k)
-        scored = np.array(nodes)
-        owner, starts, sizes, _, rows_h = scored.T
-        feats = upcoming[owner, passes % ahead]
+            ).reshape(n_trees, ahead, k)
+        top[active] -= 1
+        scored = stack[active, top[active]]
+        feats = upcoming[active, passes % ahead]
         passes += 1
+        starts, hist = start[scored], counts[scored]
+        sizes = hist.sum(axis=1)
+        found = np.empty(len(scored), dtype=np.int64)
+        cut = np.empty(len(scored))
+        left = np.empty_like(hist)
         for lo, hi in _chunks(sizes.tolist()):
-            size = sizes[lo:hi]
-            ends = np.cumsum(size)
+            run = sizes[lo:hi]
+            stops = np.cumsum(run)
             # the chunk's rows, node after node: one gather from the buffer
-            index = np.repeat(starts[lo:hi] - (ends - size), size)
-            index += np.arange(ends[-1])
-            hist = counts[rows_h[lo:hi]]
-            feature, threshold, ordered, left = _best_splits(
-                x, ranks, y, min_leaf, buffer[index], size, hist, feats[lo:hi],
+            index = np.repeat(starts[lo:hi] - (stops - run), run)
+            index += np.arange(stops[-1])
+            found[lo:hi], cut[lo:hi], ordered, left[lo:hi] = _best_splits(
+                x, ranks, y, min_leaf, buffer[index], run, hist[lo:hi], feats[lo:hi],
             )
             buffer[index] = ordered
-            split = np.flatnonzero(feature >= 0)
-            if not len(split):
-                continue
-            child_counts = np.stack([left, hist - left], axis=1)[split]
-            child_size = child_counts.sum(axis=2)
-            child_leaf = leaf(child_size, child_counts)
-            if n_counts + 2 * len(split) > len(counts):
-                # keeps the rows in use; the rest are written before use
-                counts = np.resize(counts, (2 * (n_counts + 2 * len(split)), n_classes))
-            counts[n_counts:n_counts + 2 * len(split)] = child_counts.reshape(-1, n_classes)
-            for h, (t, start, _, d, _), f, v, (n_l, n_r), (leaf_l, leaf_r) in zip(
-                range(n_counts, n_counts + 2 * len(split), 2),
-                scored[lo:hi][split].tolist(), feature[split].tolist(),
-                threshold[split].tolist(), child_size.tolist(), child_leaf.tolist(),
-            ):
-                tree = grown[t]
-                node = len(tree) - 1  # the tree's last node is the one scored
-                tree[node][:2] = f, v
-                d += 1
-                if d >= max_depth:
-                    leaf_l = leaf_r = True
-                stacks[t] += [
-                    (-1 if leaf_r else start + n_l, n_r, d, h + 1, node),
-                    (-1 if leaf_l else start, n_l, d, h, -1),
-                ]
-            n_counts += 2 * len(split)
-        active = [t for t in active if stacks[t]]
-    blocks = []
-    for tree in grown:
-        feature, threshold, right, h = zip(*tree)
-        feature = np.array(feature, dtype=np.int64)
-        blocks.append(_Tree(
-            feature=feature,
-            threshold=np.array(threshold, dtype=np.float64),
-            left=np.where(feature >= 0, np.arange(1, len(feature) + 1), -1),
-            right=np.array(right, dtype=np.int64),
-            histogram=counts[list(h)],
-        ))
-    return blocks
+        split = np.flatnonzero(found >= 0)
+        if not len(split):
+            continue
+        parents, owners = scored[split], active[split]
+        new = slice(n_nodes, n_nodes + 2 * len(split))
+        if new.stop > cap:
+            # keeps the records in use; a new one reads -1, a leaf's feature
+            # and child, until written
+            cap = new.stop * 3 // 2
+            start, depth, child, feature, threshold, counts = (
+                _resized(array, cap)
+                for array in (start, depth, child, feature, threshold, counts)
+            )
+        feature[parents] = found[split]
+        threshold[parents] = cut[split]
+        child[parents] = np.arange(new.start, new.stop, 2)
+        # each split node's children, left then right
+        pair = np.stack([left[split], hist[split] - left[split]], axis=1)
+        pair_size = pair.sum(axis=2)
+        pair_depth = depth[parents] + 1
+        counts[new] = pair.reshape(-1, n_classes)
+        runs = start[new].reshape(-1, 2)  # a view: writes reach start
+        runs[:, 0] = starts[split]
+        runs[:, 1] = starts[split] + pair_size[:, 0]
+        depth[new] = np.repeat(pair_depth, 2)
+        grows = ~leaf(pair_size, pair, pair_depth[:, None])
+        for side in (1, 0):
+            who = owners[grows[:, side]]
+            stack[who, top[who]] = child[parents[grows[:, side]]] + side
+            top[who] += 1
+        n_nodes = new.stop
+    return _trees(sets, m, n_nodes, depth, child, feature, threshold, counts)
+
+
+def _trees(
+    sets: list, m: int, n_nodes: int, depth: np.ndarray, child: np.ndarray,
+    feature: np.ndarray, threshold: np.ndarray, counts: np.ndarray,
+) -> list[list[_Tree]]:
+    """Each set's _Trees from a block's first n_nodes node records (see
+    _grow_block), m trees per set, whose roots come first."""
+    inner = np.flatnonzero(child[:n_nodes] >= 0)
+    levels = [inner[depth[inner] == d] for d in range(int(depth[:n_nodes].max()))]
+    # each node's subtree size, the deepest level first; then, from its
+    # parent's, its tree and its id, its place in its tree's preorder
+    subtree = np.ones(n_nodes, dtype=np.int64)
+    for level in reversed(levels):
+        subtree[level] += subtree[child[level]] + subtree[child[level] + 1]
+    roots = m * len(sets)
+    tree = np.zeros(n_nodes, dtype=np.int64)
+    tree[:roots] = np.arange(roots)
+    ids = np.zeros(n_nodes, dtype=np.int64)
+    for level in levels:
+        left = child[level]
+        tree[left] = tree[left + 1] = tree[level]
+        ids[left] = ids[level] + 1
+        ids[left + 1] = ids[level] + 1 + subtree[left]
+    bounds = np.cumsum(subtree[:roots]) - subtree[:roots]
+    order = np.empty(n_nodes, dtype=np.int64)
+    order[bounds[tree] + ids] = np.arange(n_nodes)
+    inner = feature[order] >= 0
+    arrays = {
+        "feature": feature[order],
+        "threshold": np.where(inner, threshold[order], 0.0),
+        "left": np.where(inner, ids[order] + 1, -1),
+        "right": np.where(inner, ids[child[order] + 1], -1),
+    }
+    bounds = np.append(bounds, n_nodes).tolist()
+    grown = []
+    for a, (_, classes) in enumerate(sets):
+        lo, hi = bounds[a * m], bounds[(a + 1) * m]
+        histogram = counts[np.ix_(order[lo:hi], classes)]
+        grown.append([
+            _Tree(**{name: array[i:j] for name, array in arrays.items()},
+                  histogram=histogram[i - lo:j - lo])
+            for i, j in zip(bounds[a * m:(a + 1) * m], bounds[a * m + 1:(a + 1) * m + 1])
+        ])
+    return grown
 
 
 def check_forest(
@@ -527,38 +601,55 @@ def check_forest(
                          f"got {features_per_split}")
 
 
+def check_set(labels: np.ndarray, train_rows: np.ndarray, test_rows: np.ndarray | None) -> None:
+    """Raise SingleClass unless labels[train_rows] hold 2 or more distinct
+    labels, then EmptyTest for no test_rows, unless test_rows is None."""
+    distinct = set(labels[train_rows].tolist())
+    if len(distinct) < 2:
+        raise SingleClass(f"need >= 2 classes, got {sorted(distinct)}")
+    if test_rows is not None and not len(test_rows):
+        raise EmptyTest("test set is empty")
+
+
 def _grow_blocks(
     task: Callable[[range, tuple], object],
     x: np.ndarray,
     labels: Sequence[str],
+    sets: list[tuple[np.ndarray, np.ndarray | None]],
     n_trees: int,
     max_depth: int,
     min_leaf: int,
     features_per_split: int,
     seed: int,
     workers: int,
-) -> tuple[list[str], list]:
-    """Run task(trees, job) for each block of the forest's trees, on up
-    to `workers` processes; see train for the arguments.
+) -> tuple[list[list[str]], list]:
+    """Run task(trees, job) for each block of the forests' trees, on up
+    to `workers` processes; see train_and_evaluate for the arguments.
 
-    job is what _grow_block takes. Returns the sorted distinct labels and
-    the blocks' results in block order. Raises what check_forest raises,
-    then SingleClass for fewer than 2 distinct labels.
+    sets holds each forest's training rows of x and its test rows, or
+    None. job is what _grow_block takes. Returns each set's sorted
+    distinct labels and the blocks' results in block order. Raises what
+    check_forest raises, then what check_set raises for each set in turn.
     """
     check_forest(n_trees, max_depth, min_leaf, features_per_split, workers)
-    classes, y = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
-    if len(classes) < 2:
-        raise SingleClass(f"need >= 2 classes, got {classes.tolist()}")
-    # dense rank of every value in its column, one row per feature
+    labels = np.asarray(labels, dtype=object)
+    for rows, test in sets:
+        check_set(labels, rows, test)
+    classes, y = np.unique(labels, return_inverse=True)
+    # each set's classes; np.unique here would import numpy.ma, a lasting 1 MB
+    codes = [np.flatnonzero(np.bincount(y[rows])) for rows, _ in sets]
+    # dense rank of every value in its column, one row per feature: the
+    # ranks of any rows of x keep their values' order and ties
     ranks = np.array(
         [np.unique(column, return_inverse=True)[1] for column in x.T], dtype=np.int64
     )
-    job = (x, ranks, y, len(classes), max_depth, min_leaf, features_per_split, seed)
+    job = (x, ranks, y, [(rows, c) for (rows, _), c in zip(sets, codes)],
+           max_depth, min_leaf, features_per_split, seed)
     workers = min(workers, n_trees, parallel.usable_cpus())
-    # at least one block per worker
-    size = min(_BLOCK_TREES, -(-n_trees // workers))
+    # at least one block per worker, and one tree of each set at least
+    size = min(max(1, _BLOCK_ROWS // sum(len(rows) for rows, _ in sets)), -(-n_trees // workers))
     blocks = [range(t, min(t + size, n_trees)) for t in range(0, n_trees, size)]
-    return classes.tolist(), parallel.fork_map(
+    return [classes[c].tolist() for c in codes], parallel.fork_map(
         lambda i: task(blocks[i], job), len(blocks), workers
     )
 
@@ -579,15 +670,17 @@ def train(
     workers caps the processes that grow trees, further capped by
     n_trees and the CPUs this process may run on; the model is the
     same for every worker count. Where the platform cannot fork, trees
-    grow in this process. Raises what check_forest raises.
+    grow in this process. Raises what check_forest raises, then
+    SingleClass for fewer than 2 distinct labels.
     """
-    classes, grown = _grow_blocks(
-        _grow_block, x, labels, n_trees, max_depth, min_leaf, features_per_split, seed, workers
+    (classes,), grown = _grow_blocks(
+        _grow_block, x, labels, [(np.arange(len(x)), None)],
+        n_trees, max_depth, min_leaf, features_per_split, seed, workers,
     )
     return ForestModel(
         labels=classes,
         feature_names=list(ALL_FEATURES),
-        trees=[tree for block in grown for tree in block],
+        trees=[tree for (block,) in grown for tree in block],
         n_trees=n_trees,
         max_depth=max_depth,
         min_leaf=min_leaf,
@@ -668,58 +761,70 @@ def evaluate(model: ForestModel, x: np.ndarray, labels: Sequence[str]) -> Metric
     return _scored(model.labels, votes, labels, model.config_dict())
 
 
-def _score_block(trees: range, job: tuple, x: np.ndarray) -> tuple:
-    """Grow trees `trees` (_grow_block) and vote with them on the rows x.
+def _score_block(trees: range, job: tuple, tests: list[np.ndarray]) -> list[tuple]:
+    """Grow trees `trees` of every set (_grow_block), and vote with each
+    set's trees on its test rows of x, tests[a] for set a.
 
-    Returns the votes (_votes), the trees' node and leaf counts, the
-    depth of their deepest leaf and the seconds the voting took.
+    Returns, for each set, the votes (_votes), the trees' node and leaf
+    counts, the depth of their deepest leaf and the seconds the voting
+    took.
     """
-    grown = _grow_block(trees, job)
-    start = time.perf_counter()
-    votes = _votes(grown, x, job[3])
-    score_s = time.perf_counter() - start
-    return (
-        votes,
-        sum(len(tree.feature) for tree in grown),
-        sum(int((tree.feature < 0).sum()) for tree in grown),
-        max(tree.depth() for tree in grown),
-        score_s,
-    )
+    x, sets = job[0], job[3]
+    scored = []
+    for grown, (_, classes), test in zip(_grow_block(trees, job), sets, tests):
+        start = time.perf_counter()
+        votes = _votes(grown, x[test], len(classes))
+        scored.append((
+            votes,
+            sum(len(tree.feature) for tree in grown),
+            sum(int((tree.feature < 0).sum()) for tree in grown),
+            max(tree.depth() for tree in grown),
+            time.perf_counter() - start,
+        ))
+    return scored
 
 
 def train_and_evaluate(
     x: np.ndarray,
     labels: Sequence[str],
-    x_test: np.ndarray,
-    labels_test: Sequence[str],
+    sets: Sequence[tuple[np.ndarray, np.ndarray]],
     n_trees: int = 100,
     max_depth: int = 16,
     min_leaf: int = 2,
     features_per_split: int = 3,
     seed: int = 42,
     workers: int = 1,
-) -> tuple[Metrics, dict[str, int], float]:
-    """evaluate(train(x, labels, ...), x_test, labels_test), with no model.
+) -> list[tuple[Metrics, dict[str, int], float]]:
+    """For each set (train_rows, test_rows) of rows of x, in turn,
+    evaluate(train(x[train_rows], labels[train_rows], ...),
+    x[test_rows], labels[test_rows]), with no model.
 
-    Each worker grows its blocks of trees and scores x_test with them,
-    and sends back only each row's class votes and the trees' sizes, so
-    no tree leaves the worker. Votes are integers, so their sum over
-    blocks does not depend on the block layout. Returns the Metrics; the
+    One pool grows every set's forest: a block holds the same trees of
+    each set, and each worker scores its blocks' test rows and sends
+    back only each row's class votes and the trees' sizes, so no tree
+    leaves the worker. Votes are integers, so their sum over blocks does
+    not depend on the block layout. Returns, per set, the Metrics; the
     forest's size as {"trees", "nodes", "leaves", "depth"}, depth being
     that of its deepest leaf (a lone root leaf has depth 0); and the
-    seconds spent voting, summed over blocks. Raises what train raises,
-    then EmptyTest for no test rows.
+    seconds spent voting, summed over blocks. Raises what check_forest
+    raises, then what check_set raises for each set in turn.
     """
-    x_test = np.asarray(x_test, dtype=np.float64)
+    labels = np.asarray(labels, dtype=object)
+    sets = [(np.asarray(train, dtype=np.intp), np.asarray(test, dtype=np.intp))
+            for train, test in sets]
+    tests = [test for _, test in sets]
     classes, scored = _grow_blocks(
-        lambda trees, job: _score_block(trees, job, x_test),
-        x, labels, n_trees, max_depth, min_leaf, features_per_split, seed, workers,
+        lambda trees, job: _score_block(trees, job, tests),
+        x, labels, sets, n_trees, max_depth, min_leaf, features_per_split, seed, workers,
     )
-    votes, nodes, leaves, depth, score_s = zip(*scored)
     config = dict(zip(_CONFIG_KEYS, (n_trees, max_depth, min_leaf, features_per_split, seed)))
-    metrics = _scored(classes, sum(votes), labels_test, config)
-    size = {"trees": n_trees, "nodes": sum(nodes), "leaves": sum(leaves), "depth": max(depth)}
-    return metrics, size, sum(score_s)
+    results = []
+    for a, (set_classes, test) in enumerate(zip(classes, tests)):
+        votes, nodes, leaves, depth, score_s = zip(*(block[a] for block in scored))
+        metrics = _scored(set_classes, sum(votes), labels[test], config)
+        size = {"trees": n_trees, "nodes": sum(nodes), "leaves": sum(leaves), "depth": max(depth)}
+        results.append((metrics, size, sum(score_s)))
+    return results
 
 
 # A dumped tree's node arrays and their dtypes.

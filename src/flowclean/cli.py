@@ -23,6 +23,8 @@ from collections.abc import Callable, Mapping
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import classify, synth
 from .cluster import Algorithm, Linkage
 from .dpi import DEFAULT_BLOCKLIST, read_blocklist
@@ -264,23 +266,26 @@ def run_compare(
     """Run the four-arm comparison and return the report document.
 
     Every arm shares the same split seed, forest seed, and forest
-    hyperparameters; each arm's flows become feature rows and labels
-    once (classify.dataset), which are split 75/25 within the arm.
-    Each cleaner runs once. threads caps both the worker processes that
-    clean apps and those that grow each forest; neither changes the
-    report outside its timings. Each arm's forest is scored in the
-    workers that grow it (classify.train_and_evaluate), which send back
+    hyperparameters. All flows become feature rows and labels once
+    (classify.dataset); an arm is its flows' rows, which are split 75/25
+    within the arm. Each cleaner runs once. threads caps both the worker
+    processes that clean apps and those that grow the forests; neither
+    changes the report outside its timings. One
+    classify.train_and_evaluate call grows every arm's forest in one
+    pool and scores each in the workers that grow it, which send back
     the test rows' votes, not trees. timings_ms holds milliseconds: each
     clean's own stage times (clean_<alg>_<stage> for dpi, features,
     cluster, select and total; stage times are summed over worker
-    processes, total is wall time), each arm's forest training and
-    scoring in wall time (train_<arm>) and its scoring alone, summed
-    over workers (eval_<arm>). forest holds each arm's
-    tree, node and leaf counts and the depth of its deepest leaf. The
-    report's content_sha256 covers config and arms: everything except
+    processes, total is wall time), the wall time of growing and
+    scoring every arm's forest (train) and each arm's scoring alone,
+    summed over workers (eval_<arm>). forest holds each arm's tree, node
+    and leaf counts and the depth of its deepest leaf. The report's
+    content_sha256 covers config and arms: everything except
     timings_ms, forest and the generation timestamp. No algorithm, or
     one given twice, raises ValueError, as do the checks of k, threads
-    and train_frac, before any flow is generated.
+    and train_frac, before any flow is generated. Then the first arm, in
+    the order uncleaned, oracle and algorithms, whose split or whose
+    classify.check_set fails raises that error, before any tree grows.
     """
     if not algorithms:
         raise ValueError("compare needs at least one algorithm")
@@ -310,17 +315,27 @@ def run_compare(
         for stage, ms in report.timings_ms.items():
             timings_ms[f"clean_{algorithm.value}_{stage}"] = ms
 
+    # every arm's flows are flows: an arm is its flows' rows of one dataset,
+    # found by identity
+    x, labels = classify.dataset(flows)
+    ids = np.fromiter(map(id, flows), np.uint64, len(flows))
+    by_id = np.argsort(ids)
+    sets = []
+    for arm_flows in arms.values():
+        arm_ids = np.fromiter(map(id, arm_flows), np.uint64, len(arm_flows))
+        rows = by_id[np.searchsorted(ids, arm_ids, sorter=by_id)]
+        train_rows, test_rows = classify.split(labels[rows], train_frac=train_frac, seed=seed)
+        sets.append((rows[train_rows], rows[test_rows]))
+        classify.check_set(labels, *sets[-1])
+    t0 = time.perf_counter()
+    scored = classify.train_and_evaluate(x, labels, sets, seed=seed, workers=threads)
+    timings_ms["train"] = (time.perf_counter() - t0) * 1e3
     arm_results: dict[str, dict] = {}
     forest: dict[str, dict] = {}
-    for name, arm_flows in arms.items():
-        x, labels = classify.dataset(arm_flows)
-        train_rows, test_rows = classify.split(labels, train_frac=train_frac, seed=seed)
-        t0 = time.perf_counter()
-        metrics, forest[name], score_s = classify.train_and_evaluate(
-            x[train_rows], labels[train_rows], x[test_rows], labels[test_rows],
-            seed=seed, workers=threads,
-        )
-        timings_ms[f"train_{name}"] = (time.perf_counter() - t0) * 1e3
+    for (name, arm_flows), (train_rows, test_rows), (metrics, size, score_s) in zip(
+        arms.items(), sets, scored
+    ):
+        forest[name] = size
         timings_ms[f"eval_{name}"] = score_s * 1e3
         arm_results[name] = {
             "flows": len(arm_flows),

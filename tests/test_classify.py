@@ -19,6 +19,8 @@ from flowclean.classify import (
     ForestModel,
     _Tree,
     _sample_features,
+    _votes,
+    _winners,
     compute_metrics,
     dataset,
     evaluate,
@@ -50,6 +52,11 @@ def separable_flows(n_per_class: int = 20):
                     bytes_in=100 + i, bytes_out=9000 + 10 * i)
           for i in range(n_per_class)]
     return dl + ul
+
+
+def predict(model: ForestModel, x: np.ndarray) -> list[str]:
+    """The model's predicted label of each row of x."""
+    return _winners(model.labels, _votes(model.trees, x, len(model.labels)))
 
 
 def split_flows(flows, **kwargs):
@@ -142,7 +149,7 @@ def test_train_separable_classes():
     flows = separable_flows()
     model = train(*dataset(flows), n_trees=5, max_depth=4, seed=0)
     assert model.labels == ["dl", "ul"]
-    predicted = model.predict_matrix(feature_matrix(flows))
+    predicted = predict(model, feature_matrix(flows))
     actual = [f.app_label for f in flows]
     assert predicted == actual
 
@@ -164,7 +171,7 @@ def test_single_stump_uses_the_only_informative_feature():
     probe_short = make_flow(flow_id=500, first_ts_us=0, last_ts_us=2_000_000)
     probe_long = make_flow(flow_id=501, first_ts_us=0, last_ts_us=50_000_000)
     probes = feature_matrix([probe_short, probe_long])
-    assert model.predict_matrix(probes) == ["short", "long"]
+    assert predict(model, probes) == ["short", "long"]
 
 
 def test_train_deterministic():
@@ -413,33 +420,61 @@ def tie_heavy_flows(draw):
     return flows
 
 
+def grow_sets(x, labels, sets, **kwargs):
+    """Each set's labels and trees, the sets of rows of x growing in one
+    pool of blocks, as train_and_evaluate grows them."""
+    classes, blocks = classify_mod._grow_blocks(
+        classify_mod._grow_block, x, labels, [(np.array(rows), None) for rows in sets],
+        workers=1, **kwargs,
+    )
+    return classes, [[tree for block in blocks for tree in block[a]] for a in range(len(sets))]
+
+
+def assert_same_trees(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a.feature, b.feature)
+        assert a.threshold.tobytes() == b.threshold.tobytes()
+        assert np.array_equal(a.left, b.left)
+        assert np.array_equal(a.right, b.right)
+        assert np.array_equal(a.histogram, b.histogram)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     flows=tie_heavy_flows(),
+    other=st.lists(st.integers(0, 79), max_size=60),
     min_leaf=st.integers(1, 4),
     features_per_split=st.integers(1, len(ALL_FEATURES)),
     seed=st.integers(0, 2**32),
-    block_trees=st.integers(1, 3),
+    block_rows=st.integers(1, 300),
     chunk_rows=st.integers(1, 100),
 )
 def test_batched_split_search_matches_per_feature_oracle(
-    flows, min_leaf, features_per_split, seed, block_trees, chunk_rows
+    flows, other, min_leaf, features_per_split, seed, block_rows, chunk_rows
 ):
-    kwargs = dict(n_trees=3, min_leaf=min_leaf,
+    # every flow; then a set of another size that shares rows with it and
+    # may repeat one, whose first rows take classes c0 and c1; then, where
+    # it keeps two classes, every flow but those of class c1
+    x, labels = dataset(flows)
+    sets = [range(len(flows)), [0, 1] + [i % len(flows) for i in other]]
+    lacking = np.flatnonzero(labels != "c1")
+    if len(set(labels[lacking])) >= 2:
+        sets.append(lacking)
+    kwargs = dict(n_trees=3, max_depth=16, min_leaf=min_leaf,
                   features_per_split=features_per_split, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
-        # small chunks split a step between nodes and put a large node alone
-        mp.setattr(classify_mod, "_BLOCK_TREES", block_trees)
+        # small chunks split a step between nodes and put a large node alone;
+        # a small budget makes blocks of one tree of each set
+        mp.setattr(classify_mod, "_BLOCK_ROWS", block_rows)
         mp.setattr(classify_mod, "_CHUNK_ROWS", chunk_rows)
-        model = train(*dataset(flows), **kwargs)
-    for builder in (_TreeBuilder, _PerFeatureBuilder):
-        oracle = oracle_trees(flows, builder=builder, **kwargs)
-        for got, want in zip(model.trees, oracle, strict=True):
-            assert np.array_equal(got.feature, want.feature)
-            assert got.threshold.tobytes() == want.threshold.tobytes()
-            assert np.array_equal(got.left, want.left)
-            assert np.array_equal(got.right, want.right)
-            assert np.array_equal(got.histogram, want.histogram)
+        classes, grown = grow_sets(x, labels, sets, **kwargs)
+        alone = [train(x[rows], labels[rows], **kwargs) for rows in sets]
+    for rows, set_classes, trees, model in zip(sets, classes, grown, alone, strict=True):
+        assert set_classes == model.labels
+        assert_same_trees(trees, model.trees)
+        for builder in (_TreeBuilder, _PerFeatureBuilder):
+            oracle = oracle_trees([flows[i] for i in rows], builder=builder, **kwargs)
+            assert_same_trees(trees, oracle)
 
 
 def test_threshold_rounded_onto_the_upper_value_sends_its_rows_left():
@@ -631,13 +666,19 @@ def test_evaluate_empty_test():
     model = train(x, labels, n_trees=2, seed=0)
     with pytest.raises(EmptyTest):
         evaluate(model, *dataset([]))
+    every, none = np.arange(len(x)), np.array([], dtype=np.intp)
     with pytest.raises(EmptyTest):
-        train_and_evaluate(x, labels, *dataset([]), n_trees=2, seed=0)
-    # train's errors come first
+        train_and_evaluate(x, labels, [(every, none)], n_trees=2, seed=0)
+    # train's errors come first, and each set's before the next set's
+    one_class = np.flatnonzero(labels == "dl")
+    with pytest.raises(SingleClass, match=r"^need >= 2 classes, got \['dl'\]$"):
+        train_and_evaluate(x, labels, [(one_class, none)])
     with pytest.raises(SingleClass):
-        train_and_evaluate(x[labels == "dl"], labels[labels == "dl"], *dataset([]))
+        train_and_evaluate(x, labels, [(every, every), (one_class, every), (every, none)])
+    with pytest.raises(EmptyTest):
+        train_and_evaluate(x, labels, [(every, every), (every, none), (one_class, every)])
     with pytest.raises(ValueError, match="^n_trees must be >= 1, got 0$"):
-        train_and_evaluate(x, labels, x, labels, n_trees=0)
+        train_and_evaluate(x, labels, [(one_class, none)], n_trees=0)
 
 
 def forest_size(model: ForestModel) -> dict:
@@ -652,18 +693,21 @@ def forest_size(model: ForestModel) -> dict:
 @pytest.mark.parametrize("n_trees", [1, 2, 7])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_train_and_evaluate_matches_train_then_evaluate(many_cpus, workers, n_trees):
-    # 7 trees on 3 workers are blocks of 3, 3 and 1; 2 trees on 3 workers, 2 blocks of 1
+    # 7 trees on 3 workers are blocks of 3, 3 and 1; 2 trees on 3 workers, 2
+    # blocks of 1; a block holds those trees of every set
     x, labels = dataset(overlapping_flows())
-    train_rows, test_rows = split(labels, seed=5)
+    sets = []
+    # every flow, every flow but class c1's, and every other flow
+    for rows in (np.arange(len(x)), np.flatnonzero(labels != "c1"), np.arange(0, len(x), 2)):
+        train_rows, test_rows = split(labels[rows], seed=5 + len(sets))
+        sets.append((rows[train_rows], rows[test_rows]))
     options = dict(n_trees=n_trees, max_depth=6, seed=5)
-    model = train(x[train_rows], labels[train_rows], **options)
-    metrics, size, score_s = train_and_evaluate(
-        x[train_rows], labels[train_rows], x[test_rows], labels[test_rows],
-        workers=workers, **options,
-    )
-    assert metrics == evaluate(model, x[test_rows], labels[test_rows])
-    assert size == forest_size(model)
-    assert score_s >= 0.0
+    scored = train_and_evaluate(x, labels, sets, workers=workers, **options)
+    for (train_rows, test_rows), (metrics, size, score_s) in zip(sets, scored, strict=True):
+        model = train(x[train_rows], labels[train_rows], **options)
+        assert metrics == evaluate(model, x[test_rows], labels[test_rows])
+        assert size == forest_size(model)
+        assert score_s >= 0.0
 
 
 def test_train_and_evaluate_breaks_tied_votes_toward_the_first_label(many_cpus):
@@ -674,15 +718,14 @@ def test_train_and_evaluate_breaks_tied_votes_toward_the_first_label(many_cpus):
     # the two trees disagree on some rows, whose votes tie 1 to 1
     assert (first != second).any()
     expected = [model.labels[c] for c in np.minimum(first, second).tolist()]
-    metrics, _, _ = train_and_evaluate(
-        x[train_rows], labels[train_rows], x[test_rows], labels[test_rows],
-        n_trees=2, max_depth=3, seed=3, workers=2,
+    [(metrics, _, _)] = train_and_evaluate(
+        x, labels, [(train_rows, test_rows)], n_trees=2, max_depth=3, seed=3, workers=2,
     )
     assert metrics == compute_metrics(
         list(labels[test_rows]), expected, extra_labels=model.labels,
         config=model.config_dict(),
     )
-    assert model.predict_matrix(x[test_rows]) == expected
+    assert predict(model, x[test_rows]) == expected
 
 
 # --- model persistence --------------------------------------------------
@@ -698,7 +741,7 @@ def test_model_json_round_trip(tmp_path):
     assert loaded.labels == model.labels
     assert loaded.config_dict() == model.config_dict()
     probes = feature_matrix(separable_flows(7))
-    assert loaded.predict_matrix(probes) == model.predict_matrix(probes)
+    assert predict(loaded, probes) == predict(model, probes)
 
 
 @pytest.mark.parametrize("n_trees", [1, 3])
@@ -793,11 +836,12 @@ def test_model_bytes_do_not_depend_on_workers(tmp_path, many_cpus, n_trees):
 
 def test_model_bytes_do_not_depend_on_the_block_layout(tmp_path, many_cpus, monkeypatch):
     # 120 trees as 120 blocks of one; as 50, 50 and an uneven 20 on 1 and 2
-    # workers; as 3 blocks of 40 on 3 workers; and as 2 blocks of 60
+    # workers; as 3 blocks of 40 on 3 workers; and as 2 blocks of 60. Each
+    # tree draws 120 rows.
     x, labels = dataset(overlapping_flows())
     dumps = set()
     for block_trees, workers in ((1, 1), (50, 1), (50, 2), (50, 3), (120, 2)):
-        monkeypatch.setattr(classify_mod, "_BLOCK_TREES", block_trees)
+        monkeypatch.setattr(classify_mod, "_BLOCK_ROWS", block_trees * len(x))
         path = tmp_path / f"model-{block_trees}-{workers}.json"
         write_model(train(x, labels, n_trees=120, seed=4, workers=workers), path)
         dumps.add(path.read_bytes())
@@ -842,7 +886,7 @@ def test_worker_error_reaches_caller_and_no_child_is_left(many_cpus, monkeypatch
 @needs_fork_and_proc
 def test_interrupt_cancels_unstarted_trees_and_no_child_is_left(many_cpus, monkeypatch):
     # a block of one tree each: a running block finishes, the rest are cancelled
-    monkeypatch.setattr(classify_mod, "_BLOCK_TREES", 1)
+    monkeypatch.setattr(classify_mod, "_BLOCK_ROWS", 1)
     monkeypatch.setattr(classify_mod, "_grow_block", _slow_block)
     before = child_processes()
     # 40 trees of >= 0.3 s each on 2 workers would take >= 6 s

@@ -4,6 +4,7 @@ import argparse
 import codecs
 import csv
 import hashlib
+import itertools
 import json
 import locale
 import os
@@ -22,7 +23,14 @@ import flowclean.ingest as ingest_mod
 import flowclean.select as select_mod
 from flowclean.cli import _canonical_sha256, main, read_config, run_compare
 from flowclean.cluster import Algorithm
-from flowclean.errors import ParseError, SchemaMismatch, UnclusterableMatrix
+from flowclean.errors import (
+    EmptyTest,
+    LabelTooSmall,
+    ParseError,
+    SchemaMismatch,
+    SingleClass,
+    UnclusterableMatrix,
+)
 from flowclean.ingest import (
     FLOW_TABLE_HEADER,
     format_flow_row,
@@ -35,6 +43,7 @@ from flowclean.select import clean
 from flowclean.synth import read_scenario
 
 from conftest import TCP_ACK, TCP_SYN, ethernet, make_flow, pcap_bytes, tcp4_frame
+from test_classify import assert_no_child_left, child_processes, needs_fork_and_proc
 from test_ingest import (
     RESPELLINGS,
     forced_open,
@@ -1251,8 +1260,8 @@ def test_compare_report_and_hash_stability(tmp_path, scenario_file, capsys):
     assert set(report["timings_ms"]) == {
         *(f"clean_kmeans_{stage}"
           for stage in ("dpi", "features", "cluster", "select", "total")),
-        *(f"{stage}_{arm}" for stage in ("train", "eval")
-          for arm in ("uncleaned", "oracle", "kmeans")),
+        "train",
+        *(f"eval_{arm}" for arm in ("uncleaned", "oracle", "kmeans")),
     }
     # wall-clock timings stay outside the content hash
     assert report["content_sha256"] == _canonical_sha256(
@@ -1262,7 +1271,7 @@ def test_compare_report_and_hash_stability(tmp_path, scenario_file, capsys):
     assert (out1 / "compare_timings.csv").is_file()
     table = capsys.readouterr().out
     assert "uncleaned" in table and "oracle" in table
-    assert "\nstage " in table and "\ntrain_oracle " in table
+    assert "\nstage " in table and "\ntrain " in table and "\neval_oracle " in table
 
     out2 = tmp_path / "cmp2"
     assert main(["compare", "--scenario", str(scenario_file),
@@ -1306,6 +1315,46 @@ def test_compare_runs_each_cleaner_once(scenario_file, monkeypatch):
     )
     assert calls == [Algorithm.KMEANS, Algorithm.HIERARCHICAL]
     assert set(report["arms"]) == {"uncleaned", "oracle", "kmeans", "hier"}
+
+
+def _app_flows(flows, label, n=None):
+    return [flow for flow in flows if flow.app_label == label][:n]
+
+
+# What a cleaner keeps, the error its arm then raises in compare at
+# train_frac 0.9, and the error's message
+_ARM_FAULTS = {
+    # one app: the training set has one class
+    "one_app": (lambda flows: _app_flows(flows, "alpha"),
+                SingleClass, r"^need >= 2 classes, got \['alpha'\]$"),
+    # three flows of beta: too few to split
+    "three_beta": (lambda flows: _app_flows(flows, "alpha") + _app_flows(flows, "beta", 3),
+                   LabelTooSmall, r"^label 'beta' has 3 flows, need >= 4$"),
+    # four flows of each app: every one goes to training
+    "four_each": (lambda flows: _app_flows(flows, "alpha", 4) + _app_flows(flows, "beta", 4),
+                  EmptyTest, r"^test set is empty$"),
+}
+
+
+@needs_fork_and_proc
+@pytest.mark.parametrize("first, second", itertools.permutations(_ARM_FAULTS, 2))
+def test_compare_raises_the_first_failing_arms_error(
+    scenario_file, many_cpus, monkeypatch, first, second
+):
+    # the arms are checked in order, uncleaned, oracle, then the cleaners'
+    faults = {Algorithm.KMEANS: first, Algorithm.HIERARCHICAL: second}
+
+    def faulty(flows, algorithm, **kwargs):
+        _, report = clean(flows, algorithm=algorithm, **kwargs)
+        return _ARM_FAULTS[faults[algorithm]][0](flows), report
+
+    monkeypatch.setattr(cli_mod, "clean", faulty)
+    _, error, message = _ARM_FAULTS[first]
+    before = child_processes()
+    with pytest.raises(error, match=message):
+        run_compare(read_scenario(scenario_file), [Algorithm.KMEANS, Algorithm.HIERARCHICAL],
+                    train_frac=0.9, threads=2)
+    assert_no_child_left(before)
 
 
 def test_compare_rejects_a_repeated_algorithm(tmp_path, scenario_file, capsys):
