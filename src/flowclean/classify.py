@@ -628,10 +628,13 @@ def _grow_blocks(
 
     sets holds each forest's training rows of x and its test rows, or
     None. job is what _grow_block takes. Returns each set's sorted
-    distinct labels and the blocks' results in block order. Raises what
-    check_forest raises, then what check_set raises for each set in turn.
+    distinct labels and the blocks' results in block order; no sets
+    start no pool and give no results. Raises what check_forest raises,
+    then what check_set raises for each set in turn.
     """
     check_forest(n_trees, max_depth, min_leaf, features_per_split, workers)
+    if not sets:
+        return [], []
     labels = np.asarray(labels, dtype=object)
     for rows, test in sets:
         check_set(labels, rows, test)

@@ -1,19 +1,14 @@
 """One pool of forked worker processes for independent items.
 
-Cleaning's phase 1 runs on it in chunks, of the caller's flows
-(select.clean) or of a flow table's records that the workers parse
-(clean, train and eval); then apps are cleaned and trees grown on
-it. A worker is started
-with the `fork` method and inherits the task, and whatever the task
-refers to, from the calling process; it is sent only item indices and
-sends back the task's results, so those should be small. A worker
-should not walk many of the caller's Python objects either: each touch
-writes the object's refcount, which copies its page. On a 100k-flow
-table on 2 vCPUs, DPI summed over apps took 0.33-0.54 s in one
-process, 0.47-1.13 s in two workers walking the caller's records, and
-0.32-0.48 s in two workers that parsed the rows they took, as the
-phase-1 workers of the table path do; select.clean's phase-1 workers
-walk the caller's records.
+A flow table's cleaning phase 1 runs on it, in chunks of the table's
+records that the workers parse (clean, train and eval); then apps are
+cleaned and trees grown on it. A worker is started with the `fork`
+method and inherits the task, and whatever the task refers to, from
+the calling process; it is sent only item indices and sends back the
+task's results, so those should be small. A worker should not walk many
+of the caller's Python objects either: each touch writes the object's
+refcount, which copies its page. So every task reads only arrays the
+caller built or rows the worker parsed itself.
 `spawn` and `forkserver` are not used because they start helper
 processes (the resource tracker and the fork server) that outlive the
 pool. A fork copies only the calling thread, so no other thread of the

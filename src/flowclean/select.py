@@ -9,20 +9,21 @@ very different traffic volumes. evaluate() resolves each threshold
 once and compares whole centroid columns, returning per cluster the
 index of the rule that decided it, or -1 where the default did.
 
-Cleaning runs in two phases, each on a fork pool. Phase 1,
-_flow_rows, is per flow: on equal chunks of the input, in order, about
-_CHUNKS_PER_WORKER per worker, it gives each flow's payload-prefix
-verdict, label and flow_id, and the feature row of each flow it keeps.
-Phase 2, _clean_apps, is per app: each worker gathers one app's rows
-from the chunks, by label, and standardizes, clusters and selects them
-(_clean_app). It returns each app's kept positions in the input, its
-counts and its stage times. clean() runs phase 1 on the caller's flows;
-clean_table() runs it on a flow table's records, on workers that parse
-their chunk and send back arrays, not records, so the caller never
-holds the table's records. read_dataset reads a table for train and
-eval by phase 1 alone, without DPI. Verdicts and feature rows depend on
-nothing but their own flow, so neither the chunks nor the worker count
-change the output. The table's format stays in ingest:
+Cleaning runs in two phases. Phase 1, _flow_rows, is per flow: it
+gives each flow's payload-prefix verdict, label and flow_id, and the
+feature row of each flow it keeps. Phase 2, _clean_apps, is per app, on
+a fork pool: each worker gathers one app's rows from phase 1's parts,
+by label, and standardizes, clusters and selects them (_clean_app). It
+returns each app's kept positions in the input, its counts and its
+stage times. clean() runs phase 1 on the caller's flows in the calling
+process, as one part, so no worker walks the caller's records.
+clean_table() runs it on a fork pool, on equal chunks of a flow table's
+records, in order, about _CHUNKS_PER_WORKER per worker: each worker
+parses its chunk and sends back arrays, not records, so the caller
+never holds the table's records. read_dataset reads a table for train
+and eval by that phase 1 alone, without DPI. Verdicts and feature rows
+depend on nothing but their own flow, so neither the chunks nor the
+worker count change the output. The table's format stays in ingest:
 read_flow_lines parses a chunk and finds its rows to rewrite, and
 check_flow_lines finds the lowest bad line.
 """
@@ -282,16 +283,16 @@ _CHUNKS_PER_WORKER = 8
 
 
 def _chunk_size(flows: int, workers: int) -> int:
-    """The most flows of one phase-1 chunk, for `flows` flows on `workers` workers."""
+    """The most records of one phase-1 chunk, for `flows` table records on `workers` workers."""
     return max(1, -(-flows // (workers * _CHUNKS_PER_WORKER)))
 
 
 def _chunks(n: int, threads: int) -> list[slice]:
-    """The phase-1 chunks of n flows: equal runs of at most _chunk_size flows, in order.
+    """The phase-1 chunks of a table's n records: equal runs of at most
+    _chunk_size records, in order.
 
-    A chunk of a table's records stops parsing at its first bad line, so
-    it holds its records in their order: that line must be the lowest
-    bad one it holds.
+    A chunk stops parsing at its first bad line, so it holds its records
+    in their order: that line must be the lowest bad one it holds.
     """
     most = _chunk_size(n, min(threads, parallel.usable_cpus()))
     count = -(-n // most)
@@ -492,25 +493,22 @@ def clean(
     and flagged in the report. Returns kept flows sorted by (app_label,
     flow_id), stably.
 
-    threads caps the worker processes of phase 1 (_flow_rows, on equal
-    chunks of flows in order) and then of phase 2 (_clean_apps, on
-    apps); see parallel.fork_map. Neither the chunks nor the worker
-    count change the output. The first flow with no app label raises
-    ValueError before phase 1 runs; then what phase 1 raises, then the
-    first failing app's error in label order, is raised.
-    k and threads must be >= 1. Stage times in the report are summed
-    over chunks and apps, while total is wall time.
+    Phase 1 (_flow_rows) runs in this process, on all the flows at
+    once; threads caps the worker processes of phase 2 (_clean_apps, on
+    apps); see parallel.fork_map. The worker count does not change the
+    output. The first flow with no app label raises ValueError before
+    phase 1 runs; then what phase 1 raises, then the first failing app's
+    error in label order, is raised. k and threads must be >= 1. In the
+    report, the dpi time and phase 1's part of the features time are
+    this process's own; the rest of the stage times are summed over
+    apps, and total is wall time.
     """
     check_sizes(k, threads)
     total_start = time.perf_counter()
     check_labels(flows)
-    chunks = _chunks(len(flows), threads)
-    parts = fork_map(
-        lambda i: _flow_rows(flows[chunks[i]], blocklist, skip_dpi), len(chunks), threads
-    )
     apps, report = _clean_apps(
-        parts, policy=policy, algorithm=algorithm, k=k, seed=seed, linkage=linkage,
-        skip_dpi=skip_dpi, threads=threads,
+        [_flow_rows(flows, blocklist, skip_dpi)], policy=policy, algorithm=algorithm, k=k,
+        seed=seed, linkage=linkage, skip_dpi=skip_dpi, threads=threads,
     )
     cleaned = [flows[i] for kept in apps for i in kept.tolist()]
     report.timings_ms["total"] = (time.perf_counter() - total_start) * 1e3

@@ -681,6 +681,15 @@ def test_evaluate_empty_test():
         train_and_evaluate(x, labels, [(one_class, none)], n_trees=0)
 
 
+def test_train_and_evaluate_of_no_sets_starts_no_pool(monkeypatch):
+    x, labels = dataset(separable_flows(10))
+    monkeypatch.setattr(classify_mod.parallel, "fork_map", lambda *args: pytest.fail("pool"))
+    assert train_and_evaluate(x, labels, [], workers=2) == []
+    # the forest's options are checked first
+    with pytest.raises(ValueError, match="^n_trees must be >= 1, got 0$"):
+        train_and_evaluate(x, labels, [], n_trees=0)
+
+
 def forest_size(model: ForestModel) -> dict:
     return {
         "trees": len(model.trees),

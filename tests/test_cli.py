@@ -21,6 +21,7 @@ import flowclean.cli as cli_mod
 import flowclean.cluster as cluster_mod
 import flowclean.ingest as ingest_mod
 import flowclean.select as select_mod
+from flowclean import parallel
 from flowclean.cli import _canonical_sha256, main, read_config, run_compare
 from flowclean.cluster import Algorithm
 from flowclean.errors import (
@@ -39,7 +40,7 @@ from flowclean.ingest import (
     read_flow_table,
     write_flow_table,
 )
-from flowclean.select import clean
+from flowclean.select import clean, clean_table
 from flowclean.synth import read_scenario
 
 from conftest import TCP_ACK, TCP_SYN, ethernet, make_flow, pcap_bytes, tcp4_frame
@@ -652,6 +653,17 @@ _MANY = [
 _MANY = [_noncanonical(row) if i % 5 == 0 else row for i, row in enumerate(_MANY)]
 
 
+# app b's flow_ids from 2**63 up and app a's below 0, in falling order, as
+# test_select's "flow_ids past int64": a chunk with any of b's ids holds its
+# ids as objects, and one of a's alone as int64, so in chunks of 7 app a is
+# gathered from one of each; each app keeps some flows at ratio > 0.5
+_PAST_INT64 = [
+    _row(first + i, label, bytes_out=3000 * (i % 3))
+    for label, first in (("b", 2**63), ("a", -9))
+    for i in range(8, -1, -1)
+]
+
+
 def _chunks_of(patch, size: int) -> None:
     patch.setattr(select_mod, "_chunk_size", lambda flows, workers: size)
 
@@ -662,10 +674,14 @@ def test_clean_output_does_not_depend_on_chunks(
 ):
     """Chunks of 1 row, of 7 rows and of a whole app, at one to three
     workers, give the cleaned table and per-app report that
-    reference_read_flow_table, clean and write_flow_table give."""
+    reference_read_flow_table, clean and write_flow_table give, also
+    where an app's chunks hold its flow_ids as int64 and as objects."""
     rows = tmp_path / "rows.csv"
     rows.write_bytes(_table(*_MANY))
-    for flows in (rows, synth_into(tmp_path, scenario_file) / "flows.csv"):
+    past_int64 = tmp_path / "past_int64" / "flows.csv"
+    past_int64.parent.mkdir()
+    past_int64.write_bytes(_table(*_PAST_INT64))
+    for flows in (rows, past_int64, synth_into(tmp_path, scenario_file) / "flows.csv"):
         out = flows.parent / "out"
         with pytest.MonkeyPatch.context() as patch:
             _compose(patch)
@@ -1315,6 +1331,34 @@ def test_compare_runs_each_cleaner_once(scenario_file, monkeypatch):
     )
     assert calls == [Algorithm.KMEANS, Algorithm.HIERARCHICAL]
     assert set(report["arms"]) == {"uncleaned", "oracle", "kmeans", "hier"}
+
+
+def test_only_table_cleaning_forks_for_phase_1(tmp_path, scenario_file, many_cpus, monkeypatch):
+    """clean(flows) makes one fork_map call, for its apps; clean_table
+    two, for its chunks and its apps; compare with both cleaners three,
+    two cleaners' apps and the forests."""
+    calls = []
+    fork_map = parallel.fork_map
+
+    def counted(task, n_items, workers):
+        calls.append(n_items)
+        return fork_map(task, n_items, workers)
+
+    # select calls its imported name, classify the module attribute
+    monkeypatch.setattr(select_mod, "fork_map", counted)
+    monkeypatch.setattr(parallel, "fork_map", counted)
+    path = synth_into(tmp_path, scenario_file) / "flows.csv"
+    counts = []
+    for run in (
+        lambda: clean(read_flow_table(path), threads=2),
+        lambda: clean_table(index_flow_table(path), threads=2),
+        lambda: run_compare(read_scenario(scenario_file),
+                            [Algorithm.KMEANS, Algorithm.HIERARCHICAL], threads=2),
+    ):
+        calls.clear()
+        run()
+        counts.append(len(calls))
+    assert counts == [1, 2, 3]
 
 
 def _app_flows(flows, label, n=None):

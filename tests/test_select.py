@@ -429,6 +429,8 @@ def _app(label: str, first_id: int, n: int, empty_at: int | None = None) -> list
 
 
 def _chunks_of(patch, size: int) -> None:
+    """Cut a table's phase 1 into chunks of size records. clean(flows) runs
+    phase 1 on all its flows at once, so its output must not change."""
     patch.setattr(select_mod, "_chunk_size", lambda flows, workers: size)
 
 
@@ -566,9 +568,9 @@ _ENGINE_CASES = {
 def test_clean_matches_the_reference_at_any_chunk_size(
     small_capture, many_cpus, monkeypatch, case, algorithm
 ):
-    """Chunks of 1 flow, of 7 flows and of the whole input, at one to
-    three workers, give reference_clean's kept flows and per-app counts,
-    or its error."""
+    """One to three workers give reference_clean's kept flows and per-app
+    counts, or its error, whatever _chunk_size says: chunks cut only a
+    table's phase 1, which test_cli checks against the same oracle."""
     flows = small_capture[0] if case == "small_capture" else _ENGINE_CASES[case]
     options = dict(algorithm=algorithm, seed=7, policy=parse_rules("keep ratio > 0.5"))
     expected = _outcome(reference_clean, flows, **options)
