@@ -328,16 +328,36 @@ def _nnchain_merges(
     found them in.
 
     Invariants of the loop, over the one n x n matrix:
-    - the diagonal stays +inf: _pair_matrix sets it, and a merge of
-      b into a writes only row a and column a at the other live
-      clusters, never dist[a, a];
+    - the diagonal stays +inf: _pair_matrix sets it, a merge of b into
+      a writes row a only at the other live clusters, and a sync of row
+      c (below) never writes dist[c, c], since writing row c also marks
+      it up to date;
     - a chain step reads dist[x] + dead, where dead is 0.0 for a live
       cluster and +inf for one merged away. _coerce keeps the matrix
       finite, so this reads exactly as np.where(alive, dist[x], inf);
       a dead cluster's stale row and column are never read otherwise;
-    - a merge costs O(live): two row gathers, one Lance-Williams
-      update (which overwrites its fresh gathers) and one row and one
-      column write.
+    - a merge costs O(live): two row gathers, one Lance-Williams update
+      (which overwrites its fresh gathers) and one write of row a. No
+      column is written, so the other live rows fall behind at a;
+    - sync(c) brings row c up to date before it is read: at each chain
+      step for x = chain[-1], and before each merge for its partner
+      y = chain[-2], which was last synced as the top of the chain and
+      may have fallen behind at merges made above it since. For each
+      live row r written since row c was last synced or written, it
+      copies dist[r, c] into dist[c, r]. That is the value the later of
+      the two rows' merges wrote, the same float the column write of a
+      symmetric loop stores, so every distance the loop reads or passes
+      to _lw_update is the one it would read there, and merges, heights
+      and ties are the same. A row never written reads its first
+      entries from both sides, which is why _pair_matrix must be
+      exactly symmetric.
+
+    Bookkeeping, with m the merges so far: merge j (1-based) wrote row
+    log[j - 1]; current[j - 1] holds while that is the last write of a
+    live row; written[r] is the merge of row r's last write (0 for
+    _pair_matrix's) and synced[c] the merge count row c is up to date
+    at. Each sync reads the log only since synced[c], and patches each
+    row written there once.
     """
     n = values.shape[0]
     dist = _pair_matrix(values, squared=linkage is Linkage.WARD)
@@ -345,17 +365,31 @@ def _nnchain_merges(
     alive = np.ones(n, dtype=bool)
     dead = np.zeros(n, dtype=np.float64)
     row = np.empty(n, dtype=np.float64)
+    log = np.empty(n, dtype=np.intp)
+    current = np.zeros(n, dtype=bool)
+    written = [0] * n
+    synced = [0] * n
     merges: list[tuple[float, int, int]] = []
     chain: list[int] = []
+
+    def sync(c: int) -> None:
+        s, m = synced[c], len(merges)
+        if s < m:
+            rows = log[s:m][current[s:m]]
+            dist[c][rows] = dist[rows, c]
+            synced[c] = m
+
     while len(merges) < n - 1:
         if not chain:
             # argmax of a bool array is its first True
             chain.append(int(alive.argmax()))
         x = chain[-1]
+        sync(x)
         # dist[x, x] is +inf, so x is never its own nearest neighbor
         np.add(dist[x], dead, out=row)
         y = int(row.argmin())
         if len(chain) >= 2 and y == chain[-2]:
+            sync(y)
             chain.pop()
             chain.pop()
             a, b = (x, y) if x < y else (y, x)
@@ -367,7 +401,7 @@ def _nnchain_merges(
             dead[b] = np.inf
             if idx.size:
                 row_a = dist[a]
-                new = _lw_update(
+                row_a[idx] = _lw_update(
                     linkage,
                     row_a[idx],
                     dist[b][idx],
@@ -376,9 +410,14 @@ def _nnchain_merges(
                     sizes[b],
                     sizes[idx],
                 )
-                row_a[idx] = new
-                dist[idx, a] = new
             sizes[a] += sizes[b]
+            m = len(merges)
+            for merged in (a, b):
+                if written[merged]:
+                    current[written[merged] - 1] = False
+            log[m - 1] = a
+            current[m - 1] = True
+            written[a] = synced[a] = m
         else:
             chain.append(y)
     merges.sort(key=lambda m: m[0])
@@ -388,15 +427,17 @@ def _nnchain_merges(
 def hierarchical(
     matrix: np.ndarray,
     k: int,
-    linkage: Linkage = Linkage.WARD,
+    linkage: Linkage | str = Linkage.WARD,
 ) -> ClusterModel:
     """Agglomerative clustering cut at k clusters.
 
     Replays the first n - k merges of the nearest-neighbor chain. Tie
     rule: the chain starts at the lowest-numbered live cluster,
     nearest-neighbor ties go to the lowest index, and equal-height
-    merges replay in the order the chain found them.
+    merges replay in the order the chain found them. linkage is a
+    Linkage or its value; anything else raises ValueError.
     """
+    linkage = Linkage(linkage)
     values = _coerce(matrix)
     n = values.shape[0]
     if k < 1:

@@ -477,10 +477,10 @@ def clean(
     flows: list[FlowRecord],
     blocklist: Blocklist = DEFAULT_BLOCKLIST,
     policy: SelectionPolicy = DEFAULT_POLICY,
-    algorithm: Algorithm = Algorithm.KMEANS,
+    algorithm: Algorithm | str = Algorithm.KMEANS,
     k: int = 4,
     seed: int = 42,
-    linkage: Linkage = Linkage.WARD,
+    linkage: Linkage | str = Linkage.WARD,
     skip_dpi: bool = False,
     threads: int = 1,
 ) -> tuple[list[FlowRecord], CleanReport]:
@@ -501,8 +501,10 @@ def clean(
     error in label order, is raised. k and threads must be >= 1. In the
     report, the dpi time and phase 1's part of the features time are
     this process's own; the rest of the stage times are summed over
-    apps, and total is wall time.
+    apps, and total is wall time. algorithm and linkage are members or
+    their values; anything else raises ValueError before any work.
     """
+    algorithm, linkage = Algorithm(algorithm), Linkage(linkage)
     check_sizes(k, threads)
     total_start = time.perf_counter()
     check_labels(flows)
@@ -560,10 +562,10 @@ def clean_table(
     table: FlowTableLines,
     blocklist: Blocklist = DEFAULT_BLOCKLIST,
     policy: SelectionPolicy = DEFAULT_POLICY,
-    algorithm: Algorithm = Algorithm.KMEANS,
+    algorithm: Algorithm | str = Algorithm.KMEANS,
     k: int = 4,
     seed: int = 42,
-    linkage: Linkage = Linkage.WARD,
+    linkage: Linkage | str = Linkage.WARD,
     skip_dpi: bool = False,
     threads: int = 1,
 ) -> tuple[tuple[list[np.ndarray], dict[int, bytes]], CleanReport]:
@@ -576,8 +578,10 @@ def clean_table(
     label order, and the rows to rewrite by line; and the report.
 
     Raises what _parse_table raises, then what clean() raises, as
-    read_flow_table and then clean() would.
+    read_flow_table and then clean() would. algorithm and linkage are as
+    in clean().
     """
+    algorithm, linkage = Algorithm(algorithm), Linkage(linkage)
     check_sizes(k, threads)
     total_start = time.perf_counter()
     parts, texts = _parse_table(table, blocklist, skip_dpi, threads)

@@ -21,11 +21,12 @@ PCAP_MAGIC_NS = 0xA1B23C4D
 def pcap_bytes(frames, endian: str = "<", nanosecond: bool = False) -> bytes:
     """frames: list of (ts_sec, ts_frac, frame_bytes)."""
     magic = PCAP_MAGIC_NS if nanosecond else PCAP_MAGIC_US
-    out = struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)
+    parts = [struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)]
     for ts_sec, ts_frac, frame in frames:
-        out += struct.pack(endian + "IIII", ts_sec, ts_frac, len(frame), len(frame))
-        out += frame
-    return out
+        parts.append(struct.pack(endian + "IIII", ts_sec, ts_frac, len(frame), len(frame)))
+        parts.append(frame)
+    # one join: adding each part to a growing bytes copies it every time
+    return b"".join(parts)
 
 
 def ethernet(payload: bytes, ethertype: int, src_mac: bytes = b"\x02\x00\x00\x00\x00\x01",

@@ -1125,6 +1125,28 @@ def test_train_and_eval_write_the_pinned_bytes(tmp_path, many_cpus):
         assert digests == _PINNED_CLASSIFIER_FILES
 
 
+# sha256 of what clean --algorithm hier writes for the default scenario at
+# each linkage; every app keeps 1500 flows after DPI, which makes about
+# 1500 merges per app on real features, far more than the hypothesis
+# oracle in test_cluster reaches
+_PINNED_HIER_CLEANED = {
+    "ward": "14610c9339bba26d864904c424191d706e1c344d65afc43b082496c6197bf533",
+    "average": "7f71c51d9dc341e7bd0fb37ce8266d477096f6a4cde6605c19b7b33e65510b6d",
+    "complete": "fffb036d161777b049ed3514df10f07e7ca729ff0dc82005b3797b42686d848d",
+}
+
+
+def test_hier_clean_writes_the_pinned_bytes_at_every_linkage(tmp_path):
+    assert main(["synth", "--out", str(tmp_path)]) == 0
+    for linkage, digest in _PINNED_HIER_CLEANED.items():
+        out = tmp_path / linkage
+        assert main(["clean", "--flows", str(tmp_path / "flows.csv"), "--algorithm", "hier",
+                     "--linkage", linkage, "--out", str(out)]) == 0
+        apps = json.loads((out / "clean_report.json").read_text())["apps"]
+        assert {counts["input"] - counts["dpi_discarded"] for counts in apps.values()} == {1500}
+        assert hashlib.sha256((out / "cleaned.csv").read_bytes()).hexdigest() == digest
+
+
 @pytest.fixture()
 def trained(tmp_path, scenario_file):
     """A model.json of 2 trees and its holdout table, from `flowclean train`."""

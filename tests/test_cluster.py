@@ -617,6 +617,36 @@ def test_merges_match_the_reference_loop_on_fixed_inputs():
         assert_matches_reference(values)
 
 
+# four points on a line. The chain 0 -> 3 -> 1 -> 2 merges 1 and 2 into
+# row 1 first, then 0 and 3; row 0 was last read before that first merge,
+# so a loop that does not bring the partner's row up to date before a
+# merge reads dist(0, 1) from before it, and the last merge's height
+# comes out wrong at every linkage
+_PARTNER_BEHIND_POINTS = np.array([[-4.0], [1.0], [3.0], [-1.0]])
+
+
+def test_merges_match_the_reference_where_the_partner_row_is_behind():
+    assert_matches_reference(_PARTNER_BEHIND_POINTS)
+    for linkage, height in ((Linkage.WARD, 40.5), (Linkage.AVERAGE, 4.5), (Linkage.COMPLETE, 7.0)):
+        assert _nnchain_merges(_PARTNER_BEHIND_POINTS, linkage)[-1] == (height, 0, 1)
+
+
+@pytest.mark.parametrize("linkage", list(Linkage), ids=lambda lk: lk.value)
+def test_hier_takes_a_linkage_by_its_value(linkage):
+    values = np.random.default_rng(5).normal(size=(30, 3))
+    by_value = hierarchical(values, 4, linkage.value)
+    by_member = hierarchical(values, 4, linkage)
+    assert np.array_equal(by_value.assignments, by_member.assignments)
+    assert np.array_equal(by_value.centroids, by_member.centroids)
+
+
+def test_hier_refuses_an_unknown_linkage_before_any_work(monkeypatch):
+    monkeypatch.setattr(cluster_mod, "_coerce", lambda matrix: pytest.fail("work began"))
+    for linkage in ("Ward", "single", None):
+        with pytest.raises(ValueError, match="is not a valid Linkage"):
+            hierarchical(np.zeros((4, 2)), 2, linkage)
+
+
 def test_pair_matrix_peak_is_one_n_by_n_array():
     n = 1000
     values = np.random.default_rng(0).normal(size=(n, len(CLUSTER_FEATURES)))

@@ -1,5 +1,6 @@
 """Tests for the selection rule DSL and the cleaning pipeline."""
 
+import functools
 import hashlib
 import json
 import logging
@@ -19,10 +20,11 @@ from flowclean.errors import (
     EmptyFlow,
     InvariantViolation,
     ParseError,
+    SchemaMismatch,
     UnclusterableMatrix,
 )
 from flowclean.features import CLUSTER_FEATURES, destandardize, feature_matrix, standardize
-from flowclean.ingest import write_flow_table
+from flowclean.ingest import index_flow_table, write_flow_table
 from flowclean.select import (
     Action,
     AppCounts,
@@ -33,6 +35,7 @@ from flowclean.select import (
     SelectionPolicy,
     _nearest_rank,
     clean,
+    clean_table,
     evaluate,
     parse_rules,
     read_rules,
@@ -430,27 +433,61 @@ def _app(label: str, first_id: int, n: int, empty_at: int | None = None) -> list
 
 def _chunks_of(patch, size: int) -> None:
     """Cut a table's phase 1 into chunks of size records. clean(flows) runs
-    phase 1 on all its flows at once, so its output must not change."""
+    phase 1 on all its flows at once, so only clean_table reads this."""
     patch.setattr(select_mod, "_chunk_size", lambda flows, workers: size)
+
+
+def _table_run(tmp_path, chunk_size: int, threads: int):
+    """A run(flows, **options) that returns what clean(flows, **options)
+    returns, by clean_table on a table of the flows whose phase 1 is cut
+    into chunks of chunk_size records, at `threads` workers."""
+
+    def run(flows, **options):
+        path = tmp_path / "flows.csv"
+        write_flow_table(flows, path)
+        with pytest.MonkeyPatch.context() as patch:
+            _chunks_of(patch, chunk_size)
+            (apps, _), report = clean_table(index_flow_table(path), threads=threads, **options)
+        # records are (start, stop, line) rows; line 1 is the header
+        return [flows[line - 2] for app in apps for line in app[:, 2].tolist()], report
+
+    return run
+
+
+# A table holds no flow without packets, no counter past float64's range
+# and no repeated flow_id: on a table of such flows the lowest such line is
+# the error, before any app's error or unlabeled flow (clean_table). So
+# where these tests give chunk_size, clean_table runs where a table holds
+# the flows, and each fault a table does not hold is asserted as the line
+# that names it.
 
 
 @pytest.mark.parametrize("chunk_size", [None, 1])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_clean_raises_the_first_apps_error_in_label_order(
-    many_cpus, monkeypatch, threads, chunk_size
+    tmp_path, many_cpus, monkeypatch, threads, chunk_size
 ):
-    if chunk_size is not None:
-        _chunks_of(monkeypatch, chunk_size)
     monkeypatch.setattr(select_mod, "kmeans", _unclusterable)
-    # app a fails in clustering, app b in its features; b comes first in the input
-    with pytest.raises(UnclusterableMatrix, match="^9 rows$"):
-        clean(_app("b", 100, 8, empty_at=6) + _app("a", 0, 9), threads=threads)
-    # app a fails in its features, app b in clustering
-    with pytest.raises(EmptyFlow, match="^flow 7 has no packets$"):
-        clean(_app("b", 100, 8) + _app("a", 0, 9, empty_at=7), threads=threads)
-    # a flow without packets is no error in an app too small to cluster
-    cleaned, report = clean(
-        _app("b", 100, 3, empty_at=2) + _app("a", 0, 9), k=4, threads=threads, seed=7,
+    if chunk_size is None:
+        run = functools.partial(clean, threads=threads)
+        # app a fails in clustering, app b in its features; b comes first in the input
+        with pytest.raises(UnclusterableMatrix, match="^9 rows$"):
+            run(_app("b", 100, 8, empty_at=6) + _app("a", 0, 9))
+        # app a fails in its features, app b in clustering
+        with pytest.raises(EmptyFlow, match="^flow 7 has no packets$"):
+            run(_app("b", 100, 8) + _app("a", 0, 9, empty_at=7))
+        # a flow without packets is no error in an app too small to cluster
+        small_b = _app("b", 100, 3, empty_at=2)
+    else:
+        run = _table_run(tmp_path, chunk_size, threads)
+        # both apps fail in clustering; b comes first in the table
+        with pytest.raises(UnclusterableMatrix, match="^9 rows$"):
+            run(_app("b", 100, 8) + _app("a", 0, 9))
+        with pytest.raises(SchemaMismatch, match="line 17: flow 7 has no packets$"):
+            run(_app("b", 100, 8) + _app("a", 0, 9, empty_at=7))
+        small_b = _app("b", 100, 3)
+    cleaned, report = run(
+        small_b + _app("a", 0, 9), k=4, seed=7,
         policy=parse_rules("default keep"), algorithm=Algorithm.HIERARCHICAL,
     )
     assert report.apps["b"].skipped and report.apps["b"].flows_dropped == 3
@@ -460,32 +497,46 @@ def test_clean_raises_the_first_apps_error_in_label_order(
 @pytest.mark.parametrize("chunk_size", [None, 1])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_clean_names_the_first_counter_out_of_float64_range(
-    many_cpus, monkeypatch, threads, chunk_size
+    tmp_path, many_cpus, threads, chunk_size
 ):
-    if chunk_size is not None:
-        _chunks_of(monkeypatch, chunk_size)
     flows = _app("b", 100, 8) + _app("a", 0, 9)
     flows[3] = flows[3]._replace(payload_bytes_total=10**400)
     flows[12] = flows[12]._replace(bytes_in=2**1024)
-    with pytest.raises(CounterOutOfRange, match="^flow 103: payload_bytes_total is out of "
-                                                "float64's range$"):
-        clean(flows, threads=threads)
-    with pytest.raises(CounterOutOfRange, match="^flow 4: bytes_in is out of float64's range$"):
-        clean(flows[8:], threads=threads)
+    if chunk_size is None:
+        with pytest.raises(CounterOutOfRange, match="^flow 103: payload_bytes_total is out "
+                                                    "of float64's range$"):
+            clean(flows, threads=threads)
+        with pytest.raises(CounterOutOfRange,
+                           match="^flow 4: bytes_in is out of float64's range$"):
+            clean(flows[8:], threads=threads)
+    else:
+        run = _table_run(tmp_path, chunk_size, threads)
+        # flow 103's row is line 5, and flow 4's line 14, or line 6 of flows[8:]
+        with pytest.raises(SchemaMismatch, match="line 5: payload_bytes_total is out of "
+                                                 "float64's range$"):
+            run(flows)
+        with pytest.raises(SchemaMismatch, match="line 6: bytes_in is out of float64's range$"):
+            run(flows[8:])
 
 
 @pytest.mark.parametrize("chunk_size", [None, 1])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_clean_and_dataset_name_the_unlabeled_flow_before_a_counter_out_of_range(
-    many_cpus, monkeypatch, threads, chunk_size
+    tmp_path, many_cpus, threads, chunk_size
 ):
-    if chunk_size is not None:
-        _chunks_of(monkeypatch, chunk_size)
     flows = _app("b", 0, 6) + [make_flow(flow_id=6, app_label="a", bytes_in=10**400),
                                make_flow(flow_id=10, app_label=None)]
-    for run in (lambda: clean(flows, threads=threads), lambda: dataset(flows)):
+    if chunk_size is None:
+        for run in (lambda: clean(flows, threads=threads), lambda: dataset(flows)):
+            with pytest.raises(ValueError, match="^flow 10 has no app label$"):
+                run()
+    else:
+        # on a table the counter's line 8 comes first; without it, the unlabeled flow
+        table = _table_run(tmp_path, chunk_size, threads)
+        with pytest.raises(SchemaMismatch, match="line 8: bytes_in is out of float64's range$"):
+            table(flows)
         with pytest.raises(ValueError, match="^flow 10 has no app label$"):
-            run()
+            table(flows[:6] + flows[7:])
 
 
 def reference_clean(
@@ -566,19 +617,24 @@ _ENGINE_CASES = {
 @pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
 @pytest.mark.parametrize("case", ["small_capture", *_ENGINE_CASES])
 def test_clean_matches_the_reference_at_any_chunk_size(
-    small_capture, many_cpus, monkeypatch, case, algorithm
+    tmp_path, small_capture, many_cpus, case, algorithm
 ):
     """One to three workers give reference_clean's kept flows and per-app
-    counts, or its error, whatever _chunk_size says: chunks cut only a
-    table's phase 1, which test_cli checks against the same oracle."""
+    counts, or its error; and so does clean_table on a table of the same
+    flows, in chunks of 1, 7 and all records, where a table holds them:
+    every flow has packets, and no flow_id repeats."""
     flows = small_capture[0] if case == "small_capture" else _ENGINE_CASES[case]
     options = dict(algorithm=algorithm, seed=7, policy=parse_rules("keep ratio > 0.5"))
     expected = _outcome(reference_clean, flows, **options)
     assert _outcome(clean, flows, **options) == expected
-    for size in (1, 7, 10**9):
-        _chunks_of(monkeypatch, size)
-        for threads in (1, 2, 3):
-            assert _outcome(clean, flows, threads=threads, **options) == expected
+    for threads in (1, 2, 3):
+        assert _outcome(clean, flows, threads=threads, **options) == expected
+    ids = [flow.flow_id for flow in flows]
+    if all(flow.packets_in + flow.packets_out for flow in flows) and len(set(ids)) == len(ids):
+        for size in (1, 7, 10**9):
+            for threads in (1, 2, 3):
+                run = _table_run(tmp_path, size, threads)
+                assert _outcome(run, flows, **options) == expected
 
 
 @pytest.mark.parametrize("threads", [0, -3])
@@ -659,6 +715,38 @@ def test_clean_hierarchical_algorithm(small_capture):
     assert len(cleaned) > 0
     for counts in report.apps.values():
         assert counts.clusters_formed == 4
+
+
+@pytest.mark.parametrize(
+    "algorithm, linkage",
+    [(Algorithm.KMEANS, Linkage.WARD)] + [(Algorithm.HIERARCHICAL, lk) for lk in Linkage],
+    ids=lambda option: option.value,
+)
+def test_clean_and_clean_table_take_algorithm_and_linkage_by_value(
+    tmp_path, small_capture, algorithm, linkage
+):
+    flows, _ = small_capture
+    for run in (clean, _table_run(tmp_path, 10**9, 1)):
+        cleaned, report = run(flows, algorithm=algorithm, linkage=linkage, seed=7)
+        by_value, by_value_report = run(
+            flows, algorithm=algorithm.value, linkage=linkage.value, seed=7
+        )
+        assert (by_value, by_value_report.apps) == (cleaned, report.apps)
+
+
+@pytest.mark.parametrize("option", [{"algorithm": "k-means"}, {"linkage": "Ward"}])
+def test_clean_and_clean_table_refuse_an_unknown_algorithm_or_linkage_before_phase_1(
+    tmp_path, monkeypatch, small_capture, option
+):
+    flows, _ = small_capture
+    path = tmp_path / "flows.csv"
+    write_flow_table(flows, path)
+    table = index_flow_table(path)
+    monkeypatch.setattr(select_mod, "_flow_rows", lambda *args: pytest.fail("phase 1 ran"))
+    monkeypatch.setattr(select_mod, "_parse_table", lambda *args: pytest.fail("phase 1 ran"))
+    for run, data in ((clean, flows), (clean_table, table)):
+        with pytest.raises(ValueError, match="is not a valid (Algorithm|Linkage)$"):
+            run(data, **option)
 
 
 # sha256 of the cleaned flow table of the default scenario at 5 x 600
