@@ -12,9 +12,10 @@ A tree is defined node by node in preorder. A node is a leaf at
 max_depth, with fewer than 2 * min_leaf rows or with one class;
 otherwise it makes a split call: it samples F = features_per_split
 features, scores every cut of each that leaves min_leaf rows each side
-and lies between distinct values, and keeps the first feature, in
-sampled order, whose best cut (its first least score) scores strictly
-below the node's own n - T.T / n - 1e-12. The score of a cut with class
+and lies between distinct values, and keeps the sampled feature whose
+best cut (its first least score) scores least, the first in sampled
+order on a tie. It splits there only if that score is strictly below
+the node's own n - T.T / n - 1e-12. The score of a cut with class
 counts L left and R right of n = nl + nr rows is the float64
 nl - L.L / nl + nr - R.R / nr, n times the weighted Gini. Rows with
 x <= threshold, the midpoint of the values either side of the cut, go
@@ -61,8 +62,9 @@ defined above, whatever the sets, block and chunk sizes:
   at each node. R.R = T.T - 2 * T.L + L.L. All are exact integers, so
   the score is the same float64 however the sums were formed.
 - np.minimum.reduceat finds each segment's least score, and its first
-  position; each node then takes its slots in sampled order with a
-  strict <.
+  position; each node then takes the first slot, in sampled order,
+  whose score is the least of those, and splits if that is strictly
+  below its own impurity.
 - The chosen slot's sorted rows give the children: the rows with
   x <= threshold are a prefix of the node's rows there, written back
   to the node's run of the buffer, so each child owns one part of it.
@@ -85,7 +87,8 @@ workers that grow its trees: each block sends back, per set, its
 trees' class votes per test row, their node and leaf counts and depth,
 and the parent sums the votes, so no tree crosses the pool. Votes are
 integers, so the sum, and the Metrics, are those of train then
-evaluate, for every worker count and block size.
+evaluate, for every worker count and block size. A set equal to an
+earlier one, train and test rows alike, is not grown again.
 """
 
 from __future__ import annotations
@@ -809,16 +812,23 @@ def train_and_evaluate(
     not depend on the block layout. Returns, per set, the Metrics; the
     forest's size as {"trees", "nodes", "leaves", "depth"}, depth being
     that of its deepest leaf (a lone root leaf has depth 0); and the
-    seconds spent voting, summed over blocks. Raises what check_forest
-    raises, then what check_set raises for each set in turn.
+    seconds spent voting, summed over blocks. A set whose train and
+    test rows equal an earlier set's is not grown again: it gets that
+    set's results, the same objects. Raises what check_forest raises,
+    then what check_set raises for each set in turn.
     """
     labels = np.asarray(labels, dtype=object)
     sets = [(np.asarray(train, dtype=np.intp), np.asarray(test, dtype=np.intp))
             for train, test in sets]
-    tests = [test for _, test in sets]
+    # each distinct set's rows, and its place among the distinct sets
+    group: dict[tuple[bytes, bytes], int] = {}
+    places = [group.setdefault((train.tobytes(), test.tobytes()), len(group))
+              for train, test in sets]
+    distinct = [sets[places.index(g)] for g in range(len(group))]
+    tests = [test for _, test in distinct]
     classes, scored = _grow_blocks(
         lambda trees, job: _score_block(trees, job, tests),
-        x, labels, sets, n_trees, max_depth, min_leaf, features_per_split, seed, workers,
+        x, labels, distinct, n_trees, max_depth, min_leaf, features_per_split, seed, workers,
     )
     config = dict(zip(_CONFIG_KEYS, (n_trees, max_depth, min_leaf, features_per_split, seed)))
     results = []
@@ -827,7 +837,7 @@ def train_and_evaluate(
         metrics = _scored(set_classes, sum(votes), labels[test], config)
         size = {"trees": n_trees, "nodes": sum(nodes), "leaves": sum(leaves), "depth": max(depth)}
         results.append((metrics, size, sum(score_s)))
-    return results
+    return [results[g] for g in places]
 
 
 # A dumped tree's node arrays and their dtypes.

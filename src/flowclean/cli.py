@@ -279,7 +279,10 @@ def run_compare(
     processes, total is wall time), the wall time of growing and
     scoring every arm's forest (train) and each arm's scoring alone,
     summed over workers (eval_<arm>). forest holds each arm's tree, node
-    and leaf counts and the depth of its deepest leaf. The report's
+    and leaf counts and the depth of its deepest leaf. A forest is grown
+    once per distinct arm: an arm whose train and test rows equal an
+    earlier arm's shares that arm's forest, so its forest entry and its
+    eval_<arm> repeat that arm's. The report's
     content_sha256 covers config and arms: everything except
     timings_ms, forest and the generation timestamp. No algorithm, or
     one given twice, raises ValueError, as do the checks of k, threads
@@ -315,15 +318,12 @@ def run_compare(
         for stage, ms in report.timings_ms.items():
             timings_ms[f"clean_{algorithm.value}_{stage}"] = ms
 
-    # every arm's flows are flows: an arm is its flows' rows of one dataset,
-    # found by identity
+    # every arm's flows are flows, and flows[i].flow_id is i (synth.generate):
+    # an arm is its flows' rows of one dataset, its flow_ids
     x, labels = classify.dataset(flows)
-    ids = np.fromiter(map(id, flows), np.uint64, len(flows))
-    by_id = np.argsort(ids)
     sets = []
     for arm_flows in arms.values():
-        arm_ids = np.fromiter(map(id, arm_flows), np.uint64, len(arm_flows))
-        rows = by_id[np.searchsorted(ids, arm_ids, sorter=by_id)]
+        rows = np.fromiter((f.flow_id for f in arm_flows), np.intp, len(arm_flows))
         train_rows, test_rows = classify.split(labels[rows], train_frac=train_frac, seed=seed)
         sets.append((rows[train_rows], rows[test_rows]))
         classify.check_set(labels, *sets[-1])

@@ -648,37 +648,17 @@ _FLOAT_SAFE = 2**1023
 _DUPLICATE = "duplicate flow_id {}, first on line {}"
 
 
-def _impossible_row(row: list[str], line: int, first_line: dict[int, int]) -> str | None:
-    """Why a row of well-formed fields cannot describe a flow, or None if it can."""
-    first_ts_us, last_ts_us = int(row[7]), int(row[8])
-    if last_ts_us < first_ts_us:
-        return f"last_ts_us {last_ts_us} is before first_ts_us {first_ts_us}"
-    for col in range(9, 15):
-        if int(row[col]) < 0:
-            return f"{FLOW_TABLE_HEADER[col]} is negative: {int(row[col])}"
-    flow_id = int(row[0])
-    if int(row[11]) + int(row[12]) == 0:
-        return f"flow {flow_id} has no packets"
-    if first_line[flow_id] != line:
-        return _DUPLICATE.format(flow_id, first_line[flow_id])
-    for col in range(7, 15):
-        try:
-            float(int(row[col]))
-        except OverflowError:
-            return f"{FLOW_TABLE_HEADER[col]} is out of float64's range"
-    return None
-
-
 def parse_flow_row(row: list[str], line: int, first_line: dict[int, int]) -> FlowRecord:
     """The flow that row, the fields of the table's line `line`, describes.
 
-    Raises ValueError for a malformed field, a dst_port that disagrees
-    with server_port, a last_ts_us before first_ts_us, a negative
-    counter, no packets either way, a flow_id that first_line maps to
-    another line, or a counter or timestamp too large for a float64.
-    first_line maps each flow_id seen so far to its line; a row's
-    flow_id is added once it passes that check, before the size check
-    and the hex fields are read.
+    Raises ValueError for a malformed field or a dst_port that disagrees
+    with server_port, and then for the first of, in this order: a
+    last_ts_us before first_ts_us, a negative counter (the first, in
+    column order), no packets either way, a flow_id that first_line maps
+    to another line, and a counter or timestamp too large for a float64
+    (the first, in column order). first_line maps each flow_id seen so
+    far to its line; a row's flow_id is added once it passes that check,
+    before the size check and the hex fields are read.
     """
     if len(row) != len(FLOW_TABLE_HEADER):
         raise ValueError(f"row has {len(row)} columns, expected {len(FLOW_TABLE_HEADER)}")
@@ -691,17 +671,24 @@ def parse_flow_row(row: list[str], line: int, first_line: dict[int, int]) -> Flo
     bytes_in, bytes_out = int(row[9]), int(row[10])
     packets_in, packets_out = int(row[11]), int(row[12])
     header_bytes, payload_bytes = int(row[13]), int(row[14])
+    if last_ts_us < first_ts_us:
+        raise ValueError(f"last_ts_us {last_ts_us} is before first_ts_us {first_ts_us}")
     # an OR of ints is negative when any of them is, else at least the largest
     counters = bytes_in | bytes_out | packets_in | packets_out | header_bytes | payload_bytes
-    if (
-        (counters | (last_ts_us - first_ts_us)) < 0
-        or not (packets_in or packets_out)
-        or first_line.setdefault(flow_id, line) != line
-        or (counters | abs(first_ts_us) | abs(last_ts_us)) >= _FLOAT_SAFE
-    ):
-        reason = _impossible_row(row, line, first_line)
-        if reason is not None:
-            raise ValueError(reason)
+    if counters < 0:
+        col = next(col for col in range(9, 15) if int(row[col]) < 0)
+        raise ValueError(f"{FLOW_TABLE_HEADER[col]} is negative: {int(row[col])}")
+    if not (packets_in or packets_out):
+        raise ValueError(f"flow {flow_id} has no packets")
+    first = first_line.setdefault(flow_id, line)
+    if first != line:
+        raise ValueError(_DUPLICATE.format(flow_id, first))
+    if (counters | abs(first_ts_us) | abs(last_ts_us)) >= _FLOAT_SAFE:
+        for col in range(7, 15):
+            try:
+                float(int(row[col]))
+            except OverflowError:
+                raise ValueError(f"{FLOW_TABLE_HEADER[col]} is out of float64's range") from None
     return FlowRecord(
         flow_id,
         key,

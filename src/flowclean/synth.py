@@ -628,7 +628,8 @@ def generate(spec: ScenarioSpec) -> tuple[list[FlowRecord], list[Role]]:
     """Generate all apps' flows; deterministic in spec values and seed.
 
     Each app draws from a stream derived from (seed, app index), so
-    generating apps in parallel cannot change the output.
+    generating apps in parallel cannot change the output. The flow at
+    position i of the list has flow_id i, across apps as within one.
     """
     if not spec.apps:
         raise InvalidSpec("scenario needs at least one app")

@@ -719,6 +719,32 @@ def test_train_and_evaluate_matches_train_then_evaluate(many_cpus, workers, n_tr
         assert score_s >= 0.0
 
 
+def test_train_and_evaluate_grows_equal_sets_once(monkeypatch):
+    x, labels = dataset(overlapping_flows())
+    train_rows, test_rows = split(labels, seed=4)
+    other = (train_rows[1:], test_rows)
+    grown = []
+
+    def counted_block(trees, job):
+        grown.append([rows.tolist() for rows, _ in job[3]])
+        return _grow_block(trees, job)
+
+    monkeypatch.setattr(classify_mod, "_grow_block", counted_block)
+    options = dict(n_trees=3, max_depth=4, seed=4)
+    # a copy of an earlier set, not the same arrays, shares its forest
+    sets = [(train_rows, test_rows), other, (train_rows.copy(), test_rows.copy())]
+    scored = train_and_evaluate(x, labels, sets, **options)
+    # one block, on this process, of the two distinct sets in set order
+    assert grown == [[train_rows.tolist(), other[0].tolist()]]
+    assert scored[2] == scored[0]
+    alone = train_and_evaluate(x, labels, sets[:2], **options)
+    # the seconds spent voting differ from run to run
+    assert [r[:2] for r in scored] == [r[:2] for r in alone + alone[:1]]
+    model = train(x[train_rows], labels[train_rows], **options)
+    assert scored[2][0] == evaluate(model, x[test_rows], labels[test_rows])
+    assert scored[2][1] == forest_size(model)
+
+
 def test_train_and_evaluate_breaks_tied_votes_toward_the_first_label(many_cpus):
     x, labels = dataset(overlapping_flows())
     train_rows, test_rows = split(labels, seed=3)

@@ -507,10 +507,18 @@ def test_flow_table_bad_row_names_file_and_line(tmp_path, column, value, message
          "line 3: header_bytes_total is out of float64's range"),
         (dict(first_ts_us=-(2**1024)), "line 3: first_ts_us is out of float64's range"),
         (dict(flow_id=0, last_ts_us=10**400), "line 3: duplicate flow_id 0, first on line 2"),
+        # a row with two faults names the one checked first
+        (dict(first_ts_us=5_000_000, last_ts_us=4_000_000, bytes_in=-5),
+         "line 3: last_ts_us 4000000 is before first_ts_us 5000000"),
+        (dict(bytes_in=-5, packets_in=0, packets_out=0), "line 3: bytes_in is negative: -5"),
+        (dict(flow_id=0, packets_in=0, packets_out=0), "line 3: flow 0 has no packets"),
+        (dict(bytes_in=10**400, bytes_out=-1), "line 3: bytes_out is negative: -1"),
     ],
     ids=["no-packets", "negative-bytes", "negative-packets", "ends-before-start",
          "duplicate-id", "huge-counter", "float64-overflow", "huge-timestamp",
-         "duplicate-before-huge"],
+         "duplicate-before-huge", "ends-before-start-before-negative",
+         "negative-before-no-packets", "no-packets-before-duplicate",
+         "negative-before-huge"],
 )
 def test_flow_table_rejects_impossible_rows(tmp_path, fields, message):
     path = tmp_path / "flows.csv"

@@ -386,6 +386,25 @@ def test_flow_ids_sequential(two_app_capture):
     assert [f.flow_id for f in flows] == list(range(240))
 
 
+def test_flow_id_is_the_flows_position_across_apps():
+    # run_compare takes an arm's rows as its flows' flow_ids; here on apps of
+    # unequal size that each lack some roles
+    counts = [
+        {Role.DATA_PLANE: 70, Role.HEARTBEAT: 5},
+        {Role.DNS: 3},
+        {Role.DATA_PLANE: 41, Role.HEARTBEAT: 9, Role.UPLOAD: 4},
+    ]
+    spec = ScenarioSpec(
+        apps=[AppSpec(label=f"app{i}", counts=c, specs=default_specs(i))
+              for i, c in enumerate(counts)],
+        capture_duration_s=3600.0,
+        seed=3,
+    )
+    flows, _ = generate(spec)
+    assert len(flows) == sum(sum(c.values()) for c in counts)
+    assert [f.flow_id for f in flows] == list(range(len(flows)))
+
+
 def test_zero_count_role():
     spec = scenario_one_role(Role.DATA_PLANE, 20)
     flows, roles = generate(spec)
