@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, synth
-from .cluster import Algorithm, Linkage
+from .cluster import Algorithm
 from .dpi import DEFAULT_BLOCKLIST, read_blocklist
 from .errors import FlowcleanError
 from .ingest import (
@@ -161,32 +161,15 @@ def _count(args: argparse.Namespace, name: str) -> int:
     return value
 
 
-def _algorithm(name: str) -> Algorithm:
-    try:
-        return Algorithm(name)
-    except ValueError:
-        raise ValueError(f"unknown algorithm {name!r}, expected kmeans or hier") from None
-
-
-def _linkage(name: str) -> Linkage:
-    try:
-        return Linkage(name)
-    except ValueError:
-        raise ValueError(
-            f"unknown linkage {name!r}, expected ward, average or complete"
-        ) from None
-
-
 def cmd_clean(args: argparse.Namespace) -> int:
     if not args.flows:
         raise ValueError("clean requires --flows")
     options = dict(
         blocklist=_load_blocklist(args),
         policy=_load_policy(args),
-        algorithm=_algorithm(args.algorithm),
+        algorithm=Algorithm(args.algorithm),
         k=args.k,
         seed=args.seed,
-        linkage=_linkage(args.linkage),
         skip_dpi=args.skip_dpi,
         threads=args.threads,
     )
@@ -406,7 +389,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     names = [s.strip() for s in args.algorithm.split(",") if s.strip()]
     report = run_compare(
         scenario,
-        [_algorithm(n) for n in names],
+        [Algorithm(n) for n in names],
         k=args.k,
         seed=_DEFAULT_SEED if args.seed is None else args.seed,
         policy=_load_policy(args),
@@ -502,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="PRNG seed")
     p.add_argument("--flows", help="input flow table CSV")
     p.add_argument("--algorithm", default="kmeans", help="kmeans or hier")
-    p.add_argument("--linkage", default="ward", help="ward, average, or complete")
     cleaner(p)
     p.add_argument("--threads", type=int, default=1,
                    help="max worker processes, for chunks of the table and then apps")

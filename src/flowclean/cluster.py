@@ -5,8 +5,9 @@ report centroids in the space they ran in; mapping them back to the
 raw feature scale is the caller's business. Both refuse, with
 UnclusterableMatrix, a matrix that has no columns, a non-finite value
 or a row too large to keep distances finite (see _coerce). K-means is
-the fast path; hierarchical clustering (Ward by default) trades speed
-for merge-quality and needs no seed.
+the fast path; hierarchical clustering (Ward's minimum-variance method
+on squared Euclidean distances) trades speed for merge-quality and
+needs no seed.
 
 Determinism contract: identical inputs, k and seed yield
 bit-identical assignments and centroids. Nearest-centroid ties go to
@@ -38,11 +39,9 @@ class Algorithm(Enum):
     KMEANS = "kmeans"
     HIERARCHICAL = "hier"
 
-
-class Linkage(Enum):
-    WARD = "ward"
-    AVERAGE = "average"
-    COMPLETE = "complete"
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown algorithm {value!r}, expected kmeans or hier")
 
 
 @dataclass
@@ -230,7 +229,8 @@ def pair_matrices_that_fit(rows: int) -> int:
 _PAIR_BLOCK_ROWS = 64
 
 
-def _pair_matrix(values: np.ndarray, squared: bool) -> np.ndarray:
+def _pair_matrix(values: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between rows, n x n, +inf on the diagonal."""
     # the n x n float64 matrix is the whole peak of hierarchical
     # clustering; fail before allocating one the machine cannot hold
     n = values.shape[0]
@@ -255,11 +255,10 @@ def _pair_matrix(values: np.ndarray, squared: bool) -> np.ndarray:
         d2[start:stop] += sq[start:stop, None] + sq[None, :]
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, np.inf)
-    return d2 if squared else np.sqrt(d2, out=d2)
+    return d2
 
 
 def _lw_update(
-    linkage: Linkage,
     d_ik: np.ndarray,
     d_jk: np.ndarray,
     d_ij: float,
@@ -267,35 +266,26 @@ def _lw_update(
     s_j: float,
     s_k: np.ndarray,
 ) -> np.ndarray:
-    """Lance-Williams distance from merged cluster (i u j) to others k.
+    """Ward's Lance-Williams distance from merged cluster (i u j) to others k.
 
     Computes in place and overwrites d_ik, d_jk and s_k, so pass fresh
-    gathers; returns d_ik. Each linkage performs the same float
-    operations, on the same operands and in the same order, as the
-    textbook expressions in the comments, so the results are
-    bit-identical to them (+ and * are exactly commutative).
+    gathers; returns d_ik. It performs the same float operations, on
+    the same operands and in the same order, as the textbook expression
+    in the comment, so the results are bit-identical to it (+ and * are
+    exactly commutative).
     """
-    if linkage is Linkage.WARD:
-        # ((s_i + s_k) * d_ik + (s_j + s_k) * d_jk - s_k * d_ij)
-        #   / (s_i + s_j + s_k)
-        scratch = np.add(s_k, s_i)
-        d_ik *= scratch
-        np.add(s_k, s_j, out=scratch)
-        d_jk *= scratch
-        d_ik += d_jk
-        np.multiply(s_k, d_ij, out=d_jk)
-        d_ik -= d_jk
-        s_k += s_i + s_j
-        d_ik /= s_k
-        return d_ik
-    if linkage is Linkage.AVERAGE:
-        # (s_i * d_ik + s_j * d_jk) / (s_i + s_j)
-        d_ik *= s_i
-        d_jk *= s_j
-        d_ik += d_jk
-        d_ik /= s_i + s_j
-        return d_ik
-    return np.maximum(d_ik, d_jk, out=d_ik)
+    # ((s_i + s_k) * d_ik + (s_j + s_k) * d_jk - s_k * d_ij)
+    #   / (s_i + s_j + s_k)
+    scratch = np.add(s_k, s_i)
+    d_ik *= scratch
+    np.add(s_k, s_j, out=scratch)
+    d_jk *= scratch
+    d_ik += d_jk
+    np.multiply(s_k, d_ij, out=d_jk)
+    d_ik -= d_jk
+    s_k += s_i + s_j
+    d_ik /= s_k
+    return d_ik
 
 
 def _groups_to_model(values: np.ndarray, groups: list[list[int]]) -> ClusterModel:
@@ -315,9 +305,7 @@ def _groups_to_model(values: np.ndarray, groups: list[list[int]]) -> ClusterMode
     )
 
 
-def _nnchain_merges(
-    values: np.ndarray, linkage: Linkage
-) -> list[tuple[float, int, int]]:
+def _nnchain_merges(values: np.ndarray) -> list[tuple[float, int, int]]:
     """Full merge list (height, a, b) with a < b, in replay order.
 
     Follows nearest-neighbor chains (Muellner 2011, arXiv:1109.2378):
@@ -360,7 +348,7 @@ def _nnchain_merges(
     row written there once.
     """
     n = values.shape[0]
-    dist = _pair_matrix(values, squared=linkage is Linkage.WARD)
+    dist = _pair_matrix(values)
     sizes = np.ones(n, dtype=np.float64)
     alive = np.ones(n, dtype=bool)
     dead = np.zeros(n, dtype=np.float64)
@@ -402,7 +390,6 @@ def _nnchain_merges(
             if idx.size:
                 row_a = dist[a]
                 row_a[idx] = _lw_update(
-                    linkage,
                     row_a[idx],
                     dist[b][idx],
                     d_ab,
@@ -424,20 +411,14 @@ def _nnchain_merges(
     return merges
 
 
-def hierarchical(
-    matrix: np.ndarray,
-    k: int,
-    linkage: Linkage | str = Linkage.WARD,
-) -> ClusterModel:
-    """Agglomerative clustering cut at k clusters.
+def hierarchical(matrix: np.ndarray, k: int) -> ClusterModel:
+    """Ward agglomerative clustering cut at k clusters.
 
     Replays the first n - k merges of the nearest-neighbor chain. Tie
     rule: the chain starts at the lowest-numbered live cluster,
     nearest-neighbor ties go to the lowest index, and equal-height
-    merges replay in the order the chain found them. linkage is a
-    Linkage or its value; anything else raises ValueError.
+    merges replay in the order the chain found them.
     """
-    linkage = Linkage(linkage)
     values = _coerce(matrix)
     n = values.shape[0]
     if k < 1:
@@ -453,7 +434,7 @@ def hierarchical(
         return c
 
     # the merge edges form a spanning tree, so each joins two components
-    for _, a, b in _nnchain_merges(values, linkage)[: n - k]:
+    for _, a, b in _nnchain_merges(values)[: n - k]:
         parent[find(b)] = find(a)
     groups: dict[int, list[int]] = {}
     for point in range(n):

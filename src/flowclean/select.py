@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cluster import Algorithm, Linkage, hierarchical, kmeans, pair_matrices_that_fit
+from .cluster import Algorithm, hierarchical, kmeans, pair_matrices_that_fit
 from .dpi import Blocklist, DEFAULT_BLOCKLIST, filter_flows
 from .dpi import logger as dpi_logger
 from .errors import EmptyFlow, InvariantViolation
@@ -361,7 +361,6 @@ def _clean_app(
     algorithm: Algorithm,
     k: int,
     seed: int,
-    linkage: Linkage,
 ) -> tuple[np.ndarray, AppCounts, dict[str, float]]:
     """Phase 2 for the app of this label: standardize, cluster and select
     the rows of its flows that DPI kept, gathered from the parts in order.
@@ -401,7 +400,7 @@ def _clean_app(
     if algorithm is Algorithm.KMEANS:
         model = kmeans(z, k, seed)
     else:
-        model = hierarchical(z, k, linkage)
+        model = hierarchical(z, k)
     counts.clusters_formed = model.k
     t3 = time.perf_counter()
     timings["cluster"] = (t3 - t2) * 1e3
@@ -458,8 +457,8 @@ def _clean_apps(
     for label, (_, counts, timings) in zip(labels, results):
         if not skip_dpi:
             dpi_logger.info(
-                "dpi: kept %d flows, discarded %d",
-                counts.input - counts.dpi_discarded, counts.dpi_discarded,
+                "%s: kept %d flows, discarded %d",
+                label, counts.input - counts.dpi_discarded, counts.dpi_discarded,
             )
         if counts.skipped:
             logger.warning(
@@ -480,7 +479,6 @@ def clean(
     algorithm: Algorithm | str = Algorithm.KMEANS,
     k: int = 4,
     seed: int = 42,
-    linkage: Linkage | str = Linkage.WARD,
     skip_dpi: bool = False,
     threads: int = 1,
 ) -> tuple[list[FlowRecord], CleanReport]:
@@ -501,16 +499,16 @@ def clean(
     error in label order, is raised. k and threads must be >= 1. In the
     report, the dpi time and phase 1's part of the features time are
     this process's own; the rest of the stage times are summed over
-    apps, and total is wall time. algorithm and linkage are members or
-    their values; anything else raises ValueError before any work.
+    apps, and total is wall time. algorithm is a member or its value;
+    anything else raises ValueError before any work.
     """
-    algorithm, linkage = Algorithm(algorithm), Linkage(linkage)
+    algorithm = Algorithm(algorithm)
     check_sizes(k, threads)
     total_start = time.perf_counter()
     check_labels(flows)
     apps, report = _clean_apps(
         [_flow_rows(flows, blocklist, skip_dpi)], policy=policy, algorithm=algorithm, k=k,
-        seed=seed, linkage=linkage, skip_dpi=skip_dpi, threads=threads,
+        seed=seed, skip_dpi=skip_dpi, threads=threads,
     )
     cleaned = [flows[i] for kept in apps for i in kept.tolist()]
     report.timings_ms["total"] = (time.perf_counter() - total_start) * 1e3
@@ -565,7 +563,6 @@ def clean_table(
     algorithm: Algorithm | str = Algorithm.KMEANS,
     k: int = 4,
     seed: int = 42,
-    linkage: Linkage | str = Linkage.WARD,
     skip_dpi: bool = False,
     threads: int = 1,
 ) -> tuple[tuple[list[np.ndarray], dict[int, bytes]], CleanReport]:
@@ -578,16 +575,15 @@ def clean_table(
     label order, and the rows to rewrite by line; and the report.
 
     Raises what _parse_table raises, then what clean() raises, as
-    read_flow_table and then clean() would. algorithm and linkage are as
-    in clean().
+    read_flow_table and then clean() would. algorithm is as in clean().
     """
-    algorithm, linkage = Algorithm(algorithm), Linkage(linkage)
+    algorithm = Algorithm(algorithm)
     check_sizes(k, threads)
     total_start = time.perf_counter()
     parts, texts = _parse_table(table, blocklist, skip_dpi, threads)
     apps, report = _clean_apps(
-        parts, policy=policy, algorithm=algorithm, k=k, seed=seed, linkage=linkage,
-        skip_dpi=skip_dpi, threads=threads,
+        parts, policy=policy, algorithm=algorithm, k=k, seed=seed, skip_dpi=skip_dpi,
+        threads=threads,
     )
     report.timings_ms["total"] = (time.perf_counter() - total_start) * 1e3
     return ([table.records[kept] for kept in apps], texts), report

@@ -13,7 +13,7 @@ import pytest
 
 import flowclean.cluster as cluster_mod
 from flowclean.cli import run_compare
-from flowclean.cluster import Algorithm, Linkage, hierarchical, kmeans, sse
+from flowclean.cluster import Algorithm, hierarchical, kmeans, sse
 from flowclean.dpi import VerdictKind, classify_flow
 from flowclean.rng import SplitMix64
 from flowclean.select import clean
@@ -151,7 +151,7 @@ def test_criterion_3_both_algorithms_match_brute_force_optimum():
                 optimum = _optimal_partition(values, k)
                 assert optimum is not None, f"tied optimum at n={n} k={k} seed={seed}"
                 target = _as_partition(optimum)
-                ward = hierarchical(values, k=k, linkage=Linkage.WARD)
+                ward = hierarchical(values, k=k)
                 assert _as_partition(ward.assignments) == target, (
                     f"ward differs from optimum at n={n} k={k} seed={seed}"
                 )

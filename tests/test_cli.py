@@ -216,8 +216,10 @@ def test_log_level_info_logs_dpi_counts_to_stderr(tmp_path, scenario_file, capsy
     assert main(["--log-level", "info", *args]) == 0
     info = capsys.readouterr()
     assert default.err == ""
-    # one dpi pass per app: 66 flows in each, 8 dns + 6 blocklisted tls out
-    assert info.err.count("INFO flowclean.dpi: dpi: kept 52 flows, discarded 14\n") == 2
+    # one line per app: 66 flows in each, 8 dns + 6 blocklisted tls out
+    assert info.err.splitlines() == [
+        f"INFO flowclean.dpi: {label}: kept 52 flows, discarded 14" for label in ("alpha", "beta")
+    ]
     assert info.out == default.out
 
 
@@ -232,7 +234,7 @@ def test_clean_hier_algorithm(tmp_path, scenario_file):
     synth_dir = synth_into(tmp_path, scenario_file)
     out = tmp_path / "cleaned-hier"
     rc = main(["clean", "--flows", str(synth_dir / "flows.csv"),
-               "--algorithm", "hier", "--linkage", "ward", "--out", str(out)])
+               "--algorithm", "hier", "--out", str(out)])
     assert rc == 0
     assert (out / "cleaned.csv").is_file()
 
@@ -297,15 +299,25 @@ def test_clean_config_file_and_flag_override(tmp_path, scenario_file):
     assert all(e["clusters_formed"] == 2 for e in report2["apps"].values())
 
 
-def test_clean_unknown_linkage(tmp_path, scenario_file, capsys):
+def test_clean_has_no_linkage_flag(tmp_path, capsys):
+    # hier is Ward's method alone
+    with pytest.raises(SystemExit) as exc:
+        main(["clean", "--flows", str(tmp_path / "flows.csv"), "--algorithm", "hier",
+              "--linkage", "ward", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --linkage ward" in capsys.readouterr().err
+
+
+def test_clean_config_has_no_linkage_key(tmp_path, scenario_file, capsys):
     flows = synth_into(tmp_path, scenario_file) / "flows.csv"
+    config = tmp_path / "clean.conf"
+    config.write_text("algorithm = hier\nlinkage = ward\n")
+    out = tmp_path / "out"
     capsys.readouterr()
-    rc = main(["clean", "--flows", str(flows), "--algorithm", "hier",
-               "--linkage", "bogus", "--out", str(tmp_path / "x")])
-    assert rc == 1
-    assert capsys.readouterr().err == (
-        "error: unknown linkage 'bogus', expected ward, average or complete\n"
-    )
+    assert main(["clean", "--flows", str(flows), "--config", str(config),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {config}:2: unknown key 'linkage'; ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("k", ["0", "-2"])
@@ -1125,26 +1137,21 @@ def test_train_and_eval_write_the_pinned_bytes(tmp_path, many_cpus):
         assert digests == _PINNED_CLASSIFIER_FILES
 
 
-# sha256 of what clean --algorithm hier writes for the default scenario at
-# each linkage; every app keeps 1500 flows after DPI, which makes about
-# 1500 merges per app on real features, far more than the hypothesis
-# oracle in test_cluster reaches
-_PINNED_HIER_CLEANED = {
-    "ward": "14610c9339bba26d864904c424191d706e1c344d65afc43b082496c6197bf533",
-    "average": "7f71c51d9dc341e7bd0fb37ce8266d477096f6a4cde6605c19b7b33e65510b6d",
-    "complete": "fffb036d161777b049ed3514df10f07e7ca729ff0dc82005b3797b42686d848d",
-}
+# sha256 of what clean --algorithm hier writes for the default scenario;
+# every app keeps 1500 flows after DPI, which makes about 1500 merges per
+# app on real features, far more than the hypothesis oracle in
+# test_cluster reaches
+_PINNED_HIER_CLEANED = "14610c9339bba26d864904c424191d706e1c344d65afc43b082496c6197bf533"
 
 
-def test_hier_clean_writes_the_pinned_bytes_at_every_linkage(tmp_path):
+def test_hier_clean_writes_the_pinned_bytes(tmp_path):
     assert main(["synth", "--out", str(tmp_path)]) == 0
-    for linkage, digest in _PINNED_HIER_CLEANED.items():
-        out = tmp_path / linkage
-        assert main(["clean", "--flows", str(tmp_path / "flows.csv"), "--algorithm", "hier",
-                     "--linkage", linkage, "--out", str(out)]) == 0
-        apps = json.loads((out / "clean_report.json").read_text())["apps"]
-        assert {counts["input"] - counts["dpi_discarded"] for counts in apps.values()} == {1500}
-        assert hashlib.sha256((out / "cleaned.csv").read_bytes()).hexdigest() == digest
+    out = tmp_path / "hier"
+    assert main(["clean", "--flows", str(tmp_path / "flows.csv"), "--algorithm", "hier",
+                 "--out", str(out)]) == 0
+    apps = json.loads((out / "clean_report.json").read_text())["apps"]
+    assert {counts["input"] - counts["dpi_discarded"] for counts in apps.values()} == {1500}
+    assert hashlib.sha256((out / "cleaned.csv").read_bytes()).hexdigest() == _PINNED_HIER_CLEANED
 
 
 @pytest.fixture()

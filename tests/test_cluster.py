@@ -17,7 +17,6 @@ from hypothesis.extra import numpy as hnp
 import flowclean.cluster as cluster_mod
 from flowclean.cluster import (
     MAX_SQ_NORM,
-    Linkage,
     _nnchain_merges,
     _pair_matrix,
     hierarchical,
@@ -190,11 +189,10 @@ def test_rows_at_the_norm_bound_keep_every_height_finite():
     values[:20] = np.random.default_rng(5).normal(size=(20, 2))
     values[20:30] = [side, side]
     values[30:] = [-side, -side]
-    for linkage in Linkage:
-        heights = [h for h, _, _ in _nnchain_merges(values, linkage)]
-        assert np.isfinite(heights).all(), linkage
-        model = hierarchical(values, 3, linkage)
-        assert np.isfinite(model.sse) and np.isfinite(model.centroids).all()
+    heights = [h for h, _, _ in _nnchain_merges(values)]
+    assert np.isfinite(heights).all()
+    model = hierarchical(values, 3)
+    assert np.isfinite(model.sse) and np.isfinite(model.centroids).all()
     model = kmeans(values, 3, seed=0)
     assert np.isfinite(model.sse) and np.isfinite(model.centroids).all()
 
@@ -282,7 +280,7 @@ def test_kmeans_finds_optimum_on_separated_blobs():
 
 def test_ward_recovers_separated_blobs():
     values = blobs([(0, 0), (40, 0), (0, 40)], per=4, spread=0.3, seed=8)
-    model = hierarchical(values, k=3, linkage=Linkage.WARD)
+    model = hierarchical(values, k=3)
     expected = {frozenset(range(0, 4)), frozenset(range(4, 8)), frozenset(range(8, 12))}
     assert partition_of(model.assignments) == expected
 
@@ -290,23 +288,17 @@ def test_ward_recovers_separated_blobs():
 # --- hierarchical -------------------------------------------------------
 
 
-def oracle_lance_williams(linkage, d_ik, d_jk, d_ij, s_i, s_j, s_k):
-    """Independent copy of the three Lance-Williams updates."""
-    if linkage is Linkage.WARD:
-        return ((s_i + s_k) * d_ik + (s_j + s_k) * d_jk - s_k * d_ij) / (
-            s_i + s_j + s_k
-        )
-    if linkage is Linkage.AVERAGE:
-        return (s_i * d_ik + s_j * d_jk) / (s_i + s_j)
-    return max(d_ik, d_jk)
+def oracle_lance_williams(d_ik, d_jk, d_ij, s_i, s_j, s_k):
+    """Independent copy of Ward's Lance-Williams update."""
+    return ((s_i + s_k) * d_ik + (s_j + s_k) * d_jk - s_k * d_ij) / (s_i + s_j + s_k)
 
 
-def oracle_merges(values, linkage) -> list[tuple[float, int, int]]:
-    """Naive agglomeration: each step merges the closest live pair.
+def oracle_merges(values) -> list[tuple[float, int, int]]:
+    """Naive Ward agglomeration: each step merges the closest live pair.
 
-    Scans the whole distance matrix per merge, ties to the smallest
-    (i, j) pair; returns (height, i, j) with i < j in merge order.
-    Ward works on squared distances, the other linkages on plain ones.
+    Scans the whole squared-distance matrix per merge, ties to the
+    smallest (i, j) pair; returns (height, i, j) with i < j in merge
+    order.
     """
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
@@ -314,8 +306,7 @@ def oracle_merges(values, linkage) -> list[tuple[float, int, int]]:
     for i in range(n):
         for j in range(n):
             if i != j:
-                d2 = float(((values[i] - values[j]) ** 2).sum())
-                dist[i, j] = d2 if linkage is Linkage.WARD else d2 ** 0.5
+                dist[i, j] = float(((values[i] - values[j]) ** 2).sum())
     sizes = [1.0] * n
     live = set(range(n))
     merges = []
@@ -327,7 +318,7 @@ def oracle_merges(values, linkage) -> list[tuple[float, int, int]]:
         live.discard(j)
         for c in live - {i}:
             dist[i, c] = dist[c, i] = oracle_lance_williams(
-                linkage, dist[i, c], dist[j, c], d_ij, sizes[i], sizes[j], sizes[c]
+                dist[i, c], dist[j, c], d_ij, sizes[i], sizes[j], sizes[c]
             )
         dist[j, :] = np.inf
         dist[:, j] = np.inf
@@ -335,9 +326,9 @@ def oracle_merges(values, linkage) -> list[tuple[float, int, int]]:
     return merges
 
 
-def oracle_partition(values, k, linkage) -> set[frozenset]:
+def oracle_partition(values, k) -> set[frozenset]:
     groups = {i: {i} for i in range(len(values))}
-    for _, i, j in oracle_merges(values, linkage)[: len(values) - k]:
+    for _, i, j in oracle_merges(values)[: len(values) - k]:
         groups[i] |= groups.pop(j)
     return {frozenset(g) for g in groups.values()}
 
@@ -345,22 +336,17 @@ def oracle_partition(values, k, linkage) -> set[frozenset]:
 def test_oracle_merges_hand_checked():
     # 1-D points 0, 1, 5: merge {0,1} at 1, then {0,1} with {5}
     values = np.array([[0.0], [1.0], [5.0]])
-    assert oracle_merges(values, Linkage.COMPLETE) == [(1.0, 0, 1), (5.0, 0, 2)]
-    assert oracle_merges(values, Linkage.AVERAGE) == [(1.0, 0, 1), (4.5, 0, 2)]
-    # Ward: squared distance 1, then (2*25 + 2*16 - 1) / 3 = 27
-    assert oracle_merges(values, Linkage.WARD) == [(1.0, 0, 1), (27.0, 0, 2)]
+    # squared distance 1, then (2*25 + 2*16 - 1) / 3 = 27
+    assert oracle_merges(values) == [(1.0, 0, 1), (27.0, 0, 2)]
 
 
 def test_hier_two_blob_exact():
     values = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 10.0], [10.0, 11.0]])
-    for linkage in Linkage:
-        model = hierarchical(values, k=2, linkage=linkage)
-        assert partition_of(model.assignments) == {
-            frozenset({0, 1}), frozenset({2, 3})
-        }
-        # ids ordered by smallest member row
-        assert model.assignments[0] == 0
-        assert model.assignments[2] == 1
+    model = hierarchical(values, k=2)
+    assert partition_of(model.assignments) == {frozenset({0, 1}), frozenset({2, 3})}
+    # ids ordered by smallest member row
+    assert model.assignments[0] == 0
+    assert model.assignments[2] == 1
 
 
 def test_hier_k_equals_n_identity():
@@ -379,8 +365,8 @@ def test_hier_k1_single_group():
 
 def test_hier_duplicates_merge_first():
     values = np.array([[5.0, 5.0], [1.0, 1.0], [5.0, 5.0], [9.0, 0.0]])
-    assert oracle_merges(values, Linkage.WARD)[0] == (0.0, 0, 2)
-    assert _nnchain_merges(values, Linkage.WARD)[0] == (0.0, 0, 2)
+    assert oracle_merges(values)[0] == (0.0, 0, 2)
+    assert _nnchain_merges(values)[0] == (0.0, 0, 2)
     model = hierarchical(values, k=3)
     assert partition_of(model.assignments) == {
         frozenset({0, 2}), frozenset({1}), frozenset({3})
@@ -399,33 +385,33 @@ def test_ward_heights_non_decreasing():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         values = rng.uniform(0, 10, size=(30, 4))
-        heights = [h for h, _, _ in oracle_merges(values, Linkage.WARD)]
+        heights = [h for h, _, _ in oracle_merges(values)]
         assert len(heights) == 29
         assert all(b >= a - 1e-9 for a, b in zip(heights, heights[1:]))
-        chain = [h for h, _, _ in _nnchain_merges(values, Linkage.WARD)]
+        chain = [h for h, _, _ in _nnchain_merges(values)]
         assert np.allclose(chain, heights)
 
 
-@pytest.mark.parametrize("linkage", list(Linkage))
 @pytest.mark.parametrize("n,k,seed", [(24, 3, 0), (60, 4, 1), (121, 5, 2)])
-def test_engines_agree_on_tie_free_data(linkage, n, k, seed):
+def test_engines_agree_on_tie_free_data(n, k, seed):
     rng = np.random.default_rng(seed)
     values = rng.normal(0, 1, size=(n, 3))
-    model = hierarchical(values, k=k, linkage=linkage)
-    assert partition_of(model.assignments) == oracle_partition(values, k, linkage)
-    oracle_heights = [h for h, _, _ in oracle_merges(values, linkage)]
-    chain_heights = [h for h, _, _ in _nnchain_merges(values, linkage)]
+    model = hierarchical(values, k=k)
+    assert partition_of(model.assignments) == oracle_partition(values, k)
+    oracle_heights = [h for h, _, _ in oracle_merges(values)]
+    chain_heights = [h for h, _, _ in _nnchain_merges(values)]
     assert np.allclose(chain_heights, oracle_heights)
 
 
 def test_hier_tie_rule_follows_the_chain():
-    # Average linkage with many zero-height pairs. The chain starts at
-    # row 0, takes the lowest index on nearest-neighbor ties and
-    # replays equal heights in the order it found them: after {0, 6}
-    # it finds {2, 3} before {1, 4}. A greedy smallest-pair scan would
-    # merge {1, 4} second instead.
+    # Many zero-height pairs. The chain starts at row 0, takes the
+    # lowest index on nearest-neighbor ties and replays equal heights in
+    # the order it found them: after {0, 6} it finds {2, 3} before
+    # {1, 4}. A greedy smallest-pair scan would merge {1, 4} second
+    # instead.
     values = np.array([[0.0], [3.0], [2.0], [2.0], [3.0], [3.0], [0.0]])
-    model = hierarchical(values, k=5, linkage=Linkage.AVERAGE)
+    assert [m[1:] for m in _nnchain_merges(values)[:3]] == [(0, 6), (2, 3), (1, 4)]
+    model = hierarchical(values, k=5)
     assert model.assignments.tolist() == [0, 1, 2, 2, 3, 4, 0]
 
 
@@ -465,9 +451,8 @@ def test_pair_matrix_matches_broadcast_formula():
     sq = np.einsum("ij,ij->i", values, values)
     want = np.maximum((sq[:, None] + sq[None, :]) - 2.0 * (values @ values.T), 0.0)
     np.fill_diagonal(want, np.inf)
-    for squared, expected in ((True, want), (False, np.sqrt(want))):
-        got = _pair_matrix(values, squared)
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    got = _pair_matrix(values)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @given(
@@ -485,9 +470,8 @@ def test_pair_matrix_is_exactly_symmetric(values, offset, strided):
     values = values + offset
     if strided:
         values = np.repeat(values, 2, axis=1)[:, ::2]
-    for squared in (True, False):
-        d = _pair_matrix(values, squared)
-        assert np.array_equal(d.view(np.uint64), d.T.view(np.uint64))
+    d = _pair_matrix(values)
+    assert np.array_equal(d.view(np.uint64), d.T.view(np.uint64))
 
 
 # nearest neighbours 0 -> 1 -> 2 -> 0 under two-step norm sums: no pair
@@ -502,30 +486,25 @@ _CYCLING_POINTS = np.array([
 ])
 
 
-@pytest.mark.parametrize("linkage", list(Linkage))
-def test_hier_returns_on_points_whose_chain_cycled(linkage):
-    d = _pair_matrix(_CYCLING_POINTS, squared=linkage is Linkage.WARD)
+def test_hier_returns_on_points_whose_chain_cycled():
+    d = _pair_matrix(_CYCLING_POINTS)
     # an asymmetric matrix would hang the call below instead of failing
     assert np.array_equal(d, d.T)
     for k in (1, 2, 3):
-        model = hierarchical(_CYCLING_POINTS, k, linkage)
+        model = hierarchical(_CYCLING_POINTS, k)
         assert len(set(model.assignments.tolist())) == k
 
 
 # --- the engine against its earlier, plainer loop -----------------------
 
 
-def reference_lw_update(linkage, d_ik, d_jk, d_ij, s_i, s_j, s_k):
-    """Lance-Williams distance from merged cluster (i u j) to others k."""
-    if linkage is Linkage.WARD:
-        denom = s_i + s_j + s_k
-        return ((s_i + s_k) * d_ik + (s_j + s_k) * d_jk - s_k * d_ij) / denom
-    if linkage is Linkage.AVERAGE:
-        return (s_i * d_ik + s_j * d_jk) / (s_i + s_j)
-    return np.maximum(d_ik, d_jk)
+def reference_lw_update(d_ik, d_jk, d_ij, s_i, s_j, s_k):
+    """Ward's Lance-Williams distance from merged cluster (i u j) to others k."""
+    denom = s_i + s_j + s_k
+    return ((s_i + s_k) * d_ik + (s_j + s_k) * d_jk - s_k * d_ij) / denom
 
 
-def reference_nnchain_merges(values, linkage):
+def reference_nnchain_merges(values):
     """The nearest-neighbor-chain loop before it was tuned, kept verbatim.
 
     Each step copies a masked row and each merge copies the live mask
@@ -533,7 +512,7 @@ def reference_nnchain_merges(values, linkage):
     merge list, heights and tie order included.
     """
     n = values.shape[0]
-    dist = _pair_matrix(values, squared=linkage is Linkage.WARD)
+    dist = _pair_matrix(values)
     sizes = np.ones(n, dtype=np.float64)
     alive = np.ones(n, dtype=bool)
     merges: list[tuple[float, int, int]] = []
@@ -556,7 +535,6 @@ def reference_nnchain_merges(values, linkage):
             idx = np.flatnonzero(others)
             if idx.size:
                 dist[a, idx] = reference_lw_update(
-                    linkage,
                     dist[a, idx],
                     dist[b, idx],
                     d_ab,
@@ -573,26 +551,25 @@ def reference_nnchain_merges(values, linkage):
     return merges
 
 
-def merges_and_final_matrix(values, linkage):
+def merges_and_final_matrix(values):
     """_nnchain_merges's merge list and its distance matrix after the loop."""
     matrices = []
 
-    def keep(values, squared):
-        matrices.append(_pair_matrix(values, squared))
+    def keep(values):
+        matrices.append(_pair_matrix(values))
         return matrices[-1]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cluster_mod, "_pair_matrix", keep)
-        merges = _nnchain_merges(values, linkage)
+        merges = _nnchain_merges(values)
     (dist,) = matrices
     return merges, dist
 
 
 def assert_matches_reference(values):
-    for linkage in Linkage:
-        merges, dist = merges_and_final_matrix(values, linkage)
-        assert merges == reference_nnchain_merges(values, linkage), linkage
-        assert np.all(np.diagonal(dist) == np.inf), linkage
+    merges, dist = merges_and_final_matrix(values)
+    assert merges == reference_nnchain_merges(values)
+    assert np.all(np.diagonal(dist) == np.inf)
 
 
 @given(st.one_of(
@@ -621,43 +598,25 @@ def test_merges_match_the_reference_loop_on_fixed_inputs():
 # row 1 first, then 0 and 3; row 0 was last read before that first merge,
 # so a loop that does not bring the partner's row up to date before a
 # merge reads dist(0, 1) from before it, and the last merge's height
-# comes out wrong at every linkage
+# comes out wrong
 _PARTNER_BEHIND_POINTS = np.array([[-4.0], [1.0], [3.0], [-1.0]])
 
 
 def test_merges_match_the_reference_where_the_partner_row_is_behind():
     assert_matches_reference(_PARTNER_BEHIND_POINTS)
-    for linkage, height in ((Linkage.WARD, 40.5), (Linkage.AVERAGE, 4.5), (Linkage.COMPLETE, 7.0)):
-        assert _nnchain_merges(_PARTNER_BEHIND_POINTS, linkage)[-1] == (height, 0, 1)
-
-
-@pytest.mark.parametrize("linkage", list(Linkage), ids=lambda lk: lk.value)
-def test_hier_takes_a_linkage_by_its_value(linkage):
-    values = np.random.default_rng(5).normal(size=(30, 3))
-    by_value = hierarchical(values, 4, linkage.value)
-    by_member = hierarchical(values, 4, linkage)
-    assert np.array_equal(by_value.assignments, by_member.assignments)
-    assert np.array_equal(by_value.centroids, by_member.centroids)
-
-
-def test_hier_refuses_an_unknown_linkage_before_any_work(monkeypatch):
-    monkeypatch.setattr(cluster_mod, "_coerce", lambda matrix: pytest.fail("work began"))
-    for linkage in ("Ward", "single", None):
-        with pytest.raises(ValueError, match="is not a valid Linkage"):
-            hierarchical(np.zeros((4, 2)), 2, linkage)
+    assert _nnchain_merges(_PARTNER_BEHIND_POINTS)[-1] == (40.5, 0, 1)
 
 
 def test_pair_matrix_peak_is_one_n_by_n_array():
     n = 1000
     values = np.random.default_rng(0).normal(size=(n, len(CLUSTER_FEATURES)))
-    for squared in (True, False):
-        tracemalloc.start()
-        try:
-            _pair_matrix(values, squared)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * n * n * 8, (squared, peak)
+    tracemalloc.start()
+    try:
+        _pair_matrix(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * n * 8, peak
 
 
 def test_pair_matrix_refuses_more_than_physical_memory(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 import flowclean.select as select_mod
 from flowclean.classify import dataset
-from flowclean.cluster import Algorithm, Linkage, hierarchical, kmeans
+from flowclean.cluster import Algorithm, hierarchical, kmeans
 from flowclean.dpi import Blocklist, DEFAULT_BLOCKLIST, filter_flows
 from flowclean.errors import (
     CounterOutOfRange,
@@ -546,7 +546,6 @@ def reference_clean(
     algorithm=Algorithm.KMEANS,
     k=4,
     seed=42,
-    linkage=Linkage.WARD,
     skip_dpi=False,
 ):
     """The flows clean keeps and a report of its per-app counts, as clean
@@ -570,7 +569,7 @@ def reference_clean(
             continue
         raw = feature_matrix(survivors)  # an app too small to cluster never gets here
         z, means, stds = standardize(raw[:, : len(CLUSTER_FEATURES)])
-        model = kmeans(z, k, seed) if algorithm is Algorithm.KMEANS else hierarchical(z, k, linkage)
+        model = kmeans(z, k, seed) if algorithm is Algorithm.KMEANS else hierarchical(z, k)
         decided = evaluate(policy, destandardize(model.centroids, means, stds), raw)
         kept = [flow for flow, c in zip(survivors, model.assignments) if keeps[decided[c]]]
         counts.clusters_formed = model.k
@@ -717,26 +716,17 @@ def test_clean_hierarchical_algorithm(small_capture):
         assert counts.clusters_formed == 4
 
 
-@pytest.mark.parametrize(
-    "algorithm, linkage",
-    [(Algorithm.KMEANS, Linkage.WARD)] + [(Algorithm.HIERARCHICAL, lk) for lk in Linkage],
-    ids=lambda option: option.value,
-)
-def test_clean_and_clean_table_take_algorithm_and_linkage_by_value(
-    tmp_path, small_capture, algorithm, linkage
-):
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda option: option.value)
+def test_clean_and_clean_table_take_algorithm_by_value(tmp_path, small_capture, algorithm):
     flows, _ = small_capture
     for run in (clean, _table_run(tmp_path, 10**9, 1)):
-        cleaned, report = run(flows, algorithm=algorithm, linkage=linkage, seed=7)
-        by_value, by_value_report = run(
-            flows, algorithm=algorithm.value, linkage=linkage.value, seed=7
-        )
+        cleaned, report = run(flows, algorithm=algorithm, seed=7)
+        by_value, by_value_report = run(flows, algorithm=algorithm.value, seed=7)
         assert (by_value, by_value_report.apps) == (cleaned, report.apps)
 
 
-@pytest.mark.parametrize("option", [{"algorithm": "k-means"}, {"linkage": "Ward"}])
-def test_clean_and_clean_table_refuse_an_unknown_algorithm_or_linkage_before_phase_1(
-    tmp_path, monkeypatch, small_capture, option
+def test_clean_and_clean_table_refuse_an_unknown_algorithm_before_phase_1(
+    tmp_path, monkeypatch, small_capture
 ):
     flows, _ = small_capture
     path = tmp_path / "flows.csv"
@@ -745,16 +735,14 @@ def test_clean_and_clean_table_refuse_an_unknown_algorithm_or_linkage_before_pha
     monkeypatch.setattr(select_mod, "_flow_rows", lambda *args: pytest.fail("phase 1 ran"))
     monkeypatch.setattr(select_mod, "_parse_table", lambda *args: pytest.fail("phase 1 ran"))
     for run, data in ((clean, flows), (clean_table, table)):
-        with pytest.raises(ValueError, match="is not a valid (Algorithm|Linkage)$"):
-            run(data, **option)
+        with pytest.raises(
+            ValueError, match=r"^unknown algorithm 'k-means', expected kmeans or hier$"
+        ):
+            run(data, algorithm="k-means")
 
 
 # sha256 of the cleaned flow table of the default scenario at 5 x 600
-_HIER_CLEAN_SHA256 = {
-    Linkage.WARD: "5b83784e5ef130ff15672a802fca64497f659ef5943f240fe337a2dd3968ea27",
-    Linkage.AVERAGE: "fc399e42e9823770b6806a78479c4645972b348e2bbb1d46dabd94129276e31b",
-    Linkage.COMPLETE: "f944f89caf9000dad29b1a9432802f624ed57446314aee361bce4e4cb0d41f3e",
-}
+_HIER_CLEAN_SHA256 = "5b83784e5ef130ff15672a802fca64497f659ef5943f240fe337a2dd3968ea27"
 
 
 @pytest.fixture(scope="module")
@@ -764,15 +752,13 @@ def table_5x600():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("linkage", list(Linkage), ids=lambda lk: lk.value)
-def test_hier_clean_output_is_pinned(tmp_path, many_cpus, table_5x600, linkage, threads):
+def test_hier_clean_output_is_pinned(tmp_path, many_cpus, table_5x600, threads):
     # pins every merge the nearest-neighbor chain makes on real features,
     # ties included, through the whole clean
-    cleaned, _ = clean(table_5x600, algorithm=Algorithm.HIERARCHICAL,
-                       linkage=linkage, threads=threads)
+    cleaned, _ = clean(table_5x600, algorithm=Algorithm.HIERARCHICAL, threads=threads)
     write_flow_table(cleaned, tmp_path / "cleaned.csv")
     digest = hashlib.sha256((tmp_path / "cleaned.csv").read_bytes()).hexdigest()
-    assert digest == _HIER_CLEAN_SHA256[linkage]
+    assert digest == _HIER_CLEAN_SHA256
 
 
 def test_clean_report_json_shape(tmp_path, small_capture):
