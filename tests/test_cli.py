@@ -299,19 +299,22 @@ def test_clean_config_file_and_flag_override(tmp_path, scenario_file):
     assert all(e["clusters_formed"] == 2 for e in report2["apps"].values())
 
 
-def test_clean_has_no_linkage_flag(tmp_path, capsys):
-    # hier is Ward's method alone
+@pytest.mark.parametrize("linkage", ["ward", "average", "complete"])
+def test_clean_has_no_linkage_flag(tmp_path, capsys, linkage):
+    # hier is Ward's method alone; no linkage name is taken, not even ward
     with pytest.raises(SystemExit) as exc:
         main(["clean", "--flows", str(tmp_path / "flows.csv"), "--algorithm", "hier",
-              "--linkage", "ward", "--out", str(tmp_path / "x")])
+              "--linkage", linkage, "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --linkage ward" in capsys.readouterr().err
+    assert f"unrecognized arguments: --linkage {linkage}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
-def test_clean_config_has_no_linkage_key(tmp_path, scenario_file, capsys):
+@pytest.mark.parametrize("linkage", ["ward", "average", "complete"])
+def test_clean_config_has_no_linkage_key(tmp_path, scenario_file, capsys, linkage):
     flows = synth_into(tmp_path, scenario_file) / "flows.csv"
     config = tmp_path / "clean.conf"
-    config.write_text("algorithm = hier\nlinkage = ward\n")
+    config.write_text(f"algorithm = hier\nlinkage = {linkage}\n")
     out = tmp_path / "out"
     capsys.readouterr()
     assert main(["clean", "--flows", str(flows), "--config", str(config),

@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 import flowclean.cluster as cluster_mod
 from flowclean.cluster import (
     MAX_SQ_NORM,
+    Algorithm,
     _nnchain_merges,
     _pair_matrix,
     hierarchical,
@@ -392,7 +393,10 @@ def test_ward_heights_non_decreasing():
         assert np.allclose(chain, heights)
 
 
-@pytest.mark.parametrize("n,k,seed", [(24, 3, 0), (60, 4, 1), (121, 5, 2)])
+@pytest.mark.parametrize("n,k,seed", [
+    (24, 3, 0), (60, 4, 1), (121, 5, 2),
+    (2, 1, 3), (9, 2, 4), (33, 6, 5), (47, 1, 6), (80, 9, 7), (150, 3, 8),
+])
 def test_engines_agree_on_tie_free_data(n, k, seed):
     rng = np.random.default_rng(seed)
     values = rng.normal(0, 1, size=(n, 3))
@@ -605,6 +609,27 @@ _PARTNER_BEHIND_POINTS = np.array([[-4.0], [1.0], [3.0], [-1.0]])
 def test_merges_match_the_reference_where_the_partner_row_is_behind():
     assert_matches_reference(_PARTNER_BEHIND_POINTS)
     assert _nnchain_merges(_PARTNER_BEHIND_POINTS)[-1] == (40.5, 0, 1)
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+def test_algorithm_is_taken_by_its_value(algorithm):
+    assert Algorithm(algorithm.value) is algorithm
+
+
+@pytest.mark.parametrize("name", ["k-means", "Hier", "ward", "", None])
+def test_algorithm_refuses_an_unknown_name(name):
+    with pytest.raises(ValueError) as exc:
+        Algorithm(name)
+    assert str(exc.value) == f"unknown algorithm {name!r}, expected kmeans or hier"
+
+
+def test_hier_takes_no_linkage(monkeypatch):
+    # Ward is the only linkage: none is named, not even ward itself
+    monkeypatch.setattr(cluster_mod, "_coerce", lambda matrix: pytest.fail("work began"))
+    for call in (lambda: hierarchical(np.zeros((4, 2)), 2, "ward"),
+                 lambda: hierarchical(np.zeros((4, 2)), k=2, linkage="ward")):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_pair_matrix_peak_is_one_n_by_n_array():

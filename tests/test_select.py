@@ -725,8 +725,9 @@ def test_clean_and_clean_table_take_algorithm_by_value(tmp_path, small_capture, 
         assert (by_value, by_value_report.apps) == (cleaned, report.apps)
 
 
+@pytest.mark.parametrize("name", ["k-means", "Hier", "ward"])
 def test_clean_and_clean_table_refuse_an_unknown_algorithm_before_phase_1(
-    tmp_path, monkeypatch, small_capture
+    tmp_path, monkeypatch, small_capture, name
 ):
     flows, _ = small_capture
     path = tmp_path / "flows.csv"
@@ -736,9 +737,12 @@ def test_clean_and_clean_table_refuse_an_unknown_algorithm_before_phase_1(
     monkeypatch.setattr(select_mod, "_parse_table", lambda *args: pytest.fail("phase 1 ran"))
     for run, data in ((clean, flows), (clean_table, table)):
         with pytest.raises(
-            ValueError, match=r"^unknown algorithm 'k-means', expected kmeans or hier$"
+            ValueError, match=rf"^unknown algorithm '{name}', expected kmeans or hier$"
         ):
-            run(data, algorithm="k-means")
+            run(data, algorithm=name)
+        # Ward is the only hierarchical linkage, so none is taken
+        with pytest.raises(TypeError):
+            run(data, algorithm=Algorithm.HIERARCHICAL, linkage=name)
 
 
 # sha256 of the cleaned flow table of the default scenario at 5 x 600
@@ -751,7 +755,7 @@ def table_5x600():
     return flows
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 def test_hier_clean_output_is_pinned(tmp_path, many_cpus, table_5x600, threads):
     # pins every merge the nearest-neighbor chain makes on real features,
     # ties included, through the whole clean
