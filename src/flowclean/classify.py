@@ -22,11 +22,11 @@ x <= threshold, the midpoint of the values either side of the cut, go
 left. Without such a cut the node is a leaf. A node's id is its place
 in preorder, so a left child's is its parent's plus 1.
 
-Tree t draws from SplitMix64(derive(seed, t)): draws 1..n pick its
-rows (draw % n), a bootstrap sample; then split call m, counted in
-preorder from 0, takes the F draws after draw n + m * F as a partial
-Fisher-Yates over the 8 features (rng.py gives the draws). A call draws
-F numbers whether or not it splits.
+Tree t draws from the stream derive(seed, t) (rng.py): draws 1..n pick
+its rows (draw % n), a bootstrap sample; then split call m, counted in
+preorder from 0, takes the F draws from n + m * F + 1 on as a partial
+Fisher-Yates over the 8 features. A call draws F numbers whether or not
+it splits.
 
 Several forests can grow at once, each on a set of rows of one x: tree
 t of set a draws n = len(set a) rows of set a, as train(x[set a]) would.
@@ -107,7 +107,7 @@ from . import parallel
 from .errors import EmptyTest, LabelTooSmall, SchemaMismatch, SingleClass
 from .features import ALL_FEATURES, feature_matrix
 from .ingest import FlowRecord, check_labels
-from .rng import SplitMix64, derive, stream_draws
+from .rng import derive, shuffle, stream_draws
 
 
 def check_train_frac(train_frac: float) -> None:
@@ -134,9 +134,9 @@ def split(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stratified train/test split by label; returns the two sets' positions.
 
-    Each label contributes floor(n * train_frac + 0.5) positions to the
-    training set (round half up) after a seeded shuffle of its
-    positions; the rest go to test. Every label needs at least 4 rows.
+    Label j in sorted order shuffles its g positions on draws 1..g-1 of
+    derive(seed, j) and gives floor(g * train_frac + 0.5) to the training
+    set (round half up); the rest go to test. Every label needs >= 4 rows.
     """
     check_train_frac(train_frac)
     by_label: dict[str, list[int]] = {}
@@ -147,8 +147,7 @@ def split(
     for idx, (label, group) in enumerate(sorted(by_label.items())):
         if len(group) < 4:
             raise LabelTooSmall(f"label {label!r} has {len(group)} flows, need >= 4")
-        rng = SplitMix64(derive(seed, idx))
-        rng.shuffle(group)
+        shuffle(derive(seed, idx), group)
         n_train = math.floor(len(group) * train_frac + 0.5)
         train.extend(group[:n_train])
         test.extend(group[n_train:])
@@ -260,7 +259,7 @@ def _sample_features(
 
     Row i is a partial Fisher-Yates over range(n_features), swapping
     position j = i + u % (n_features - i) into place i, whose u are
-    draws first[i] + 1 on of SplitMix64(seeds[i]). The digits
+    draws first[i] + 1 on of the stream seeds[i]. The digits
     u % (n_features - i) index a cached table of all n_features! /
     (n_features - k)! results (336 rows for 3 of 8), so every row is
     one gather.
@@ -362,7 +361,8 @@ def _best_splits(
     score += nrf
     score -= steps[..., 1] / nrf
     del steps
-    np.putmask(score, no_cut, np.inf)
+    # score inf where no cut may be: score is finite, so a branch-free max
+    np.maximum(score, np.subtract(no_cut, 0.5) * np.inf, out=score)
     least = np.minimum.reduceat(score, starts, axis=1)
     # strict < from the parent's impurity, and the first sampled feature
     # wins a tie between features: the first least of least
@@ -392,8 +392,11 @@ def _best_splits(
     query = np.arange(n_nodes * n_classes).reshape(n_nodes, n_classes) << bits
     query += pos[:, None]
     query = query.astype(by_group.dtype)
-    left = np.stack([np.searchsorted(row, query, side="right") for row in by_group])
-    left = left[slot, np.arange(n_nodes)] - first.reshape(n_nodes, n_classes)
+    left = np.empty((n_nodes, n_classes), dtype=np.intp)
+    for f in range(n_feats):
+        mine = slot == f
+        left[mine] = np.searchsorted(by_group[f], query[mine], side="right")
+    left -= first.reshape(n_nodes, n_classes)
     return np.where(found, feature, -1), threshold, ordered, left
 
 

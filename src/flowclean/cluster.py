@@ -32,7 +32,7 @@ from .errors import (
     TooFewRows,
     UnclusterableMatrix,
 )
-from .rng import SplitMix64
+from .rng import stream_draws, unit_floats
 
 
 class Algorithm(Enum):
@@ -135,18 +135,25 @@ def _sq_dists(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _kmeanspp_init(values: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
-    """k-means++ seeding: spread initial centers by squared distance."""
+def _kmeanspp_init(values: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """k-means++ seeding: center c takes draw c + 1 of the stream seed.
+
+    It is row u % n for the first center and while every row sits on a
+    chosen center, else sampled by cumulative squared distance.
+    """
     n = values.shape[0]
-    centers = [rng.next_below(n)]
+    draws = stream_draws(np.uint64(seed % 2**64), np.arange(1, k + 1, dtype=np.uint64))
+    units = unit_floats(draws).tolist()
+    draws = draws.tolist()
+    centers = [draws[0] % n]
     diff = values - values[centers[0]]
     d2 = np.einsum("ij,ij->i", diff, diff)
-    for _ in range(1, k):
+    for c in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
-            cand = rng.next_below(n)
+            cand = draws[c] % n
         else:
-            r = rng.random() * total
+            r = units[c] * total
             cand = int(np.searchsorted(np.cumsum(d2), r, side="right"))
             cand = min(cand, n - 1)
         centers.append(cand)
@@ -174,8 +181,7 @@ def kmeans(
     if n < k:
         raise TooFewRows(f"{n} rows < k={k}")
 
-    rng = SplitMix64(seed)
-    centroids = _kmeanspp_init(values, k, rng)
+    centroids = _kmeanspp_init(values, k, seed)
     assign = np.zeros(n, dtype=np.int64)
     prev_sse = np.inf
     for iteration in range(1, KMEANS_MAX_ITER + 1):

@@ -8,7 +8,9 @@ the calling process; it is sent only item indices and sends back the
 task's results, so those should be small. A worker should not walk many
 of the caller's Python objects either: each touch writes the object's
 refcount, which copies its page. So every task reads only arrays the
-caller built or rows the worker parsed itself.
+caller built or rows the worker parsed itself, and the caller's objects
+are frozen (gc.freeze) while the pool runs, so that a worker's garbage
+collections do not walk them.
 `spawn` and `forkserver` are not used because they start helper
 processes (the resource tracker and the fork server) that outlive the
 pool. A fork copies only the calling thread, so no other thread of the
@@ -17,6 +19,7 @@ caller may be needed by a worker.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -55,10 +58,14 @@ def fork_map(task: Callable, n_items: int, workers: int) -> list:
     workers = min(workers, n_items, usable_cpus())
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [task(i) for i in range(n_items)]
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(task,),
-    ) as pool:
-        return list(pool.map(_run, range(n_items)))
+    gc.freeze()
+    try:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker,
+            initargs=(task,),
+        ) as pool:
+            return list(pool.map(_run, range(n_items)))
+    finally:
+        gc.unfreeze()

@@ -1,34 +1,36 @@
-"""Deterministic SplitMix64 random streams.
+"""Deterministic SplitMix64 random streams, drawn by position.
 
 All randomized stages (scenario synthesis, k-means++ seeding, bootstrap
-sampling, per-node feature sampling, train/test shuffles) draw from this
-generator so that runs are reproducible from a single integer seed,
-independent of Python or numpy versions. The generator is fully
-specified here so another implementation can reproduce the streams bit
-for bit:
+sampling, per-node feature sampling, train/test shuffles) draw from
+these streams so that runs are reproducible from a single integer seed,
+independent of Python or numpy versions. The streams are fully
+specified here so another implementation can reproduce them bit for
+bit:
 
-* State advances by the 64-bit golden gamma ``0x9E3779B97F4A7C15`` per draw.
-* Each output is the advanced state passed through the SplitMix64 finalizer
-  ``z ^= z>>30; z *= 0xBF58476D1CE4E5B9; z ^= z>>27; z *= 0x94D049BB133111EB;
-  z ^= z>>31`` (all arithmetic mod 2**64).
-* ``random()`` maps a draw to [0, 1) as ``(u64 >> 11) * 2**-53``.
-* ``next_below(n)`` reduces a draw with ``u64 % n`` (the modulo bias is
-  negligible for the small n used here).
+* Draw i (i = 1, 2, ...) of the stream ``seed`` is the SplitMix64
+  finalizer of ``seed + i * 0x9E3779B97F4A7C15`` (the 64-bit golden
+  gamma): ``z ^= z>>30; z *= 0xBF58476D1CE4E5B9; z ^= z>>27;
+  z *= 0x94D049BB133111EB; z ^= z>>31``, all arithmetic mod 2**64.
+  So a draw is a pure function of (seed, position); ``stream_draws``
+  computes any draws of any streams that way with numpy.
+* ``unit_floats`` maps a draw u to [0, 1) as ``(u >> 11) * 2**-53``.
+* ``shuffle`` is Fisher-Yates over n items: draw d (d = 1..n-1) swaps
+  place n - d with place ``u % (n - d + 1)``.
 * Sub-streams come from ``derive(seed, *keys)``: fold each key into the seed
   with the finalizer, ``s = mix64(s ^ mix64(key))``, starting from
   ``s = mix64(seed)``.
 
-Because the state advances by a fixed gamma, the i-th draw is a pure
-function of (seed, i); ``stream_draws`` computes any draws of any
-streams that way with numpy, and ``next_u64_array`` uses it to produce
-a block of draws while leaving the stream position exactly as if the
-draws had been made one by one.
+Each stage takes its own positions of its own stream:
 
-How scenario synthesis lays its flows out on these draws (draws per flow
-by role, their order and the Box-Muller rule) is specified in the
-"Random-number layout" section of ``synth.py``; how a forest draws its
-bootstrap samples and per-node features, in the ``classify.py``
-docstring.
+* app i of a scenario runs on from draw 1 of ``derive(seed, i)``;
+  the "Random-number layout" section of ``synth.py`` gives the draws
+  per flow;
+* k-means++ seeding takes draws 1..k of the clustering seed
+  (``cluster.py``);
+* in the stratified split, label j's shuffle, g rows, takes draws
+  1..g-1 of ``derive(seed, j)``;
+* tree t's bootstrap takes draws 1..n of ``derive(seed, t)``, and its
+  split call m the F draws from n + m * F + 1 on (``classify.py``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_TWO53_INV = 2.0**-53
 
 
 def mix64(value: int) -> int:
@@ -59,9 +60,9 @@ def derive(seed: int, *keys: int) -> int:
 
 
 def stream_draws(seeds: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Draw number ``positions`` (1-based) of the streams ``SplitMix64(seeds)``.
+    """Draw number ``positions`` (1-based) of the streams ``seeds``.
 
-    Elementwise over the broadcast uint64 arrays; no stream is advanced.
+    Elementwise over the broadcast uint64 arrays.
     """
     z = seeds + positions * np.uint64(_GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -69,36 +70,15 @@ def stream_draws(seeds: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-class SplitMix64:
-    """Sequential SplitMix64 stream over a 64-bit state."""
+def unit_floats(draws: np.ndarray) -> np.ndarray:
+    """Draws mapped to float64s in [0, 1): ``(u >> 11) * 2**-53``."""
+    return (draws >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    __slots__ = ("_state",)
 
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return mix64(self._state)
-
-    def next_u64_array(self, count: int) -> np.ndarray:
-        """Vectorized block of draws; advances the stream by ``count``."""
-        z = stream_draws(
-            np.uint64(self._state), np.arange(1, count + 1, dtype=np.uint64)
-        )
-        self._state = (self._state + count * _GAMMA) & _MASK64
-        return z
-
-    def random(self) -> float:
-        return (self.next_u64() >> 11) * _TWO53_INV
-
-    def next_below(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return self.next_u64() % n
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
-            items[i], items[j] = items[j], items[i]
+def shuffle(seed: int, items: list) -> None:
+    """Fisher-Yates shuffle of items in place, on draws 1..n-1 of seed."""
+    n = len(items)
+    places = np.arange(n, 1, -1, dtype=np.uint64)  # n - d + 1 for draw d
+    picks = stream_draws(np.uint64(seed), np.arange(1, n, dtype=np.uint64)) % places
+    for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
+        items[i], items[j] = items[j], items[i]

@@ -19,9 +19,9 @@ step per app so a classifier has something to learn.
 
 Random-number layout
 --------------------
-App i draws from ``SplitMix64(derive(seed, i))`` (see rng.py), role by
-role in ROLE_ORDER and flow by flow within a role. Every flow draws,
-in this order:
+App i runs on from draw 1 of the stream ``derive(seed, i)`` (see
+rng.py), role by role in ROLE_ORDER and flow by flow within a role.
+Every flow draws, in this order:
 
 1. Four normal variates from two Box-Muller pairs: the primary side's
    log-normal bytes and the secondary side's log-normal bytes
@@ -51,7 +51,7 @@ pair, packet pair, duration, start, payload.
 
 Normals are Box-Muller: a pair costs two draws u and v and yields two
 variates. With ``a = ((u >> 11) + 1) * 2**-53`` (never zero),
-``b = (v >> 11) * 2**-53``, ``r = sqrt(-2 * ln a)`` and
+``b = (v >> 11) * 2**-53`` (rng.unit_floats), ``r = sqrt(-2 * ln a)`` and
 ``t = (2 * pi) * b``, the pair's first normal with mean m and deviation
 s is ``m + (s * r) * cos t`` and its second is ``m + s * (r * sin t)``.
 A log-normal with natural-scale mean m and log-space deviation s is
@@ -59,11 +59,11 @@ A log-normal with natural-scale mean m and log-space deviation s is
 deviation 1.
 
 generate draws each role as one block per up to _BLOCK_FLOWS flows
-with ``SplitMix64.next_u64_array`` and computes its flows column by
-column. The columns use only correctly rounded IEEE-754 operations, in
-the per-flow order, and take log, exp, cos and sin from ``math``, so
-the output is the same bits as drawing each flow on its own, whatever
-the numpy build.
+with ``stream_draws`` and computes its flows column by column. The
+columns use only correctly rounded IEEE-754 operations, in the per-flow
+order, and take log, exp, cos and sin from ``math``, so the output is
+the same bits as drawing each flow on its own, whatever the numpy
+build.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .ingest import FlowKey, FlowRecord, TCP, UDP, parse_lines, read_text
-from .rng import SplitMix64, derive
+from .rng import derive, stream_draws, unit_floats
 
 # Ethernet + IPv4 + transport header bytes per packet
 _TCP_HEADER = 54
@@ -89,7 +89,6 @@ _BASE_TS_US = 1_600_000_000_000_000
 
 _DURATION_RULE = "capture_duration_s must be a positive finite number"
 
-_TWO53_INV = 2.0**-53
 _SERVER_HELLO_HEAD = b"\x16\x03\x03" + struct.pack(">H", 48) + b"\x02"
 # flows per drawn block, so memory stays flat on huge scenarios
 _BLOCK_FLOWS = 65_536
@@ -412,20 +411,22 @@ def _libm(func, values: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape)
 
 
-def _draw_block(rng: SplitMix64, count: int, payload_draws: int):
+def _draw_block(seed: int, first: int, count: int, payload_draws: int):
     """Draw `count` flows' random numbers as one block; split it into columns.
 
-    Returns ``(normal, uniforms, payload)``: ``normal(q, mean, std)`` is
-    every flow's q-th normal variate (q in 0..3), computed by the
-    Box-Muller rule of the module docstring; ``uniforms`` holds each
-    flow's duration and start draws mapped to [0, 1); ``payload`` its
-    payload draws. The stream advances as if each flow drew on its own.
+    The block is draws first + 1 on of the stream seed, as many as the
+    flows take. Returns ``(normal, uniforms, payload)``: ``normal(q,
+    mean, std)`` is every flow's q-th normal variate (q in 0..3),
+    computed by the Box-Muller rule of the module docstring;
+    ``uniforms`` holds each flow's duration and start draws mapped to
+    [0, 1); ``payload`` its payload draws.
     """
-    block = rng.next_u64_array(count * (6 + payload_draws)).reshape(count, -1)
+    positions = np.arange(count * (6 + payload_draws), dtype=np.uint64) + np.uint64(first + 1)
+    block = stream_draws(np.uint64(seed), positions).reshape(count, -1)
     # columns 0-1 and 2-3 are the flow's two pairs (u, v); normal 2p is
     # pair p's cosine variate and normal 2p + 1 its sine variate
-    u1 = ((block[:, 0:4:2] >> 11) + 1).astype(np.float64) * _TWO53_INV
-    u2 = (block[:, 1:4:2] >> 11).astype(np.float64) * _TWO53_INV
+    u1 = unit_floats(block[:, 0:4:2]) + 2.0**-53
+    u2 = unit_floats(block[:, 1:4:2])
     theta = (2.0 * math.pi) * u2
     r = np.sqrt(-2.0 * _libm(math.log, u1))
     cos = _libm(math.cos, theta)
@@ -437,7 +438,7 @@ def _draw_block(rng: SplitMix64, count: int, payload_draws: int):
             return mean + std * sines[:, p]
         return mean + (std * r[:, p]) * cos[:, p]
 
-    uniforms = (block[:, 4:6] >> 11).astype(np.float64) * _TWO53_INV
+    uniforms = unit_floats(block[:, 4:6])
     return normal, uniforms, block[:, 6:]
 
 
@@ -567,7 +568,7 @@ def generate_app(
     Each role draws its flows' random numbers in blocks of up to
     _BLOCK_FLOWS flows; the module docstring gives the layout.
     """
-    rng = SplitMix64(seed)
+    taken = 0  # draws of the stream seed so far
     client_ip = f"192.168.{app_index + 1}.2"
     flows: list[FlowRecord] = []
     roles: list[Role] = []
@@ -584,8 +585,9 @@ def generate_app(
         for first in range(0, count, _BLOCK_FLOWS):
             n = min(_BLOCK_FLOWS, count - first)
             normal, uniforms, payload_draws = _draw_block(
-                rng, n, _PAYLOAD_DRAWS[role]
+                seed, taken, n, _PAYLOAD_DRAWS[role]
             )
+            taken += n * (6 + _PAYLOAD_DRAWS[role])
             columns = _flow_columns(spec, capture_duration_s, normal, uniforms)
             payloads = _payloads(role, app.label, payload_draws)
             for i, (counters, (client_prefix, server_prefix)) in enumerate(

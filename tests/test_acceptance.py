@@ -15,12 +15,11 @@ import flowclean.cluster as cluster_mod
 from flowclean.cli import run_compare
 from flowclean.cluster import Algorithm, hierarchical, kmeans, sse
 from flowclean.dpi import VerdictKind, classify_flow
-from flowclean.rng import SplitMix64
 from flowclean.select import clean
 from flowclean.synth import Role, default_scenario, generate
 
 from conftest import make_flow
-from scalar_rng import ScalarStream
+from scalar_rng import ScalarStream, SplitMix64
 from test_dpi import client_hello, dns_query
 from test_features import ratios
 

@@ -35,7 +35,7 @@ from flowclean.features import ALL_FEATURES, feature_matrix
 from flowclean.rng import derive
 
 from conftest import make_flow
-from scalar_rng import ScalarStream
+from scalar_rng import ScalarStream, SplitMix64
 
 
 def labeled_flows(label: str, n: int, base_id: int = 0, **overrides):
@@ -106,6 +106,31 @@ def test_split_deterministic_and_seed_sensitive():
     assert [f.flow_id for f in first[0]] == [f.flow_id for f in second[0]]
     other = split_flows(flows, seed=10)
     assert [f.flow_id for f in other[0]] != [f.flow_id for f in first[0]]
+
+
+def oracle_split(labels, train_frac, seed):
+    """split, shuffling label j's positions with SplitMix64(derive(seed, j))."""
+    train_rows, test_rows = [], []
+    for j, label in enumerate(sorted(set(labels))):
+        group = [i for i, other in enumerate(labels) if other == label]
+        SplitMix64(derive(seed, j)).shuffle(group)
+        n_train = math.floor(len(group) * train_frac + 0.5)
+        train_rows += group[:n_train]
+        test_rows += group[n_train:]
+    return train_rows, test_rows
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.one_of(st.just(0), st.integers(4, 3000)), min_size=1, max_size=3),
+    st.floats(0.05, 0.95),
+    st.integers(0, 2**64 - 1),
+)
+def test_split_matches_the_scalar_shuffle(sizes, train_frac, seed):
+    labels = [f"app{j}" for j, size in enumerate(sizes) for _ in range(size)]
+    labels = [labels[i] for i in np.random.default_rng(len(labels)).permutation(len(labels))]
+    train_rows, test_rows = split(labels, train_frac=train_frac, seed=seed)
+    assert (train_rows.tolist(), test_rows.tolist()) == oracle_split(labels, train_frac, seed)
 
 
 def test_split_label_too_small():

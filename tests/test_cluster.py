@@ -39,6 +39,7 @@ from flowclean.features import (
 )
 
 from conftest import make_flow
+from scalar_rng import SplitMix64
 
 
 def partition_of(assignments) -> set[frozenset]:
@@ -205,6 +206,52 @@ def test_kmeans_duplicate_points():
     model = kmeans(values, k=3, seed=9)
     assert model.sse == 0.0
     assert np.all(np.bincount(model.assignments, minlength=model.k) >= 1)
+
+
+def kmeanspp_oracle(values, k, seed):
+    """k-means++ seeding on the stateful SplitMix64, one draw per center."""
+    rng = SplitMix64(seed)
+    n = len(values)
+    centers = [rng.next_below(n)]
+    d2 = np.einsum("ij,ij->i", values - values[centers[0]], values - values[centers[0]])
+    for _ in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            cand = rng.next_below(n)
+        else:
+            r = rng.random() * total
+            cand = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
+        centers.append(cand)
+        diff = values - values[cand]
+        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
+    return values[centers]
+
+
+@given(
+    st.integers(1, 30).flatmap(lambda n: st.tuples(
+        hnp.arrays(np.float64, (n, 2), elements=st.integers(-2, 2).map(float)),
+        st.integers(1, n),
+    )),
+    st.integers(-2**63, 2**64 - 1),
+)
+def test_kmeanspp_init_matches_the_scalar_stream(values_k, seed):
+    # few distinct rows, so many runs place a center on every distinct row
+    # before k and draw the rest with u % n
+    values, k = values_k
+    expected = kmeanspp_oracle(values, k, seed)
+    assert cluster_mod._kmeanspp_init(values, k, seed).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 9, 42, 2**64 - 1])
+def test_kmeanspp_init_once_every_row_is_a_center_draws_by_modulo(seed):
+    # two distinct rows, four copies each: centers 3..8 find total 0 and
+    # take row u % 8, so each shows which half its draw fell in
+    values = np.repeat([[0.0], [1.0]], 4, axis=0)
+    got = cluster_mod._kmeanspp_init(values, 8, seed)
+    assert got.tolist() == kmeanspp_oracle(values, 8, seed).tolist()
+    # all rows identical: every center is u % n
+    same = np.zeros((8, 2))
+    assert cluster_mod._kmeanspp_init(same, 5, seed).tolist() == same[:5].tolist()
 
 
 def test_kmeans_centroid_is_cluster_mean():

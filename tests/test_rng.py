@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from flowclean.rng import SplitMix64, derive, mix64, stream_draws
+from flowclean.rng import derive, mix64, shuffle, stream_draws, unit_floats
 
-from scalar_rng import ScalarStream
+from scalar_rng import ScalarStream, SplitMix64
 
 MASK = (1 << 64) - 1
 
@@ -131,6 +131,24 @@ def test_shuffle_is_permutation_and_deterministic():
     assert a == b
     assert sorted(a) == items
     assert a != items  # astronomically unlikely to be identity
+
+
+@given(st.integers(0, MASK), st.integers(0, 3000))
+def test_shuffle_matches_scalar_shuffle(seed, n):
+    expected = list(range(n))
+    SplitMix64(seed).shuffle(expected)
+    got = list(range(n))
+    shuffle(seed, got)
+    assert got == expected
+
+
+@given(st.integers(0, MASK))
+def test_unit_floats_match_scalar_random(seed):
+    scalar = SplitMix64(seed)
+    expected = [scalar.random() for _ in range(50)]
+    got = unit_floats(stream_draws(np.uint64(seed), np.arange(1, 51, dtype=np.uint64)))
+    assert got.tolist() == expected
+    assert all(0.0 <= u < 1.0 for u in expected)
 
 
 def test_sample_indices_distinct_and_in_range():
